@@ -1,0 +1,94 @@
+"""Golden payloads: a fixed matrix of CLI calls must reproduce committed bytes.
+
+Each case runs ``retrolab.cli.main`` in process.  A JSON payload is compared
+with its ``meta`` block removed (it holds the timestamp); CSV output and
+records files are compared whole, and every exit code must match too.  The
+files under ``tests/golden/`` change only through
+``python scripts/update_golden.py``, so a payload change shows up as a diff
+in review.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from retrolab import cli
+
+GOLDEN = Path(__file__).with_name("golden")
+EXIT_CODES = "exit_codes.json"
+
+STOCHASTIC = ("twobit", "onebit", "qm-discrete", "qm-collapse", "qm-nocollapse")
+ALL_MODELS = STOCHASTIC + ("classical",)
+SETTINGS = ("--sigma-l", "0.3", "--sigma-r", "1.2")
+AUDIT_N = "10000"  # the audit's floor
+RUN_N = "200"  # every row also goes to the records file
+
+
+def cases() -> dict[str, tuple[str, ...]]:
+    """Case name -> argv.  A ``run`` case with ``--records`` also yields
+    ``<name>.jsonl``, the records file."""
+    out = {}
+    for model in STOCHASTIC:
+        out[f"run-{model}"] = (
+            "run", "--model", model, *SETTINGS, "--n", RUN_N, "--seed", "7",
+            "--records-limit", "0",
+        )
+        out[f"table-{model}"] = ("table", "--model", model, *SETTINGS)
+        out[f"audit-{model}"] = ("audit", model, "0", "0.5236", "--n", AUDIT_N, "--seed", "7")
+    for model in ALL_MODELS:
+        out[f"retro-{model}"] = ("retro", model, "0", "0.2", "0.9")
+    out["run-twobit-csv"] = (
+        "run", "--model", "twobit", *SETTINGS, "--n", "2000", "--seed", "3", "--format", "csv",
+    )
+    return out
+
+
+def strip_meta(text: str) -> str:
+    """Drop the top-level ``"meta": {...}`` block of an indented payload."""
+    lines = text.splitlines(keepends=True)
+    start = lines.index('  "meta": {\n')
+    end = next(i for i in range(start, len(lines)) if lines[i].startswith("  }"))
+    return "".join(lines[:start] + lines[end + 1 :])
+
+
+def render(name: str, argv: tuple[str, ...], tmp: Path) -> tuple[int, dict[str, bytes]]:
+    """Exit code and output files of one case, keyed by golden file name."""
+    argv = list(argv)
+    records = None
+    if argv[0] == "run" and "--records-limit" in argv:
+        records = tmp / f"{name}.jsonl"
+        argv += ["--records", str(records)]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = cli.main(argv)
+    text = stdout.getvalue()
+    files = {}
+    if "--format" in argv:
+        files[f"{name}.csv"] = text.encode()
+    else:
+        files[f"{name}.json"] = strip_meta(text).encode()
+    if records is not None:
+        files[records.name] = records.read_bytes()
+    return rc, files
+
+
+def render_all() -> dict[str, bytes]:
+    """Every golden file, exit codes included, as the current code makes them."""
+    out = {}
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, argv in cases().items():
+            codes[name], files = render(name, argv, Path(tmp))
+            out.update(files)
+    out[EXIT_CODES] = (json.dumps(codes, indent=2, sort_keys=True) + "\n").encode()
+    return out
+
+
+def test_golden_files_match():
+    fresh = render_all()
+    committed = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+    assert sorted(committed) == sorted(fresh)
+    changed = sorted(name for name, data in fresh.items() if committed[name] != data)
+    assert not changed, f"output differs from tests/golden/ in {changed}"
