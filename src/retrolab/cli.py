@@ -22,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from . import __version__, audit, games, hvmodels
+from . import __version__, audit, games, hvmodels, records
 from .hvmodels import UnknownModelError
 from .photon import OntologyMode
 from .stats import RandomStream, tv_distance
@@ -95,7 +95,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with records.atomic_open(out) as fh:
             fh.write(text)
 
 
@@ -132,6 +132,8 @@ def _cmd_run(args) -> int:
         raise ConfigError(f"format must be json or csv, got {fmt!r}")
     if n < 1:
         raise ConfigError("n must be at least 1")
+    if records_limit < 0:
+        raise ConfigError(f"records-limit must be at least 0 (0 = all), got {records_limit}")
     if model not in hvmodels.STOCHASTIC_MODELS:
         raise ConfigError(
             f"model {model!r} has no channel statistics to sample; "
@@ -180,10 +182,8 @@ def _cmd_run(args) -> int:
     }
 
     if records_path is not None:
-        from .records import write_records_jsonl
-
         limit = None if records_limit == 0 else records_limit
-        write_records_jsonl(records_path, ensemble.records(limit))
+        records.write_records_jsonl(records_path, ensemble, limit)
 
     if fmt == "csv":
         lines = ["# config: " + json.dumps(cfg, sort_keys=True)]

@@ -109,6 +109,11 @@ def emit_from_channel(channel: int, setting_l: float) -> PhotonState:
     return PhotonState.linear(setting_l if channel == 1 else setting_l + HALF_PI)
 
 
+def _check_prior(prior_1: float) -> None:
+    if not (math.isfinite(prior_1) and 0.0 <= prior_1 <= 1.0):
+        raise ValueError(f"prior must lie in [0, 1], got {prior_1!r}")
+
+
 def retrodict_channel(tau_l: float, sigma_l: float, prior_1: float = 0.5) -> float:
     """Posterior probability that the photon entered on channel 1.
 
@@ -117,8 +122,7 @@ def retrodict_channel(tau_l: float, sigma_l: float, prior_1: float = 0.5) -> flo
     lopsided source prior swamps the geometric factor, which is exactly why
     the even-prior stipulation matters when reading the cos^2 backwards.
     """
-    if not (math.isfinite(prior_1) and 0.0 <= prior_1 <= 1.0):
-        raise ValueError(f"prior must lie in [0, 1], got {prior_1!r}")
+    _check_prior(prior_1)
     like1 = malus(angle_diff(tau_l, sigma_l))
     like0 = 1.0 - like1
     num = prior_1 * like1
@@ -189,8 +193,7 @@ def run_trajectory(
     and both leg polarizations, collapse runs keep no return-leg beable, and
     no-collapse runs keep the branch weight pair in place of an outcome.
     """
-    if not (math.isfinite(prior_1) and 0.0 <= prior_1 <= 1.0):
-        raise ValueError(f"prior must lie in [0, 1], got {prior_1!r}")
+    _check_prior(prior_1)
     sl = normalize_angle(sigma_l)
     sr = normalize_angle(sigma_r)
     in_channel = 1 if rng.random() < prior_1 else 0
@@ -242,6 +245,7 @@ def simulate_ensemble(
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")
+    _check_prior(prior_1)
     rng = stream.generator()
     sl = normalize_angle(sigma_l)
     sr = normalize_angle(sigma_r)

@@ -6,15 +6,25 @@ model family's signature: discrete-symmetric runs carry channels and both leg
 polarizations, collapse runs drop the return-leg polarization, no-collapse
 runs drop the outcome and carry the branch weight pair instead.  Absent
 fields stay None in memory and are omitted on disk; angles are radians.
+
+Records files are written atomically: the lines go to a temporary file in the
+target directory, which replaces the target only once it is complete, so a
+failed write leaves no partial file.  A negative row limit is rejected.
 """
 
 from __future__ import annotations
 
+import contextlib
+import itertools
 import json
+import os
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+# rows joined into one write when an ensemble is streamed to disk
+CHUNK_ROWS = 1 << 16
 
 # fixed key order of the JSON-lines format
 RECORD_KEYS = (
@@ -72,14 +82,90 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     )
 
 
-def write_records_jsonl(path, records: Iterable[ExperimentRecord]) -> int:
-    """Write records one JSON object per line; returns the number written."""
+@contextlib.contextmanager
+def atomic_open(path):
+    """Text handle whose content replaces ``path`` only if the block succeeds.
+
+    The handle writes to a temporary file beside ``path``, so the final
+    ``os.replace`` is a rename within one file system; on any error the
+    temporary file is removed and ``path`` is left as it was.  A path that
+    exists but is no regular file (``/dev/stdout``, a pipe) cannot be
+    replaced and is written in place.  A symlink is followed, as by
+    ``open(path, "w")``.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8") as fh:
+            yield fh
+        return
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, limit=None) -> int:
+    """Write records one JSON object per line; returns the number written.
+
+    ``records`` is an iterable of records or an :class:`Ensemble`; ``limit``
+    caps the rows written (None = all).  An ensemble is written without
+    materialising its rows: each distinct row is rendered once and every
+    row is emitted as a copy of its rendering, in chunks of CHUNK_ROWS.
+    """
+    if isinstance(records, Ensemble):
+        return _write_ensemble(path, records, limit)
+    limit = _check_limit(limit)
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
+    with atomic_open(path) as fh:
+        for record in itertools.islice(records, limit):
             fh.write(json.dumps(record_to_dict(record)))
             fh.write("\n")
             count += 1
+    return count
+
+
+def _check_limit(limit) -> int | None:
+    if limit is None:
+        return None
+    if int(limit) < 0:
+        raise ValueError(f"limit must be None or at least 0, got {limit!r}")
+    return int(limit)
+
+
+def _distinct_rows(columns: list[np.ndarray], count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the first ``count`` rows by exact value.
+
+    Returns the index of each group's first row and every row's group code.
+    Float columns compare by bit pattern, so -0.0 and 0.0, or two NaN
+    payloads, stay apart.  Columns are factorised one at a time and the
+    combined code is re-factorised after each, so it stays below count**2.
+    """
+    codes = np.zeros(count, dtype=np.int64)
+    first = np.zeros(min(count, 1), dtype=np.int64)  # one group until a column splits it
+    for column in columns:
+        column = np.ascontiguousarray(column[:count])
+        if column.dtype.kind == "f":
+            column = column.view(f"u{column.itemsize}")
+        values, inverse = np.unique(column, return_inverse=True)
+        _, first, codes = np.unique(
+            codes * len(values) + inverse, return_index=True, return_inverse=True
+        )
+    return first, codes
+
+
+def _write_ensemble(path, ensemble: Ensemble, limit) -> int:
+    count = ensemble._count(limit)
+    first, codes = _distinct_rows(ensemble.columns(), count)
+    lines = [json.dumps(record_to_dict(ensemble.record(int(i)))) + "\n" for i in first]
+    with atomic_open(path) as fh:
+        for start in range(0, count, CHUNK_ROWS):
+            fh.write("".join([lines[c] for c in codes[start : start + CHUNK_ROWS].tolist()]))
     return count
 
 
@@ -111,32 +197,38 @@ class Ensemble:
     tau_r: np.ndarray | None = None
     weight_1: np.ndarray | None = None
 
+    def columns(self) -> list[np.ndarray]:
+        """The columns present, in a fixed order."""
+        columns = (self.in_channel, self.out_channel, self.tau_l, self.tau_r, self.weight_1)
+        return [column for column in columns if column is not None]
+
     @property
     def n(self) -> int:
-        for column in (self.in_channel, self.out_channel, self.tau_l, self.tau_r, self.weight_1):
-            if column is not None:
-                return len(column)
-        return 0
+        columns = self.columns()
+        return len(columns[0]) if columns else 0
+
+    def _count(self, limit: int | None = None) -> int:
+        """Rows kept under ``limit`` (None = all); a negative limit is an error."""
+        limit = _check_limit(limit)
+        return self.n if limit is None else min(self.n, limit)
+
+    def record(self, i: int) -> ExperimentRecord:
+        """Row ``i`` as a record."""
+        weights = None
+        if self.weight_1 is not None:
+            w1 = float(self.weight_1[i])
+            weights = (w1, 1.0 - w1)
+        return ExperimentRecord(
+            sigma_l=self.sigma_l,
+            sigma_r=self.sigma_r,
+            model=self.model,
+            in_channel=None if self.in_channel is None else int(self.in_channel[i]),
+            out_channel=None if self.out_channel is None else int(self.out_channel[i]),
+            tau_l=None if self.tau_l is None else float(self.tau_l[i]),
+            tau_r=None if self.tau_r is None else float(self.tau_r[i]),
+            weights=weights,
+        )
 
     def records(self, limit: int | None = None) -> list[ExperimentRecord]:
         """Materialize rows as records; ``limit`` caps the count (None = all)."""
-        count = self.n if limit is None else min(self.n, int(limit))
-        out = []
-        for i in range(count):
-            weights = None
-            if self.weight_1 is not None:
-                w1 = float(self.weight_1[i])
-                weights = (w1, 1.0 - w1)
-            out.append(
-                ExperimentRecord(
-                    sigma_l=self.sigma_l,
-                    sigma_r=self.sigma_r,
-                    model=self.model,
-                    in_channel=None if self.in_channel is None else int(self.in_channel[i]),
-                    out_channel=None if self.out_channel is None else int(self.out_channel[i]),
-                    tau_l=None if self.tau_l is None else float(self.tau_l[i]),
-                    tau_r=None if self.tau_r is None else float(self.tau_r[i]),
-                    weights=weights,
-                )
-            )
-        return out
+        return [self.record(i) for i in range(self._count(limit))]

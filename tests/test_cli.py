@@ -226,3 +226,13 @@ def test_unwritable_out_exits_3(tmp_path):
     proc = run_cli("table", "--model", "onebit", "--sigma-l", "0",
                    "--sigma-r", "0.5", "--out", str(tmp_path / "no" / "dir" / "x.json"))
     assert proc.returncode == 3
+
+
+def test_negative_records_limit_exits_2(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    proc = run_cli("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5",
+                   "--n", "1000", "--records", str(path), "--records-limit", "-3")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "records-limit" in proc.stderr
+    assert not path.exists()

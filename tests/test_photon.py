@@ -191,3 +191,14 @@ def test_nocollapse_ensemble_weights():
     expected_in1 = malus(sl - sr)
     assert np.allclose(w[ens.in_channel == 1], expected_in1, atol=1e-12)
     assert np.allclose(w[ens.in_channel == 0], 1.0 - expected_in1, atol=1e-12)
+
+
+@pytest.mark.parametrize("prior", [1.7, -0.1, float("nan"), float("inf")])
+def test_ensemble_rejects_bad_prior(prior):
+    # the same rule as run_trajectory: a prior outside [0, 1] is refused
+    with pytest.raises(ValueError, match="prior"):
+        run_trajectory(OntologyMode.DISCRETE_SYMMETRIC, 0.1, 0.5, RandomStream(0).generator(),
+                       prior_1=prior)
+    with pytest.raises(ValueError, match="prior"):
+        simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.1, 0.5, 100, RandomStream(0),
+                          prior_1=prior)

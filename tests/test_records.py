@@ -1,11 +1,20 @@
 """Record schema, JSON-lines round trips, ensemble views."""
 
+import errno
 import json
+import math
+import os
+import stat
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from retrolab import cli
+from retrolab import records as records_module
+from retrolab.photon import OntologyMode, simulate_ensemble
 from retrolab.records import (
     RECORD_KEYS,
     Ensemble,
@@ -15,6 +24,7 @@ from retrolab.records import (
     record_to_dict,
     write_records_jsonl,
 )
+from retrolab.stats import RandomStream
 
 
 def full_record():
@@ -107,3 +117,164 @@ def test_weighted_ensemble_records():
     assert recs[0].weights == pytest.approx((0.25, 0.75))
     assert recs[1].weights == pytest.approx((0.75, 0.25))
     assert recs[0].out_channel is None
+
+
+# ------------------------------------------------- ensemble writer
+
+
+def _written(records, limit=None):
+    """Count and bytes that write_records_jsonl returns and leaves on disk."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.jsonl")
+        count = write_records_jsonl(path, records, limit)
+        assert os.listdir(tmp) == ["out.jsonl"]  # no temporary file left behind
+        with open(path, "rb") as fh:
+            return count, fh.read()
+
+
+_FLOAT_POOL = [0.0, -0.0, 0.3, 1.8707963267948966, 1e-300, float("inf"), float("nan")]
+
+
+@st.composite
+def float_columns(draw, n):
+    if draw(st.booleans()):  # few values, many repeats
+        values = st.sampled_from(_FLOAT_POOL)
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    values = st.floats(allow_nan=False)  # (almost) all distinct
+    return np.array(draw(st.lists(values, min_size=n, max_size=n, unique=True)), dtype=np.float64)
+
+
+@st.composite
+def channel_columns(draw, n):
+    dtype = draw(st.sampled_from([np.int8, np.int64]))
+    info = np.iinfo(dtype)
+    binary = st.sampled_from([0, 1])
+    wide = st.integers(int(info.min), int(info.max))
+    values = draw(st.lists(draw(st.sampled_from([binary, wide])), min_size=n, max_size=n))
+    return np.array(values, dtype=dtype)
+
+
+@st.composite
+def ensembles(draw):
+    n = draw(st.integers(0, 40))
+
+    def maybe(column):
+        return draw(st.one_of(st.none(), column(n)))
+
+    return Ensemble(
+        model=draw(st.sampled_from(["qm-discrete", "qm-nocollapse", "twobit"])),
+        sigma_l=draw(st.sampled_from([0.3, -0.0, 0.0])),
+        sigma_r=1.2,
+        in_channel=maybe(channel_columns),
+        out_channel=maybe(channel_columns),
+        tau_l=maybe(float_columns),
+        tau_r=maybe(float_columns),
+        weight_1=maybe(float_columns),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(ensembles(), st.sampled_from(["none", "one", "mid", "above"]), st.integers(1, 5))
+def test_ensemble_writer_matches_record_writer(ens, limit_kind, chunk_rows):
+    limit = {"none": None, "one": 1, "mid": ens.n // 2, "above": ens.n + 3}[limit_kind]
+    with mock.patch.object(records_module, "CHUNK_ROWS", chunk_rows):
+        got = _written(ens, limit)
+    assert got == _written(ens.records(limit))
+    assert got[0] == (ens.n if limit is None else min(ens.n, limit))
+
+
+def test_ensemble_writer_keeps_signed_zeros_apart():
+    ens = Ensemble(model="qm-discrete", sigma_l=0.0, sigma_r=0.5,
+                   in_channel=np.array([1, 1, 1, 1], dtype=np.int8),
+                   tau_l=np.array([0.0, -0.0, -0.0, 0.0]))
+    count, data = _written(ens)
+    assert (count, data) == _written(ens.records())
+    taus = [json.loads(line)["tau_l"] for line in data.decode().splitlines()]
+    assert [math.copysign(1.0, t) for t in taus] == [1.0, -1.0, -1.0, 1.0]
+
+
+def test_ensemble_writer_on_a_sampled_ensemble():
+    # many rows, few distinct lines, more than one chunk
+    n = 3 * records_module.CHUNK_ROWS // 2
+    ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.3, 1.2, n, RandomStream(5))
+    assert _written(ens) == _written(ens.records())
+
+
+def test_negative_limit_is_rejected(tmp_path):
+    ens = Ensemble(model="twobit", sigma_l=0.0, sigma_r=0.5, in_channel=np.array([0, 1]))
+    with pytest.raises(ValueError, match="limit"):
+        ens.records(-1)
+    for records in (ens, ens.records()):
+        with pytest.raises(ValueError, match="limit"):
+            write_records_jsonl(tmp_path / "x.jsonl", records, -3)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_record_writer_honours_limit(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    assert write_records_jsonl(path, [full_record()] * 5, limit=2) == 2
+    assert len(read_records_jsonl(path)) == 2
+
+
+# ------------------------------------------------- atomic writes
+
+
+def _disk_holding(capacity):
+    """An ``open`` whose files refuse writes past ``capacity`` characters,
+    after writing what still fits, as a full disk would."""
+
+    def fake_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        real_write = fh.write
+        written = [0]
+
+        def write(text):
+            room = capacity - written[0]
+            if len(text) > room:
+                real_write(text[:room])
+                fh.flush()
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written[0] += len(text)
+            return real_write(text)
+
+        fh.write = write
+        return fh
+
+    return fake_open
+
+
+@pytest.mark.parametrize("existing", [None, "old content\n"])
+@pytest.mark.parametrize("flag", ["--records", "--out"])
+def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, flag, existing):
+    target = tmp_path / "target"
+    if existing is not None:
+        target.write_text(existing)
+    monkeypatch.setattr(records_module, "open", _disk_holding(100), raising=False)
+    argv = ["run", "--model", "qm-discrete", "--sigma-l", "0.3", "--sigma-r", "1.2",
+            "--n", "100000", "--records-limit", "0", flag, str(target)]
+    assert cli.main(argv) == 3
+    assert [p.name for p in tmp_path.iterdir()] == ([] if existing is None else ["target"])
+    if existing is not None:
+        assert target.read_text() == existing
+
+
+def test_successful_write_replaces_target(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    path.write_text("stale\n" * 10)
+    assert write_records_jsonl(path, [full_record()]) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["recs.jsonl"]
+    assert read_records_jsonl(path) == [full_record()]
+
+
+def test_write_through_to_a_pipe(tmp_path):
+    # a path that is no regular file is written in place, never replaced
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert write_records_jsonl(fifo, [full_record()]) == 1
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert data == (json.dumps(record_to_dict(full_record())) + "\n").encode()
