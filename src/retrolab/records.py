@@ -9,15 +9,17 @@ fields stay None in memory and are omitted on disk; angles are radians.
 
 Records files are written atomically: the lines go to a temporary file in the
 target directory, which replaces the target only once it is complete, so a
-failed write leaves no partial file.  A negative row limit is rejected.
+failed write leaves no partial file.  A pipe, a terminal or a descriptor
+path such as ``/dev/stdout`` is written in place.  A negative row limit is
+rejected.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import os
+import stat
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -82,28 +84,65 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     )
 
 
+def _written_in_place(path) -> bool:
+    """Whether ``path`` must be opened in place rather than replaced.
+
+    True when it exists but is no regular file (a pipe, a terminal,
+    ``/dev/null``), or when it reaches its file through ``/proc``, as
+    ``/dev/stdout`` and ``/dev/fd/N`` do: such a path names a descriptor the
+    caller already holds, whose file must not be swapped for another.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return True
+    except OSError:
+        return False  # absent: created by the replace
+    hop = os.path.abspath(path)
+    for _ in range(40):  # symlink hops, as the kernel allows
+        head = os.path.realpath(os.path.dirname(hop))
+        if os.path.commonpath([head, "/proc"]) == "/proc":
+            return True
+        hop = os.path.join(head, os.path.basename(hop))
+        if not os.path.islink(hop):
+            return False
+        hop = os.path.join(head, os.readlink(hop))
+    return False
+
+
 @contextlib.contextmanager
 def atomic_open(path):
     """Text handle whose content replaces ``path`` only if the block succeeds.
 
     The handle writes to a temporary file beside ``path``, so the final
     ``os.replace`` is a rename within one file system; on any error the
-    temporary file is removed and ``path`` is left as it was.  A path that
-    exists but is no regular file (``/dev/stdout``, a pipe) cannot be
-    replaced and is written in place.  A symlink is followed, as by
-    ``open(path, "w")``.
+    temporary file is removed and ``path`` is left as it was.  A replaced
+    file keeps its permission bits; as with any rename, hard links to it keep
+    the old content.  A symlink is followed, as by ``open(path, "w")``.
+    ``path`` is written in place, as by ``open(path, "w")``, when it names a
+    descriptor (see :func:`_written_in_place`) or when its directory takes
+    no new file but the file itself exists.
     """
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    if _written_in_place(path):
         with open(path, "w", encoding="utf-8") as fh:
             yield fh
         return
-    head, tail = os.path.split(path)
+    target = os.path.realpath(path)
+    head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "x", encoding="utf-8") as fh:
+        fh = open(tmp, "x", encoding="utf-8")
+    except PermissionError:
+        if not os.path.isfile(target):
+            raise
+        with open(target, "w", encoding="utf-8") as fh:
             yield fh
-        os.replace(tmp, path)
+        return
+    try:
+        with fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+            yield fh
+        os.replace(tmp, target)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -113,17 +152,16 @@ def atomic_open(path):
 def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, limit=None) -> int:
     """Write records one JSON object per line; returns the number written.
 
-    ``records`` is an iterable of records or an :class:`Ensemble`; ``limit``
-    caps the rows written (None = all).  An ensemble is written without
-    materialising its rows: each distinct row is rendered once and every
-    row is emitted as a copy of its rendering, in chunks of CHUNK_ROWS.
+    ``records`` is an iterable of records or an :class:`Ensemble`, whose
+    first ``limit`` rows are written (None = all).  An ensemble is written
+    without materialising its rows: each distinct row is rendered once and
+    every row is emitted as a copy of its rendering, in chunks of CHUNK_ROWS.
     """
     if isinstance(records, Ensemble):
         return _write_ensemble(path, records, limit)
-    limit = _check_limit(limit)
     count = 0
     with atomic_open(path) as fh:
-        for record in itertools.islice(records, limit):
+        for record in records:
             fh.write(json.dumps(record_to_dict(record)))
             fh.write("\n")
             count += 1

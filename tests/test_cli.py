@@ -236,3 +236,23 @@ def test_negative_records_limit_exits_2(tmp_path):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "records-limit" in proc.stderr
     assert not path.exists()
+
+
+def test_records_and_out_to_piped_stdout(tmp_path):
+    # /dev/stdout on a pipe is written in place, as open(path, "w") would
+    args = ("run", "--model", "qm-nocollapse", "--sigma-l", "0.3", "--sigma-r", "1.2",
+            "--n", "50", "--seed", "3", "--records-limit", "0")
+    path = tmp_path / "recs.jsonl"
+    to_file = run_cli(*args, "--records", str(path))
+    piped = run_cli(*args, "--records", "/dev/stdout")
+    assert piped.returncode == 0, piped.stderr
+    records_text = path.read_text()
+    assert len(records_text.splitlines()) == 50
+    assert piped.stdout.startswith(records_text)
+    assert strip_meta(json.loads(piped.stdout[len(records_text):])) == \
+        strip_meta(payload_of(to_file))
+
+    table = ("table", "--model", "onebit", "--sigma-l", "0", "--sigma-r", "0.5")
+    out = run_cli(*table, "--out", "/dev/stdout")
+    assert out.returncode == 0, out.stderr
+    assert strip_meta(json.loads(out.stdout)) == strip_meta(payload_of(run_cli(*table)))

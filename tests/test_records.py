@@ -204,16 +204,9 @@ def test_negative_limit_is_rejected(tmp_path):
     ens = Ensemble(model="twobit", sigma_l=0.0, sigma_r=0.5, in_channel=np.array([0, 1]))
     with pytest.raises(ValueError, match="limit"):
         ens.records(-1)
-    for records in (ens, ens.records()):
-        with pytest.raises(ValueError, match="limit"):
-            write_records_jsonl(tmp_path / "x.jsonl", records, -3)
+    with pytest.raises(ValueError, match="limit"):
+        write_records_jsonl(tmp_path / "x.jsonl", ens, -3)
     assert list(tmp_path.iterdir()) == []
-
-
-def test_record_writer_honours_limit(tmp_path):
-    path = tmp_path / "recs.jsonl"
-    assert write_records_jsonl(path, [full_record()] * 5, limit=2) == 2
-    assert len(read_records_jsonl(path)) == 2
 
 
 # ------------------------------------------------- atomic writes
@@ -278,3 +271,41 @@ def test_write_through_to_a_pipe(tmp_path):
         os.close(reader)
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
     assert data == (json.dumps(record_to_dict(full_record())) + "\n").encode()
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o755], ids=oct)
+def test_replaced_target_keeps_its_mode(tmp_path, mode):
+    path = tmp_path / "recs.jsonl"
+    path.write_text("stale\n")
+    path.chmod(mode)
+    assert write_records_jsonl(path, [full_record()]) == 1
+    assert stat.S_IMODE(os.stat(path).st_mode) == mode
+
+
+def test_descriptor_path_is_written_in_place(tmp_path):
+    # /dev/fd/N reaches a regular file through /proc: the file behind the
+    # descriptor is written, not swapped for a new one
+    path = tmp_path / "held.jsonl"
+    with open(path, "w") as held:
+        inode = os.fstat(held.fileno()).st_ino
+        assert write_records_jsonl(f"/dev/fd/{held.fileno()}", [full_record()]) == 1
+        assert os.stat(path).st_ino == inode
+    assert read_records_jsonl(path) == [full_record()]
+    assert [p.name for p in tmp_path.iterdir()] == ["held.jsonl"]
+
+
+def test_directory_without_room_for_a_temporary_file(tmp_path, monkeypatch):
+    # a writable target in a directory that takes no new file is written in
+    # place; an absent target there still fails
+    def refuse_new(file, mode="r", *args, **kwargs):
+        if "x" in mode:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), file)
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(records_module, "open", refuse_new, raising=False)
+    path = tmp_path / "recs.jsonl"
+    with pytest.raises(PermissionError):
+        write_records_jsonl(path, [full_record()])
+    path.write_text("stale\n")
+    assert write_records_jsonl(path, [full_record()]) == 1
+    assert read_records_jsonl(path) == [full_record()]
