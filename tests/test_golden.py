@@ -11,6 +11,7 @@ in review.
 import contextlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -22,6 +23,9 @@ EXIT_CODES = "exit_codes.json"
 STOCHASTIC = ("twobit", "onebit", "qm-discrete", "qm-collapse", "qm-nocollapse")
 ALL_MODELS = STOCHASTIC + ("classical",)
 SETTINGS = ("--sigma-l", "0.3", "--sigma-r", "1.2")
+# audit pairs: generic, then equal and orthogonal settings, where a leg beable
+# aligns with both settings and the collapse audit is inconclusive
+AUDIT_PAIRS = {"": ("0", "0.5236"), "-equal": ("0", "0"), "-orthogonal": ("0", repr(math.pi / 2))}
 AUDIT_N = "10000"  # the audit's floor
 RUN_N = "200"  # every row also goes to the records file
 
@@ -36,9 +40,14 @@ def cases() -> dict[str, tuple[str, ...]]:
             "--records-limit", "0",
         )
         out[f"table-{model}"] = ("table", "--model", model, *SETTINGS)
-        out[f"audit-{model}"] = ("audit", model, "0", "0.5236", "--n", AUDIT_N, "--seed", "7")
+        for suffix, (a, b) in AUDIT_PAIRS.items():
+            out[f"audit-{model}{suffix}"] = ("audit", model, a, b, "--n", AUDIT_N, "--seed", "7")
     for model in ALL_MODELS:
         out[f"retro-{model}"] = ("retro", model, "0", "0.2", "0.9")
+    for strategy in ("discrete", "classical", "superposition"):
+        out[f"game-left-{strategy}"] = ("game", "left", "0.4", f"--{strategy}")
+    for mode in ("discrete", "collapse", "nocollapse"):
+        out[f"game-right-{mode}"] = ("game", "right", "0.7", "--mode", mode)
     out["run-twobit-csv"] = (
         "run", "--model", "twobit", *SETTINGS, "--n", "2000", "--seed", "3", "--format", "csv",
     )
