@@ -128,81 +128,82 @@ def _aligned(angles: np.ndarray, setting: float, tol: float = ANGLE_TOL) -> np.n
     return np.abs(offset) <= tol
 
 
-def _leg_classes(ensemble: Ensemble, angles: np.ndarray | None) -> np.ndarray:
-    # per-record class of one leg beable: 0 left-aligned only, 1 right only,
-    # 2 both, 3 neither, 4 absent
-    n = ensemble.n
-    if angles is None:
-        return np.full(n, 4, dtype=np.int32)
-    left = _aligned(angles, ensemble.sigma_l)
-    right = _aligned(angles, ensemble.sigma_r)
-    out = np.full(n, 3, dtype=np.int32)
-    out[left & ~right] = 0
-    out[~left & right] = 1
-    out[left & right] = 2
-    return out
+# class of a leg beable by 2*left_aligned + right_aligned: 0 left-aligned
+# only, 1 right only, 2 both, 3 neither; 4 stands for an absent leg
+_CLASS_OF = np.array([3, 1, 0, 2], dtype=np.uint8)
+
+# alignment bits of each class, 1 on the left setting's axes and 2 on the
+# right's, and of a record by the classes of its two legs
+_BITS_OF = np.array([1, 2, 3, 0, 0])
+_RECORD_BITS = _BITS_OF[:, None] | _BITS_OF[None, :]
+
+
+def _classify(ensemble: Ensemble, angles: np.ndarray) -> np.ndarray:
+    return _CLASS_OF[2 * _aligned(angles, ensemble.sigma_l) + _aligned(angles, ensemble.sigma_r)]
 
 
 def _channel_codes(column: np.ndarray | None, n: int) -> np.ndarray:
     if column is None:
-        return np.full(n, 2, dtype=np.int32)
-    return column.astype(np.int32)
+        return np.full(n, 2, dtype=np.uint8)
+    return column.astype(np.uint8)
 
 
-# index of the unordered pair (a<=b) of two class codes 0..4
-_PAIR_INDEX = {}
-for _a in range(5):
-    for _b in range(_a, 5):
-        _PAIR_INDEX[(_a, _b)] = len(_PAIR_INDEX)
-_N_PAIRS = len(_PAIR_INDEX)  # 15
+def _cell_leg_classes(
+    ensemble: Ensemble, angles: np.ndarray | None, cell: np.ndarray, first: np.ndarray
+) -> np.ndarray | int:
+    """Per-row class of one leg beable, or 4 for a leg absent from the family.
+
+    ``first`` holds one row of each occupied channel cell.  That row's angle
+    is classified once and lent to every row of the cell whose angle has the
+    same bit pattern; rows that differ are classified on their own, so each
+    row gets the class of its own angle whatever the ensemble holds.
+    """
+    if angles is None:
+        return 4
+    bits = angles.view(f"u{angles.itemsize}")
+    cell_bits = np.zeros(9, dtype=bits.dtype)
+    cell_bits[cell[first]] = bits[first]
+    odd = np.flatnonzero(bits != cell_bits[cell])
+    cell_class = np.zeros(9, dtype=np.uint8)
+    cell_class[cell[first]] = _classify(ensemble, angles[first])
+    classes = cell_class[cell]
+    classes[odd] = _classify(ensemble, angles[odd])
+    return classes
 
 
 def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Count vectors of the slot signature and the slot-free signature."""
+    """Count vectors of the slot signature and the slot-free signature.
+
+    Per-row work is integer: each row's channel cell ``in*3 + out`` (2 for an
+    absent channel) and two leg classes make one slot code below 225, counted
+    by a single ``bincount``.  The slot-free counts fold the 225 slot counts
+    onto (cell, unordered pair of leg classes), pairs in row-major order.
+    """
     n = ensemble.n
-    cin = _channel_codes(ensemble.in_channel, n)
-    cout = _channel_codes(ensemble.out_channel, n)
-    cl = _leg_classes(ensemble, ensemble.tau_l)
-    cr = _leg_classes(ensemble, ensemble.tau_r)
-
-    slot_code = ((cin * 3 + cout) * 5 + cl) * 5 + cr
-    slot_counts = np.bincount(slot_code, minlength=225)
-
-    lo = np.minimum(cl, cr)
-    hi = np.maximum(cl, cr)
-    pair_table = np.zeros((5, 5), dtype=np.int32)
-    for (a, b), idx in _PAIR_INDEX.items():
-        pair_table[a, b] = idx
-    free_code = (cin * 3 + cout) * _N_PAIRS + pair_table[lo, hi]
-    free_counts = np.bincount(free_code, minlength=9 * _N_PAIRS)
-    return slot_counts, free_counts
+    cell = _channel_codes(ensemble.in_channel, n) * 3 + _channel_codes(ensemble.out_channel, n)
+    first = np.array([np.argmax(cell == c) for c in np.flatnonzero(np.bincount(cell))], dtype=int)
+    cl = _cell_leg_classes(ensemble, ensemble.tau_l, cell, first)
+    cr = _cell_leg_classes(ensemble, ensemble.tau_r, cell, first)
+    slot_counts = np.bincount((cell * 5 + cl) * 5 + cr, minlength=225)
+    slots = slot_counts.reshape(9, 5, 5)
+    folded = np.triu(slots) + np.tril(slots, -1).transpose(0, 2, 1)
+    rows, cols = np.triu_indices(5)
+    return slot_counts, folded[:, rows, cols].ravel()
 
 
-def _alignment_profile(ensemble: Ensemble) -> dict[str, float]:
+def _alignment_profile(ensemble: Ensemble, slot_counts: np.ndarray) -> dict[str, float]:
     """Fractions of records by where their leg beables point.
 
     A record is left-aligned when any of its leg beables lies on the left
     setting's axis pair, right-aligned likewise; records with no leg beables
-    get their own class.
+    get their own class.  Read off the ensemble's slot counts.
     """
-    n = ensemble.n
-    left = np.zeros(n, dtype=bool)
-    right = np.zeros(n, dtype=bool)
-    any_beable = False
-    for angles in (ensemble.tau_l, ensemble.tau_r):
-        if angles is None:
-            continue
-        any_beable = True
-        left |= _aligned(angles, ensemble.sigma_l)
-        right |= _aligned(angles, ensemble.sigma_r)
-    if not any_beable:
+    if ensemble.tau_l is None and ensemble.tau_r is None:
         return {"no_beables": 1.0, "left_only": 0.0, "right_only": 0.0, "both": 0.0, "neither": 0.0}
-    return {
-        "no_beables": 0.0,
-        "left_only": float(np.mean(left & ~right)),
-        "right_only": float(np.mean(~left & right)),
-        "both": float(np.mean(left & right)),
-        "neither": float(np.mean(~left & ~right)),
+    legs = slot_counts.reshape(9, 5, 5).sum(axis=0)
+    names = ("neither", "left_only", "right_only", "both")
+    return {"no_beables": 0.0} | {
+        name: int(legs[_RECORD_BITS == bits].sum()) / ensemble.n for bits, name in enumerate(names)
     }
 
 
@@ -270,7 +271,11 @@ def audit_symmetry(
     threshold, and the alignment profiles feed the structural distinguisher.
     Verdict logic: slot-free asymmetry is conclusive; asymmetry visible only
     in slot bookkeeping is not, and reports "inconclusive" (the degenerate
-    collapse case lands here by construction).
+    collapse case lands here by construction).  Settings are degenerate
+    within ``ANGLE_TOL`` of equal or orthogonal (mod pi), the tolerance that
+    also aligns a leg beable with a setting: the collapse audit at (0, d) or
+    (0, pi/2 + d) is "asymmetric" for d = 1e-8 and "inconclusive", with
+    ``degenerate_settings`` true, for d = 1e-10.
     """
     n = int(n)
     if n < MIN_AUDIT_N:
@@ -285,8 +290,8 @@ def audit_symmetry(
     tv_slot = 0.5 * float(np.abs(slot_a / n - slot_b / n).sum())
     tv_free = 0.5 * float(np.abs(free_a / n - free_b / n).sum())
 
-    profile_rev = _alignment_profile(reversed_a)
-    profile_fwd = _alignment_profile(oriented_b)
+    profile_rev = _alignment_profile(reversed_a, slot_a)
+    profile_fwd = _alignment_profile(oriented_b, slot_b)
     separation = max(abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES)
     score = 0.5 * (1.0 + _profile_tv(profile_fwd, profile_rev))
 

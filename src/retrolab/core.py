@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
 
 PI = math.pi
 HALF_PI = 0.5 * math.pi
@@ -55,12 +54,6 @@ def normalize_angle(x: float) -> float:
         # fmod of a tiny negative lands exactly on pi after the shift
         a -= PI
     return a
-
-
-def normalize_angles(x) -> np.ndarray:
-    """Vectorized :func:`normalize_angle` for float arrays."""
-    a = np.mod(np.asarray(x, dtype=float), PI)
-    return np.where(a >= PI, a - PI, a)
 
 
 def angle_diff(a: float, b: float) -> float:

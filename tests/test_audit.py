@@ -9,6 +9,10 @@ from hypothesis import given, settings, strategies as st
 from retrolab.audit import (
     AUDITABLE_MODELS,
     MIN_AUDIT_N,
+    _aligned,
+    _alignment_profile,
+    _orient_forward,
+    _signature_counts,
     audit_symmetry,
     generate_ensemble,
     reverse_ensemble,
@@ -16,8 +20,9 @@ from retrolab.audit import (
     score_band,
     symmetry_threshold,
 )
+from retrolab.core import ANGLE_TOL
 from retrolab.hvmodels import UnknownModelError
-from retrolab.records import ExperimentRecord
+from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
 
 PI = math.pi
@@ -126,3 +131,144 @@ def test_collapse_degenerate_settings_are_inconclusive():
 def test_report_angles_are_normalized():
     report = audit_symmetry("twobit", PI + 0.1, 0.5, 20_000, RandomStream(80))
     assert report.sigma_a == pytest.approx(0.1, abs=1e-12)
+
+
+@pytest.mark.parametrize("offset", (0.0, PI / 2))
+def test_collapse_verdict_switches_at_angle_tol(offset):
+    # settings more than ANGLE_TOL from equal or orthogonal are generic, so
+    # the collapse audit sees its gap; within ANGLE_TOL they are degenerate
+    far = audit_symmetry("qm-collapse", 0.0, offset + 1e-8, 10_000, RandomStream(7))
+    assert far.verdict == "asymmetric" and not far.degenerate_settings
+    near = audit_symmetry("qm-collapse", 0.0, offset + 1e-10, 10_000, RandomStream(7))
+    assert near.verdict == "inconclusive" and near.degenerate_settings
+
+
+# ---------------------------------------------------------------- per-row reference
+
+
+def _reference_leg_classes(ensemble, angles):
+    # 0 left-aligned only, 1 right only, 2 both, 3 neither, 4 absent
+    n = ensemble.n
+    if angles is None:
+        return np.full(n, 4, dtype=np.int32)
+    left = _aligned(angles, ensemble.sigma_l)
+    right = _aligned(angles, ensemble.sigma_r)
+    out = np.full(n, 3, dtype=np.int32)
+    out[left & ~right] = 0
+    out[~left & right] = 1
+    out[left & right] = 2
+    return out
+
+
+def _reference_signature_counts(ensemble):
+    n = ensemble.n
+    cin = np.full(n, 2) if ensemble.in_channel is None else ensemble.in_channel.astype(np.int32)
+    cout = np.full(n, 2) if ensemble.out_channel is None else ensemble.out_channel.astype(np.int32)
+    cl = _reference_leg_classes(ensemble, ensemble.tau_l)
+    cr = _reference_leg_classes(ensemble, ensemble.tau_r)
+    slot = np.bincount(((cin * 3 + cout) * 5 + cl) * 5 + cr, minlength=225)
+    pair_table = np.zeros((5, 5), dtype=np.int32)
+    for a in range(5):
+        for b in range(a, 5):
+            pair_table[a, b] = a * 5 + b - a * (a + 1) // 2  # a<=b pairs in order, 0..14
+    pair = pair_table[np.minimum(cl, cr), np.maximum(cl, cr)]
+    free = np.bincount((cin * 3 + cout) * 15 + pair, minlength=9 * 15)
+    return slot, free
+
+
+def _reference_profile(ensemble):
+    n = ensemble.n
+    left = np.zeros(n, dtype=bool)
+    right = np.zeros(n, dtype=bool)
+    legs = [a for a in (ensemble.tau_l, ensemble.tau_r) if a is not None]
+    if not legs:
+        return {"no_beables": 1.0, "left_only": 0.0, "right_only": 0.0, "both": 0.0, "neither": 0.0}
+    for angles in legs:
+        left |= _aligned(angles, ensemble.sigma_l)
+        right |= _aligned(angles, ensemble.sigma_r)
+    return {
+        "no_beables": 0.0,
+        "left_only": float(np.mean(left & ~right)),
+        "right_only": float(np.mean(~left & right)),
+        "both": float(np.mean(left & right)),
+        "neither": float(np.mean(~left & ~right)),
+    }
+
+
+def _near(sigma):
+    # on a setting's axes and orthogonals, within and beyond ANGLE_TOL of them
+    base = [sigma, sigma + PI / 2, sigma - PI / 2, sigma + PI]
+    steps = (0.0, ANGLE_TOL / 2, -ANGLE_TOL / 2, 2 * ANGLE_TOL, -2 * ANGLE_TOL)
+    return [b + s for b in base for s in steps]
+
+
+_EDGE_ANGLES = [0.0, -0.0, math.nan, PI, -PI, np.nextafter(PI, 0.0), np.nextafter(PI, 4.0),
+                PI / 2, 1e-300, -1e-300, 3.0, 0.1]
+
+
+@st.composite
+def _ensembles(draw):
+    n = draw(st.integers(1, 500))
+    sigma_l = draw(st.sampled_from([0.0, 0.3, PI / 2, np.nextafter(PI, 0.0), 2.9]))
+    sigma_r = draw(st.sampled_from(_near(sigma_l)[:10] + [0.3, 1.2, -0.0, PI - 1e-12]))
+    present = draw(st.lists(st.booleans(), min_size=4, max_size=4).filter(any))
+    weights = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = np.array(_near(sigma_l) + _near(sigma_r) + _EDGE_ANGLES)
+    layout = draw(st.sampled_from(("by-cell", "by-cell-with-outliers", "free")))
+
+    cin = rng.integers(0, 2, n, dtype=np.int8)
+    cout = rng.integers(0, 2, n, dtype=np.int8)
+    cell = cin * 3 + cout
+
+    def leg():
+        if layout == "free":
+            # not a function of the channels: pool angles and uniform noise
+            return np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.uniform(-4.0, 4.0, n))
+        angles = rng.choice(pool, 9)[cell]
+        if layout == "by-cell-with-outliers":
+            hit = rng.random(n) < 0.1
+            angles[hit] = rng.choice(pool, int(hit.sum()))
+        return angles
+
+    return Ensemble(
+        model="hand-built",
+        sigma_l=sigma_l,
+        sigma_r=sigma_r,
+        in_channel=cin if present[0] else None,
+        out_channel=cout if present[1] else None,
+        tau_l=leg() if present[2] else None,
+        tau_r=leg() if present[3] else None,
+        weight_1=rng.random(n) if weights else None,
+    )
+
+
+def _same_profile(p, q):
+    assert p.keys() == q.keys()
+    for key in p:
+        assert (p[key], math.copysign(1.0, p[key])) == (q[key], math.copysign(1.0, q[key])), key
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ensembles())
+def test_cell_counts_match_per_row_reference(ensemble):
+    # both orientations, as the audit sees them
+    for oriented in (ensemble, _orient_forward(reverse_ensemble(ensemble))[0]):
+        slot, free = _signature_counts(oriented)
+        ref_slot, ref_free = _reference_signature_counts(oriented)
+        assert np.array_equal(slot, ref_slot)
+        assert np.array_equal(free, ref_free)
+        assert slot.sum() == oriented.n
+        _same_profile(_alignment_profile(oriented, slot), _reference_profile(oriented))
+
+
+@pytest.mark.parametrize("model", AUDITABLE_MODELS)
+@pytest.mark.parametrize("pair", ((0.0, PI / 6), (0.0, 0.0), (0.0, PI / 2), (0.3, 1.2)))
+def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
+    ens = generate_ensemble(model, *pair, 20_000, RandomStream(5))
+    for oriented in (_orient_forward(ens)[0], _orient_forward(reverse_ensemble(ens))[0]):
+        slot, free = _signature_counts(oriented)
+        ref_slot, ref_free = _reference_signature_counts(oriented)
+        assert np.array_equal(slot, ref_slot)
+        assert np.array_equal(free, ref_free)
+        _same_profile(_alignment_profile(oriented, slot), _reference_profile(oriented))
