@@ -13,7 +13,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-
 PI = math.pi
 HALF_PI = 0.5 * math.pi
 
