@@ -27,6 +27,7 @@ flagged ``convention_dependent``.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .hvmodels import (
     MODEL_QM_NOCOLLAPSE,
     MODEL_TWOBIT,
     MODELS,
+    STOCHASTIC_MODELS,
     UnknownModelError,
     simulate_onebit_ensemble,
     simulate_twobit_ensemble,
@@ -48,13 +50,11 @@ from .records import Ensemble, ExperimentRecord
 from .stats import RandomStream
 
 #: models the audit can generate record ensembles for
-AUDITABLE_MODELS = (
-    MODEL_TWOBIT,
-    MODEL_ONEBIT,
-    MODEL_QM_DISCRETE,
-    MODEL_QM_COLLAPSE,
-    MODEL_QM_NOCOLLAPSE,
-)
+AUDITABLE_MODELS = STOCHASTIC_MODELS
+
+# ensemble column bytes per row: int8 channels, float64 angles and weights
+_ROW_BYTES = {MODEL_TWOBIT: 2, MODEL_ONEBIT: 2, MODEL_QM_DISCRETE: 18, MODEL_QM_COLLAPSE: 10,
+              MODEL_QM_NOCOLLAPSE: 17}
 
 # minimum ensemble size; below this the thresholds are meaningless
 MIN_AUDIT_N = 10_000
@@ -211,10 +211,21 @@ def _profile_tv(p: dict[str, float], q: dict[str, float]) -> float:
     return 0.5 * sum(abs(p[k] - q[k]) for k in PROFILE_CLASSES)
 
 
+def _check_memory(model: str, rows: int) -> None:
+    """Reject ``rows`` records of ``model`` whose columns alone exceed physical memory."""
+    need = rows * _ROW_BYTES.get(model, 0)
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        raise ValueError(f"{rows} {model} records need {need / 1e9:.1f} GB of ensemble "
+                         f"columns, more than the {have / 1e9:.1f} GB of physical memory")
+
+
 def generate_ensemble(
     model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """Forward record ensemble for any auditable model."""
+    """Forward record ensemble for any auditable model; ValueError, before
+    sampling, when its columns alone would exceed physical memory."""
+    _check_memory(model, n)
     if model in MODE_FOR_MODEL:
         return simulate_ensemble(MODE_FOR_MODEL[model], sigma_l, sigma_r, n, stream)
     if model == MODEL_TWOBIT:
@@ -275,11 +286,13 @@ def audit_symmetry(
     within ``ANGLE_TOL`` of equal or orthogonal (mod pi), the tolerance that
     also aligns a leg beable with a setting: the collapse audit at (0, d) or
     (0, pi/2 + d) is "asymmetric" for d = 1e-8 and "inconclusive", with
-    ``degenerate_settings`` true, for d = 1e-10.
+    ``degenerate_settings`` true, for d = 1e-10.  ValueError, before sampling,
+    when the two ensembles' columns alone would exceed physical memory.
     """
     n = int(n)
     if n < MIN_AUDIT_N:
         raise ValueError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
+    _check_memory(model, 2 * n)
     forward_a = generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0))
     forward_b = generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1))
     reversed_a, flipped_a = _orient_forward(reverse_ensemble(forward_a))

@@ -20,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import photon
 from .core import HALF_PI, PI, angles_equal, malus, normalize_angle
 from .photon import born_probability, emit_from_channel
@@ -54,18 +52,6 @@ ANALYTIC_TV_TOL = 1e-9
 
 class UnknownModelError(ValueError):
     """Model identifier missing from the registry, or unsupported here."""
-
-
-@dataclass(frozen=True)
-class TwoBitValue:
-    """One draw of the two-bit hidden variable."""
-
-    past_bit: int
-    future_bit: int
-
-    def __post_init__(self):
-        if self.past_bit not in (0, 1) or self.future_bit not in (0, 1):
-            raise ValueError("bits must be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -110,26 +96,18 @@ def twobit_dist(sigma_l: float, sigma_r: float) -> HVJoint:
     return HVJoint(0.5 * match, 0.5 * miss, 0.5 * miss, 0.5 * match)
 
 
-def _four_way(joint: HVJoint, u: np.ndarray) -> np.ndarray:
-    cum = np.cumsum(joint.as_tuple())
-    return np.searchsorted(cum[:3], u, side="right")
-
-
-def sample_twobit(sigma_l: float, sigma_r: float, rng: np.random.Generator) -> TwoBitValue:
-    """Draw one two-bit value at the given settings."""
-    idx = int(_four_way(twobit_dist(sigma_l, sigma_r), np.asarray(rng.random())))
-    return TwoBitValue(past_bit=idx >> 1, future_bit=idx & 1)
-
-
 def simulate_twobit_ensemble(
     sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
     """n independent two-bit draws as channel records."""
+    import numpy as np
+
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")
     rng = stream.generator()
-    idx = _four_way(twobit_dist(sigma_l, sigma_r), rng.random(n))
+    cum = np.cumsum(twobit_dist(sigma_l, sigma_r).as_tuple())
+    idx = np.searchsorted(cum[:3], rng.random(n), side="right")
     return Ensemble(
         model=MODEL_TWOBIT,
         sigma_l=normalize_angle(sigma_l),
@@ -149,15 +127,12 @@ def onebit_dist(sigma_l: float, sigma_r: float) -> float:
     return malus(sigma_l - sigma_r)
 
 
-def sample_parity(sigma_l: float, sigma_r: float, rng: np.random.Generator) -> int:
-    """Draw the one-bit hidden variable; 1 = exit repeats entry."""
-    return 1 if rng.random() < onebit_dist(sigma_l, sigma_r) else 0
-
-
 def simulate_onebit_ensemble(
     sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
     """Even input channel plus an independent parity draw per run."""
+    import numpy as np
+
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")

@@ -17,13 +17,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
 from .optics import ModePair
 from .records import Ensemble, ExperimentRecord
 from .stats import RandomStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The collapse story fixes the state after a measurement and says nothing
 # about later settings reaching further back, so we read it the conventional
@@ -242,6 +244,8 @@ def simulate_ensemble(
     prior_1: float = 0.5,
 ) -> Ensemble:
     """Vectorized :func:`run_trajectory`: n independent runs as flat columns."""
+    import numpy as np
+
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")

@@ -21,9 +21,10 @@ import json
 import os
 import stat
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # rows joined into one write when an ensemble is streamed to disk
 CHUNK_ROWS = 1 << 16
@@ -184,6 +185,8 @@ def _distinct_rows(columns: list[np.ndarray], count: int) -> tuple[np.ndarray, n
     payloads, stay apart.  Columns are factorised one at a time and the
     combined code is re-factorised after each, so it stays below count**2.
     """
+    import numpy as np
+
     codes = np.zeros(count, dtype=np.int64)
     first = np.zeros(min(count, 1), dtype=np.int64)  # one group until a column splits it
     for column in columns:

@@ -13,9 +13,10 @@ import math
 from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Hashable
+from typing import TYPE_CHECKING, Callable, Hashable
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
@@ -53,6 +54,8 @@ class RandomStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at draw index zero of this stream."""
+        import numpy as np
+
         key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -99,6 +102,8 @@ def mc_estimate(
     sequence of hashables.  It receives a generator owned by this call, so
     the tally is a pure function of (sampler, n, stream).
     """
+    import numpy as np
+
     n = int(n)
     if n < 1:
         raise ValueError("need at least one draw")
@@ -131,13 +136,14 @@ def tv_distance(p, q) -> float:
         _check_normalized(math.fsum(q.values()), "second")
         keys = set(p) | set(q)
         return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-    pa = np.asarray(p, dtype=float)
-    qa = np.asarray(q, dtype=float)
-    if pa.shape != qa.shape:
-        raise ValueError(f"outcome spaces differ: {pa.shape} vs {qa.shape}")
-    _check_normalized(float(pa.sum()), "first")
-    _check_normalized(float(qa.sum()), "second")
-    return 0.5 * float(np.abs(pa - qa).sum())
+    if len(p) != len(q):
+        raise ValueError(f"outcome spaces differ: {len(p)} vs {len(q)} outcomes")
+    _check_normalized(math.fsum(p), "first")
+    _check_normalized(math.fsum(q), "second")
+    total = 0.0  # left to right: below 8 outcomes, numpy's sum bit for bit
+    for a, b in zip(p, q):
+        total += abs(float(a) - float(b))
+    return 0.5 * total
 
 
 def wilson_interval(successes: int, n: int, z: float = 4.0) -> tuple[float, float]:

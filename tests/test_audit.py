@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from retrolab import audit
 from retrolab.audit import (
     AUDITABLE_MODELS,
     MIN_AUDIT_N,
+    _ROW_BYTES,
     _aligned,
     _alignment_profile,
     _orient_forward,
@@ -266,3 +268,26 @@ def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
         assert _alignment_profile(oriented, slot) == _reference_profile(oriented)
+
+
+@pytest.mark.parametrize("model", AUDITABLE_MODELS)
+def test_row_bytes_match_generated_columns(model):
+    ens = generate_ensemble(model, 0.3, 1.2, 10, RandomStream(0))
+    assert sum(column.nbytes for column in ens.columns()) == 10 * _ROW_BYTES[model]
+
+
+def test_memory_bound_counts_both_audit_ensembles(monkeypatch):
+    # 1 MiB of physical memory: one 300,000-row twobit ensemble (600 kB)
+    # fits, the audit's two (1.2 MB) do not
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+    monkeypatch.setattr(audit.os, "sysconf", pages.__getitem__)
+    assert generate_ensemble("twobit", 0.0, 0.5, 300_000, RandomStream(0)).n == 300_000
+
+    def sampled(self):
+        raise AssertionError("sampled before the memory check")
+
+    monkeypatch.setattr(RandomStream, "generator", sampled)
+    with pytest.raises(ValueError, match="physical memory"):
+        audit_symmetry("twobit", 0.0, 0.5, 300_000, RandomStream(0))
+    with pytest.raises(ValueError, match="physical memory"):
+        generate_ensemble("qm-discrete", 0.0, 0.5, 100_000, RandomStream(0))

@@ -256,3 +256,52 @@ def test_records_and_out_to_piped_stdout(tmp_path):
     out = run_cli(*table, "--out", "/dev/stdout")
     assert out.returncode == 0, out.stderr
     assert strip_meta(json.loads(out.stdout)) == strip_meta(payload_of(run_cli(*table)))
+
+
+# commands that compute closed forms only, and commands that sample rows
+ANALYTIC_COMMANDS = {
+    "table": ("table", "--model", "twobit", "--sigma-l", "0.3", "--sigma-r", "1.2"),
+    "retro": ("retro", "qm-discrete", "0", "0.2", "0.9"),
+    "game-left": ("game", "left", "0.4", "--discrete"),
+    "game-right": ("game", "right", "0.7", "--mode", "discrete"),
+    "version": ("--version",),
+}
+SAMPLING_COMMANDS = {
+    "run": ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "1000"),
+    "audit": ("audit", "twobit", "0", "0.5", "--n", "10000"),
+}
+
+
+def imports_numpy(*args) -> bool:
+    """Whether ``retrolab *args`` imports numpy, from ``-X importtime``'s listing."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "retrolab", *args],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode in (0, 1), proc.stderr
+    names = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+             if line.startswith("import time:")]
+    assert "retrolab.cli" in names
+    return any(name == "numpy" or name.startswith("numpy.") for name in names)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_COMMANDS))
+def test_analytic_commands_do_not_import_numpy(name):
+    assert not imports_numpy(*ANALYTIC_COMMANDS[name])
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
+def test_sampling_commands_import_numpy(name):
+    assert imports_numpy(*SAMPLING_COMMANDS[name])
+
+
+@pytest.mark.parametrize("args", [
+    ("run", "--model", "qm-discrete", "--sigma-l", "0", "--sigma-r", "0.5"),
+    ("audit", "twobit", "0", "0.5"),
+])
+def test_ensemble_beyond_physical_memory_exits_2(args):
+    proc = run_cli(*args, "--n", "1000000000000")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and "physical memory" in proc.stderr

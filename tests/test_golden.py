@@ -12,8 +12,12 @@ import contextlib
 import io
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
+
+import pytest
 
 from retrolab import cli
 
@@ -101,3 +105,16 @@ def test_golden_files_match():
     assert sorted(committed) == sorted(fresh)
     changed = sorted(name for name, data in fresh.items() if committed[name] != data)
     assert not changed, f"output differs from tests/golden/ in {changed}"
+
+
+@pytest.mark.parametrize(
+    "name", ["table-twobit", "retro-qm-discrete", "game-left-discrete", "game-right-collapse"]
+)
+def test_numpy_free_commands_match_golden_in_a_fresh_interpreter(name):
+    # in process numpy is already loaded; a child interpreter runs these
+    # commands without it
+    proc = subprocess.run(
+        [sys.executable, "-m", "retrolab", *cases()[name]], capture_output=True, text=True
+    )
+    assert proc.returncode == json.loads((GOLDEN / EXIT_CODES).read_text())[name], proc.stderr
+    assert strip_meta(proc.stdout).encode() == (GOLDEN / f"{name}.json").read_bytes()

@@ -17,8 +17,6 @@ from retrolab.hvmodels import (
     onebit_beable_input_joint,
     onebit_dist,
     qm_reference_joint,
-    sample_parity,
-    sample_twobit,
     settings_dependence,
     simulate_onebit_ensemble,
     simulate_twobit_ensemble,
@@ -91,11 +89,8 @@ def test_channel_joint_dispatch():
 
 
 def test_sample_twobit_statistics():
-    rng = RandomStream(31).generator()
-    hits = sum(
-        1 for _ in range(20_000)
-        if (lambda v: v.past_bit == v.future_bit)(sample_twobit(0.0, PI / 6, rng))
-    )
+    ens = simulate_twobit_ensemble(0.0, PI / 6, 20_000, RandomStream(31))
+    hits = int((ens.in_channel == ens.out_channel).sum())
     assert abs(hits / 20_000 - 0.75) < 0.01
 
 
@@ -114,8 +109,8 @@ def test_twobit_ensemble_degenerate():
 
 
 def test_onebit_parity_statistics():
-    rng = RandomStream(35).generator()
-    repeats = sum(sample_parity(0.0, PI / 6, rng) for _ in range(20_000))
+    ens = simulate_onebit_ensemble(0.0, PI / 6, 20_000, RandomStream(35))
+    repeats = int((ens.in_channel == ens.out_channel).sum())
     assert abs(repeats / 20_000 - 0.75) < 0.01
 
 
