@@ -32,6 +32,9 @@ SETTINGS = ("--sigma-l", "0.3", "--sigma-r", "1.2")
 AUDIT_PAIRS = {"": ("0", "0.5236"), "-equal": ("0", "0"), "-orthogonal": ("0", repr(math.pi / 2))}
 AUDIT_N = "10000"  # the audit's floor
 RUN_N = "200"  # every row also goes to the records file
+# more rows than three sampling blocks of 2**16, and not a multiple of one,
+# so a slip at a block boundary shows in the counts
+MULTIBLOCK_N = "200003"
 
 
 def cases() -> dict[str, tuple[str, ...]]:
@@ -46,6 +49,12 @@ def cases() -> dict[str, tuple[str, ...]]:
         out[f"table-{model}"] = ("table", "--model", model, *SETTINGS)
         for suffix, (a, b) in AUDIT_PAIRS.items():
             out[f"audit-{model}{suffix}"] = ("audit", model, a, b, "--n", AUDIT_N, "--seed", "7")
+        out[f"run-{model}-multiblock"] = (
+            "run", "--model", model, *SETTINGS, "--n", MULTIBLOCK_N, "--seed", "7",
+        )
+        out[f"audit-{model}-multiblock"] = (
+            "audit", model, *AUDIT_PAIRS[""], "--n", MULTIBLOCK_N, "--seed", "7",
+        )
     for model in ALL_MODELS:
         out[f"retro-{model}"] = ("retro", model, "0", "0.2", "0.9")
     for strategy in ("discrete", "classical", "superposition"):
