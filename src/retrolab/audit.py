@@ -47,7 +47,7 @@ from .hvmodels import (
 )
 from .photon import MODE_FOR_MODEL, simulate_ensemble
 from .records import Ensemble, ExperimentRecord
-from .stats import RandomStream
+from .stats import RandomStream, row_blocks
 
 #: models the audit can generate record ensembles for
 AUDITABLE_MODELS = STOCHASTIC_MODELS
@@ -142,16 +142,17 @@ def _classify(ensemble: Ensemble, angles: np.ndarray) -> np.ndarray:
     return _CLASS_OF[2 * _aligned(angles, ensemble.sigma_l) + _aligned(angles, ensemble.sigma_r)]
 
 
-def _channel_codes(column: np.ndarray | None, n: int) -> np.ndarray:
+def _channel_codes(column: np.ndarray | None, rows: slice) -> np.ndarray:
     if column is None:
-        return np.full(n, 2, dtype=np.uint8)
-    return column.astype(np.uint8)
+        return np.full(rows.stop - rows.start, 2, dtype=np.uint8)
+    return column[rows].astype(np.uint8)
 
 
 def _cell_leg_classes(
-    ensemble: Ensemble, angles: np.ndarray | None, cell: np.ndarray, first: np.ndarray
+    ensemble: Ensemble, angles: np.ndarray | None, rows: slice, cell: np.ndarray, first: np.ndarray
 ) -> np.ndarray | int:
-    """Per-row class of one leg beable, or 4 for a leg absent from the family.
+    """Per-row class of one leg beable over a block of rows, or 4 for a leg
+    absent from the family.
 
     ``first`` holds one row of each occupied channel cell.  That row's angle
     is classified once and lent to every row of the cell whose angle has the
@@ -160,6 +161,7 @@ def _cell_leg_classes(
     """
     if angles is None:
         return 4
+    angles = angles[rows]
     bits = angles.view(f"u{angles.itemsize}")
     cell_bits = np.zeros(9, dtype=bits.dtype)
     cell_bits[cell[first]] = bits[first]
@@ -174,21 +176,23 @@ def _cell_leg_classes(
 def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Count vectors of the slot signature and the slot-free signature.
 
-    Per-row work is integer: each row's channel cell ``in*3 + out`` (2 for an
-    absent channel) and two leg classes make one slot code below 225, counted
-    by a single ``bincount``.  The slot-free counts fold the 225 slot counts
-    onto (cell, unordered pair of leg classes), pairs in row-major order.
+    Per-row work is integer and goes block by block: each row's channel cell
+    ``in*3 + out`` (2 for an absent channel) and two leg classes make one
+    slot code below 225, and each block's ``bincount`` of them adds into the
+    225 slot counts.  The slot-free counts fold the slot counts onto (cell,
+    unordered pair of leg classes), pairs in row-major order.
     """
-    n = ensemble.n
-    cell = _channel_codes(ensemble.in_channel, n) * 3 + _channel_codes(ensemble.out_channel, n)
-    first = np.array([np.argmax(cell == c) for c in np.flatnonzero(np.bincount(cell))], dtype=int)
-    cl = _cell_leg_classes(ensemble, ensemble.tau_l, cell, first)
-    cr = _cell_leg_classes(ensemble, ensemble.tau_r, cell, first)
-    slot_counts = np.bincount((cell * 5 + cl) * 5 + cr, minlength=225)
+    slot_counts = np.zeros(225, dtype=np.intp)
+    for rows in row_blocks(ensemble.n):
+        cell = _channel_codes(ensemble.in_channel, rows) * 3 + _channel_codes(ensemble.out_channel, rows)
+        first = np.array([np.argmax(cell == c) for c in np.flatnonzero(np.bincount(cell))], dtype=int)
+        cl = _cell_leg_classes(ensemble, ensemble.tau_l, rows, cell, first)
+        cr = _cell_leg_classes(ensemble, ensemble.tau_r, rows, cell, first)
+        slot_counts += np.bincount((cell * 5 + cl) * 5 + cr, minlength=225)
     slots = slot_counts.reshape(9, 5, 5)
     folded = np.triu(slots) + np.tril(slots, -1).transpose(0, 2, 1)
-    rows, cols = np.triu_indices(5)
-    return slot_counts, folded[:, rows, cols].ravel()
+    upper_rows, upper_cols = np.triu_indices(5)
+    return slot_counts, folded[:, upper_rows, upper_cols].ravel()
 
 
 def _alignment_profile(ensemble: Ensemble, slot_counts: np.ndarray) -> dict[str, float]:
@@ -212,7 +216,12 @@ def _profile_tv(p: dict[str, float], q: dict[str, float]) -> float:
 
 
 def _check_memory(model: str, rows: int) -> None:
-    """Reject ``rows`` records of ``model`` whose columns alone exceed physical memory."""
+    """Reject ``rows`` records of ``model`` whose columns alone exceed physical memory.
+
+    The samplers work in blocks of ``stats.CHUNK_ROWS`` rows, so generation
+    holds the columns plus a block allowance that does not grow with
+    ``rows``; the columns bound the generation peak up to that constant.
+    """
     need = rows * _ROW_BYTES.get(model, 0)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
@@ -271,6 +280,22 @@ class SymmetryReport:
         return self.verdict == "symmetric"
 
 
+def _audit_side(
+    model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream, reverse: bool
+) -> tuple[np.ndarray, np.ndarray, dict[str, float], tuple[float, float], bool]:
+    """One side of an audit: generate, reverse if asked, orient, count.
+
+    Returns the slot and slot-free counts, the alignment profile, the
+    settings the ensemble was generated at and whether orientation flipped
+    it.  The ensemble itself dies with the call.
+    """
+    ensemble = generate_ensemble(model, sigma_l, sigma_r, n, stream)
+    settings = (ensemble.sigma_l, ensemble.sigma_r)
+    oriented, flipped = _orient_forward(reverse_ensemble(ensemble) if reverse else ensemble)
+    slot, free = _signature_counts(oriented)
+    return slot, free, _alignment_profile(oriented, slot), settings, flipped
+
+
 def audit_symmetry(
     model: str, sigma_a: float, sigma_b: float, n: int, stream: RandomStream
 ) -> SymmetryReport:
@@ -280,6 +305,9 @@ def audit_symmetry(
     ensemble B forward at (sigma_b, sigma_a).  Their slot and slot-free
     signatures are compared by total variation against a 5 sigma sampling
     threshold, and the alignment profiles feed the structural distinguisher.
+    Each side is generated, oriented and counted before the other is
+    generated, so only one ensemble is alive at a time.
+
     Verdict logic: slot-free asymmetry is conclusive; asymmetry visible only
     in slot bookkeeping is not, and reports "inconclusive" (the degenerate
     collapse case lands here by construction).  Settings are degenerate
@@ -287,24 +315,21 @@ def audit_symmetry(
     also aligns a leg beable with a setting: the collapse audit at (0, d) or
     (0, pi/2 + d) is "asymmetric" for d = 1e-8 and "inconclusive", with
     ``degenerate_settings`` true, for d = 1e-10.  ValueError, before sampling,
-    when the two ensembles' columns alone would exceed physical memory.
+    when the columns of two ensembles would exceed physical memory: the
+    bound stays at both sides' columns although one side is held at a time.
     """
     n = int(n)
     if n < MIN_AUDIT_N:
         raise ValueError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
     _check_memory(model, 2 * n)
-    forward_a = generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0))
-    forward_b = generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1))
-    reversed_a, flipped_a = _orient_forward(reverse_ensemble(forward_a))
-    oriented_b, flipped_b = _orient_forward(forward_b)
-
-    slot_a, free_a = _signature_counts(reversed_a)
-    slot_b, free_b = _signature_counts(oriented_b)
+    slot_a, free_a, profile_rev, settings_a, flipped_a = _audit_side(
+        model, sigma_a, sigma_b, n, stream.child(0), reverse=True
+    )
+    slot_b, free_b, profile_fwd, _, flipped_b = _audit_side(
+        model, sigma_b, sigma_a, n, stream.child(1), reverse=False
+    )
     tv_slot = 0.5 * float(np.abs(slot_a / n - slot_b / n).sum())
     tv_free = 0.5 * float(np.abs(free_a / n - free_b / n).sum())
-
-    profile_rev = _alignment_profile(reversed_a, slot_a)
-    profile_fwd = _alignment_profile(oriented_b, slot_b)
     separation = max(abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES)
     score = 0.5 * (1.0 + _profile_tv(profile_fwd, profile_rev))
 
@@ -326,8 +351,8 @@ def audit_symmetry(
 
     return SymmetryReport(
         model=model,
-        sigma_a=forward_a.sigma_l,
-        sigma_b=forward_a.sigma_r,
+        sigma_a=settings_a[0],
+        sigma_b=settings_a[1],
         n=n,
         tv_distance=tv_slot,
         tv_alignment=tv_free,

@@ -17,12 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
 from . import __version__, games, hvmodels, records
 from .photon import OntologyMode
-from .stats import RandomStream, tv_distance
+from .stats import RandomStream, row_blocks, tv_distance
 
 
 class ConfigError(Exception):
@@ -110,6 +111,19 @@ def _control_mod_json(value):
     return "pi/2" if value is not None else "none"
 
 
+def _sampler():
+    """The ``audit`` module, loading numpy with one OpenBLAS thread.
+
+    Only the commands that sample rows need numpy, and no retrolab path
+    calls BLAS, so its thread pool would only add start-up time; a thread
+    count the user has set is kept.
+    """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    from . import audit
+
+    return audit
+
+
 # ---------------------------------------------------------------- run
 
 
@@ -137,10 +151,7 @@ def _cmd_run(args) -> int:
             f"choose one of {list(hvmodels.STOCHASTIC_MODELS)}"
         )
 
-    import numpy as np  # loaded only by the commands that sample rows
-    from . import audit
-
-    ensemble = audit.generate_ensemble(model, sigma_l, sigma_r, n, RandomStream(seed))
+    ensemble = _sampler().generate_ensemble(model, sigma_l, sigma_r, n, RandomStream(seed))
     weighted = ensemble.weight_1 is not None
     if weighted:
         # no outcome is ever selected; tally the branch weights instead
@@ -152,8 +163,12 @@ def _cmd_run(args) -> int:
             counts[2 * c + 1] = w1
             counts[2 * c + 0] = total - w1
     else:
-        code = ensemble.in_channel.astype(np.int32) * 2 + ensemble.out_channel
-        counts = [float(x) for x in np.bincount(code, minlength=4)]
+        import numpy as np  # loaded by the sampler
+
+        tally = np.zeros(4, dtype=np.intp)
+        for rows in row_blocks(n):  # int8 codes, one block at a time
+            tally += np.bincount(ensemble.in_channel[rows] * 2 + ensemble.out_channel[rows], minlength=4)
+        counts = [float(x) for x in tally]
 
     labels = ("00", "01", "10", "11")
     empirical = {k: counts[i] / n for i, k in enumerate(labels)}
@@ -260,9 +275,7 @@ def _cmd_audit(args) -> int:
     sigma_b = _angle(args.sigma_b, degrees)
     n = int(_resolve(args, config, "n", default=1_000_000))
     seed = int(_resolve(args, config, "seed", default=0))
-    from . import audit
-
-    report = audit.audit_symmetry(args.model, sigma_a, sigma_b, n, RandomStream(seed))
+    report = _sampler().audit_symmetry(args.model, sigma_a, sigma_b, n, RandomStream(seed))
     cfg = {
         "tool": "retrolab",
         "version": __version__,

@@ -24,7 +24,7 @@ from . import photon
 from .core import HALF_PI, PI, angles_equal, malus, normalize_angle
 from .photon import born_probability, emit_from_channel
 from .records import Ensemble
-from .stats import RandomStream, tv_distance
+from .stats import RandomStream, random_blocks, tv_distance
 
 MODEL_TWOBIT = "twobit"
 MODEL_ONEBIT = "onebit"
@@ -99,21 +99,32 @@ def twobit_dist(sigma_l: float, sigma_r: float) -> HVJoint:
 def simulate_twobit_ensemble(
     sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """n independent two-bit draws as channel records."""
+    """n independent two-bit draws as channel records.
+
+    Draw u picks the pair whose cumulative interval holds it; the pair's
+    index counts the cumulative bounds c0 <= c1 <= c2 at or below u, so its
+    past bit is ``u >= c1`` and its future bit the parity of the three tests.
+    """
     import numpy as np
 
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")
     rng = stream.generator()
-    cum = np.cumsum(twobit_dist(sigma_l, sigma_r).as_tuple())
-    idx = np.searchsorted(cum[:3], rng.random(n), side="right")
+    c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r).as_tuple())[:3]
+    past = np.empty(n, dtype=bool)
+    future = np.empty(n, dtype=bool)
+    for rows, u in random_blocks(rng, n):
+        np.greater_equal(u, c1, out=past[rows])
+        np.greater_equal(u, c0, out=future[rows])
+        future[rows] ^= past[rows]
+        future[rows] ^= u >= c2
     return Ensemble(
         model=MODEL_TWOBIT,
         sigma_l=normalize_angle(sigma_l),
         sigma_r=normalize_angle(sigma_r),
-        in_channel=(idx >> 1).astype(np.int8),
-        out_channel=(idx & 1).astype(np.int8),
+        in_channel=past.view(np.int8),
+        out_channel=future.view(np.int8),
     )
 
 
@@ -130,22 +141,31 @@ def onebit_dist(sigma_l: float, sigma_r: float) -> float:
 def simulate_onebit_ensemble(
     sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """Even input channel plus an independent parity draw per run."""
+    """Even input channel plus an independent parity draw per run.
+
+    The first n draws pick the input channels, the next n whether the exit
+    channel repeats it; the exit channel flips the input where it does not.
+    """
     import numpy as np
 
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")
     rng = stream.generator()
-    in_channel = (rng.random(n) < 0.5).astype(np.int8)
-    repeat = rng.random(n) < onebit_dist(sigma_l, sigma_r)
-    out_channel = np.where(repeat, in_channel, 1 - in_channel).astype(np.int8)
+    in_channel = np.empty(n, dtype=bool)
+    for rows, u in random_blocks(rng, n):
+        np.less(u, 0.5, out=in_channel[rows])
+    out_channel = np.empty(n, dtype=bool)
+    p_repeat = onebit_dist(sigma_l, sigma_r)
+    for rows, u in random_blocks(rng, n):
+        np.greater_equal(u, p_repeat, out=out_channel[rows])
+        out_channel[rows] ^= in_channel[rows]
     return Ensemble(
         model=MODEL_ONEBIT,
         sigma_l=normalize_angle(sigma_l),
         sigma_r=normalize_angle(sigma_r),
-        in_channel=in_channel,
-        out_channel=out_channel,
+        in_channel=in_channel.view(np.int8),
+        out_channel=out_channel.view(np.int8),
     )
 
 

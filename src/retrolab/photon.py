@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
 from .optics import ModePair
 from .records import Ensemble, ExperimentRecord
-from .stats import RandomStream
+from .stats import RandomStream, random_blocks
 
 if TYPE_CHECKING:
     import numpy as np
@@ -243,7 +243,12 @@ def simulate_ensemble(
     stream: RandomStream,
     prior_1: float = 0.5,
 ) -> Ensemble:
-    """Vectorized :func:`run_trajectory`: n independent runs as flat columns."""
+    """Vectorized :func:`run_trajectory`: n independent runs as flat columns.
+
+    The first n draws of the stream pick the input channels, the next n the
+    outcomes; both are drawn and compared block by block into the channel
+    columns, so generation holds no more than the columns and one block.
+    """
     import numpy as np
 
     n = int(n)
@@ -255,11 +260,12 @@ def simulate_ensemble(
     sr = normalize_angle(sigma_r)
     t1, t0 = sl, normalize_angle(sl + HALF_PI)
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
-    in_channel = (rng.random(n) < prior_1).astype(np.int8)
-    tau_l = np.where(in_channel == 1, t1, t0)
-    p_if_1 = born_probability(PhotonState.linear(t1), sr)
-    p_if_0 = born_probability(PhotonState.linear(t0), sr)
-    p1 = np.where(in_channel == 1, p_if_1, p_if_0)
+    in_channel = np.empty(n, dtype=bool)
+    for rows, u in random_blocks(rng, n):
+        np.less(u, prior_1, out=in_channel[rows])
+    in_channel = in_channel.view(np.int8)
+    tau_l = np.array([t0, t1])[in_channel]
+    p1 = np.array([born_probability(PhotonState.linear(t), sr) for t in (t0, t1)])
     if mode is OntologyMode.NO_COLLAPSE:
         return Ensemble(
             model=mode.model_id,
@@ -267,9 +273,12 @@ def simulate_ensemble(
             sigma_r=sr,
             in_channel=in_channel,
             tau_l=tau_l,
-            weight_1=p1,
+            weight_1=p1[in_channel],
         )
-    out = (rng.random(n) < p1).astype(np.int8)
+    out = np.empty(n, dtype=bool)
+    for rows, u in random_blocks(rng, n):
+        np.less(u, p1[in_channel[rows]], out=out[rows])
+    out = out.view(np.int8)
     if mode is OntologyMode.COLLAPSE:
         return Ensemble(
             model=mode.model_id,
@@ -280,7 +289,6 @@ def simulate_ensemble(
             tau_l=tau_l,
         )
     if mode is OntologyMode.DISCRETE_SYMMETRIC:
-        tau_r = np.where(out == 1, r1, r0)
         return Ensemble(
             model=mode.model_id,
             sigma_l=sl,
@@ -288,6 +296,6 @@ def simulate_ensemble(
             in_channel=in_channel,
             out_channel=out,
             tau_l=tau_l,
-            tau_r=tau_r,
+            tau_r=np.array([r0, r1])[out],
         )
     raise ValueError(f"unknown ontology mode: {mode!r}")

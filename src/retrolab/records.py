@@ -23,11 +23,10 @@ import stat
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from .stats import row_blocks
+
 if TYPE_CHECKING:
     import numpy as np
-
-# rows joined into one write when an ensemble is streamed to disk
-CHUNK_ROWS = 1 << 16
 
 # fixed key order of the JSON-lines format
 RECORD_KEYS = (
@@ -156,7 +155,8 @@ def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, li
     ``records`` is an iterable of records or an :class:`Ensemble`, whose
     first ``limit`` rows are written (None = all).  An ensemble is written
     without materialising its rows: each distinct row is rendered once and
-    every row is emitted as a copy of its rendering, in chunks of CHUNK_ROWS.
+    every row is emitted as a copy of its rendering, in blocks of
+    ``stats.CHUNK_ROWS`` rows.
     """
     if isinstance(records, Ensemble):
         return _write_ensemble(path, records, limit)
@@ -205,8 +205,8 @@ def _write_ensemble(path, ensemble: Ensemble, limit) -> int:
     first, codes = _distinct_rows(ensemble.columns(), count)
     lines = [json.dumps(record_to_dict(ensemble.record(int(i)))) + "\n" for i in first]
     with atomic_open(path) as fh:
-        for start in range(0, count, CHUNK_ROWS):
-            fh.write("".join([lines[c] for c in codes[start : start + CHUNK_ROWS].tolist()]))
+        for rows in row_blocks(count):
+            fh.write("".join([lines[c] for c in codes[rows].tolist()]))
     return count
 
 

@@ -23,6 +23,9 @@ _MASK64 = (1 << 64) - 1
 # how far an input distribution may drift from sum == 1 before it is rejected
 _NORM_TOL = 1e-6
 
+# rows per block wherever rows are sampled, counted or written
+CHUNK_ROWS = 1 << 16
+
 
 def _mix64(a: int, b: int) -> int:
     # splitmix64-style avalanche of two 64-bit words; used to derive child
@@ -64,6 +67,23 @@ class RandomStream:
         if index < 0:
             raise ValueError("child index must be nonnegative")
         return RandomStream(self.seed, _mix64(self.stream_id, index))
+
+
+def row_blocks(n: int):
+    """Consecutive slices of at most CHUNK_ROWS rows that cover range(n)."""
+    for start in range(0, n, CHUNK_ROWS):
+        yield slice(start, min(start + CHUNK_ROWS, n))
+
+
+def random_blocks(rng: np.random.Generator, n: int):
+    """``rng.random(n)`` as consecutive ``(rows, draws)`` blocks.
+
+    The blocks are exactly the draws of one ``rng.random(n)``: the generator
+    hands out doubles in stream order however the calls are cut, so sampling
+    by block changes no sample, only the memory it takes.
+    """
+    for rows in row_blocks(n):
+        yield rows, rng.random(rows.stop - rows.start)
 
 
 @dataclass

@@ -1,12 +1,13 @@
 """Record reversal and the forward/backward distinguishability audit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit
+from retrolab import audit, stats
 from retrolab.audit import (
     AUDITABLE_MODELS,
     MIN_AUDIT_N,
@@ -246,11 +247,13 @@ def _ensembles(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_ensembles())
-def test_cell_counts_match_per_row_reference(ensemble):
-    # both orientations, as the audit sees them
+@given(_ensembles(), st.integers(1, 7))
+def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
+    # both orientations, as the audit sees them, counted in blocks of 1-7
+    # rows, so cells and outliers straddle block boundaries
     for oriented in (ensemble, _orient_forward(reverse_ensemble(ensemble))[0]):
-        slot, free = _signature_counts(oriented)
+        with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
+            slot, free = _signature_counts(oriented)
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)

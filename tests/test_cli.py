@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -305,3 +306,44 @@ def test_ensemble_beyond_physical_memory_exits_2(args):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1 and "physical memory" in proc.stderr
+
+
+# runs a small ``run`` in process, then reports its own thread count and
+# the OpenBLAS thread setting it ended with
+_THREADS_AFTER_RUN = """
+import os
+from retrolab import cli
+cli.main(["run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "10",
+          "--out", os.devnull])
+status = open("/proc/self/status").read().splitlines()
+print(next(line.split()[1] for line in status if line.startswith("Threads:")),
+      os.environ["OPENBLAS_NUM_THREADS"])
+"""
+
+
+def threads_after_run(openblas_threads):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_RUN], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    threads, setting = proc.stdout.split()
+    return int(threads), setting
+
+
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="thread count read from /proc/self/status")
+
+
+@needs_proc
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU: no BLAS pool to avoid")
+def test_sampling_commands_start_numpy_with_one_blas_thread():
+    assert threads_after_run(None) == (1, "1")
+
+
+@needs_proc
+def test_sampling_commands_keep_a_preset_blas_thread_count():
+    threads, setting = threads_after_run("2")
+    assert setting == "2"
+    assert threads == min(2, os.cpu_count() or 1)

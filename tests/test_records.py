@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import cli
+from retrolab import cli, stats
 from retrolab import records as records_module
 from retrolab.photon import OntologyMode, simulate_ensemble
 from retrolab.records import (
@@ -177,7 +177,7 @@ def ensembles(draw):
 @given(ensembles(), st.sampled_from(["none", "one", "mid", "above"]), st.integers(1, 5))
 def test_ensemble_writer_matches_record_writer(ens, limit_kind, chunk_rows):
     limit = {"none": None, "one": 1, "mid": ens.n // 2, "above": ens.n + 3}[limit_kind]
-    with mock.patch.object(records_module, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
         got = _written(ens, limit)
     assert got == _written(ens.records(limit))
     assert got[0] == (ens.n if limit is None else min(ens.n, limit))
@@ -195,7 +195,7 @@ def test_ensemble_writer_keeps_signed_zeros_apart():
 
 def test_ensemble_writer_on_a_sampled_ensemble():
     # many rows, few distinct lines, more than one chunk
-    n = 3 * records_module.CHUNK_ROWS // 2
+    n = 3 * stats.CHUNK_ROWS // 2
     ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.3, 1.2, n, RandomStream(5))
     assert _written(ens) == _written(ens.records())
 
