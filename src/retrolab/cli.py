@@ -167,7 +167,8 @@ def _cmd_run(args) -> int:
 
         tally = np.zeros(4, dtype=np.intp)
         for rows in row_blocks(n):  # int8 codes, one block at a time
-            tally += np.bincount(ensemble.in_channel[rows] * 2 + ensemble.out_channel[rows], minlength=4)
+            code = ensemble.in_channel[rows] * 2 + ensemble.out_channel[rows]
+            tally += np.bincount(code, minlength=4)
         counts = [float(x) for x in tally]
 
     labels = ("00", "01", "10", "11")

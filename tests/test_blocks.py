@@ -32,7 +32,13 @@ from retrolab.hvmodels import (
     simulate_twobit_ensemble,
     twobit_dist,
 )
-from retrolab.photon import MODE_FOR_MODEL, OntologyMode, PhotonState, born_probability, simulate_ensemble
+from retrolab.photon import (
+    MODE_FOR_MODEL,
+    OntologyMode,
+    PhotonState,
+    born_probability,
+    simulate_ensemble,
+)
 from retrolab.stats import RandomStream
 
 PI = math.pi
@@ -87,11 +93,13 @@ def _sample(model, sigma_l, sigma_r, n, stream, prior_1):
             _reference_photon(mode, sigma_l, sigma_r, n, stream, prior_1),
         )
     if model == "twobit":
-        return simulate_twobit_ensemble(sigma_l, sigma_r, n, stream), _reference_twobit(
-            sigma_l, sigma_r, n, stream
+        return (
+            simulate_twobit_ensemble(sigma_l, sigma_r, n, stream),
+            _reference_twobit(sigma_l, sigma_r, n, stream),
         )
-    return simulate_onebit_ensemble(sigma_l, sigma_r, n, stream), _reference_onebit(
-        sigma_l, sigma_r, n, stream
+    return (
+        simulate_onebit_ensemble(sigma_l, sigma_r, n, stream),
+        _reference_onebit(sigma_l, sigma_r, n, stream),
     )
 
 
