@@ -15,7 +15,7 @@ Example:
 import argparse
 import math
 
-from retrolab.hvmodels import MODELS, settings_dependence
+from retrolab.hvmodels import REGISTRY, settings_dependence
 
 
 def main() -> None:
@@ -26,12 +26,12 @@ def main() -> None:
     args = ap.parse_args()
 
     shifts = [k * math.pi / args.steps for k in range(1, args.steps)]
-    header = "shift/pi " + " ".join(f"{m:>13s}" for m in MODELS)
+    header = "shift/pi " + " ".join(f"{m:>13s}" for m in REGISTRY)
     print(f"beable sensitivity at sigma_l={args.sigma_l}, sigma_r={args.sigma_r}")
     print(header)
     for shift in shifts:
         cells = []
-        for model in MODELS:
+        for model in REGISTRY:
             rep = settings_dependence(
                 model, args.sigma_l, args.sigma_r, args.sigma_r + shift
             )

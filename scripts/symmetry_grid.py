@@ -8,7 +8,8 @@ Example:
 import argparse
 import math
 
-from retrolab.audit import AUDITABLE_MODELS, audit_symmetry
+from retrolab.audit import audit_symmetry
+from retrolab.hvmodels import REGISTRY
 from retrolab.stats import RandomStream
 
 VERDICT_MARK = {"symmetric": ".", "asymmetric": "X", "inconclusive": "?"}
@@ -27,7 +28,9 @@ def main() -> None:
     print(f"audit verdicts over a {args.points}x{args.points} grid, n={args.n}")
     print("marks: . symmetric   X asymmetric   ? inconclusive\n")
     child = 0
-    for model in AUDITABLE_MODELS:
+    for model, spec in REGISTRY.items():
+        if spec.sampler is None:
+            continue  # no record ensembles to audit
         rows = []
         worst_tv = 0.0
         for a in grid:

@@ -33,28 +33,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ANGLE_TOL, HALF_PI, angle_diff
+# the samplers are imported for generate_ensemble, which looks up the one a
+# ModelSpec names on this module at each call
 from .hvmodels import (
-    MODEL_ONEBIT,
-    MODEL_QM_COLLAPSE,
-    MODEL_QM_DISCRETE,
-    MODEL_QM_NOCOLLAPSE,
-    MODEL_TWOBIT,
-    MODELS,
-    STOCHASTIC_MODELS,
+    REGISTRY,
+    ModelSpec,
     UnknownModelError,
+    model_ids,
     simulate_onebit_ensemble,
     simulate_twobit_ensemble,
 )
-from .photon import MODE_FOR_MODEL, simulate_ensemble
+from .photon import simulate_ensemble
 from .records import Ensemble, ExperimentRecord
 from .stats import RandomStream, row_blocks
-
-#: models the audit can generate record ensembles for
-AUDITABLE_MODELS = STOCHASTIC_MODELS
-
-# ensemble column bytes per row: int8 channels, float64 angles and weights
-_ROW_BYTES = {MODEL_TWOBIT: 2, MODEL_ONEBIT: 2, MODEL_QM_DISCRETE: 18, MODEL_QM_COLLAPSE: 10,
-              MODEL_QM_NOCOLLAPSE: 17}
 
 # minimum ensemble size; below this the thresholds are meaningless
 MIN_AUDIT_N = 10_000
@@ -215,6 +206,19 @@ def _profile_tv(p: dict[str, float], q: dict[str, float]) -> float:
     return 0.5 * sum(abs(p[k] - q[k]) for k in PROFILE_CLASSES)
 
 
+def _sampled_spec(model: str) -> ModelSpec:
+    """The registry entry of ``model`` if it has a sampler; UnknownModelError if not."""
+    spec = REGISTRY.get(model)
+    if spec is not None and spec.sampler is not None:
+        return spec
+    auditable = model_ids(stochastic=True)
+    if spec is not None:
+        raise UnknownModelError(
+            f"model {model!r} has no stochastic record family; auditable models: {auditable}"
+        )
+    raise UnknownModelError(f"unknown model {model!r}; expected one of {auditable}")
+
+
 def _check_memory(model: str, rows: int) -> None:
     """Reject ``rows`` records of ``model`` whose columns alone exceed physical memory.
 
@@ -222,7 +226,7 @@ def _check_memory(model: str, rows: int) -> None:
     holds the columns plus a block allowance that does not grow with
     ``rows``; the columns bound the generation peak up to that constant.
     """
-    need = rows * _ROW_BYTES.get(model, 0)
+    need = rows * _sampled_spec(model).row_bytes
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         raise ValueError(f"{rows} {model} records need {need / 1e9:.1f} GB of ensemble "
@@ -235,17 +239,8 @@ def generate_ensemble(
     """Forward record ensemble for any auditable model; ValueError, before
     sampling, when its columns alone would exceed physical memory."""
     _check_memory(model, n)
-    if model in MODE_FOR_MODEL:
-        return simulate_ensemble(MODE_FOR_MODEL[model], sigma_l, sigma_r, n, stream)
-    if model == MODEL_TWOBIT:
-        return simulate_twobit_ensemble(sigma_l, sigma_r, n, stream)
-    if model == MODEL_ONEBIT:
-        return simulate_onebit_ensemble(sigma_l, sigma_r, n, stream)
-    if model in MODELS:
-        raise UnknownModelError(
-            f"model {model!r} has no stochastic record family; auditable models: {AUDITABLE_MODELS}"
-        )
-    raise UnknownModelError(f"unknown model {model!r}; expected one of {AUDITABLE_MODELS}")
+    spec = REGISTRY[model]
+    return globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
 
 
 @dataclass(frozen=True)

@@ -145,10 +145,11 @@ def _cmd_run(args) -> int:
         raise ConfigError("n must be at least 1")
     if records_limit < 0:
         raise ConfigError(f"records-limit must be at least 0 (0 = all), got {records_limit}")
-    if model not in hvmodels.STOCHASTIC_MODELS:
+    stochastic = hvmodels.model_ids(stochastic=True)
+    if model not in stochastic:
         raise ConfigError(
             f"model {model!r} has no channel statistics to sample; "
-            f"choose one of {list(hvmodels.STOCHASTIC_MODELS)}"
+            f"choose one of {list(stochastic)}"
         )
 
     ensemble = _sampler().generate_ensemble(model, sigma_l, sigma_r, n, RandomStream(seed))
@@ -374,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"retrolab {__version__}")
     sub = parser.add_subparsers(dest="cmd", required=True)
+    models, stochastic = hvmodels.model_ids(), hvmodels.model_ids(stochastic=True)
 
     def common(p):
         p.add_argument("--config", help="JSON file with the same keys as the flags")
@@ -381,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the payload to this file instead of stdout")
 
     p_run = sub.add_parser("run", help="sample channel statistics against the analytic reference")
-    p_run.add_argument("--model", choices=hvmodels.STOCHASTIC_MODELS)
+    p_run.add_argument("--model", choices=stochastic)
     p_run.add_argument("--sigma-l", dest="sigma_l", type=float)
     p_run.add_argument("--sigma-r", dest="sigma_r", type=float)
     p_run.add_argument("--n", type=int)
@@ -409,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_game.set_defaults(func=_cmd_game)
 
     p_audit = sub.add_parser("audit", help="time-reversal audit of record ensembles")
-    p_audit.add_argument("model", choices=hvmodels.STOCHASTIC_MODELS)
+    p_audit.add_argument("model", choices=stochastic)
     p_audit.add_argument("sigma_a", type=float)
     p_audit.add_argument("sigma_b", type=float)
     p_audit.add_argument("--n", type=int)
@@ -418,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.set_defaults(func=_cmd_audit)
 
     p_retro = sub.add_parser("retro", help="settings-dependence of pre-measurement beables")
-    p_retro.add_argument("model", choices=hvmodels.MODELS)
+    p_retro.add_argument("model", choices=models)
     p_retro.add_argument("sigma_l", type=float)
     p_retro.add_argument("sigma_r", type=float)
     p_retro.add_argument("sigma_r_alt", type=float)
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_retro.set_defaults(func=_cmd_retro)
 
     p_table = sub.add_parser("table", help="analytic channel joint for a model")
-    p_table.add_argument("--model", choices=hvmodels.STOCHASTIC_MODELS)
+    p_table.add_argument("--model", choices=stochastic)
     p_table.add_argument("--sigma-l", dest="sigma_l", type=float)
     p_table.add_argument("--sigma-r", dest="sigma_r", type=float)
     common(p_table)

@@ -26,17 +26,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .core import HALF_PI, ZERO_INTENSITY, angles_equal, normalize_angle, pol_angle
-from .hvmodels import (
-    MODEL_CLASSICAL,
-    MODEL_ONEBIT,
-    MODEL_QM_COLLAPSE,
-    MODEL_QM_DISCRETE,
-    MODEL_QM_NOCOLLAPSE,
-    MODEL_TWOBIT,
-    MODELS,
-    UnknownModelError,
-    settings_dependence,
-)
+from .hvmodels import ModelSpec, model_spec, settings_dependence
 from .optics import ModePair, pbs_combine
 from .photon import OntologyMode, emit_from_channel
 
@@ -258,63 +248,13 @@ def verify_rena_control(sigma_r: float, rho: float, mode: OntologyMode) -> Contr
     raise ValueError(f"unknown ontology mode: {mode!r}")
 
 
-# Which output-side analysis each model id inherits.  The bit models keep
-# discrete exits, so under a realist reading the exit channel plus the
-# setting fix the absorbed polarization exactly as in the discrete-symmetric
-# photon ontology; the classical field has continuous exits.
-_RENA_CLASS = {
-    MODEL_QM_DISCRETE: OntologyMode.DISCRETE_SYMMETRIC,
-    MODEL_QM_COLLAPSE: OntologyMode.COLLAPSE,
-    MODEL_QM_NOCOLLAPSE: OntologyMode.NO_COLLAPSE,
-    MODEL_TWOBIT: OntologyMode.DISCRETE_SYMMETRIC,
-    MODEL_ONEBIT: OntologyMode.DISCRETE_SYMMETRIC,
-}
-
-
 def rena_control_for_model(model: str, sigma_r: float, rho: float) -> ControlReport:
-    """Output-side control report for any built-in model identifier."""
-    if model == MODEL_CLASSICAL:
-        return ControlReport(
-            side="right",
-            setting=normalize_angle(sigma_r),
-            achievable=ALL_ANGLES,
-            control_mod=None,
-            rho=rho,
-            shifted_achievable=ALL_ANGLES,
-            shift_detectable=False,
-        )
-    if model not in _RENA_CLASS:
-        raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
-    return verify_rena_control(sigma_r, rho, _RENA_CLASS[model])
-
-
-@dataclass(frozen=True)
-class ModelOntology:
-    """A model identifier plus its three structural commitments."""
-
-    model: str
-    realist_beables: bool
-    time_symmetric: bool
-    discrete_outputs: bool
-
-    @property
-    def premise(self) -> bool:
-        return self.realist_beables and self.time_symmetric and self.discrete_outputs
-
-
-#: the built-in configurations the implication check sweeps
-BUILTIN_ONTOLOGIES = (
-    ModelOntology(MODEL_CLASSICAL, True, True, False),
-    ModelOntology(MODEL_TWOBIT, True, True, True),
-    ModelOntology(MODEL_ONEBIT, True, True, True),
-    ModelOntology(MODEL_QM_DISCRETE, True, True, True),
-    ModelOntology(MODEL_QM_COLLAPSE, True, False, True),
-    ModelOntology(MODEL_QM_NOCOLLAPSE, True, True, False),
-)
+    """Output-side control report for any registered model identifier."""
+    return verify_rena_control(sigma_r, rho, model_spec(model).output_side)
 
 
 def retro_implication_holds(
-    onto: ModelOntology,
+    onto: ModelSpec,
     sigma_l: float,
     sigma_r: float,
     sigma_r_alt: float,

@@ -13,16 +13,21 @@ Both reproduce the quantum channel statistics exactly.  The detector here,
 the distribution of whatever exists before the right cube depend on the
 right-cube setting?  A yes is what "retrocausal" means operationally in this
 package.
+
+:data:`REGISTRY` holds one :class:`ModelSpec` per model, the photon
+ontologies and the classical field included: its structural commitments,
+channel joint, beables, sampler and output-side analysis.  Every other
+module reads a model's facts from there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from . import photon
 from .core import HALF_PI, PI, angles_equal, malus, normalize_angle
-from .photon import born_probability, emit_from_channel
+from .photon import OntologyMode, born_probability, emit_from_channel
 from .records import Ensemble
 from .stats import RandomStream, random_blocks, tv_distance
 
@@ -32,19 +37,6 @@ MODEL_QM_DISCRETE = "qm-discrete"
 MODEL_QM_COLLAPSE = "qm-collapse"
 MODEL_QM_NOCOLLAPSE = "qm-nocollapse"
 MODEL_CLASSICAL = "classical"
-
-#: every model identifier the package understands
-MODELS = (
-    MODEL_TWOBIT,
-    MODEL_ONEBIT,
-    MODEL_QM_DISCRETE,
-    MODEL_QM_COLLAPSE,
-    MODEL_QM_NOCOLLAPSE,
-    MODEL_CLASSICAL,
-)
-
-#: models that generate stochastic channel records (everything but classical)
-STOCHASTIC_MODELS = MODELS[:-1]
 
 # analytic distributions are exact; any distance above this is real
 ANALYTIC_TV_TOL = 1e-9
@@ -186,17 +178,6 @@ def qm_reference_joint(sigma_l: float, sigma_r: float) -> HVJoint:
     return HVJoint(cells[(0, 0)], cells[(0, 1)], cells[(1, 0)], cells[(1, 1)])
 
 
-def channel_joint(model: str, sigma_l: float, sigma_r: float) -> HVJoint:
-    """Analytic (entry, exit) channel joint for any stochastic model."""
-    if model in (MODEL_TWOBIT, MODEL_ONEBIT):
-        return twobit_dist(sigma_l, sigma_r)
-    if model in (MODEL_QM_DISCRETE, MODEL_QM_COLLAPSE, MODEL_QM_NOCOLLAPSE):
-        return qm_reference_joint(sigma_l, sigma_r)
-    raise UnknownModelError(
-        f"no channel joint for model {model!r}; expected one of {STOCHASTIC_MODELS}"
-    )
-
-
 def _angle_key(x: float) -> float:
     # hashable canonical key for an exact angle value; folds the wrap at pi
     a = normalize_angle(x)
@@ -205,15 +186,158 @@ def _angle_key(x: float) -> float:
     return round(a, 9)
 
 
-#: plain-language description of where each model keeps its pre-measurement state
-BEABLES = {
-    MODEL_TWOBIT: "(past channel, future channel) bit pair",
-    MODEL_ONEBIT: "channel parity bit",
-    MODEL_QM_DISCRETE: "input channel, emitted polarization, return-leg polarization",
-    MODEL_QM_COLLAPSE: "input channel and prepared polarization",
-    MODEL_QM_NOCOLLAPSE: "input channel and uncollapsed polarization state",
-    MODEL_CLASSICAL: "intermediate field fixed by the left-side preparation",
+def _twobit_beables(sigma_l: float, sigma_r: float) -> dict:
+    j = twobit_dist(sigma_l, sigma_r)
+    return {(p, f): j.prob(p, f) for p in (0, 1) for f in (0, 1)}
+
+
+def _onebit_beables(sigma_l: float, sigma_r: float) -> dict:
+    p_same = onebit_dist(sigma_l, sigma_r)
+    return {1: p_same, 0: 1.0 - p_same}
+
+
+def _qm_discrete_beables(sigma_l: float, sigma_r: float) -> dict:
+    # the return-leg polarization already exists before the right cube,
+    # pinned to whichever value the exit channel will select
+    out: dict = {}
+    for c in (0, 1):
+        t = emit_from_channel(c, sigma_l).angle
+        p1 = born_probability(emit_from_channel(c, sigma_l), sigma_r)
+        out[(c, _angle_key(t), _angle_key(sigma_r))] = 0.5 * p1
+        out[(c, _angle_key(t), _angle_key(sigma_r + HALF_PI))] = 0.5 * (1.0 - p1)
+    return out
+
+
+def _prepared_beables(sigma_l: float, sigma_r: float) -> dict:
+    # collapse: the prepared polarization, a function of the input channel
+    # and the left setting only, read the conventional way; no-collapse: the
+    # branch structure has not formed before the right cube, so the beable
+    # is the uncollapsed state itself
+    return {(c, _angle_key(emit_from_channel(c, sigma_l).angle)): 0.5 for c in (0, 1)}
+
+
+def _classical_beables(sigma_l: float, sigma_r: float) -> dict:
+    # deterministic field fixed by the left-side preparation alone
+    return {("field", _angle_key(sigma_l)): 1.0}
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything the package knows about one model.
+
+    The three flags are the model's structural commitments and ``premise``
+    their conjunction.  ``joint`` and ``beable_distribution`` map (sigma_l,
+    sigma_r) to the analytic (entry, exit) channel joint and to the
+    distribution of the pre-right-cube beables that ``beable`` describes.
+    ``sampler`` names the function on :mod:`retrolab.audit` that generates
+    the model's record ensembles, called with ``sampler_args`` before
+    (sigma_l, sigma_r, n, stream); it is looked up by name at each call, so
+    a wrapped or patched sampler is the one that runs.  ``row_bytes`` is the
+    width of those ensembles' columns, and ``output_side`` the ontology mode
+    whose output-side control analysis the model inherits.  Models without
+    channel statistics have neither a joint nor a sampler.
+    """
+
+    model: str
+    realist_beables: bool
+    time_symmetric: bool
+    discrete_outputs: bool
+    beable_distribution: Callable[[float, float], dict]
+    beable: str
+    output_side: OntologyMode
+    joint: Callable[[float, float], HVJoint] | None = None
+    sampler: str | None = None
+    sampler_args: tuple = ()
+    row_bytes: int = 0
+
+    @property
+    def premise(self) -> bool:
+        return self.realist_beables and self.time_symmetric and self.discrete_outputs
+
+
+# Output sides: the bit models keep discrete exits, so under a realist
+# reading the exit channel plus the setting fix the absorbed polarization
+# exactly as in the discrete-symmetric photon ontology; the classical field's
+# exits are continuous, like the no-collapse branch weights, so its setting
+# pins nothing.  Row bytes: int8 channels, float64 angles and weights.
+
+#: every model, keyed by id, in a fixed order
+REGISTRY: dict[str, ModelSpec] = {
+    spec.model: spec
+    for spec in (
+        ModelSpec(
+            MODEL_TWOBIT, True, True, True,
+            beable_distribution=_twobit_beables, beable="(past channel, future channel) bit pair",
+            output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist,
+            sampler="simulate_twobit_ensemble", row_bytes=2,
+        ),
+        ModelSpec(
+            MODEL_ONEBIT, True, True, True,
+            beable_distribution=_onebit_beables, beable="channel parity bit",
+            output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist,
+            sampler="simulate_onebit_ensemble", row_bytes=2,
+        ),
+        ModelSpec(
+            MODEL_QM_DISCRETE, True, True, True,
+            beable_distribution=_qm_discrete_beables,
+            beable="input channel, emitted polarization, return-leg polarization",
+            output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=qm_reference_joint,
+            sampler="simulate_ensemble", sampler_args=(OntologyMode.DISCRETE_SYMMETRIC,),
+            row_bytes=18,
+        ),
+        ModelSpec(
+            MODEL_QM_COLLAPSE, True, False, True,
+            beable_distribution=_prepared_beables, beable="input channel and prepared polarization",
+            output_side=OntologyMode.COLLAPSE, joint=qm_reference_joint,
+            sampler="simulate_ensemble", sampler_args=(OntologyMode.COLLAPSE,), row_bytes=10,
+        ),
+        ModelSpec(
+            MODEL_QM_NOCOLLAPSE, True, True, False,
+            beable_distribution=_prepared_beables,
+            beable="input channel and uncollapsed polarization state",
+            output_side=OntologyMode.NO_COLLAPSE, joint=qm_reference_joint,
+            sampler="simulate_ensemble", sampler_args=(OntologyMode.NO_COLLAPSE,), row_bytes=17,
+        ),
+        ModelSpec(
+            MODEL_CLASSICAL, True, True, False,
+            beable_distribution=_classical_beables,
+            beable="intermediate field fixed by the left-side preparation",
+            output_side=OntologyMode.NO_COLLAPSE,
+        ),
+    )
 }
+
+
+def model_ids(stochastic: bool = False) -> tuple[str, ...]:
+    """Registry ids in order; only the models with a sampler if ``stochastic``.
+
+    Read at each call, so a model registered after import is included.
+    """
+    return tuple(m for m, spec in REGISTRY.items() if spec.sampler or not stochastic)
+
+
+#: every model identifier the package understands
+MODELS = model_ids()
+
+#: models that generate stochastic channel records (everything but classical)
+STOCHASTIC_MODELS = model_ids(stochastic=True)
+
+
+def model_spec(model: str) -> ModelSpec:
+    """The registry entry of ``model``; UnknownModelError when it has none."""
+    if model not in REGISTRY:
+        raise UnknownModelError(f"unknown model {model!r}; expected one of {model_ids()}")
+    return REGISTRY[model]
+
+
+def channel_joint(model: str, sigma_l: float, sigma_r: float) -> HVJoint:
+    """Analytic (entry, exit) channel joint for any stochastic model."""
+    spec = REGISTRY.get(model)
+    if spec is None or spec.joint is None:
+        raise UnknownModelError(
+            f"no channel joint for model {model!r}; expected one of {model_ids(stochastic=True)}"
+        )
+    return spec.joint(sigma_l, sigma_r)
 
 
 def beable_distribution(model: str, sigma_l: float, sigma_r: float) -> dict:
@@ -223,37 +347,7 @@ def beable_distribution(model: str, sigma_l: float, sigma_r: float) -> dict:
     the model and this function is its executable form.  Keys are hashable
     outcome labels, values exact probabilities.
     """
-    if model == MODEL_TWOBIT:
-        j = twobit_dist(sigma_l, sigma_r)
-        return {(p, f): j.prob(p, f) for p in (0, 1) for f in (0, 1)}
-    if model == MODEL_ONEBIT:
-        p_same = onebit_dist(sigma_l, sigma_r)
-        return {1: p_same, 0: 1.0 - p_same}
-    if model == MODEL_QM_DISCRETE:
-        # the return-leg polarization already exists before the right cube,
-        # pinned to whichever value the exit channel will select
-        out: dict = {}
-        for c in (0, 1):
-            t = emit_from_channel(c, sigma_l).angle
-            p1 = born_probability(emit_from_channel(c, sigma_l), sigma_r)
-            out[(c, _angle_key(t), _angle_key(sigma_r))] = 0.5 * p1
-            out[(c, _angle_key(t), _angle_key(sigma_r + HALF_PI))] = 0.5 * (1.0 - p1)
-        return out
-    if model == MODEL_QM_COLLAPSE:
-        if not photon.COLLAPSE_PRE_MEASUREMENT_SETTINGS_INDEPENDENT:
-            raise NotImplementedError(
-                "only the settings-independent reading of the collapse "
-                "pre-measurement state is modeled"
-            )
-        return {(c, _angle_key(emit_from_channel(c, sigma_l).angle)): 0.5 for c in (0, 1)}
-    if model == MODEL_QM_NOCOLLAPSE:
-        # before the right cube the branch structure has not formed yet;
-        # the beable is the uncollapsed state itself
-        return {(c, _angle_key(emit_from_channel(c, sigma_l).angle)): 0.5 for c in (0, 1)}
-    if model == MODEL_CLASSICAL:
-        # deterministic field fixed by the left-side preparation alone
-        return {("field", _angle_key(sigma_l)): 1.0}
-    raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
+    return model_spec(model).beable_distribution(sigma_l, sigma_r)
 
 
 @dataclass(frozen=True)
@@ -281,12 +375,11 @@ def settings_dependence(
     90 degree shift can still leave the distribution unchanged, the one shift
     size a pair-valued beable cannot register.
     """
-    if model not in MODELS:
-        raise UnknownModelError(f"unknown model {model!r}; expected one of {MODELS}")
+    spec = model_spec(model)
     if angles_equal(sigma_r, sigma_r_alt):
         raise ValueError("alternative right setting must differ from sigma_r (mod pi)")
-    p = beable_distribution(model, sigma_l, sigma_r)
-    q = beable_distribution(model, sigma_l, sigma_r_alt)
+    p = spec.beable_distribution(sigma_l, sigma_r)
+    q = spec.beable_distribution(sigma_l, sigma_r_alt)
     tv = tv_distance(p, q)
     return RetroReport(
         model=model,
@@ -296,7 +389,7 @@ def settings_dependence(
         tv_distance=tv,
         threshold=ANALYTIC_TV_TOL,
         retro=tv > ANALYTIC_TV_TOL,
-        beable=BEABLES[model],
+        beable=spec.beable,
     )
 
 

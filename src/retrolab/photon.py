@@ -17,23 +17,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
 from .optics import ModePair
-from .records import Ensemble, ExperimentRecord
+from .records import Ensemble
 from .stats import RandomStream, random_blocks
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# The collapse story fixes the state after a measurement and says nothing
-# about later settings reaching further back, so we read it the conventional
-# way: the prepared polarization is a function of the input channel and the
-# left setting only.  Kept as a named flag because it is a modeling
-# assumption, not a theorem; settings_dependence checks it before treating
-# the collapse beable distribution as fixed.
-COLLAPSE_PRE_MEASUREMENT_SETTINGS_INDEPENDENT = True
 
 
 class UndefinedPosteriorError(ValueError):
@@ -49,16 +37,7 @@ class OntologyMode(enum.Enum):
 
     @property
     def model_id(self) -> str:
-        return _MODEL_IDS[self]
-
-
-_MODEL_IDS = {
-    OntologyMode.DISCRETE_SYMMETRIC: "qm-discrete",
-    OntologyMode.COLLAPSE: "qm-collapse",
-    OntologyMode.NO_COLLAPSE: "qm-nocollapse",
-}
-
-MODE_FOR_MODEL = {v: k for k, v in _MODEL_IDS.items()}
+        return "qm-" + self.value
 
 
 @dataclass(frozen=True)
@@ -87,16 +66,6 @@ def born_probability(state: PhotonState, setting: float) -> float:
     p = amp.real * amp.real + amp.imag * amp.imag
     # squared projection of a unit vector; clip rounding spill
     return min(max(p, 0.0), 1.0)
-
-
-def born_measure(
-    state: PhotonState, setting: float, rng: np.random.Generator
-) -> tuple[int, PhotonState]:
-    """Sample the exit channel; returns (channel, post-cube state)."""
-    p1 = born_probability(state, setting)
-    channel = 1 if rng.random() < p1 else 0
-    post = PhotonState.linear(setting if channel == 1 else setting + HALF_PI)
-    return channel, post
 
 
 def emit_from_channel(channel: int, setting_l: float) -> PhotonState:
@@ -181,60 +150,6 @@ def evolve_no_collapse(state: PhotonState, setting_r: float) -> BranchPair:
     )
 
 
-def run_trajectory(
-    mode: OntologyMode,
-    sigma_l: float,
-    sigma_r: float,
-    rng: np.random.Generator,
-    prior_1: float = 0.5,
-) -> ExperimentRecord:
-    """One full source-to-detector run under the chosen ontology.
-
-    The input channel is drawn from ``prior_1`` (even by default).  What the
-    record retains depends on the mode: discrete-symmetric runs keep channels
-    and both leg polarizations, collapse runs keep no return-leg beable, and
-    no-collapse runs keep the branch weight pair in place of an outcome.
-    """
-    _check_prior(prior_1)
-    sl = normalize_angle(sigma_l)
-    sr = normalize_angle(sigma_r)
-    in_channel = 1 if rng.random() < prior_1 else 0
-    state = emit_from_channel(in_channel, sl)
-    tau_l = state.angle
-    if mode is OntologyMode.DISCRETE_SYMMETRIC:
-        out, post = born_measure(state, sr, rng)
-        return ExperimentRecord(
-            sigma_l=sl,
-            sigma_r=sr,
-            model=mode.model_id,
-            in_channel=in_channel,
-            out_channel=out,
-            tau_l=tau_l,
-            tau_r=post.angle,
-        )
-    if mode is OntologyMode.COLLAPSE:
-        out, _ = born_measure(state, sr, rng)
-        return ExperimentRecord(
-            sigma_l=sl,
-            sigma_r=sr,
-            model=mode.model_id,
-            in_channel=in_channel,
-            out_channel=out,
-            tau_l=tau_l,
-        )
-    if mode is OntologyMode.NO_COLLAPSE:
-        branches = evolve_no_collapse(state, sr)
-        return ExperimentRecord(
-            sigma_l=sl,
-            sigma_r=sr,
-            model=mode.model_id,
-            in_channel=in_channel,
-            tau_l=tau_l,
-            weights=(branches.weight_1, branches.weight_0),
-        )
-    raise ValueError(f"unknown ontology mode: {mode!r}")
-
-
 def simulate_ensemble(
     mode: OntologyMode,
     sigma_l: float,
@@ -243,8 +158,12 @@ def simulate_ensemble(
     stream: RandomStream,
     prior_1: float = 0.5,
 ) -> Ensemble:
-    """Vectorized :func:`run_trajectory`: n independent runs as flat columns.
+    """n independent source-to-detector runs under ``mode``, as flat columns.
 
+    Input channels follow ``prior_1`` (even by default).  What the ensemble
+    keeps depends on the mode: discrete-symmetric runs keep channels and both
+    leg polarizations, collapse runs keep no return-leg beable, and
+    no-collapse runs keep the channel-1 branch weight in place of an outcome.
     The first n draws of the stream pick the input channels, the next n the
     outcomes; both are drawn and compared block by block into the channel
     columns, so generation holds no more than the columns and one block.

@@ -1,6 +1,5 @@
-"""Deterministic random streams, Monte Carlo tallies, and the distribution
-statistics (total variation, Wilson intervals, mutual information) that every
-audit in this package leans on.
+"""Deterministic random streams and the distribution statistics (total
+variation, mutual information) that every audit in this package leans on.
 
 Streams are counter-based (Philox) and keyed by (seed, stream_id), so any
 sub-experiment can be replayed bit-identically on its own, in any order, on
@@ -10,10 +9,9 @@ any platform.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Hashable
+from typing import TYPE_CHECKING, Hashable
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,59 +84,6 @@ def random_blocks(rng: np.random.Generator, n: int):
         yield rows, rng.random(rows.stop - rows.start)
 
 
-@dataclass
-class TallyTable:
-    """Counts of discrete outcomes from one batch of draws."""
-
-    cells: dict
-    total: int
-
-    def __post_init__(self):
-        if self.total != sum(self.cells.values()):
-            raise ValueError("cell counts do not add up to the declared total")
-
-    def frequency(self, outcome) -> float:
-        return self.cells.get(outcome, 0) / self.total
-
-    def distribution(self) -> dict:
-        return {k: v / self.total for k, v in self.cells.items()}
-
-    def merged(self, other: "TallyTable") -> "TallyTable":
-        """Pool two tallies; associative and commutative by construction."""
-        cells = dict(self.cells)
-        for k, v in other.cells.items():
-            cells[k] = cells.get(k, 0) + v
-        return TallyTable(cells, self.total + other.total)
-
-
-def mc_estimate(
-    sampler: Callable[[np.random.Generator, int], object],
-    n: int,
-    stream: RandomStream,
-) -> TallyTable:
-    """Tally ``n`` draws from ``sampler``.
-
-    ``sampler(rng, n)`` must return the n outcomes as a 1-d array or a
-    sequence of hashables.  It receives a generator owned by this call, so
-    the tally is a pure function of (sampler, n, stream).
-    """
-    import numpy as np
-
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one draw")
-    out = sampler(stream.generator(), n)
-    if isinstance(out, np.ndarray):
-        values, counts = np.unique(out, return_counts=True)
-        cells = {v.item(): int(c) for v, c in zip(values, counts)}
-    else:
-        cells = {k: int(v) for k, v in Counter(out).items()}
-    total = sum(cells.values())
-    if total != n:
-        raise ValueError(f"sampler produced {total} outcomes for n={n}")
-    return TallyTable(cells, total)
-
-
 def _check_normalized(total: float, label: str) -> None:
     if abs(total - 1.0) > _NORM_TOL:
         raise ValueError(f"{label} distribution sums to {total!r}, not 1")
@@ -164,37 +109,6 @@ def tv_distance(p, q) -> float:
     for a, b in zip(p, q):
         total += abs(float(a) - float(b))
     return 0.5 * total
-
-
-def wilson_interval(successes: int, n: int, z: float = 4.0) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion at z standard errors."""
-    if n < 1:
-        raise ValueError("need at least one trial")
-    if not 0 <= successes <= n:
-        raise ValueError("successes must lie in [0, n]")
-    if z <= 0.0:
-        raise ValueError("z must be positive")
-    phat = successes / n
-    z2 = z * z
-    denom = 1.0 + z2 / n
-    center = (phat + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(phat * (1.0 - phat) / n + z2 / (4.0 * n * n)) / denom
-    lo = max(0.0, center - half)
-    hi = min(1.0, center + half)
-    # at the endpoints center and half agree analytically; snap the
-    # cancellation residue so the bound never excludes the estimate itself
-    if successes == 0:
-        lo = 0.0
-    if successes == n:
-        hi = 1.0
-    return (lo, hi)
-
-
-def binomial_se(p: float, n: int) -> float:
-    """Standard error of a frequency estimate of a probability p over n draws."""
-    if n < 1:
-        raise ValueError("need at least one trial")
-    return math.sqrt(max(p * (1.0 - p), 0.0) / n)
 
 
 def mutual_information_bits(joint: Mapping[tuple[Hashable, Hashable], float]) -> float:

@@ -9,9 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from retrolab import audit, stats
 from retrolab.audit import (
-    AUDITABLE_MODELS,
     MIN_AUDIT_N,
-    _ROW_BYTES,
     _aligned,
     _alignment_profile,
     _orient_forward,
@@ -24,7 +22,7 @@ from retrolab.audit import (
     symmetry_threshold,
 )
 from retrolab.core import ANGLE_TOL
-from retrolab.hvmodels import UnknownModelError
+from retrolab.hvmodels import REGISTRY, STOCHASTIC_MODELS, UnknownModelError
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
 
@@ -68,7 +66,7 @@ def test_reverse_ensemble_involution():
 
 
 def test_generate_ensemble_dispatch():
-    for model in AUDITABLE_MODELS:
+    for model in STOCHASTIC_MODELS:
         ens = generate_ensemble(model, 0.0, 0.5, 100, RandomStream(2))
         assert ens.n == 100
         assert ens.model == model
@@ -261,7 +259,7 @@ def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
         assert _alignment_profile(oriented, slot) == _reference_profile(oriented)
 
 
-@pytest.mark.parametrize("model", AUDITABLE_MODELS)
+@pytest.mark.parametrize("model", STOCHASTIC_MODELS)
 @pytest.mark.parametrize("pair", ((0.0, PI / 6), (0.0, 0.0), (0.0, PI / 2), (0.3, 1.2)))
 def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
     ens = generate_ensemble(model, *pair, 20_000, RandomStream(5))
@@ -273,10 +271,10 @@ def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
         assert _alignment_profile(oriented, slot) == _reference_profile(oriented)
 
 
-@pytest.mark.parametrize("model", AUDITABLE_MODELS)
+@pytest.mark.parametrize("model", STOCHASTIC_MODELS)
 def test_row_bytes_match_generated_columns(model):
     ens = generate_ensemble(model, 0.3, 1.2, 10, RandomStream(0))
-    assert sum(column.nbytes for column in ens.columns()) == 10 * _ROW_BYTES[model]
+    assert sum(column.nbytes for column in ens.columns()) == 10 * REGISTRY[model].row_bytes
 
 
 def test_memory_bound_counts_both_audit_ensembles(monkeypatch):

@@ -15,9 +15,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import stats
+from retrolab import audit, stats
 from retrolab.audit import (
-    _ROW_BYTES,
     _orient_forward,
     _signature_counts,
     audit_symmetry,
@@ -25,20 +24,8 @@ from retrolab.audit import (
     reverse_ensemble,
 )
 from retrolab.core import HALF_PI, normalize_angle
-from retrolab.hvmodels import (
-    STOCHASTIC_MODELS,
-    onebit_dist,
-    simulate_onebit_ensemble,
-    simulate_twobit_ensemble,
-    twobit_dist,
-)
-from retrolab.photon import (
-    MODE_FOR_MODEL,
-    OntologyMode,
-    PhotonState,
-    born_probability,
-    simulate_ensemble,
-)
+from retrolab.hvmodels import REGISTRY, STOCHASTIC_MODELS, onebit_dist, twobit_dist
+from retrolab.photon import OntologyMode, PhotonState, born_probability
 from retrolab.stats import RandomStream
 
 PI = math.pi
@@ -84,23 +71,22 @@ def _reference_onebit(sigma_l, sigma_r, n, stream):
     return {"in_channel": in_channel, "out_channel": out_channel}
 
 
+# the full-vector reference of each sampler, by the sampler's name
+REFERENCES = {
+    "simulate_ensemble": _reference_photon,
+    "simulate_twobit_ensemble": _reference_twobit,
+    "simulate_onebit_ensemble": _reference_onebit,
+}
+
+
 def _sample(model, sigma_l, sigma_r, n, stream, prior_1):
     """The block-wise ensemble and its full-vector reference columns."""
-    if model in MODE_FOR_MODEL:
-        mode = MODE_FOR_MODEL[model]
-        return (
-            simulate_ensemble(mode, sigma_l, sigma_r, n, stream, prior_1),
-            _reference_photon(mode, sigma_l, sigma_r, n, stream, prior_1),
-        )
-    if model == "twobit":
-        return (
-            simulate_twobit_ensemble(sigma_l, sigma_r, n, stream),
-            _reference_twobit(sigma_l, sigma_r, n, stream),
-        )
-    return (
-        simulate_onebit_ensemble(sigma_l, sigma_r, n, stream),
-        _reference_onebit(sigma_l, sigma_r, n, stream),
-    )
+    spec = REGISTRY[model]
+    args = (*spec.sampler_args, sigma_l, sigma_r, n, stream)
+    # only the photon sampler takes an input prior; the bit models' is even
+    if spec.sampler == "simulate_ensemble":
+        args += (prior_1,)
+    return getattr(audit, spec.sampler)(*args), REFERENCES[spec.sampler](*args)
 
 
 def _settings(kind, base, offset):
@@ -183,5 +169,5 @@ def test_audit_peak_above_one_ensemble_does_not_grow_with_n(model, traced):
     extra = {}
     for n in (SMALL_N, LARGE_N):
         _, peak = _peak_bytes(lambda: audit_symmetry(model, 0.3, 1.2, n, RandomStream(3)))
-        extra[n] = peak - n * _ROW_BYTES[model]
+        extra[n] = peak - n * REGISTRY[model].row_bytes
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra

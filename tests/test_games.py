@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from retrolab.core import angle_diff, angles_equal
 from retrolab.games import (
     ALL_ANGLES,
-    BUILTIN_ONTOLOGIES,
     KIND_CLASSICAL,
     KIND_DISCRETE,
     KIND_SUPERPOSITION,
@@ -23,7 +22,7 @@ from retrolab.games import (
     verify_lena_control,
     verify_rena_control,
 )
-from retrolab.hvmodels import MODELS
+from retrolab.hvmodels import REGISTRY
 from retrolab.optics import ModePair
 from retrolab.photon import OntologyMode
 
@@ -159,14 +158,12 @@ def test_discrete_pair_validation():
 
 
 def test_ontology_premises():
-    by_model = {o.model: o for o in BUILTIN_ONTOLOGIES}
-    assert set(by_model) == set(MODELS)
-    assert by_model["twobit"].premise
-    assert by_model["onebit"].premise
-    assert by_model["qm-discrete"].premise
-    assert not by_model["classical"].premise  # continuous outputs
-    assert not by_model["qm-collapse"].premise  # time-asymmetric records
-    assert not by_model["qm-nocollapse"].premise  # no discrete outcome
+    assert REGISTRY["twobit"].premise
+    assert REGISTRY["onebit"].premise
+    assert REGISTRY["qm-discrete"].premise
+    assert not REGISTRY["classical"].premise  # continuous outputs
+    assert not REGISTRY["qm-collapse"].premise  # time-asymmetric records
+    assert not REGISTRY["qm-nocollapse"].premise  # no discrete outcome
 
 
 @given(angles, angles, angles)
@@ -183,7 +180,7 @@ def test_implication_universal(sl, sr, alt):
         return  # exact quarter turn: the pair-valued beable cannot register it
     if abs(math.remainder(2 * sl - sr - alt, PI)) < 1e-3:
         return  # reflected alt: a blind exhibit for the bit models, see below
-    for onto in BUILTIN_ONTOLOGIES:
+    for onto in REGISTRY.values():
         assert retro_implication_holds(onto, sl, sr, alt, PI / 6)
 
 

@@ -174,6 +174,7 @@ def test_settings_dependence_rejects_equal_alt():
 
 
 def test_model_lists():
+    assert MODELS == ("twobit", "onebit", "qm-discrete", "qm-collapse", "qm-nocollapse", "classical")
     assert set(STOCHASTIC_MODELS) < set(MODELS)
     assert "classical" in MODELS and "classical" not in STOCHASTIC_MODELS
 

@@ -1,4 +1,4 @@
-"""Single-photon trajectories under the three ontology modes."""
+"""Single-photon runs under the three ontology modes."""
 
 import math
 
@@ -13,13 +13,11 @@ from retrolab.photon import (
     OntologyMode,
     PhotonState,
     UndefinedPosteriorError,
-    born_measure,
     born_probability,
     demon_inputs_superposition,
     emit_from_channel,
     evolve_no_collapse,
     retrodict_channel,
-    run_trajectory,
     simulate_ensemble,
 )
 from retrolab.stats import RandomStream
@@ -47,22 +45,21 @@ def test_born_probability_pins():
     )
 
 
-def test_born_measure_deterministic_cases():
-    rng = RandomStream(0).generator()
-    ch, post = born_measure(PhotonState.linear(0.7), 0.7, rng)
-    assert ch == 1
-    assert angles_equal(post.angle, 0.7)
-    ch, post = born_measure(PhotonState.linear(0.7 + HALF_PI), 0.7, rng)
-    assert ch == 0
-    assert angles_equal(post.angle, 0.7 + HALF_PI)
+def test_aligned_and_orthogonal_exits_are_deterministic():
+    # a photon on the right setting's axis always exits on channel 1, one
+    # orthogonal to it on channel 0, and the return leg takes that axis
+    for prior_1, channel, tau_r in ((1.0, 1, 0.7), (0.0, 0, 0.7 + HALF_PI)):
+        ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.7, 0.7, 1000, RandomStream(0),
+                                prior_1=prior_1)
+        assert (ens.out_channel == channel).all()
+        assert all(angles_equal(t, tau_r) for t in ens.tau_r)
 
 
-def test_born_measure_malus_statistics():
+def test_ensemble_exit_rate_is_malus():
     # tau - sigma = pi/6: channel-1 frequency must sit at cos^2 within MC noise
-    rng = RandomStream(21).generator()
-    state = PhotonState.linear(PI / 6)
-    hits = sum(born_measure(state, 0.0, rng)[0] for _ in range(20_000))
-    assert abs(hits / 20_000 - 0.75) < 0.01
+    for mode in (OntologyMode.DISCRETE_SYMMETRIC, OntologyMode.COLLAPSE):
+        ens = simulate_ensemble(mode, PI / 6, 0.0, 20_000, RandomStream(21), prior_1=1.0)
+        assert abs(float(ens.out_channel.mean()) - 0.75) < 0.01, mode
 
 
 def test_emit_from_channel():
@@ -133,35 +130,33 @@ def test_evolve_no_collapse_weights():
 
 
 def test_trajectory_field_signatures():
-    rng = RandomStream(5).generator()
-    rec = run_trajectory(OntologyMode.DISCRETE_SYMMETRIC, 0.1, 0.9, rng)
-    assert rec.model == "qm-discrete"
-    assert None not in (rec.in_channel, rec.out_channel, rec.tau_l, rec.tau_r)
-    assert rec.weights is None
-
-    rec = run_trajectory(OntologyMode.COLLAPSE, 0.1, 0.9, rng)
-    assert rec.model == "qm-collapse"
-    assert rec.tau_r is None
-    assert rec.out_channel is not None
-
-    rec = run_trajectory(OntologyMode.NO_COLLAPSE, 0.1, 0.9, rng)
-    assert rec.model == "qm-nocollapse"
-    assert rec.out_channel is None
-    assert rec.tau_r is None
-    assert rec.weights is not None
-    assert sum(rec.weights) == pytest.approx(1.0, abs=1e-12)
+    # which columns a mode keeps is its record signature
+    signatures = {
+        OntologyMode.DISCRETE_SYMMETRIC: ("qm-discrete", {"in_channel", "out_channel", "tau_l", "tau_r"}),
+        OntologyMode.COLLAPSE: ("qm-collapse", {"in_channel", "out_channel", "tau_l"}),
+        OntologyMode.NO_COLLAPSE: ("qm-nocollapse", {"in_channel", "tau_l", "weight_1"}),
+    }
+    for mode, (model, columns) in signatures.items():
+        ens = simulate_ensemble(mode, 0.1, 0.9, 100, RandomStream(5))
+        assert ens.model == model
+        for name in ("in_channel", "out_channel", "tau_l", "tau_r", "weight_1"):
+            assert (getattr(ens, name) is not None) == (name in columns), (mode, name)
+        if ens.weight_1 is not None:
+            assert ((ens.weight_1 >= 0.0) & (ens.weight_1 <= 1.0)).all()
 
 
 @settings(max_examples=30)
 @given(angles, angles, st.integers(0, 2**32 - 1))
 def test_trajectory_beables_pinned_to_settings(sl, sr, seed):
-    rng = RandomStream(seed).generator()
-    rec = run_trajectory(OntologyMode.DISCRETE_SYMMETRIC, sl, sr, rng)
-    assert angles_equal(rec.tau_l, sl) or angles_equal(rec.tau_l, sl + HALF_PI)
-    assert angles_equal(rec.tau_r, sr) or angles_equal(rec.tau_r, sr + HALF_PI)
-    # channel labels agree with which axis the beable sits on
-    assert angles_equal(rec.tau_l, sl) == (rec.in_channel == 1)
-    assert angles_equal(rec.tau_r, sr) == (rec.out_channel == 1)
+    ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, sl, sr, 32, RandomStream(seed))
+    for in_channel, out_channel, tau_l, tau_r in zip(
+        ens.in_channel, ens.out_channel, ens.tau_l, ens.tau_r
+    ):
+        assert angles_equal(tau_l, sl) or angles_equal(tau_l, sl + HALF_PI)
+        assert angles_equal(tau_r, sr) or angles_equal(tau_r, sr + HALF_PI)
+        # channel labels agree with which axis the beable sits on
+        assert angles_equal(tau_l, sl) == (in_channel == 1)
+        assert angles_equal(tau_r, sr) == (out_channel == 1)
 
 
 def test_equal_settings_repeat_channel():
@@ -195,10 +190,9 @@ def test_nocollapse_ensemble_weights():
 
 @pytest.mark.parametrize("prior", [1.7, -0.1, float("nan"), float("inf")])
 def test_ensemble_rejects_bad_prior(prior):
-    # the same rule as run_trajectory: a prior outside [0, 1] is refused
+    # the same rule as retrodict_channel: a prior outside [0, 1] is refused
     with pytest.raises(ValueError, match="prior"):
-        run_trajectory(OntologyMode.DISCRETE_SYMMETRIC, 0.1, 0.5, RandomStream(0).generator(),
-                       prior_1=prior)
+        retrodict_channel(0.1, 0.5, prior_1=prior)
     with pytest.raises(ValueError, match="prior"):
         simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.1, 0.5, 100, RandomStream(0),
                           prior_1=prior)

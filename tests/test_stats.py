@@ -1,19 +1,9 @@
-"""Seeded streams, tallies and the distance / interval helpers."""
+"""Seeded streams and the distance / information helpers."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from retrolab.stats import (
-    RandomStream,
-    binomial_se,
-    mc_estimate,
-    mutual_information_bits,
-    tv_distance,
-    wilson_interval,
-)
+from retrolab.stats import RandomStream, mutual_information_bits, tv_distance
 
 
 def test_stream_is_reproducible():
@@ -42,39 +32,6 @@ def test_child_streams_differ_by_index():
     assert not (s.child(0).generator().random(4) == s.child(1).generator().random(4)).all()
 
 
-def test_mc_estimate_fair_bit():
-    def sampler(rng, n):
-        return (rng.random(n) < 0.5).astype(np.int64)
-
-    table = mc_estimate(sampler, 1_000_000, RandomStream(11))
-    assert table.total == 1_000_000
-    assert 0.498 <= table.frequency(1) <= 0.502
-
-
-def test_mc_estimate_constant_sampler():
-    table = mc_estimate(lambda rng, n: np.zeros(n, dtype=np.int64), 5000, RandomStream(1))
-    assert table.cells == {0: 5000}
-    assert table.frequency(0) == 1.0
-
-
-def test_mc_estimate_malus_sampler():
-    p = math.cos(math.pi / 6) ** 2
-
-    def sampler(rng, n):
-        return (rng.random(n) < p).astype(np.int64)
-
-    table = mc_estimate(sampler, 1_000_000, RandomStream(12))
-    assert 0.748 <= table.frequency(1) <= 0.752
-
-
-def test_tally_merge():
-    a = mc_estimate(lambda rng, n: np.zeros(n, dtype=np.int64), 10, RandomStream(0))
-    b = mc_estimate(lambda rng, n: np.ones(n, dtype=np.int64), 30, RandomStream(0, 1))
-    m = a.merged(b)
-    assert m.total == 40
-    assert m.distribution() == {0: 0.25, 1: 0.75}
-
-
 def test_tv_distance_pins():
     assert tv_distance({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}) == 0.0
     assert tv_distance({"a": 1.0}, {"b": 1.0}) == 1.0
@@ -98,31 +55,6 @@ def test_tv_distance_bounds(weights):
     assert 0.0 <= d <= 1.0
     assert tv_distance(p, p) == 0.0
     assert d == pytest.approx(tv_distance(q, p), abs=1e-12)
-
-
-def test_wilson_interval_pins():
-    lo, hi = wilson_interval(0, 100, 4.0)
-    assert lo == 0.0
-    lo, hi = wilson_interval(100, 100, 4.0)
-    assert hi == 1.0
-    lo, hi = wilson_interval(500_000, 1_000_000, 4.0)
-    assert lo < 0.5 < hi
-    assert (hi - lo) == pytest.approx(0.004, abs=1e-4)
-    lo, hi = wilson_interval(9900, 10_000, 4.0)
-    assert lo == pytest.approx(0.9851641806848673, abs=1e-12)
-    assert hi == pytest.approx(0.9932703241074649, abs=1e-12)
-
-
-@given(st.integers(0, 1000), st.integers(1, 1000))
-def test_wilson_interval_contains_estimate(s, n):
-    s = min(s, n)
-    lo, hi = wilson_interval(s, n, 2.0)
-    assert 0.0 <= lo <= s / n <= hi <= 1.0
-
-
-def test_binomial_se():
-    assert binomial_se(0.5, 1_000_000) == pytest.approx(0.0005, abs=1e-12)
-    assert binomial_se(0.0, 100) == 0.0
 
 
 def test_mutual_information_exact_zero_for_product():
