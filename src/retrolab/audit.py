@@ -26,6 +26,7 @@ flagged ``convention_dependent``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .hvmodels import (
 )
 from .photon import simulate_ensemble
 from .records import Ensemble, ExperimentRecord
-from .stats import RandomStream, row_blocks
+from .stats import RandomStream
 
 # minimum ensemble size; below this the thresholds are meaningless
 MIN_AUDIT_N = 10_000
@@ -84,18 +85,15 @@ def reverse_record(record: ExperimentRecord) -> ExperimentRecord:
     )
 
 
+# the fields that trade places under reversal; the branch weight keeps its own
+_MIRRORED = dict(in_channel="out_channel", out_channel="in_channel", tau_l="tau_r", tau_r="tau_l")
+
+
 def reverse_ensemble(ensemble: Ensemble) -> Ensemble:
-    """Columnwise :func:`reverse_record`."""
-    return Ensemble(
-        model=ensemble.model,
-        sigma_l=ensemble.sigma_r,
-        sigma_r=ensemble.sigma_l,
-        in_channel=ensemble.out_channel,
-        out_channel=ensemble.in_channel,
-        tau_l=ensemble.tau_r,
-        tau_r=ensemble.tau_l,
-        weight_1=ensemble.weight_1,
-    )
+    """:func:`reverse_record` of every run: the settings swap, the table's
+    fields are renamed and the codes are shared."""
+    table = {_MIRRORED.get(field, field): values for field, values in ensemble.table.items()}
+    return Ensemble(ensemble.model, ensemble.sigma_r, ensemble.sigma_l, ensemble.codes, table)
 
 
 def _orient_forward(ensemble: Ensemble) -> tuple[Ensemble, bool]:
@@ -104,11 +102,7 @@ def _orient_forward(ensemble: Ensemble) -> tuple[Ensemble, bool]:
     # input prior mirroring into the branch bookkeeping.  Operationally:
     # a reversed branch record is re-oriented so its definite channel sits
     # on the entry leg again.
-    if (
-        ensemble.weight_1 is not None
-        and ensemble.in_channel is None
-        and ensemble.out_channel is not None
-    ):
+    if {"weight_1", "out_channel"} <= ensemble.table.keys() and "in_channel" not in ensemble.table:
         return reverse_ensemble(ensemble), True
     return ensemble, False
 
@@ -133,53 +127,27 @@ def _classify(ensemble: Ensemble, angles: np.ndarray) -> np.ndarray:
     return _CLASS_OF[2 * _aligned(angles, ensemble.sigma_l) + _aligned(angles, ensemble.sigma_r)]
 
 
-def _channel_codes(column: np.ndarray | None, rows: slice) -> np.ndarray:
-    if column is None:
-        return np.full(rows.stop - rows.start, 2, dtype=np.uint8)
-    return column[rows].astype(np.uint8)
-
-
-def _cell_leg_classes(
-    ensemble: Ensemble, angles: np.ndarray | None, rows: slice, cell: np.ndarray, first: np.ndarray
-) -> np.ndarray | int:
-    """Per-row class of one leg beable over a block of rows, or 4 for a leg
-    absent from the family.
-
-    ``first`` holds one row of each occupied channel cell.  That row's angle
-    is classified once and lent to every row of the cell whose angle has the
-    same bit pattern; rows that differ are classified on their own, so each
-    row gets the class of its own angle whatever the ensemble holds.
-    """
-    if angles is None:
-        return 4
-    angles = angles[rows]
-    bits = angles.view(f"u{angles.itemsize}")
-    cell_bits = np.zeros(9, dtype=bits.dtype)
-    cell_bits[cell[first]] = bits[first]
-    odd = np.flatnonzero(bits != cell_bits[cell])
-    cell_class = np.zeros(9, dtype=np.uint8)
-    cell_class[cell[first]] = _classify(ensemble, angles[first])
-    classes = cell_class[cell]
-    classes[odd] = _classify(ensemble, angles[odd])
-    return classes
-
-
 def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """Count vectors of the slot signature and the slot-free signature.
 
-    Per-row work is integer and goes block by block: each row's channel cell
-    ``in*3 + out`` (2 for an absent channel) and two leg classes make one
-    slot code below 225, and each block's ``bincount`` of them adds into the
+    Each table row is reduced once to its slot code below 225: its channel
+    cell ``in*3 + out`` (2 for an absent channel) and the classes of its two
+    leg beables.  The runs of each row, counted block by block, add into the
     225 slot counts.  The slot-free counts fold the slot counts onto (cell,
     unordered pair of leg classes), pairs in row-major order.
     """
+    table = ensemble.table
+    row_counts = ensemble.row_counts()
+
+    def channel(field):
+        return table[field].astype(np.intp) if field in table else np.full(len(row_counts), 2)
+
+    def leg(field):
+        return _classify(ensemble, table[field]) if field in table else 4
+
+    slot = (channel("in_channel") * 3 + channel("out_channel")) * 25 + leg("tau_l") * 5 + leg("tau_r")
     slot_counts = np.zeros(225, dtype=np.intp)
-    for rows in row_blocks(ensemble.n):
-        cell = _channel_codes(ensemble.in_channel, rows) * 3 + _channel_codes(ensemble.out_channel, rows)
-        first = np.array([np.argmax(cell == c) for c in np.flatnonzero(np.bincount(cell))], dtype=int)
-        cl = _cell_leg_classes(ensemble, ensemble.tau_l, rows, cell, first)
-        cr = _cell_leg_classes(ensemble, ensemble.tau_r, rows, cell, first)
-        slot_counts += np.bincount((cell * 5 + cl) * 5 + cr, minlength=225)
+    np.add.at(slot_counts, slot, row_counts)
     slots = slot_counts.reshape(9, 5, 5)
     folded = np.triu(slots) + np.tril(slots, -1).transpose(0, 2, 1)
     upper_rows, upper_cols = np.triu_indices(5)
@@ -193,7 +161,7 @@ def _alignment_profile(ensemble: Ensemble, slot_counts: np.ndarray) -> dict[str,
     setting's axis pair, right-aligned likewise; records with no leg beables
     get their own class.  Read off the ensemble's slot counts.
     """
-    if ensemble.tau_l is None and ensemble.tau_r is None:
+    if not {"tau_l", "tau_r"} & ensemble.table.keys():
         return {"no_beables": 1.0, "left_only": 0.0, "right_only": 0.0, "both": 0.0, "neither": 0.0}
     legs = slot_counts.reshape(9, 5, 5).sum(axis=0)
     names = ("neither", "left_only", "right_only", "both")
@@ -220,27 +188,29 @@ def _sampled_spec(model: str) -> ModelSpec:
 
 
 def _check_memory(model: str, rows: int) -> None:
-    """Reject ``rows`` records of ``model`` whose columns alone exceed physical memory.
+    """Reject ``rows`` records of ``model`` whose codes alone exceed physical memory.
 
-    The samplers work in blocks of ``stats.CHUNK_ROWS`` rows, so generation
-    holds the columns plus a block allowance that does not grow with
-    ``rows``; the columns bound the generation peak up to that constant.
+    Every sampler stores one uint8 code per row and works in blocks of
+    ``stats.CHUNK_ROWS`` rows, so generation holds the codes plus a block
+    allowance that does not grow with ``rows``.
     """
-    need = rows * _sampled_spec(model).row_bytes
+    _sampled_spec(model)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        raise ValueError(f"{rows} {model} records need {need / 1e9:.1f} GB of ensemble "
-                         f"columns, more than the {have / 1e9:.1f} GB of physical memory")
+    if rows > have:
+        raise ValueError(f"{rows} {model} records need {rows / 1e9:.1f} GB of ensemble "
+                         f"codes, more than the {have / 1e9:.1f} GB of physical memory")
 
 
 def generate_ensemble(
     model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """Forward record ensemble for any auditable model; ValueError, before
-    sampling, when its columns alone would exceed physical memory."""
+    """Forward record ensemble for any auditable model, labelled with its
+    registry id; ValueError, before sampling, when its codes alone would
+    exceed physical memory."""
     _check_memory(model, n)
     spec = REGISTRY[model]
-    return globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
+    ensemble = globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
+    return dataclasses.replace(ensemble, model=model)
 
 
 @dataclass(frozen=True)
@@ -310,8 +280,8 @@ def audit_symmetry(
     also aligns a leg beable with a setting: the collapse audit at (0, d) or
     (0, pi/2 + d) is "asymmetric" for d = 1e-8 and "inconclusive", with
     ``degenerate_settings`` true, for d = 1e-10.  ValueError, before sampling,
-    when the columns of two ensembles would exceed physical memory: the
-    bound stays at both sides' columns although one side is held at a time.
+    when the codes of two ensembles would exceed physical memory: the bound
+    stays at both sides' codes although one side is held at a time.
     """
     n = int(n)
     if n < MIN_AUDIT_N:

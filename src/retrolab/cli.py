@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 
 from . import __version__, games, hvmodels, records
 from .photon import OntologyMode
-from .stats import RandomStream, row_blocks, tv_distance
+from .stats import RandomStream, tv_distance
 
 
 class ConfigError(Exception):
@@ -153,24 +153,21 @@ def _cmd_run(args) -> int:
         )
 
     ensemble = _sampler().generate_ensemble(model, sigma_l, sigma_r, n, RandomStream(seed))
-    weighted = ensemble.weight_1 is not None
-    if weighted:
-        # no outcome is ever selected; tally the branch weights instead
-        counts = [0.0, 0.0, 0.0, 0.0]
-        for c in (0, 1):
-            mask = ensemble.in_channel == c
-            w1 = float(ensemble.weight_1[mask].sum())
-            total = float(mask.sum())
-            counts[2 * c + 1] = w1
-            counts[2 * c + 0] = total - w1
-    else:
-        import numpy as np  # loaded by the sampler
+    import numpy as np  # loaded by the sampler
 
-        tally = np.zeros(4, dtype=np.intp)
-        for rows in row_blocks(n):  # int8 codes, one block at a time
-            code = ensemble.in_channel[rows] * 2 + ensemble.out_channel[rows]
-            tally += np.bincount(code, minlength=4)
-        counts = [float(x) for x in tally]
+    table = {field: values.tolist() for field, values in ensemble.table.items()}
+    weighted = "weight_1" in table
+    counts = [0.0, 0.0, 0.0, 0.0]
+    for row, k in enumerate(ensemble.row_counts().tolist()):
+        c = table["in_channel"][row]
+        if weighted:
+            # no outcome is ever selected; tally the branch weights instead,
+            # summed as numpy sums the row's k equal weights
+            w1 = float(np.full(k, table["weight_1"][row]).sum())
+            counts[2 * c + 1] += w1
+            counts[2 * c + 0] += k - w1
+        else:
+            counts[2 * c + table["out_channel"][row]] += k
 
     labels = ("00", "01", "10", "11")
     empirical = {k: counts[i] / n for i, k in enumerate(labels)}

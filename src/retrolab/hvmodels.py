@@ -28,7 +28,7 @@ from typing import Callable
 
 from .core import HALF_PI, PI, angles_equal, malus, normalize_angle
 from .photon import OntologyMode, born_probability, emit_from_channel
-from .records import Ensemble
+from .records import Ensemble, channel_table
 from .stats import RandomStream, random_blocks, tv_distance
 
 MODEL_TWOBIT = "twobit"
@@ -93,9 +93,9 @@ def simulate_twobit_ensemble(
 ) -> Ensemble:
     """n independent two-bit draws as channel records.
 
-    Draw u picks the pair whose cumulative interval holds it; the pair's
-    index counts the cumulative bounds c0 <= c1 <= c2 at or below u, so its
-    past bit is ``u >= c1`` and its future bit the parity of the three tests.
+    Draw u picks the pair whose cumulative interval holds it.  The pair's
+    code ``2*past + future`` counts the cumulative bounds c0 <= c1 <= c2 at
+    or below u; it is written to one uint8 code per run, block by block.
     """
     import numpy as np
 
@@ -104,20 +104,14 @@ def simulate_twobit_ensemble(
         raise ValueError("need at least one run")
     rng = stream.generator()
     c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r).as_tuple())[:3]
-    past = np.empty(n, dtype=bool)
-    future = np.empty(n, dtype=bool)
+    codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
-        np.greater_equal(u, c1, out=past[rows])
-        np.greater_equal(u, c0, out=future[rows])
-        future[rows] ^= past[rows]
-        future[rows] ^= u >= c2
-    return Ensemble(
-        model=MODEL_TWOBIT,
-        sigma_l=normalize_angle(sigma_l),
-        sigma_r=normalize_angle(sigma_r),
-        in_channel=past.view(np.int8),
-        out_channel=future.view(np.int8),
-    )
+        block = codes[rows]
+        np.greater_equal(u, c0, out=block)
+        block += u >= c1
+        block += u >= c2
+    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
+    return Ensemble(MODEL_TWOBIT, sl, sr, codes, channel_table())
 
 
 def onebit_dist(sigma_l: float, sigma_r: float) -> float:
@@ -144,21 +138,16 @@ def simulate_onebit_ensemble(
     if n < 1:
         raise ValueError("need at least one run")
     rng = stream.generator()
-    in_channel = np.empty(n, dtype=bool)
+    codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
-        np.less(u, 0.5, out=in_channel[rows])
-    out_channel = np.empty(n, dtype=bool)
+        np.less(u, 0.5, out=codes[rows])
     p_repeat = onebit_dist(sigma_l, sigma_r)
     for rows, u in random_blocks(rng, n):
-        np.greater_equal(u, p_repeat, out=out_channel[rows])
-        out_channel[rows] ^= in_channel[rows]
-    return Ensemble(
-        model=MODEL_ONEBIT,
-        sigma_l=normalize_angle(sigma_l),
-        sigma_r=normalize_angle(sigma_r),
-        in_channel=in_channel.view(np.int8),
-        out_channel=out_channel.view(np.int8),
-    )
+        block = codes[rows]
+        block *= 3  # 2*in + in: the exit repeats the entry...
+        block ^= u >= p_repeat  # ...unless this draw flips the low bit
+    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
+    return Ensemble(MODEL_ONEBIT, sl, sr, codes, channel_table())
 
 
 def qm_reference_joint(sigma_l: float, sigma_r: float) -> HVJoint:
@@ -232,8 +221,8 @@ class ModelSpec:
     ``sampler`` names the function on :mod:`retrolab.audit` that generates
     the model's record ensembles, called with ``sampler_args`` before
     (sigma_l, sigma_r, n, stream); it is looked up by name at each call, so
-    a wrapped or patched sampler is the one that runs.  ``row_bytes`` is the
-    width of those ensembles' columns, and ``output_side`` the ontology mode
+    a wrapped or patched sampler is the one that runs; the ensemble it
+    returns is labelled with ``model``.  ``output_side`` is the ontology mode
     whose output-side control analysis the model inherits.  Models without
     channel statistics have neither a joint nor a sampler.
     """
@@ -248,7 +237,6 @@ class ModelSpec:
     joint: Callable[[float, float], HVJoint] | None = None
     sampler: str | None = None
     sampler_args: tuple = ()
-    row_bytes: int = 0
 
     @property
     def premise(self) -> bool:
@@ -259,7 +247,7 @@ class ModelSpec:
 # reading the exit channel plus the setting fix the absorbed polarization
 # exactly as in the discrete-symmetric photon ontology; the classical field's
 # exits are continuous, like the no-collapse branch weights, so its setting
-# pins nothing.  Row bytes: int8 channels, float64 angles and weights.
+# pins nothing.
 
 #: every model, keyed by id, in a fixed order
 REGISTRY: dict[str, ModelSpec] = {
@@ -269,13 +257,13 @@ REGISTRY: dict[str, ModelSpec] = {
             MODEL_TWOBIT, True, True, True,
             beable_distribution=_twobit_beables, beable="(past channel, future channel) bit pair",
             output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist,
-            sampler="simulate_twobit_ensemble", row_bytes=2,
+            sampler="simulate_twobit_ensemble",
         ),
         ModelSpec(
             MODEL_ONEBIT, True, True, True,
             beable_distribution=_onebit_beables, beable="channel parity bit",
             output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist,
-            sampler="simulate_onebit_ensemble", row_bytes=2,
+            sampler="simulate_onebit_ensemble",
         ),
         ModelSpec(
             MODEL_QM_DISCRETE, True, True, True,
@@ -283,20 +271,19 @@ REGISTRY: dict[str, ModelSpec] = {
             beable="input channel, emitted polarization, return-leg polarization",
             output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=qm_reference_joint,
             sampler="simulate_ensemble", sampler_args=(OntologyMode.DISCRETE_SYMMETRIC,),
-            row_bytes=18,
         ),
         ModelSpec(
             MODEL_QM_COLLAPSE, True, False, True,
             beable_distribution=_prepared_beables, beable="input channel and prepared polarization",
             output_side=OntologyMode.COLLAPSE, joint=qm_reference_joint,
-            sampler="simulate_ensemble", sampler_args=(OntologyMode.COLLAPSE,), row_bytes=10,
+            sampler="simulate_ensemble", sampler_args=(OntologyMode.COLLAPSE,),
         ),
         ModelSpec(
             MODEL_QM_NOCOLLAPSE, True, True, False,
             beable_distribution=_prepared_beables,
             beable="input channel and uncollapsed polarization state",
             output_side=OntologyMode.NO_COLLAPSE, joint=qm_reference_joint,
-            sampler="simulate_ensemble", sampler_args=(OntologyMode.NO_COLLAPSE,), row_bytes=17,
+            sampler="simulate_ensemble", sampler_args=(OntologyMode.NO_COLLAPSE,),
         ),
         ModelSpec(
             MODEL_CLASSICAL, True, True, False,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
 from .optics import ModePair
-from .records import Ensemble
+from .records import Ensemble, channel_table
 from .stats import RandomStream, random_blocks
 
 
@@ -158,15 +158,16 @@ def simulate_ensemble(
     stream: RandomStream,
     prior_1: float = 0.5,
 ) -> Ensemble:
-    """n independent source-to-detector runs under ``mode``, as flat columns.
+    """n independent source-to-detector runs under ``mode``, dictionary-encoded.
 
     Input channels follow ``prior_1`` (even by default).  What the ensemble
     keeps depends on the mode: discrete-symmetric runs keep channels and both
     leg polarizations, collapse runs keep no return-leg beable, and
     no-collapse runs keep the channel-1 branch weight in place of an outcome.
     The first n draws of the stream pick the input channels, the next n the
-    outcomes; both are drawn and compared block by block into the channel
-    columns, so generation holds no more than the columns and one block.
+    outcomes; both are drawn and compared block by block into one uint8 code
+    per run, ``2*in + out`` (``in`` for no-collapse runs), over a table of
+    the angles and weights each channel pins.
     """
     import numpy as np
 
@@ -179,42 +180,21 @@ def simulate_ensemble(
     sr = normalize_angle(sigma_r)
     t1, t0 = sl, normalize_angle(sl + HALF_PI)
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
-    in_channel = np.empty(n, dtype=bool)
+    codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
-        np.less(u, prior_1, out=in_channel[rows])
-    in_channel = in_channel.view(np.int8)
-    tau_l = np.array([t0, t1])[in_channel]
+        np.less(u, prior_1, out=codes[rows])
     p1 = np.array([born_probability(PhotonState.linear(t), sr) for t in (t0, t1)])
     if mode is OntologyMode.NO_COLLAPSE:
-        return Ensemble(
-            model=mode.model_id,
-            sigma_l=sl,
-            sigma_r=sr,
-            in_channel=in_channel,
-            tau_l=tau_l,
-            weight_1=p1[in_channel],
-        )
-    out = np.empty(n, dtype=bool)
+        table = {"in_channel": np.array([0, 1], dtype=np.int8), "tau_l": np.array([t0, t1])}
+        return Ensemble(mode.model_id, sl, sr, codes, table | {"weight_1": p1})
     for rows, u in random_blocks(rng, n):
-        np.less(u, p1[in_channel[rows]], out=out[rows])
-    out = out.view(np.int8)
+        block = codes[rows]
+        out = u < p1[block]
+        block *= 2
+        block += out
     if mode is OntologyMode.COLLAPSE:
-        return Ensemble(
-            model=mode.model_id,
-            sigma_l=sl,
-            sigma_r=sr,
-            in_channel=in_channel,
-            out_channel=out,
-            tau_l=tau_l,
-        )
+        return Ensemble(mode.model_id, sl, sr, codes, channel_table(tau_l=[t0, t0, t1, t1]))
     if mode is OntologyMode.DISCRETE_SYMMETRIC:
-        return Ensemble(
-            model=mode.model_id,
-            sigma_l=sl,
-            sigma_r=sr,
-            in_channel=in_channel,
-            out_channel=out,
-            tau_l=tau_l,
-            tau_r=np.array([r0, r1])[out],
-        )
+        table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
+        return Ensemble(mode.model_id, sl, sr, codes, table)
     raise ValueError(f"unknown ontology mode: {mode!r}")

@@ -1,4 +1,4 @@
-"""Run records, their column-oriented batch form, and the JSON-lines disk
+"""Run records, their dictionary-encoded batch form, and the JSON-lines disk
 format shared by the command-line tools.
 
 A record stores one run's full history.  Which fields are populated is the
@@ -154,9 +154,8 @@ def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, li
 
     ``records`` is an iterable of records or an :class:`Ensemble`, whose
     first ``limit`` rows are written (None = all).  An ensemble is written
-    without materialising its rows: each distinct row is rendered once and
-    every row is emitted as a copy of its rendering, in blocks of
-    ``stats.CHUNK_ROWS`` rows.
+    without materialising its rows: each table row is rendered once, and the
+    codes pick every row's line in blocks of ``stats.CHUNK_ROWS`` rows.
     """
     if isinstance(records, Ensemble):
         return _write_ensemble(path, records, limit)
@@ -177,36 +176,12 @@ def _check_limit(limit) -> int | None:
     return int(limit)
 
 
-def _distinct_rows(columns: list[np.ndarray], count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group the first ``count`` rows by exact value.
-
-    Returns the index of each group's first row and every row's group code.
-    Float columns compare by bit pattern, so -0.0 and 0.0, or two NaN
-    payloads, stay apart.  Columns are factorised one at a time and the
-    combined code is re-factorised after each, so it stays below count**2.
-    """
-    import numpy as np
-
-    codes = np.zeros(count, dtype=np.int64)
-    first = np.zeros(min(count, 1), dtype=np.int64)  # one group until a column splits it
-    for column in columns:
-        column = np.ascontiguousarray(column[:count])
-        if column.dtype.kind == "f":
-            column = column.view(f"u{column.itemsize}")
-        values, inverse = np.unique(column, return_inverse=True)
-        _, first, codes = np.unique(
-            codes * len(values) + inverse, return_index=True, return_inverse=True
-        )
-    return first, codes
-
-
 def _write_ensemble(path, ensemble: Ensemble, limit) -> int:
     count = ensemble._count(limit)
-    first, codes = _distinct_rows(ensemble.columns(), count)
-    lines = [json.dumps(record_to_dict(ensemble.record(int(i)))) + "\n" for i in first]
+    lines = [json.dumps(record_to_dict(record)) + "\n" for record in ensemble._table_records()]
     with atomic_open(path) as fh:
         for rows in row_blocks(count):
-            fh.write("".join([lines[c] for c in codes[rows].tolist()]))
+            fh.write("".join([lines[c] for c in ensemble.codes[rows].tolist()]))
     return count
 
 
@@ -220,56 +195,105 @@ def read_records_jsonl(path) -> list[ExperimentRecord]:
     return out
 
 
-@dataclass
-class Ensemble:
-    """Column-oriented batch of runs from one model at fixed settings.
+#: the fields an ensemble's table may hold, in the order of ExperimentRecord's
+#: fields after ``model`` (``weight_1`` standing for ``weights``)
+FIELDS = ("in_channel", "out_channel", "tau_l", "tau_r", "weight_1")
 
-    Same content as a list of ExperimentRecord, flattened to arrays so that
-    million-run audits stay cheap.  A column is None when that field is
-    absent for the whole family, mirroring the per-record convention.
+
+def channel_table(**columns) -> dict[str, np.ndarray]:
+    """Table over the four codes ``2*in + out`` that the samplers write: both
+    channel columns, plus ``columns`` given as one value per code."""
+    import numpy as np
+
+    table = {
+        "in_channel": np.array([0, 0, 1, 1], dtype=np.int8),
+        "out_channel": np.array([0, 1, 0, 1], dtype=np.int8),
+    }
+    return table | {field: np.array(values) for field, values in columns.items()}
+
+
+def _decoded(field: str) -> property:
+    """Read-only column of ``field`` for every run; None when absent."""
+    return property(lambda self: self.table[field][self.codes] if field in self.table else None)
+
+
+@dataclass(frozen=True)
+class Ensemble:
+    """Batch of runs from one model at fixed settings, dictionary-encoded.
+
+    ``table`` maps each field present for the whole family (a subset of
+    :data:`FIELDS`) to one value per table row, and ``codes`` holds each
+    run's table row.  Rows need not be distinct: a sampler writes one uint8
+    code per run over a table of at most four rows, while ``codes =
+    arange(n)`` over a set of columns holds any ensemble.  A field absent
+    from the table is absent from every record, mirroring the per-record
+    convention.  Table columns of unequal length, codes that are no 1-d
+    integer array and codes outside the table are a ValueError.
     """
 
     model: str
     sigma_l: float
     sigma_r: float
-    in_channel: np.ndarray | None = None
-    out_channel: np.ndarray | None = None
-    tau_l: np.ndarray | None = None
-    tau_r: np.ndarray | None = None
-    weight_1: np.ndarray | None = None
+    codes: np.ndarray
+    table: dict[str, np.ndarray]
 
-    def columns(self) -> list[np.ndarray]:
-        """The columns present, in a fixed order."""
-        columns = (self.in_channel, self.out_channel, self.tau_l, self.tau_r, self.weight_1)
-        return [column for column in columns if column is not None]
+    in_channel = _decoded("in_channel")
+    out_channel = _decoded("out_channel")
+    tau_l = _decoded("tau_l")
+    tau_r = _decoded("tau_r")
+    weight_1 = _decoded("weight_1")
+
+    def __post_init__(self):
+        import numpy as np
+
+        lengths = {field: len(values) for field, values in self.table.items()}
+        if set(lengths) - set(FIELDS):
+            raise ValueError(f"unknown table fields {sorted(set(lengths) - set(FIELDS))}")
+        if len(set(lengths.values())) > 1:
+            raise ValueError(f"table columns differ in length: {lengths}")
+        codes = self.codes
+        if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
+            raise ValueError(f"codes must be a 1-d integer array, not {np.asarray(codes).dtype}"
+                             f"{list(np.shape(codes))}")
+        rows = self._table_rows()
+        if codes.size and (codes.min() < 0 or codes.max() >= rows):
+            raise ValueError(f"codes must lie in [0, {rows}), got {codes.min()} to {codes.max()}")
 
     @property
     def n(self) -> int:
-        columns = self.columns()
-        return len(columns[0]) if columns else 0
+        return len(self.codes)
+
+    def _table_rows(self) -> int:
+        return len(next(iter(self.table.values()), ()))
 
     def _count(self, limit: int | None = None) -> int:
         """Rows kept under ``limit`` (None = all); a negative limit is an error."""
         limit = _check_limit(limit)
         return self.n if limit is None else min(self.n, limit)
 
-    def record(self, i: int) -> ExperimentRecord:
-        """Row ``i`` as a record."""
-        weights = None
-        if self.weight_1 is not None:
-            w1 = float(self.weight_1[i])
-            weights = (w1, 1.0 - w1)
-        return ExperimentRecord(
-            sigma_l=self.sigma_l,
-            sigma_r=self.sigma_r,
-            model=self.model,
-            in_channel=None if self.in_channel is None else int(self.in_channel[i]),
-            out_channel=None if self.out_channel is None else int(self.out_channel[i]),
-            tau_l=None if self.tau_l is None else float(self.tau_l[i]),
-            tau_r=None if self.tau_r is None else float(self.tau_r[i]),
-            weights=weights,
-        )
+    def row_counts(self) -> np.ndarray:
+        """Runs per table row, counted block by block."""
+        import numpy as np
+
+        counts = np.zeros(self._table_rows(), dtype=np.intp)
+        for rows in row_blocks(self.n):
+            counts += np.bincount(self.codes[rows].astype(np.intp, copy=False), minlength=len(counts))
+        return counts
+
+    def _table_records(self) -> list[ExperimentRecord]:
+        """One record per table row."""
+        columns = [
+            [cast(v) for v in self.table[field]] if field in self.table else [None] * self._table_rows()
+            for field, cast in zip(FIELDS, (int, int, float, float, float))
+        ]
+        columns[-1] = [None if w1 is None else (w1, 1.0 - w1) for w1 in columns[-1]]
+        return [ExperimentRecord(self.sigma_l, self.sigma_r, self.model, *row) for row in zip(*columns)]
 
     def records(self, limit: int | None = None) -> list[ExperimentRecord]:
-        """Materialize rows as records; ``limit`` caps the count (None = all)."""
-        return [self.record(i) for i in range(self._count(limit))]
+        """Materialize rows as records; ``limit`` caps the count (None = all).
+
+        Each table row is built into a record once, and its runs share it.
+        """
+        count = self._count(limit)
+        table = self._table_records()
+        return [table[c] for c in self.codes[:count].tolist()]

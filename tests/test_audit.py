@@ -22,7 +22,7 @@ from retrolab.audit import (
     symmetry_threshold,
 )
 from retrolab.core import ANGLE_TOL
-from retrolab.hvmodels import REGISTRY, STOCHASTIC_MODELS, UnknownModelError
+from retrolab.hvmodels import STOCHASTIC_MODELS, UnknownModelError
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
 
@@ -216,13 +216,24 @@ def _ensembles(draw):
     weights = draw(st.booleans())
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pool = np.array(_near(sigma_l) + _near(sigma_r) + _EDGE_ANGLES)
-    layout = draw(st.sampled_from(("by-cell", "by-cell-with-outliers", "free")))
+    layout = draw(st.sampled_from(("shared", "by-cell", "by-cell-with-outliers", "free")))
 
-    cin = rng.integers(0, 2, n, dtype=np.int8)
-    cout = rng.integers(0, 2, n, dtype=np.int8)
+    if layout == "shared":
+        # 1-9 table rows, duplicates likely, picked by random codes
+        rows = draw(st.integers(1, 9))
+        code_dtype = draw(st.sampled_from([np.uint8, np.int32, np.int64, np.uint64]))
+        codes = rng.integers(0, rows, n).astype(code_dtype)
+    else:
+        # one table row per run
+        rows, codes = n, np.arange(n)
+
+    cin = rng.integers(0, 2, rows, dtype=np.int8)
+    cout = rng.integers(0, 2, rows, dtype=np.int8)
     cell = cin * 3 + cout
 
     def leg():
+        if layout == "shared":
+            return rng.choice(pool, rows)
         if layout == "free":
             # not a function of the channels: pool angles and uniform noise
             return np.where(rng.random(n) < 0.5, rng.choice(pool, n), rng.uniform(-4.0, 4.0, n))
@@ -232,16 +243,15 @@ def _ensembles(draw):
             angles[hit] = rng.choice(pool, int(hit.sum()))
         return angles
 
-    return Ensemble(
-        model="hand-built",
-        sigma_l=sigma_l,
-        sigma_r=sigma_r,
-        in_channel=cin if present[0] else None,
-        out_channel=cout if present[1] else None,
-        tau_l=leg() if present[2] else None,
-        tau_r=leg() if present[3] else None,
-        weight_1=rng.random(n) if weights else None,
-    )
+    columns = {
+        "in_channel": cin if present[0] else None,
+        "out_channel": cout if present[1] else None,
+        "tau_l": leg() if present[2] else None,
+        "tau_r": leg() if present[3] else None,
+        "weight_1": rng.random(rows) if weights else None,
+    }
+    table = {field: values for field, values in columns.items() if values is not None}
+    return Ensemble("hand-built", sigma_l, sigma_r, codes, table)
 
 
 @settings(max_examples=300, deadline=None)
@@ -259,10 +269,16 @@ def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
         assert _alignment_profile(oriented, slot) == _reference_profile(oriented)
 
 
+def _assert_one_byte_codes(ens, n):
+    assert ens.codes.dtype == np.uint8 and ens.codes.nbytes == n
+    assert all(len(values) <= 4 for values in ens.table.values())
+
+
 @pytest.mark.parametrize("model", STOCHASTIC_MODELS)
 @pytest.mark.parametrize("pair", ((0.0, PI / 6), (0.0, 0.0), (0.0, PI / 2), (0.3, 1.2)))
 def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
     ens = generate_ensemble(model, *pair, 20_000, RandomStream(5))
+    _assert_one_byte_codes(ens, 20_000)
     for oriented in (_orient_forward(ens)[0], _orient_forward(reverse_ensemble(ens))[0]):
         slot, free = _signature_counts(oriented)
         ref_slot, ref_free = _reference_signature_counts(oriented)
@@ -272,23 +288,28 @@ def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
 
 
 @pytest.mark.parametrize("model", STOCHASTIC_MODELS)
-def test_row_bytes_match_generated_columns(model):
-    ens = generate_ensemble(model, 0.3, 1.2, 10, RandomStream(0))
-    assert sum(column.nbytes for column in ens.columns()) == 10 * REGISTRY[model].row_bytes
+def test_row_bytes_match_generated_columns(model, monkeypatch):
+    # the memory check counts one byte a row, what a generated ensemble's
+    # codes take: 10 bytes of memory hold 10 rows and not 11
+    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10}
+    monkeypatch.setattr(audit.os, "sysconf", pages.__getitem__)
+    _assert_one_byte_codes(generate_ensemble(model, 0.3, 1.2, 10, RandomStream(0)), 10)
+    with pytest.raises(ValueError, match="physical memory"):
+        generate_ensemble(model, 0.3, 1.2, 11, RandomStream(0))
 
 
 def test_memory_bound_counts_both_audit_ensembles(monkeypatch):
-    # 1 MiB of physical memory: one 300,000-row twobit ensemble (600 kB)
+    # 1 MiB of physical memory: one 600,000-row ensemble (600 kB of codes)
     # fits, the audit's two (1.2 MB) do not
     pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
     monkeypatch.setattr(audit.os, "sysconf", pages.__getitem__)
-    assert generate_ensemble("twobit", 0.0, 0.5, 300_000, RandomStream(0)).n == 300_000
+    assert generate_ensemble("twobit", 0.0, 0.5, 600_000, RandomStream(0)).n == 600_000
 
     def sampled(self):
         raise AssertionError("sampled before the memory check")
 
     monkeypatch.setattr(RandomStream, "generator", sampled)
     with pytest.raises(ValueError, match="physical memory"):
-        audit_symmetry("twobit", 0.0, 0.5, 300_000, RandomStream(0))
+        audit_symmetry("twobit", 0.0, 0.5, 600_000, RandomStream(0))
     with pytest.raises(ValueError, match="physical memory"):
-        generate_ensemble("qm-discrete", 0.0, 0.5, 100_000, RandomStream(0))
+        generate_ensemble("qm-discrete", 0.0, 0.5, 1_100_000, RandomStream(0))

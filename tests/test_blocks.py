@@ -8,6 +8,7 @@ the blocks' memory grow with n.
 """
 
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -26,6 +27,7 @@ from retrolab.audit import (
 from retrolab.core import HALF_PI, normalize_angle
 from retrolab.hvmodels import REGISTRY, STOCHASTIC_MODELS, onebit_dist, twobit_dist
 from retrolab.photon import OntologyMode, PhotonState, born_probability
+from retrolab.records import write_records_jsonl
 from retrolab.stats import RandomStream
 
 PI = math.pi
@@ -112,6 +114,8 @@ def test_block_samplers_match_full_vector_reference(
     with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
         ens, ref = _sample(model, sigma_l, sigma_r, n, stream, prior_1)
         blocked = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
+    assert ens.codes.dtype == np.uint8 and ens.codes.nbytes == n
+    assert all(len(values) <= 4 for values in ens.table.values())
     for name in COLUMNS:
         got, want = getattr(ens, name), ref.get(name)
         assert (got is None) == (want is None), name
@@ -158,7 +162,7 @@ def test_generation_peak_above_the_columns_does_not_grow_with_n(model, traced):
     extra = {}
     for n in (SMALL_N, LARGE_N):
         ens, peak = _peak_bytes(lambda: generate_ensemble(model, 0.3, 1.2, n, RandomStream(3)))
-        extra[n] = peak - sum(column.nbytes for column in ens.columns())
+        extra[n] = peak - ens.codes.nbytes
         del ens
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
 
@@ -169,5 +173,15 @@ def test_audit_peak_above_one_ensemble_does_not_grow_with_n(model, traced):
     extra = {}
     for n in (SMALL_N, LARGE_N):
         _, peak = _peak_bytes(lambda: audit_symmetry(model, 0.3, 1.2, n, RandomStream(3)))
-        extra[n] = peak - n * REGISTRY[model].row_bytes
+        extra[n] = peak - n  # one ensemble's codes
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
+
+
+@pytest.mark.parametrize("model", ("qm-discrete", "qm-nocollapse", "twobit"))
+def test_records_writer_peak_does_not_grow_with_n(model, traced):
+    # one model of each record shape; the writer holds a block of lines
+    peak = {}
+    for n in (SMALL_N, SMALL_N, LARGE_N):  # the first pass warms up
+        ens = generate_ensemble(model, 0.3, 1.2, n, RandomStream(3))
+        _, peak[n] = _peak_bytes(lambda: write_records_jsonl(os.devnull, ens))
+    assert peak[LARGE_N] <= peak[SMALL_N] + SLACK_BYTES, peak

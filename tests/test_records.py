@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retrolab import cli, stats
+from retrolab.audit import reverse_ensemble
 from retrolab import records as records_module
 from retrolab.photon import OntologyMode, simulate_ensemble
 from retrolab.records import (
@@ -88,15 +89,12 @@ def test_dict_roundtrip_property(in_ch, out_ch, sl, sr):
 
 
 def test_ensemble_views():
-    ens = Ensemble(
-        model="qm-discrete",
-        sigma_l=0.0,
-        sigma_r=0.5,
-        in_channel=np.array([1, 0, 1]),
-        out_channel=np.array([1, 1, 0]),
-        tau_l=np.array([0.0, 1.5707963267948966, 0.0]),
-        tau_r=np.array([0.5, 0.5, 2.0707963267948966]),
-    )
+    ens = Ensemble("qm-discrete", 0.0, 0.5, np.arange(3), {
+        "in_channel": np.array([1, 0, 1]),
+        "out_channel": np.array([1, 1, 0]),
+        "tau_l": np.array([0.0, 1.5707963267948966, 0.0]),
+        "tau_r": np.array([0.5, 0.5, 2.0707963267948966]),
+    })
     assert ens.n == 3
     recs = ens.records()
     assert len(recs) == 3
@@ -104,19 +102,46 @@ def test_ensemble_views():
     assert ens.records(limit=2) == recs[:2]
 
 
+def test_shared_table_rows_decode_per_run():
+    ens = Ensemble("qm-collapse", 0.0, 0.5, np.array([1, 1, 0, 1], dtype=np.uint8), {
+        "in_channel": np.array([0, 1], dtype=np.int8),
+        "tau_l": np.array([1.5707963267948966, 0.0]),
+    })
+    assert ens.n == 4
+    assert ens.in_channel.tolist() == [1, 1, 0, 1]
+    assert ens.tau_l.tolist() == [0.0, 0.0, 1.5707963267948966, 0.0]
+    assert ens.out_channel is None and ens.weight_1 is None
+    assert [r.in_channel for r in ens.records()] == [1, 1, 0, 1]
+
+
 def test_weighted_ensemble_records():
-    ens = Ensemble(
-        model="qm-nocollapse",
-        sigma_l=0.0,
-        sigma_r=0.5,
-        in_channel=np.array([1, 0]),
-        tau_l=np.array([0.0, 1.5707963267948966]),
-        weight_1=np.array([0.25, 0.75]),
-    )
+    ens = Ensemble("qm-nocollapse", 0.0, 0.5, np.arange(2), {
+        "in_channel": np.array([1, 0]),
+        "tau_l": np.array([0.0, 1.5707963267948966]),
+        "weight_1": np.array([0.25, 0.75]),
+    })
     recs = ens.records()
     assert recs[0].weights == pytest.approx((0.25, 0.75))
     assert recs[1].weights == pytest.approx((0.75, 0.25))
     assert recs[0].out_channel is None
+
+
+@pytest.mark.parametrize("codes, table, match", [
+    # a 1-row tau_l column would broadcast against the 4-row channel column
+    (np.arange(4), {"in_channel": np.array([0, 0, 1, 1]), "tau_l": np.array([0.3])}, "length"),
+    (np.array([0.0, 1.0]), {"in_channel": np.array([0, 1])}, "integer"),
+    (np.array([True, False]), {"in_channel": np.array([0, 1])}, "integer"),
+    ([0, 1], {"in_channel": np.array([0, 1])}, "integer"),
+    (np.zeros((2, 1), dtype=np.int64), {"in_channel": np.array([0, 1])}, "integer"),
+    (np.array([0, 2]), {"in_channel": np.array([0, 1])}, "lie in"),
+    (np.array([-1, 0]), {"in_channel": np.array([0, 1])}, "lie in"),
+    (np.array([0]), {}, "lie in"),
+    (np.arange(2), {"tau": np.array([0.0, 0.1])}, "unknown"),
+], ids=["unequal-columns", "float-codes", "bool-codes", "list-codes", "2d-codes",
+        "code-past-table", "negative-code", "code-without-table", "unknown-field"])
+def test_bad_encodings_are_rejected(codes, table, match):
+    with pytest.raises(ValueError, match=match):
+        Ensemble("twobit", 0.0, 0.5, codes, table)
 
 
 # ------------------------------------------------- ensemble writer
@@ -154,39 +179,54 @@ def channel_columns(draw, n):
     return np.array(values, dtype=dtype)
 
 
+# the table columns a hand-built ensemble may hold, and how each is drawn
+_COLUMN_KINDS = {
+    "in_channel": channel_columns,
+    "out_channel": channel_columns,
+    "tau_l": float_columns,
+    "tau_r": float_columns,
+    "weight_1": float_columns,
+}
+
+
 @st.composite
 def ensembles(draw):
-    n = draw(st.integers(0, 40))
-
-    def maybe(column):
-        return draw(st.one_of(st.none(), column(n)))
-
+    """One table row per run (codes = arange(n)), or 1-9 shared rows picked
+    by random codes, duplicate rows included."""
+    shared = draw(st.booleans())
+    rows = draw(st.integers(1, 9) if shared else st.integers(0, 40))
+    table = {field: draw(kind(rows)) for field, kind in _COLUMN_KINDS.items() if draw(st.booleans())}
+    code_dtype = draw(st.sampled_from([np.uint8, np.int16, np.int64, np.uint64]))
+    if shared and table:
+        n = draw(st.integers(0, 40))
+        codes = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)), dtype=code_dtype)
+    else:
+        codes = np.arange(rows if table else 0, dtype=code_dtype)
     return Ensemble(
         model=draw(st.sampled_from(["qm-discrete", "qm-nocollapse", "twobit"])),
         sigma_l=draw(st.sampled_from([0.3, -0.0, 0.0])),
         sigma_r=1.2,
-        in_channel=maybe(channel_columns),
-        out_channel=maybe(channel_columns),
-        tau_l=maybe(float_columns),
-        tau_r=maybe(float_columns),
-        weight_1=maybe(float_columns),
+        codes=codes,
+        table=table,
     )
 
 
 @settings(max_examples=300, deadline=None)
-@given(ensembles(), st.sampled_from(["none", "one", "mid", "above"]), st.integers(1, 5))
+@given(ensembles(), st.sampled_from(["none", "one", "mid", "above"]), st.integers(1, 7))
 def test_ensemble_writer_matches_record_writer(ens, limit_kind, chunk_rows):
     limit = {"none": None, "one": 1, "mid": ens.n // 2, "above": ens.n + 3}[limit_kind]
-    with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
-        got = _written(ens, limit)
-    assert got == _written(ens.records(limit))
-    assert got[0] == (ens.n if limit is None else min(ens.n, limit))
+    for oriented in (ens, reverse_ensemble(ens)):
+        with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
+            got = _written(oriented, limit)
+        assert got == _written(oriented.records(limit))
+        assert got[0] == (ens.n if limit is None else min(ens.n, limit))
 
 
 def test_ensemble_writer_keeps_signed_zeros_apart():
-    ens = Ensemble(model="qm-discrete", sigma_l=0.0, sigma_r=0.5,
-                   in_channel=np.array([1, 1, 1, 1], dtype=np.int8),
-                   tau_l=np.array([0.0, -0.0, -0.0, 0.0]))
+    ens = Ensemble("qm-discrete", 0.0, 0.5, np.array([0, 1, 1, 0], dtype=np.uint8), {
+        "in_channel": np.array([1, 1], dtype=np.int8),
+        "tau_l": np.array([0.0, -0.0]),
+    })
     count, data = _written(ens)
     assert (count, data) == _written(ens.records())
     taus = [json.loads(line)["tau_l"] for line in data.decode().splitlines()]
@@ -201,7 +241,7 @@ def test_ensemble_writer_on_a_sampled_ensemble():
 
 
 def test_negative_limit_is_rejected(tmp_path):
-    ens = Ensemble(model="twobit", sigma_l=0.0, sigma_r=0.5, in_channel=np.array([0, 1]))
+    ens = Ensemble("twobit", 0.0, 0.5, np.arange(2), {"in_channel": np.array([0, 1])})
     with pytest.raises(ValueError, match="limit"):
         ens.records(-1)
     with pytest.raises(ValueError, match="limit"):

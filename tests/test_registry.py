@@ -60,32 +60,75 @@ def test_every_stochastic_model_has_a_sampler_name():
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_BY))
 def test_patching_a_sampler_name_intercepts_generate_ensemble(name, monkeypatch):
-    calls = []
+    calls, sampled = [], []
+    real = getattr(audit, name)
 
     def sampler(*args):
         calls.append(args)
-        return args
+        sampled.append(real(*args))
+        return sampled[-1]
 
     monkeypatch.setattr(audit, name, sampler)
     stream = RandomStream(1)
     for model in STOCHASTIC_MODELS:
         generated = generate_ensemble(model, 0.3, 1.2, 10, stream)
         if model in SAMPLED_BY[name]:
-            assert generated is calls[-1]
-            assert generated[-4:] == (0.3, 1.2, 10, stream)
-        else:
-            assert generated.model == model
+            assert generated.codes is sampled[-1].codes  # relabelled, not copied
+            assert calls[-1][-4:] == (0.3, 1.2, 10, stream)
+        assert generated.model == model
     assert len(calls) == len(SAMPLED_BY[name])
     if name == "simulate_ensemble":
         assert [args[0].model_id for args in calls] == list(SAMPLED_BY[name])
 
 
+def test_records_carry_the_registry_id(tmp_path, monkeypatch):
+    # a model that reuses another's sampler still labels its records with its own id
+    copy = dataclasses.replace(hvmodels.REGISTRY["twobit"], model="twobit-copy")
+    monkeypatch.setitem(hvmodels.REGISTRY, "twobit-copy", copy)
+    path = tmp_path / "copy.jsonl"
+    argv = [arg.format("twobit-copy") for arg in COMMANDS["run"]]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([*argv, "--records", str(path), "--records-limit", "0"]) == 0
+    lines = path.read_text().splitlines()
+    assert len(lines) == 2000
+    assert {json.loads(line)["model"] for line in lines} == {"twobit-copy"}
+
+
+def _load_bench_module(name, monkeypatch):
+    """A file of ``retrobench/``, loaded as it stands, under a private module name."""
+    path = Path(__file__).resolve().parents[1] / "retrobench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"retrobench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_registry_matches_the_benchmark_models(monkeypatch):
     # the benchmark lists its models itself; it must keep covering every one
-    path = Path(__file__).resolve().parents[1] / "retrobench" / "run.py"
-    spec = importlib.util.spec_from_file_location("retrobench_run", path)
-    bench = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, bench)  # its dataclasses look it up
-    spec.loader.exec_module(bench)
+    bench = _load_bench_module("run", monkeypatch)
     assert bench.ALL_MODELS == MODELS
     assert bench.AUDIT_MODELS == STOCHASTIC_MODELS
+
+
+def test_benchmark_tracer_wraps_live_names(tmp_path, monkeypatch):
+    # the tracer wraps audit.simulate_*, Ensemble.records and more by name,
+    # and reads the ensemble column attributes; all must still exist and count
+    tracer = _load_bench_module("spans", monkeypatch).Tracer()
+    tracer.install()
+    try:
+        path = tmp_path / "runs.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["audit", "twobit", "0", "0.5", "--n", "10000"]) == 0
+            tracer.end_op()
+            assert cli.main(["run", "--model", "qm-nocollapse", "--sigma-l", "0.3",
+                             "--sigma-r", "1.2", "--n", "300", "--records", str(path)]) == 0
+            tracer.end_op()
+    finally:
+        tracer.restore()
+    assert tracer.counts["audit.rows_scanned"] == 20000
+    assert tracer.counts["hvmodels.rows"] == 20000 and tracer.counts["photon.rows"] == 300
+    assert tracer.counts["records.rows_written"] == 300
+    assert tracer.counts["ensemble.rows"] == 20300
+    assert tracer.calls["audit.reverse"] >= 1 and tracer.calls["records.write"] == 1
+    assert audit.simulate_twobit_ensemble is hvmodels.simulate_twobit_ensemble  # restored
