@@ -30,63 +30,61 @@ class ConfigError(Exception):
     """Unusable combination of flags or config-file values."""
 
 
-_CONFIG_KEYS = {
-    "model",
-    "sigma_l",
-    "sigma_r",
-    "sigma_r_alt",
-    "sigma_a",
-    "sigma_b",
-    "n",
-    "seed",
-    "out",
-    "format",
-    "degrees",
-    "rho",
-    "records",
-    "records_limit",
-}
+def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
+    """The ``--config`` file's entries as ``--flag=value`` arguments of ``command``.
 
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
+    A key is one of the command's ``--`` flags, minus ``--help`` and
+    ``--config``, with ``_`` in place of ``-``.  An on/off flag takes a JSON
+    bool; any other flag takes a string or a number, which the parser then
+    reads as it reads a typed flag.
+    """
+    actions = {
+        flag[2:].replace("-", "_"): action
+        for action in command._actions
+        for flag in action.option_strings
+        if flag.startswith("--") and flag not in ("--help", "--config")
+    }
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            config = json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config file: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file is not valid JSON: {err}") from err
-    if not isinstance(data, dict):
+    if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = sorted(set(config) - set(actions))
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return data
+        raise ConfigError(f"unknown config keys: {unknown}")
+    argv = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        on_off = actions[key].nargs == 0
+        if on_off != isinstance(value, bool) or not isinstance(value, (bool, int, float, str)):
+            wanted = "true or false" if on_off else "a string or a number"
+            raise ConfigError(f"config key {key!r} ({flag}) takes {wanted}, got {json.dumps(value)}")
+        if not on_off:
+            argv.append(f"{flag}={value}")
+        elif value:
+            argv.append(flag)
+    return argv
 
 
-def _resolve(args, config: dict, key: str, default=None, required: bool = False):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, key, None)
-    if value is None:
-        value = config.get(key, default)
-    if value is None and required:
-        raise ConfigError(f"missing required option: {key.replace('_', '-')}")
-    return value
+def _require(args, *keys: str) -> None:
+    """Options a command needs that the first parse cannot demand, since
+    ``--config`` may supply them."""
+    for key in keys:
+        if getattr(args, key) is None:
+            raise ConfigError(f"missing required option: {key.replace('_', '-')}")
 
 
-def _angle(value, degrees: bool) -> float:
-    value = float(value)
+def _angle(value: float, degrees: bool) -> float:
     return math.radians(value) if degrees else value
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
-
-
-def _payload(config: dict, result: dict) -> dict:
-    return {"config": config, "result": result, "meta": {"created_at": _now()}}
+def _resolved(args, **fields) -> dict:
+    """The resolved configuration a payload embeds."""
+    return {"tool": "retrolab", "version": __version__, "command": args.cmd, **fields}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -97,8 +95,10 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _emit_json(args, config: dict, result: dict) -> None:
+    created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    payload = {"config": config, "result": result, "meta": {"created_at": created_at}}
+    _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
 
 
 def _achievable_json(value):
@@ -128,31 +128,17 @@ def _sampler():
 
 
 def _cmd_run(args) -> int:
-    config = _load_config(args.config)
-    degrees = bool(args.degrees or config.get("degrees", False))
-    model = _resolve(args, config, "model", required=True)
-    sigma_l = _angle(_resolve(args, config, "sigma_l", required=True), degrees)
-    sigma_r = _angle(_resolve(args, config, "sigma_r", required=True), degrees)
-    n = int(_resolve(args, config, "n", default=1_000_000))
-    seed = int(_resolve(args, config, "seed", default=0))
-    out = _resolve(args, config, "out")
-    fmt = _resolve(args, config, "format", default="json")
-    records_path = _resolve(args, config, "records")
-    records_limit = int(_resolve(args, config, "records_limit", default=10_000))
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"format must be json or csv, got {fmt!r}")
+    _require(args, "model", "sigma_l", "sigma_r")
+    n = args.n
     if n < 1:
         raise ConfigError("n must be at least 1")
-    if records_limit < 0:
-        raise ConfigError(f"records-limit must be at least 0 (0 = all), got {records_limit}")
-    stochastic = hvmodels.model_ids(stochastic=True)
-    if model not in stochastic:
-        raise ConfigError(
-            f"model {model!r} has no channel statistics to sample; "
-            f"choose one of {list(stochastic)}"
-        )
+    if args.records_limit < 0:
+        raise ConfigError(f"records-limit must be at least 0 (0 = all), got {args.records_limit}")
+    sigma_l = _angle(args.sigma_l, args.degrees)
+    sigma_r = _angle(args.sigma_r, args.degrees)
+    stream = RandomStream(args.seed)  # checks the seed before numpy loads
 
-    ensemble = _sampler().generate_ensemble(model, sigma_l, sigma_r, n, RandomStream(seed))
+    ensemble = _sampler().generate_ensemble(args.model, sigma_l, sigma_r, n, stream)
     import numpy as np  # loaded by the sampler
 
     table = {field: values.tolist() for field, values in ensemble.table.items()}
@@ -171,20 +157,18 @@ def _cmd_run(args) -> int:
 
     labels = ("00", "01", "10", "11")
     empirical = {k: counts[i] / n for i, k in enumerate(labels)}
-    analytic = hvmodels.channel_joint(model, sigma_l, sigma_r).as_dict()
+    analytic = hvmodels.channel_joint(args.model, sigma_l, sigma_r).as_dict()
     tv = tv_distance(empirical, analytic)
 
-    cfg = {
-        "tool": "retrolab",
-        "version": __version__,
-        "command": "run",
-        "model": model,
-        "sigma_l": ensemble.sigma_l,
-        "sigma_r": ensemble.sigma_r,
-        "n": n,
-        "seed": seed,
-        "format": fmt,
-    }
+    cfg = _resolved(
+        args,
+        model=args.model,
+        sigma_l=ensemble.sigma_l,
+        sigma_r=ensemble.sigma_r,
+        n=n,
+        seed=args.seed,
+        format=args.format,
+    )
     result = {
         "counts": {k: counts[i] for i, k in enumerate(labels)},
         "weighted_counts": weighted,
@@ -195,20 +179,20 @@ def _cmd_run(args) -> int:
         "p_match_analytic": analytic["00"] + analytic["11"],
     }
 
-    if records_path is not None:
-        limit = None if records_limit == 0 else records_limit
-        records.write_records_jsonl(records_path, ensemble, limit)
+    if args.records is not None:
+        limit = None if args.records_limit == 0 else args.records_limit
+        records.write_records_jsonl(args.records, ensemble, limit)
 
-    if fmt == "csv":
+    if args.format == "csv":
         lines = ["# config: " + json.dumps(cfg, sort_keys=True)]
         lines.append("in_channel,out_channel,count,empirical,analytic")
         for i, k in enumerate(labels):
             lines.append(
                 f"{k[0]},{k[1]},{counts[i]!r},{empirical[k]!r},{analytic[k]!r}"
             )
-        _emit("\n".join(lines) + "\n", out)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(_json_text(_payload(cfg, result)), out)
+        _emit_json(args, cfg, result)
     return 0
 
 
@@ -216,13 +200,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_game(args) -> int:
-    config = _load_config(args.config)
-    degrees = bool(args.degrees or config.get("degrees", False))
-    setting = _angle(args.setting, degrees)
-    chosen = [k for k in ("discrete", "classical", "superposition") if getattr(args, k)]
+    setting = _angle(args.setting, args.degrees)
+    chosen = [k for k in games.STRATEGY_KINDS if getattr(args, k)]
     if args.side == "left":
-        if args.mode is not None:
-            raise ConfigError("--mode applies to the right side only")
+        for flag in ("mode", "rho"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} applies to the right side only")
         if len(chosen) != 1:
             raise ConfigError(
                 "left side needs exactly one of --discrete / --classical / --superposition"
@@ -236,19 +219,13 @@ def _cmd_game(args) -> int:
             )
         if args.mode is None:
             raise ConfigError("right side needs --mode (discrete, collapse or nocollapse)")
-        rho = _angle(_resolve(args, config, "rho", default=math.pi / 6.0), degrees)
-        mode = OntologyMode(args.mode)
-        report = games.verify_rena_control(setting, rho, mode)
+        # the default is in radians whatever --degrees says; only a given
+        # --rho is read as an angle, and the left side must see it unset
+        rho = math.pi / 6.0 if args.rho is None else _angle(args.rho, args.degrees)
+        report = games.verify_rena_control(setting, rho, OntologyMode(args.mode))
         extra = {"mode": args.mode}
 
-    cfg = {
-        "tool": "retrolab",
-        "version": __version__,
-        "command": "game",
-        "side": args.side,
-        "setting": report.setting,
-        **extra,
-    }
+    cfg = _resolved(args, side=args.side, setting=report.setting, **extra)
     result = {
         "side": report.side,
         "setting": report.setting,
@@ -260,7 +237,7 @@ def _cmd_game(args) -> int:
         result["rho"] = report.rho
         result["shifted_achievable"] = _achievable_json(report.shifted_achievable)
         result["shift_detectable"] = report.shift_detectable
-    _emit(_json_text(_payload(cfg, result)), args.out)
+    _emit_json(args, cfg, result)
     return 0
 
 
@@ -268,23 +245,18 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    config = _load_config(args.config)
-    degrees = bool(args.degrees or config.get("degrees", False))
-    sigma_a = _angle(args.sigma_a, degrees)
-    sigma_b = _angle(args.sigma_b, degrees)
-    n = int(_resolve(args, config, "n", default=1_000_000))
-    seed = int(_resolve(args, config, "seed", default=0))
-    report = _sampler().audit_symmetry(args.model, sigma_a, sigma_b, n, RandomStream(seed))
-    cfg = {
-        "tool": "retrolab",
-        "version": __version__,
-        "command": "audit",
-        "model": args.model,
-        "sigma_a": report.sigma_a,
-        "sigma_b": report.sigma_b,
-        "n": n,
-        "seed": seed,
-    }
+    sigma_a = _angle(args.sigma_a, args.degrees)
+    sigma_b = _angle(args.sigma_b, args.degrees)
+    stream = RandomStream(args.seed)  # checks the seed before numpy loads
+    report = _sampler().audit_symmetry(args.model, sigma_a, sigma_b, args.n, stream)
+    cfg = _resolved(
+        args,
+        model=args.model,
+        sigma_a=report.sigma_a,
+        sigma_b=report.sigma_b,
+        n=args.n,
+        seed=args.seed,
+    )
     result = {
         "tv_distance": report.tv_distance,
         "tv_alignment": report.tv_alignment,
@@ -299,7 +271,7 @@ def _cmd_audit(args) -> int:
         "degenerate_settings": report.degenerate_settings,
         "convention_dependent": report.convention_dependent,
     }
-    _emit(_json_text(_payload(cfg, result)), args.out)
+    _emit_json(args, cfg, result)
     if report.verdict == "symmetric":
         return 0
     if report.verdict == "asymmetric":
@@ -311,30 +283,26 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_retro(args) -> int:
-    config = _load_config(args.config)
-    degrees = bool(args.degrees or config.get("degrees", False))
     report = hvmodels.settings_dependence(
         args.model,
-        _angle(args.sigma_l, degrees),
-        _angle(args.sigma_r, degrees),
-        _angle(args.sigma_r_alt, degrees),
+        _angle(args.sigma_l, args.degrees),
+        _angle(args.sigma_r, args.degrees),
+        _angle(args.sigma_r_alt, args.degrees),
     )
-    cfg = {
-        "tool": "retrolab",
-        "version": __version__,
-        "command": "retro",
-        "model": report.model,
-        "sigma_l": report.sigma_l,
-        "sigma_r": report.sigma_r,
-        "sigma_r_alt": report.sigma_r_alt,
-    }
+    cfg = _resolved(
+        args,
+        model=report.model,
+        sigma_l=report.sigma_l,
+        sigma_r=report.sigma_r,
+        sigma_r_alt=report.sigma_r_alt,
+    )
     result = {
         "tv_distance": report.tv_distance,
         "threshold": report.threshold,
         "retro": report.retro,
         "beable": report.beable,
     }
-    _emit(_json_text(_payload(cfg, result)), args.out)
+    _emit_json(args, cfg, result)
     return 1 if report.retro else 0
 
 
@@ -342,22 +310,13 @@ def _cmd_retro(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    config = _load_config(args.config)
-    degrees = bool(args.degrees or config.get("degrees", False))
-    model = _resolve(args, config, "model", required=True)
-    sigma_l = _angle(_resolve(args, config, "sigma_l", required=True), degrees)
-    sigma_r = _angle(_resolve(args, config, "sigma_r", required=True), degrees)
-    joint = hvmodels.channel_joint(model, sigma_l, sigma_r)
-    cfg = {
-        "tool": "retrolab",
-        "version": __version__,
-        "command": "table",
-        "model": model,
-        "sigma_l": sigma_l,
-        "sigma_r": sigma_r,
-    }
+    _require(args, "model", "sigma_l", "sigma_r")
+    sigma_l = _angle(args.sigma_l, args.degrees)
+    sigma_r = _angle(args.sigma_r, args.degrees)
+    joint = hvmodels.channel_joint(args.model, sigma_l, sigma_r)
+    cfg = _resolved(args, model=args.model, sigma_l=sigma_l, sigma_r=sigma_r)
     result = {"joint": joint.as_dict(), "p_match": joint.p_match}
-    _emit(_json_text(_payload(cfg, result)), args.out)
+    _emit_json(args, cfg, result)
     return 0
 
 
@@ -365,6 +324,10 @@ def _cmd_table(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every option: its name, type, choices and default.
+
+    ``--config`` files spell these same flags (see :func:`_config_flags`).
+    """
     parser = argparse.ArgumentParser(
         prog="retrolab",
         description="Polarization lab bench: channel statistics, control games, "
@@ -374,23 +337,31 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
     models, stochastic = hvmodels.model_ids(), hvmodels.model_ids(stochastic=True)
 
+    def settings(p):
+        # not required=True here: the values may come from --config
+        p.add_argument("--model", choices=stochastic)
+        p.add_argument("--sigma-l", dest="sigma_l", type=float)
+        p.add_argument("--sigma-r", dest="sigma_r", type=float)
+
+    def sampling(p):
+        p.add_argument("--n", type=int, default=1_000_000)
+        p.add_argument("--seed", type=int, default=0)
+
     def common(p):
         p.add_argument("--config", help="JSON file with the same keys as the flags")
         p.add_argument("--degrees", action="store_true", help="interpret input angles as degrees")
         p.add_argument("--out", help="write the payload to this file instead of stdout")
 
     p_run = sub.add_parser("run", help="sample channel statistics against the analytic reference")
-    p_run.add_argument("--model", choices=stochastic)
-    p_run.add_argument("--sigma-l", dest="sigma_l", type=float)
-    p_run.add_argument("--sigma-r", dest="sigma_r", type=float)
-    p_run.add_argument("--n", type=int)
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--format", choices=("json", "csv"))
+    settings(p_run)
+    sampling(p_run)
+    p_run.add_argument("--format", choices=("json", "csv"), default="json")
     p_run.add_argument("--records", help="also write sampled records to this JSON-lines file")
     p_run.add_argument(
         "--records-limit",
         dest="records_limit",
         type=int,
+        default=10_000,
         help="cap on records written (0 = all; default 10000)",
     )
     common(p_run)
@@ -411,8 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_audit.add_argument("model", choices=stochastic)
     p_audit.add_argument("sigma_a", type=float)
     p_audit.add_argument("sigma_b", type=float)
-    p_audit.add_argument("--n", type=int)
-    p_audit.add_argument("--seed", type=int)
+    sampling(p_audit)
     common(p_audit)
     p_audit.set_defaults(func=_cmd_audit)
 
@@ -425,18 +395,30 @@ def build_parser() -> argparse.ArgumentParser:
     p_retro.set_defaults(func=_cmd_retro)
 
     p_table = sub.add_parser("table", help="analytic channel joint for a model")
-    p_table.add_argument("--model", choices=stochastic)
-    p_table.add_argument("--sigma-l", dest="sigma_l", type=float)
-    p_table.add_argument("--sigma-r", dest="sigma_r", type=float)
+    settings(p_table)
     common(p_table)
     p_table.set_defaults(func=_cmd_table)
 
     return parser
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """Parse ``argv``; a ``--config`` file's flags go in right after the
+    command name, so the flags typed after them win."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    argv = list(sys.argv[1:] if argv is None else argv)
+    at = argv.index(args.cmd) + 1
+    argv[at:at] = _config_flags(args.config, commands.choices[args.cmd])
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = _parse(argv)
         return args.func(args)
     except ConfigError as err:
         print(f"error: {err}", file=sys.stderr)

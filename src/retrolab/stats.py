@@ -52,12 +52,17 @@ class RandomStream:
     def __post_init__(self):
         if not isinstance(self.seed, int) or not isinstance(self.stream_id, int):
             raise ValueError("seed and stream_id must be integers")
+        # both are 64-bit words of the Philox key; reducing a value outside
+        # the range would give two seeds one stream
+        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+            if not 0 <= value <= _MASK64:
+                raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at draw index zero of this stream."""
         import numpy as np
 
-        key = ((self.seed & _MASK64) << 64) | (self.stream_id & _MASK64)
+        key = (self.seed << 64) | self.stream_id
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RandomStream":

@@ -1,5 +1,7 @@
 """End-to-end command-line checks, exit codes included."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -8,7 +10,9 @@ import sys
 
 import pytest
 
+from retrolab import cli
 from retrolab.records import read_records_jsonl
+from test_golden import GOLDEN, render
 
 
 def run_cli(*args):
@@ -123,6 +127,125 @@ def test_config_unknown_key_exits_2(tmp_path):
     proc = run_cli("run", "--config", str(cfg))
     assert proc.returncode == 2
     assert "bogus" in proc.stderr
+
+
+def main_in_process(*argv):
+    """Exit code, stdout and stderr of ``cli.main(argv)``, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(list(argv))
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+def with_config(tmp_path, config, *argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return main_in_process(*argv, "--config", str(path))
+
+
+TABLE_CONFIG = {"model": "twobit", "sigma_l": 0.3, "sigma_r": 1.2}
+RUN_CONFIG = {**TABLE_CONFIG, "n": 1000}
+
+
+REJECTED_CONFIGS = [
+    # keys that name no flag of the command, positionals and abbreviations included
+    (("table",), {**TABLE_CONFIG, "format": "json"}, "format"),
+    (("audit", "twobit", "0", "0.5"), {"sigma_a": 0.1}, "sigma_a"),
+    (("audit", "twobit", "0", "0.5"), {"sigma_b": 0.1}, "sigma_b"),
+    (("audit", "twobit", "0", "0.5"), {"rho": 0.1}, "rho"),
+    (("run",), {**RUN_CONFIG, "record": "x.jsonl"}, "record"),
+    (("run",), {**RUN_CONFIG, "help": True}, "help"),
+    (("run",), {**RUN_CONFIG, "config": "other.json"}, "config"),
+    # values of the wrong kind for their flag
+    (("table",), {**TABLE_CONFIG, "degrees": "false"}, "degrees"),
+    (("run",), {**RUN_CONFIG, "seed": True}, "seed"),
+    (("run",), {**RUN_CONFIG, "n": None}, "null"),
+    (("run",), {**RUN_CONFIG, "sigma_l": [0.3]}, "sigma_l"),
+]
+
+
+@pytest.mark.parametrize("argv, config, named", REJECTED_CONFIGS,
+                         ids=[f"{argv[0]}-{named}" for argv, _, named in REJECTED_CONFIGS])
+def test_config_key_or_value_rejected(tmp_path, argv, config, named):
+    rc, out, err = with_config(tmp_path, config, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and named in err
+
+
+@pytest.mark.parametrize("config, named", [
+    ({**RUN_CONFIG, "n": 20000.9}, "'20000.9'"),
+    ({**RUN_CONFIG, "format": "xml"}, "'xml'"),
+    ({**RUN_CONFIG, "model": "classical"}, "'classical'"),
+])
+def test_config_values_go_through_the_flag_parser(tmp_path, config, named):
+    rc, out, err = with_config(tmp_path, config, "run")
+    assert rc == 2 and out == ""
+    assert err.splitlines()[-1].startswith("retrolab run: error: argument ") and named in err
+
+
+def test_explicit_flags_beat_the_config_file(tmp_path):
+    rc, out, _ = with_config(tmp_path, {**RUN_CONFIG, "seed": 7}, "run", "--seed", "8")
+    assert rc == 0 and json.loads(out)["config"]["seed"] == 8
+    config = {"model": "twobit", "sigma_l": 30, "sigma_r": 90, "degrees": False}
+    rc, out, _ = with_config(tmp_path, config, "table", "--degrees")
+    assert rc == 0
+    assert json.loads(out)["config"]["sigma_r"] == pytest.approx(math.pi / 2)
+
+
+OUT_COMMANDS = {
+    "run": ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "100"),
+    "game": ("game", "left", "0.4", "--discrete"),
+    "audit": ("audit", "twobit", "0", "0.5", "--n", "10000"),
+    "retro": ("retro", "twobit", "0", "0.2", "0.9"),
+    "table": ("table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+def test_config_out_is_honoured(tmp_path, command):
+    path = tmp_path / "out.json"
+    rc, out, err = with_config(tmp_path, {"out": str(path)}, *OUT_COMMANDS[command])
+    assert rc in (0, 1), err
+    assert out == ""
+    assert json.loads(path.read_text())["config"]["command"] == command
+
+
+def test_config_flags_of_game_are_honoured(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"mode": "discrete"}))
+    argv = ("game", "right", "0.7", "--config", str(path))
+    rc, files = render("game-right-discrete", argv, tmp_path)
+    assert rc == 0
+    assert files["game-right-discrete.json"] == (GOLDEN / "game-right-discrete.json").read_bytes()
+
+    rc, out, _ = with_config(tmp_path, {"superposition": True}, "game", "left", "0.4")
+    assert rc == 0 and json.loads(out)["config"]["strategy"] == "superposition"
+
+
+def test_game_rho_defaults_to_pi_over_6_radians_under_degrees():
+    rc, out, _ = main_in_process("game", "right", "40", "--mode", "discrete", "--degrees")
+    assert rc == 0 and json.loads(out)["config"]["rho"] == math.pi / 6
+    rc, out, _ = main_in_process("game", "right", "40", "--mode", "discrete", "--degrees",
+                                 "--rho", "45")
+    assert rc == 0 and json.loads(out)["config"]["rho"] == math.radians(45)
+
+
+def test_game_left_rejects_rho():
+    rc, out, err = main_in_process("game", "left", "0.4", "--discrete", "--rho", "0.3")
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "--rho" in err
+
+
+def test_seed_outside_64_bits_exits_2():
+    args = ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "10")
+    rc, out, err = main_in_process(*args, "--seed", str(2**64))
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and str(2**64) in err
+    rc, out, _ = main_in_process(*args, "--seed", str(2**64 - 1))
+    assert rc == 0 and json.loads(out)["config"]["seed"] == 2**64 - 1
 
 
 def test_degrees_flag():

@@ -32,6 +32,22 @@ def test_child_streams_differ_by_index():
     assert not (s.child(0).generator().random(4) == s.child(1).generator().random(4)).all()
 
 
+@pytest.mark.parametrize("seed, stream_id", [
+    (-1, 0), (2**64, 0), (-(2**64), 0), (0, -1), (0, 2**64),
+])
+def test_stream_key_words_must_fit_64_bits(seed, stream_id):
+    # reduced mod 2**64 they would alias RandomStream(0) or RandomStream(2**64 - 1)
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RandomStream(seed, stream_id)
+
+
+def test_largest_stream_key_is_accepted():
+    top = 2**64 - 1
+    a = RandomStream(top, top).generator().random(3)
+    assert (a == RandomStream(top, top).generator().random(3)).all()
+    assert not (a == RandomStream(top, top - 1).generator().random(3)).all()
+
+
 def test_tv_distance_pins():
     assert tv_distance({"a": 0.5, "b": 0.5}, {"a": 0.5, "b": 0.5}) == 0.0
     assert tv_distance({"a": 1.0}, {"b": 1.0}) == 1.0
