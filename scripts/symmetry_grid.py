@@ -8,7 +8,7 @@ Example:
 import argparse
 import math
 
-from retrolab.audit import audit_symmetry
+from retrolab.audit import MIN_AUDIT_N, audit_symmetry
 from retrolab.hvmodels import REGISTRY
 from retrolab.stats import RandomStream
 
@@ -21,9 +21,16 @@ def main() -> None:
     ap.add_argument("--n", type=int, default=200_000, help="records per ensemble")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.points < 2:
+        ap.error(f"--points must be at least 2, got {args.points}")
+    if args.n < MIN_AUDIT_N:
+        ap.error(f"--n must be at least {MIN_AUDIT_N}, got {args.n}")
+    try:
+        stream = RandomStream(args.seed)
+    except ValueError as err:
+        ap.error(f"--seed: {err}")
 
     grid = [k * (math.pi / 2) / (args.points - 1) for k in range(args.points)]
-    stream = RandomStream(args.seed)
 
     print(f"audit verdicts over a {args.points}x{args.points} grid, n={args.n}")
     print("marks: . symmetric   X asymmetric   ? inconclusive\n")

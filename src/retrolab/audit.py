@@ -65,6 +65,10 @@ def score_band(n: int) -> float:
     return 2.5 * math.sqrt(2.0 / n)
 
 
+# the fields that trade places under reversal; the branch weight keeps its own
+_MIRRORED = dict(in_channel="out_channel", out_channel="in_channel", tau_l="tau_r", tau_r="tau_l")
+
+
 def reverse_record(record: ExperimentRecord) -> ExperimentRecord:
     """Field-exact time reversal of one record; an involution.
 
@@ -73,20 +77,8 @@ def reverse_record(record: ExperimentRecord) -> ExperimentRecord:
     swap into the mirrored slots unchanged, so a collapse record reversed has
     its one beable on the return leg and nothing on the preparation leg.
     """
-    return ExperimentRecord(
-        sigma_l=record.sigma_r,
-        sigma_r=record.sigma_l,
-        model=record.model,
-        in_channel=record.out_channel,
-        out_channel=record.in_channel,
-        tau_l=record.tau_r,
-        tau_r=record.tau_l,
-        weights=record.weights,
-    )
-
-
-# the fields that trade places under reversal; the branch weight keeps its own
-_MIRRORED = dict(in_channel="out_channel", out_channel="in_channel", tau_l="tau_r", tau_r="tau_l")
+    swapped = {field: getattr(record, mirror) for field, mirror in _MIRRORED.items()}
+    return dataclasses.replace(record, sigma_l=record.sigma_r, sigma_r=record.sigma_l, **swapped)
 
 
 def reverse_ensemble(ensemble: Ensemble) -> Ensemble:
@@ -140,14 +132,14 @@ def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     row_counts = ensemble.row_counts()
 
     def channel(field):
-        return table[field].astype(np.intp) if field in table else np.full(len(row_counts), 2)
+        return table[field].astype(np.intp) if field in table else np.intp(2)
 
     def leg(field):
         return _classify(ensemble, table[field]) if field in table else 4
 
     slot = (channel("in_channel") * 3 + channel("out_channel")) * 25 + leg("tau_l") * 5 + leg("tau_r")
     slot_counts = np.zeros(225, dtype=np.intp)
-    np.add.at(slot_counts, slot, row_counts)
+    np.add.at(slot_counts, np.broadcast_to(slot, row_counts.shape), row_counts)
     slots = slot_counts.reshape(9, 5, 5)
     folded = np.triu(slots) + np.tril(slots, -1).transpose(0, 2, 1)
     upper_rows, upper_cols = np.triu_indices(5)

@@ -15,6 +15,7 @@ settings-dependent, 2 unusable configuration, 3 write failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -139,22 +140,7 @@ def _cmd_run(args) -> int:
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
 
     ensemble = _sampler().generate_ensemble(args.model, sigma_l, sigma_r, n, stream)
-    import numpy as np  # loaded by the sampler
-
-    table = {field: values.tolist() for field, values in ensemble.table.items()}
-    weighted = "weight_1" in table
-    counts = [0.0, 0.0, 0.0, 0.0]
-    for row, k in enumerate(ensemble.row_counts().tolist()):
-        c = table["in_channel"][row]
-        if weighted:
-            # no outcome is ever selected; tally the branch weights instead,
-            # summed as numpy sums the row's k equal weights
-            w1 = float(np.full(k, table["weight_1"][row]).sum())
-            counts[2 * c + 1] += w1
-            counts[2 * c + 0] += k - w1
-        else:
-            counts[2 * c + table["out_channel"][row]] += k
-
+    counts = ensemble.channel_counts()
     labels = ("00", "01", "10", "11")
     empirical = {k: counts[i] / n for i, k in enumerate(labels)}
     analytic = hvmodels.channel_joint(args.model, sigma_l, sigma_r).as_dict()
@@ -171,7 +157,7 @@ def _cmd_run(args) -> int:
     )
     result = {
         "counts": {k: counts[i] for i, k in enumerate(labels)},
-        "weighted_counts": weighted,
+        "weighted_counts": "weight_1" in ensemble.table,
         "empirical": empirical,
         "analytic": analytic,
         "tv_to_analytic": tv,
@@ -249,34 +235,11 @@ def _cmd_audit(args) -> int:
     sigma_b = _angle(args.sigma_b, args.degrees)
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
     report = _sampler().audit_symmetry(args.model, sigma_a, sigma_b, args.n, stream)
-    cfg = _resolved(
-        args,
-        model=args.model,
-        sigma_a=report.sigma_a,
-        sigma_b=report.sigma_b,
-        n=args.n,
-        seed=args.seed,
-    )
-    result = {
-        "tv_distance": report.tv_distance,
-        "tv_alignment": report.tv_alignment,
-        "threshold": report.threshold,
-        "verdict": report.verdict,
-        "symmetric": report.symmetric,
-        "distinguisher_score": report.distinguisher_score,
-        "score_band": report.score_band,
-        "alignment_separation": report.alignment_separation,
-        "forward_alignment": report.forward_alignment,
-        "reversed_alignment": report.reversed_alignment,
-        "degenerate_settings": report.degenerate_settings,
-        "convention_dependent": report.convention_dependent,
-    }
+    result = dataclasses.asdict(report) | {"symmetric": report.symmetric}
+    config = {key: result.pop(key) for key in ("model", "sigma_a", "sigma_b", "n")}
+    cfg = _resolved(args, **config, seed=args.seed)
     _emit_json(args, cfg, result)
-    if report.verdict == "symmetric":
-        return 0
-    if report.verdict == "asymmetric":
-        return 1
-    return 4
+    return {"symmetric": 0, "asymmetric": 1}.get(report.verdict, 4)
 
 
 # ---------------------------------------------------------------- retro
@@ -289,19 +252,9 @@ def _cmd_retro(args) -> int:
         _angle(args.sigma_r, args.degrees),
         _angle(args.sigma_r_alt, args.degrees),
     )
-    cfg = _resolved(
-        args,
-        model=report.model,
-        sigma_l=report.sigma_l,
-        sigma_r=report.sigma_r,
-        sigma_r_alt=report.sigma_r_alt,
-    )
-    result = {
-        "tv_distance": report.tv_distance,
-        "threshold": report.threshold,
-        "retro": report.retro,
-        "beable": report.beable,
-    }
+    result = dataclasses.asdict(report)
+    config = {key: result.pop(key) for key in ("model", "sigma_l", "sigma_r", "sigma_r_alt")}
+    cfg = _resolved(args, **config)
     _emit_json(args, cfg, result)
     return 1 if report.retro else 0
 

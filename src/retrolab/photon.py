@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
-from .optics import ModePair
+from .optics import ModePair, demon_inputs_classical
 from .records import Ensemble, channel_table
 from .stats import RandomStream, random_blocks
 
@@ -108,19 +108,14 @@ def retrodict_channel(tau_l: float, sigma_l: float, prior_1: float = 0.5) -> flo
 def demon_inputs_superposition(setting_l: float, target_pol: float) -> ModePair:
     """Unit-intensity channel amplitudes that emerge polarized at ``target_pol``.
 
-    Amplitude cos(target - setting) on the transmitted port and
-    sin(target - setting) on the reflected port, with zero relative phase,
-    recombine into a photon linear at the target.  Every target is reachable,
-    so superposed inputs restore on the input side the continuity that
-    single-channel inputs lack.
+    Amplitudes cos(target - setting) on the transmitted port and
+    sin(target - setting) on the reflected port, up to a global sign and with
+    zero relative phase, recombine into a photon linear at the target: the
+    classical recipe at unit intensity, read as one photon's amplitudes.
+    Every target is reachable, so superposed inputs restore on the input side
+    the continuity that single-channel inputs lack.
     """
-    s = normalize_angle(setting_l)
-    d = target_pol - s
-    c, sn = math.cos(s), math.sin(s)
-    a, b = math.cos(d), math.sin(d)
-    trans = JonesVector(a * c, a * sn)
-    refl = JonesVector(-b * sn, b * c)
-    return ModePair(trans, refl, s)
+    return demon_inputs_classical(setting_l, target_pol, 1.0)
 
 
 @dataclass(frozen=True)

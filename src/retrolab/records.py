@@ -280,6 +280,28 @@ class Ensemble:
             counts += np.bincount(self.codes[rows].astype(np.intp, copy=False), minlength=len(counts))
         return counts
 
+    def channel_counts(self) -> list[float]:
+        """Runs per channel cell ``2*in + out``, as floats.
+
+        A family that selects no outcome (a ``weight_1`` column) splits each
+        run between the two cells of its entry channel by branch weight; a
+        table row's weight is summed as numpy sums that many equal values,
+        over a zero-stride view that allocates nothing per run.
+        """
+        import numpy as np
+
+        table = {field: values.tolist() for field, values in self.table.items()}
+        counts = [0.0, 0.0, 0.0, 0.0]
+        for row, k in enumerate(self.row_counts().tolist()):
+            c = table["in_channel"][row]
+            if "weight_1" in table:
+                w1 = float(np.broadcast_to(table["weight_1"][row], k).sum())
+                counts[2 * c + 1] += w1
+                counts[2 * c] += k - w1
+            else:
+                counts[2 * c + table["out_channel"][row]] += k
+        return counts
+
     def _table_records(self) -> list[ExperimentRecord]:
         """One record per table row."""
         columns = [

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, stats
+from retrolab import audit, cli, stats
 from retrolab.audit import (
     _orient_forward,
     _signature_counts,
@@ -185,3 +185,19 @@ def test_records_writer_peak_does_not_grow_with_n(model, traced):
         ens = generate_ensemble(model, 0.3, 1.2, n, RandomStream(3))
         _, peak[n] = _peak_bytes(lambda: write_records_jsonl(os.devnull, ens))
     assert peak[LARGE_N] <= peak[SMALL_N] + SLACK_BYTES, peak
+
+
+def test_run_tally_peak_above_the_codes_does_not_grow_with_n(traced):
+    # the branch-weight tally sums each table row's equal weights
+    def run(n):
+        argv = ["run", "--model", "qm-nocollapse", "--sigma-l", "0.3", "--sigma-r", "1.2",
+                "--n", str(n), "--seed", "3", "--out", os.devnull]
+        return cli.main(argv)
+
+    run(SMALL_N)  # warm-up
+    extra = {}
+    for n in (SMALL_N, LARGE_N):
+        rc, peak = _peak_bytes(lambda: run(n))
+        assert rc == 0
+        extra[n] = peak - n  # the codes
+    assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra

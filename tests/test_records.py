@@ -126,6 +126,35 @@ def test_weighted_ensemble_records():
     assert recs[0].out_channel is None
 
 
+def test_channel_counts_by_table_row():
+    # duplicate rows add into one cell
+    ens = Ensemble("twobit", 0.0, 0.5, np.array([0, 2, 2, 1, 3, 2], dtype=np.uint8), {
+        "in_channel": np.array([1, 0, 1, 0], dtype=np.int8),
+        "out_channel": np.array([0, 1, 0, 0], dtype=np.int8),
+    })
+    assert ens.channel_counts() == [1.0, 1.0, 4.0, 0.0]
+
+
+# run counts either side of numpy's 8-way unrolled, 128-element pairwise
+# blocks, of its 8192-element buffer and of the sampler blocks, and one far
+# from all of them
+_TALLY_RUNS = (1, 7, 8, 9, 127, 128, 129, 1023, 8191, 8192, 8193,
+               stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS, stats.CHUNK_ROWS + 1, 1_000_003)
+
+
+@pytest.mark.parametrize("k", _TALLY_RUNS)
+def test_weighted_channel_counts_sum_as_numpy_sums_equal_values(k):
+    weights = [0.1, 1.0 / 3.0, math.cos(0.7) ** 2, 0.9999999, 5e-324]
+    codes = np.zeros(k, dtype=np.uint8)
+    for w in weights:
+        ens = Ensemble("qm-nocollapse", 0.0, 0.5, codes, {
+            "in_channel": np.array([1, 0], dtype=np.int8),
+            "weight_1": np.array([w, 1.0 - w]),
+        })
+        w1 = float(np.full(k, w).sum())
+        assert ens.channel_counts() == [0.0, 0.0, k - w1, w1], (k, w)
+
+
 @pytest.mark.parametrize("codes, table, match", [
     # a 1-row tau_l column would broadcast against the 4-row channel column
     (np.arange(4), {"in_channel": np.array([0, 0, 1, 1]), "tau_l": np.array([0.3])}, "length"),
