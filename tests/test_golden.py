@@ -35,6 +35,15 @@ RUN_N = "200"  # every row also goes to the records file
 # more rows than three sampling blocks of 2**16, and not a multiple of one,
 # so a slip at a block boundary shows in the counts
 MULTIBLOCK_N = "200003"
+# settings within a few ulps of ANGLE_TOL of equal and of orthogonal, and a
+# quarter-turn alternative setting whose labels round differently at 9 decimals
+TOLERANCE_CASES = {
+    "audit-qm-collapse-tol": ("audit", "qm-collapse", "0", "1e-9", "--n", AUDIT_N, "--seed", "7"),
+    "audit-qm-collapse-orthogonal-tol": (
+        "audit", "qm-collapse", "0", "1.5707963277948966", "--n", AUDIT_N, "--seed", "7",
+    ),
+    "retro-qm-discrete-quarter-turn": ("retro", "qm-discrete", "0", "1.0955131495", "2.6663094762948966"),
+}
 
 
 def cases() -> dict[str, tuple[str, ...]]:
@@ -64,7 +73,7 @@ def cases() -> dict[str, tuple[str, ...]]:
     out["run-twobit-csv"] = (
         "run", "--model", "twobit", *SETTINGS, "--n", "2000", "--seed", "3", "--format", "csv",
     )
-    return out
+    return out | TOLERANCE_CASES
 
 
 def strip_meta(text: str) -> str:
