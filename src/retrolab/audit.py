@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ANGLE_TOL, HALF_PI, angle_diff
+from .core import HALF_PI, normalize_angle, on_axes
 # the samplers are imported for generate_ensemble, which looks up the one a
 # ModelSpec names on this module at each call
 from .hvmodels import (
@@ -99,12 +99,6 @@ def _orient_forward(ensemble: Ensemble) -> tuple[Ensemble, bool]:
     return ensemble, False
 
 
-def _aligned(angles: np.ndarray, setting: float, tol: float = ANGLE_TOL) -> np.ndarray:
-    # aligned mod pi/2: the angle lies on the setting's axis or its orthogonal
-    offset = np.mod(angles - setting + 0.25 * math.pi, HALF_PI) - 0.25 * math.pi
-    return np.abs(offset) <= tol
-
-
 # class of a leg beable by 2*left_aligned + right_aligned: 0 left-aligned
 # only, 1 right only, 2 both, 3 neither; 4 stands for an absent leg
 _CLASS_OF = np.array([3, 1, 0, 2], dtype=np.uint8)
@@ -116,7 +110,7 @@ _RECORD_BITS = _BITS_OF[:, None] | _BITS_OF[None, :]
 
 
 def _classify(ensemble: Ensemble, angles: np.ndarray) -> np.ndarray:
-    return _CLASS_OF[2 * _aligned(angles, ensemble.sigma_l) + _aligned(angles, ensemble.sigma_r)]
+    return _CLASS_OF[2 * on_axes(angles, ensemble.sigma_l) + on_axes(angles, ensemble.sigma_r)]
 
 
 def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -268,12 +262,13 @@ def audit_symmetry(
     Verdict logic: slot-free asymmetry is conclusive; asymmetry visible only
     in slot bookkeeping is not, and reports "inconclusive" (the degenerate
     collapse case lands here by construction).  Settings are degenerate
-    within ``ANGLE_TOL`` of equal or orthogonal (mod pi), the tolerance that
-    also aligns a leg beable with a setting: the collapse audit at (0, d) or
-    (0, pi/2 + d) is "asymmetric" for d = 1e-8 and "inconclusive", with
-    ``degenerate_settings`` true, for d = 1e-10.  ValueError, before sampling,
-    when the codes of two ensembles would exceed physical memory: the bound
-    stays at both sides' codes although one side is held at a time.
+    when a beable pinned to one setting's axes is on the other's
+    (:func:`core.on_axes`), so a leg beable is aligned with both: the
+    collapse audit at (0, d) or (0, pi/2 + d) is "asymmetric" for d = 1e-8
+    and "inconclusive", with ``degenerate_settings`` true, for d = 1e-10.
+    ValueError, before sampling, when the codes of two ensembles would
+    exceed physical memory: the bound stays at both sides' codes although
+    one side is held at a time.
     """
     n = int(n)
     if n < MIN_AUDIT_N:
@@ -289,9 +284,9 @@ def audit_symmetry(
     tv_free = 0.5 * float(np.abs(free_a / n - free_b / n).sum())
     separation = max(abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES)
     score = 0.5 * (1.0 + _profile_tv(profile_fwd, profile_rev))
-
-    d = abs(angle_diff(sigma_a, sigma_b))
-    degenerate = d <= ANGLE_TOL or d >= HALF_PI - ANGLE_TOL
+    # a beable the samplers pin to one setting's axes lies on the other's too
+    degenerate = any(on_axes(pinned, other) for setting, other in (settings_a, settings_a[::-1])
+                     for pinned in (setting, normalize_angle(setting + HALF_PI)))
 
     threshold = symmetry_threshold(n)
     band = score_band(n)

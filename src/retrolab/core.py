@@ -72,6 +72,12 @@ def angles_equal(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     return abs(angle_diff(a, b)) <= tol
 
 
+def on_axes(angle, setting: float, tol: float = ANGLE_TOL):
+    """True where ``angle``, a float or a numpy array, lies within tol of
+    ``setting``'s axis or its orthogonal; a NaN angle never does."""
+    return abs((angle - setting + 0.25 * PI) % HALF_PI - 0.25 * PI) <= tol
+
+
 def malus(delta: float) -> float:
     """Transmitted fraction cos^2(delta) for an analyzer offset by delta."""
     if not math.isfinite(delta):

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
-from .core import HALF_PI, ZERO_INTENSITY, angles_equal, normalize_angle, pol_angle
+from .core import HALF_PI, ZERO_INTENSITY, angles_equal, normalize_angle, on_axes, pol_angle
 from .hvmodels import ModelSpec, model_spec, settings_dependence
 from .optics import ModePair, pbs_combine
 from .photon import OntologyMode, emit_from_channel
@@ -123,26 +123,17 @@ class DiscretePair:
             raise ValueError("the two achievable directions must be orthogonal")
 
     def contains(self, angle: float) -> bool:
-        return angles_equal(angle, self.first) or angles_equal(angle, self.second)
+        return on_axes(angle, self.first)
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.first, self.second)
 
     def disjoint_from(self, other: "DiscretePair") -> bool:
-        return not any(
-            angles_equal(a, b) for a in self.as_tuple() for b in other.as_tuple()
-        )
+        return not on_axes(other.first, self.first)
 
 
 class AllAngles:
-    """Achievable set covering every direction."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+    """Achievable set covering every direction; :data:`ALL_ANGLES` is its one instance."""
 
     def contains(self, angle: float) -> bool:
         return math.isfinite(angle)

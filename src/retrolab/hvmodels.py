@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import HALF_PI, PI, angles_equal, malus, normalize_angle
+from .core import HALF_PI, angles_equal, malus, normalize_angle
 from .photon import OntologyMode, born_probability, emit_from_channel
 from .records import Ensemble, channel_table
 from .stats import RandomStream, random_blocks, tv_distance
@@ -167,14 +167,6 @@ def qm_reference_joint(sigma_l: float, sigma_r: float) -> HVJoint:
     return HVJoint(cells[(0, 0)], cells[(0, 1)], cells[(1, 0)], cells[(1, 1)])
 
 
-def _angle_key(x: float) -> float:
-    # hashable canonical key for an exact angle value; folds the wrap at pi
-    a = normalize_angle(x)
-    if a > PI - 5e-10:
-        a = 0.0
-    return round(a, 9)
-
-
 def _twobit_beables(sigma_l: float, sigma_r: float) -> dict:
     j = twobit_dist(sigma_l, sigma_r)
     return {(p, f): j.prob(p, f) for p in (0, 1) for f in (0, 1)}
@@ -192,8 +184,8 @@ def _qm_discrete_beables(sigma_l: float, sigma_r: float) -> dict:
     for c in (0, 1):
         t = emit_from_channel(c, sigma_l).angle
         p1 = born_probability(emit_from_channel(c, sigma_l), sigma_r)
-        out[(c, _angle_key(t), _angle_key(sigma_r))] = 0.5 * p1
-        out[(c, _angle_key(t), _angle_key(sigma_r + HALF_PI))] = 0.5 * (1.0 - p1)
+        out[(c, t, normalize_angle(sigma_r))] = 0.5 * p1
+        out[(c, t, normalize_angle(sigma_r + HALF_PI))] = 0.5 * (1.0 - p1)
     return out
 
 
@@ -202,12 +194,12 @@ def _prepared_beables(sigma_l: float, sigma_r: float) -> dict:
     # and the left setting only, read the conventional way; no-collapse: the
     # branch structure has not formed before the right cube, so the beable
     # is the uncollapsed state itself
-    return {(c, _angle_key(emit_from_channel(c, sigma_l).angle)): 0.5 for c in (0, 1)}
+    return {(c, emit_from_channel(c, sigma_l).angle): 0.5 for c in (0, 1)}
 
 
 def _classical_beables(sigma_l: float, sigma_r: float) -> dict:
     # deterministic field fixed by the left-side preparation alone
-    return {("field", _angle_key(sigma_l)): 1.0}
+    return {("field", normalize_angle(sigma_l)): 1.0}
 
 
 @dataclass(frozen=True)
@@ -332,7 +324,7 @@ def beable_distribution(model: str, sigma_l: float, sigma_r: float) -> dict:
 
     Each model declares where its beables live; that declaration is part of
     the model and this function is its executable form.  Keys are hashable
-    outcome labels, values exact probabilities.
+    outcome labels, angles in them normalised, values exact probabilities.
     """
     return model_spec(model).beable_distribution(sigma_l, sigma_r)
 
@@ -356,23 +348,36 @@ def settings_dependence(
 ) -> RetroReport:
     """Compare the pre-right-cube beable distribution under two right settings.
 
-    Total-variation distance over the model's declared beables; any distance
-    above the analytic tolerance flags the model as settings-dependent.  The
-    two right settings must name different directions (mod pi); note that a
-    90 degree shift can still leave the distribution unchanged, the one shift
-    size a pair-valued beable cannot register.
+    Total-variation distance over the model's declared beables, a label of
+    the alternative distribution counting as the first label of the base
+    distribution that matches it entry by entry, angles by
+    :func:`core.angles_equal`; any distance above the analytic tolerance
+    flags the model as settings-dependent.  The two right settings must
+    name different directions (mod pi); note that a 90 degree shift can
+    still leave the distribution unchanged, the one shift size a pair-valued
+    beable cannot register.
     """
     spec = model_spec(model)
-    if angles_equal(sigma_r, sigma_r_alt):
+    sr, sr_alt = normalize_angle(sigma_r), normalize_angle(sigma_r_alt)
+    if angles_equal(sr, sr_alt):
         raise ValueError("alternative right setting must differ from sigma_r (mod pi)")
     p = spec.beable_distribution(sigma_l, sigma_r)
-    q = spec.beable_distribution(sigma_l, sigma_r_alt)
+
+    def same(base, alt):  # entry by entry, angles by angles_equal
+        if not (isinstance(base, tuple) and isinstance(alt, tuple) and len(base) == len(alt)):
+            return base == alt
+        return all(angles_equal(x, y) if isinstance(x, float) else x == y for x, y in zip(base, alt))
+
+    q: dict = {}
+    for label, prob in spec.beable_distribution(sigma_l, sigma_r_alt).items():
+        label = next((base for base in p if same(base, label)), label)
+        q[label] = q.get(label, 0.0) + prob
     tv = tv_distance(p, q)
     return RetroReport(
         model=model,
         sigma_l=normalize_angle(sigma_l),
-        sigma_r=normalize_angle(sigma_r),
-        sigma_r_alt=normalize_angle(sigma_r_alt),
+        sigma_r=sr,
+        sigma_r_alt=sr_alt,
         tv_distance=tv,
         threshold=ANALYTIC_TV_TOL,
         retro=tv > ANALYTIC_TV_TOL,

@@ -19,14 +19,14 @@ from .core import (
     ZERO_INTENSITY,
     JonesVector,
     NotLinearError,
-    angle_diff,
+    angles_equal,
     jones_from_angle,
     normalize_angle,
     pol_angle,
 )
 
-# Looser than ANGLE_TOL: absorbs projection rounding when checking that an
-# occupied mode sits on its cube axis.
+# Looser than the same-direction tolerance of core: absorbs projection
+# rounding when checking that an occupied mode sits on its cube axis.
 MODE_AXIS_TOL = 1e-6
 
 
@@ -79,7 +79,7 @@ def validate_mode_pair(modes: ModePair, tol: float = MODE_AXIS_TOL) -> None:
             direction = pol_angle(mode)
         except NotLinearError as err:
             raise ValueError(f"{label} mode must be linearly polarized") from err
-        if abs(angle_diff(direction, axis)) > tol:
+        if not angles_equal(direction, axis, tol):
             raise ValueError(
                 f"{label} mode is polarized at {direction:.9f}, expected {axis:.9f}"
             )

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from retrolab import audit, stats
 from retrolab.audit import (
     MIN_AUDIT_N,
-    _aligned,
     _alignment_profile,
     _orient_forward,
     _signature_counts,
@@ -21,7 +20,7 @@ from retrolab.audit import (
     score_band,
     symmetry_threshold,
 )
-from retrolab.core import ANGLE_TOL
+from retrolab.core import ANGLE_TOL, on_axes
 from retrolab.hvmodels import STOCHASTIC_MODELS, UnknownModelError
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
@@ -144,6 +143,36 @@ def test_collapse_verdict_switches_at_angle_tol(offset):
     assert near.verdict == "inconclusive" and near.degenerate_settings
 
 
+def _ulps(x, k):
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+def _leg_aligned_with_both(model, sigma_a, sigma_b):
+    # does either side of the audit hold a leg beable of class 2, "both"?
+    for sl, sr in ((sigma_a, sigma_b), (sigma_b, sigma_a)):
+        slots = _signature_counts(generate_ensemble(model, sl, sr, 1000, RandomStream(3)))[0]
+        legs = slots.reshape(9, 5, 5)  # cell, left leg class, right leg class
+        if legs[:, 2, :].any() or legs[:, :, 2].any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("model", ("qm-collapse", "qm-discrete"))
+@pytest.mark.parametrize("sigma_a", (0.0, 0.3, 1.2, 2.9))
+def test_degenerate_settings_follow_the_leg_classes_within_ulps_of_angle_tol(model, sigma_a):
+    # settings ANGLE_TOL from equal or orthogonal, give or take 3 ulps: the
+    # flag is set exactly when a pinned beable is aligned with both settings
+    for offset in (0.0, PI / 2):
+        for tol in (ANGLE_TOL, -ANGLE_TOL):
+            for k in range(-3, 4):
+                sigma_b = _ulps(sigma_a + offset + tol, k)
+                report = audit_symmetry(model, sigma_a, sigma_b, MIN_AUDIT_N, RandomStream(7))
+                both = _leg_aligned_with_both(model, sigma_a, sigma_b)
+                assert report.degenerate_settings == both, (sigma_a, sigma_b)
+
+
 # ---------------------------------------------------------------- per-row reference
 
 
@@ -152,8 +181,8 @@ def _reference_leg_classes(ensemble, angles):
     n = ensemble.n
     if angles is None:
         return np.full(n, 4, dtype=np.int32)
-    left = _aligned(angles, ensemble.sigma_l)
-    right = _aligned(angles, ensemble.sigma_r)
+    left = on_axes(angles, ensemble.sigma_l)
+    right = on_axes(angles, ensemble.sigma_r)
     out = np.full(n, 3, dtype=np.int32)
     out[left & ~right] = 0
     out[~left & right] = 1
@@ -185,8 +214,8 @@ def _reference_profile(ensemble):
     if not legs:
         return {"no_beables": 1.0, "left_only": 0.0, "right_only": 0.0, "both": 0.0, "neither": 0.0}
     for angles in legs:
-        left |= _aligned(angles, ensemble.sigma_l)
-        right |= _aligned(angles, ensemble.sigma_r)
+        left |= on_axes(angles, ensemble.sigma_l)
+        right |= on_axes(angles, ensemble.sigma_r)
     return {
         "no_beables": 0.0,
         "left_only": float(np.mean(left & ~right)),

@@ -3,10 +3,12 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from retrolab.core import (
+    ANGLE_TOL,
     JonesVector,
     NotLinearError,
     ZeroBeamError,
@@ -15,6 +17,7 @@ from retrolab.core import (
     jones_from_angle,
     malus,
     normalize_angle,
+    on_axes,
     pol_angle,
 )
 
@@ -54,6 +57,44 @@ def test_angles_equal_mod_pi():
     assert angles_equal(0.0, PI)
     assert angles_equal(0.2, 0.2 + 7 * PI)
     assert not angles_equal(0.0, 0.1)
+
+
+def _aligned_reference(angles, setting, tol=ANGLE_TOL):
+    # the audit's array rule from before core owned it, kept verbatim
+    offset = np.mod(angles - setting + 0.25 * math.pi, PI / 2) - 0.25 * math.pi
+    return np.abs(offset) <= tol
+
+
+_SETTINGS = st.sampled_from([0.0, -0.0, 0.3, 1.2, 2.9, PI / 2, PI, math.nextafter(PI, 0.0)]) | angles
+
+
+@st.composite
+def _angles_near(draw, setting):
+    # on the setting's axes and orthogonals, within and beyond ANGLE_TOL of
+    # them, plus NaN, signed zeros, angles near pi and arbitrary values
+    axis = setting + draw(st.sampled_from([0.0, PI / 2, -PI / 2, PI, -PI]))
+    step = draw(st.sampled_from([0.0, ANGLE_TOL / 2, -ANGLE_TOL / 2, 2 * ANGLE_TOL, -2 * ANGLE_TOL]))
+    edge = st.sampled_from([math.nan, 0.0, -0.0, PI, -PI, math.nextafter(PI, 0.0),
+                            math.nextafter(PI, 4.0), PI / 2, 1e-300])
+    return draw(st.just(axis + step) | edge | angles)
+
+
+@given(st.data())
+def test_on_axes_matches_the_array_rule_bit_for_bit(data):
+    setting = data.draw(_SETTINGS)
+    values = np.array(data.draw(st.lists(_angles_near(setting), min_size=1, max_size=40)))
+    got = on_axes(values, setting)
+    assert got.dtype == bool
+    assert np.array_equal(got, _aligned_reference(values, setting))
+    # the float path decides each angle as the array path does
+    assert [on_axes(float(x), setting) for x in values] == got.tolist()
+
+
+def test_on_axes_pins():
+    assert on_axes(0.3, 0.3) and on_axes(0.3 + PI / 2, 0.3) and on_axes(0.3 - PI, 0.3)
+    assert on_axes(0.3 + ANGLE_TOL / 2, 0.3) and not on_axes(0.3 + 2 * ANGLE_TOL, 0.3)
+    assert not on_axes(0.3 + PI / 4, 0.3)
+    assert not on_axes(math.nan, 0.3) and not on_axes(math.inf, 0.3)
 
 
 def test_normalize_angle_rejects_nonfinite():

@@ -153,6 +153,39 @@ def test_settings_dependence_qm_discrete():
     assert rep.retro is False
 
 
+# 10-decimal right settings whose quarter turn the labels once rounded apart
+_QUARTER_TURN_PINS = (1.0955131495, 0.2710417465, 0.5064569705, 2.1278775005)
+
+
+@pytest.mark.parametrize("sr", _QUARTER_TURN_PINS)
+def test_quarter_turn_alt_registers_nothing_at_pinned_settings(sr):
+    rep = settings_dependence("qm-discrete", 0.0, sr, sr + PI / 2)
+    assert rep.retro is False and rep.tv_distance < 1e-9
+
+
+@settings(max_examples=200)
+@given(angles, st.integers(0, 31_415_926_535))
+def test_quarter_turn_alt_registers_nothing(sl, k):
+    sr = k / 1e10  # a right setting with 10 decimals
+    assert settings_dependence("qm-discrete", sl, sr, sr + PI / 2).retro is False
+
+
+@settings(max_examples=300)
+@given(angles, st.sampled_from([0.0, PI, -PI, 2 * PI]), st.sampled_from([1e-9, -1e-9]),
+       st.integers(-4, 4))
+def test_alt_accepted_as_different_registers(sr, turns, tol, ulps):
+    # an alternative right setting within ulps of the tolerance from sigma_r
+    # is either rejected as the same direction or registers as a new one
+    alt = sr + turns + tol
+    for _ in range(abs(ulps)):
+        alt = math.nextafter(alt, math.copysign(math.inf, ulps))
+    try:
+        rep = settings_dependence("qm-discrete", 0.3, sr, alt)
+    except ValueError:
+        return
+    assert rep.retro is True
+
+
 @settings(max_examples=40)
 @given(angles, angles, angles)
 def test_settings_dependence_immune_models(sl, sr, alt):
