@@ -286,11 +286,16 @@ class Ensemble:
         A family that selects no outcome (a ``weight_1`` column) splits each
         run between the two cells of its entry channel by branch weight; a
         table row's weight is summed as numpy sums that many equal values,
-        over a zero-stride view that allocates nothing per run.
+        over a zero-stride view that allocates nothing per run.  ValueError
+        when a channel column it needs is missing or not all 0 and 1.
         """
         import numpy as np
 
         table = {field: values.tolist() for field, values in self.table.items()}
+        for field in ("in_channel",) + (() if "weight_1" in table else ("out_channel",)):
+            column = self.table.get(field)
+            if column is None or column.dtype.kind not in "biu" or not set(table[field]) <= {0, 1}:
+                raise ValueError(f"channel counts need an {field} column of 0s and 1s")
         counts = [0.0, 0.0, 0.0, 0.0]
         for row, k in enumerate(self.row_counts().tolist()):
             c = table["in_channel"][row]

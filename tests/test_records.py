@@ -135,6 +135,21 @@ def test_channel_counts_by_table_row():
     assert ens.channel_counts() == [1.0, 1.0, 4.0, 0.0]
 
 
+@pytest.mark.parametrize("table", [
+    {"out_channel": np.array([0, 1])},
+    {"in_channel": np.array([0, 2]), "out_channel": np.array([0, 1])},
+    {"in_channel": np.array([0, -1]), "out_channel": np.array([0, 1])},
+    {"in_channel": np.array([0, 1]), "out_channel": np.array([0, 3])},
+    {"in_channel": np.array([0.0, 1.0]), "out_channel": np.array([0, 1])},
+    {"in_channel": np.array([0, 1])},
+], ids=["no-in-channel", "in-channel-2", "in-channel-minus-1", "out-channel-3", "float-channel",
+        "no-out-channel-or-weight"])
+def test_channel_counts_reject_tables_they_cannot_tally(table):
+    ens = Ensemble("twobit", 0.0, 0.5, np.array([0, 1, 1], dtype=np.uint8), table)
+    with pytest.raises(ValueError, match="channel"):
+        ens.channel_counts()
+
+
 # run counts either side of numpy's 8-way unrolled, 128-element pairwise
 # blocks, of its 8192-element buffer and of the sampler blocks, and one far
 # from all of them
