@@ -373,10 +373,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ValueError as err:  # UnknownModelError included
+    except (ConfigError, ValueError) as err:  # UnknownModelError included
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:
