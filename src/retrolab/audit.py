@@ -45,7 +45,7 @@ from .hvmodels import (
     simulate_twobit_ensemble,
 )
 from .photon import simulate_ensemble
-from .records import Ensemble, ExperimentRecord
+from .records import Ensemble
 from .stats import RandomStream
 
 # minimum ensemble size; below this the thresholds are meaningless
@@ -69,21 +69,15 @@ def score_band(n: int) -> float:
 _MIRRORED = dict(in_channel="out_channel", out_channel="in_channel", tau_l="tau_r", tau_r="tau_l")
 
 
-def reverse_record(record: ExperimentRecord) -> ExperimentRecord:
-    """Field-exact time reversal of one record; an involution.
+def reverse_ensemble(ensemble: Ensemble) -> Ensemble:
+    """Field-exact time reversal of every run; an involution.
 
     Left and right settings swap, the entry channel trades places with the
-    exit channel, and the two leg polarizations trade slots.  Absent fields
-    swap into the mirrored slots unchanged, so a collapse record reversed has
-    its one beable on the return leg and nothing on the preparation leg.
+    exit channel, and the two leg polarizations trade slots: the table's
+    fields are renamed and the codes are shared.  Absent fields swap into
+    the mirrored slots unchanged, so a collapse run reversed has its one
+    beable on the return leg and nothing on the preparation leg.
     """
-    swapped = {field: getattr(record, mirror) for field, mirror in _MIRRORED.items()}
-    return dataclasses.replace(record, sigma_l=record.sigma_r, sigma_r=record.sigma_l, **swapped)
-
-
-def reverse_ensemble(ensemble: Ensemble) -> Ensemble:
-    """:func:`reverse_record` of every run: the settings swap, the table's
-    fields are renamed and the codes are shared."""
     table = {_MIRRORED.get(field, field): values for field, values in ensemble.table.items()}
     return Ensemble(ensemble.model, ensemble.sigma_r, ensemble.sigma_l, ensemble.codes, table)
 

@@ -124,13 +124,6 @@ class JonesVector:
             return 0.0
         return 2.0 * (self.ex * self.ey.conjugate()).imag / i
 
-    def is_linear(self, tol: float = LINEAR_TOL) -> bool:
-        """Linear-polarization predicate; dark fields count as linear."""
-        i = self.intensity
-        if i <= ZERO_INTENSITY:
-            return True
-        return abs((self.ex * self.ey.conjugate()).imag) <= tol * i
-
 
 def jones_from_angle(pol: float, intensity: float = 1.0, phase: float = 0.0) -> JonesVector:
     """Linearly polarized field at direction ``pol`` with the given intensity.

@@ -118,33 +118,6 @@ def demon_inputs_superposition(setting_l: float, target_pol: float) -> ModePair:
     return demon_inputs_classical(setting_l, target_pol, 1.0)
 
 
-@dataclass(frozen=True)
-class BranchPair:
-    """Both weighted components of a run in which no outcome is selected."""
-
-    weight_1: float
-    weight_0: float
-    state_1: PhotonState
-    state_0: PhotonState
-
-    def __post_init__(self):
-        if not (0.0 <= self.weight_1 <= 1.0 and 0.0 <= self.weight_0 <= 1.0):
-            raise ValueError("branch weights must lie in [0, 1]")
-        if abs(self.weight_1 + self.weight_0 - 1.0) > 1e-12:
-            raise ValueError("branch weights must sum to 1")
-
-
-def evolve_no_collapse(state: PhotonState, setting_r: float) -> BranchPair:
-    """Unitary passage through the right cube: both branches kept, no sampling."""
-    w1 = born_probability(state, setting_r)
-    return BranchPair(
-        weight_1=w1,
-        weight_0=1.0 - w1,
-        state_1=PhotonState.linear(setting_r),
-        state_0=PhotonState.linear(setting_r + HALF_PI),
-    )
-
-
 def simulate_ensemble(
     mode: OntologyMode,
     sigma_l: float,

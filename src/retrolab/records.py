@@ -28,6 +28,10 @@ from .stats import row_blocks
 if TYPE_CHECKING:
     import numpy as np
 
+# rows per block of text the ensemble writer joins and writes, about 0.6 MB;
+# a sampling block of 2^16 lines would be about 10 MB of text
+WRITE_ROWS = 1 << 12
+
 # fixed key order of the JSON-lines format
 RECORD_KEYS = (
     "sigma_l",
@@ -155,7 +159,9 @@ def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, li
     ``records`` is an iterable of records or an :class:`Ensemble`, whose
     first ``limit`` rows are written (None = all).  An ensemble is written
     without materialising its rows: each table row is rendered once, and the
-    codes pick every row's line in blocks of ``stats.CHUNK_ROWS`` rows.
+    codes pick every row's line in blocks of :data:`WRITE_ROWS` rows, so the
+    writer's peak, one block of text and its encoded copy (0.7–1.2 MB under
+    tracemalloc), does not grow with n.
     """
     if isinstance(records, Ensemble):
         return _write_ensemble(path, records, limit)
@@ -180,18 +186,29 @@ def _write_ensemble(path, ensemble: Ensemble, limit) -> int:
     count = ensemble._count(limit)
     lines = [json.dumps(record_to_dict(record)) + "\n" for record in ensemble._table_records()]
     with atomic_open(path) as fh:
-        for rows in row_blocks(count):
+        for rows in row_blocks(count, WRITE_ROWS):
             fh.write("".join([lines[c] for c in ensemble.codes[rows].tolist()]))
     return count
 
 
 def read_records_jsonl(path) -> list[ExperimentRecord]:
+    """Records of a JSON-lines file, in file order; blank lines are skipped.
+
+    Each distinct line is parsed once, and equal lines share one frozen
+    record, so a sampled file of a few distinct lines costs one list slot
+    per row.  The memo keeps every distinct line as a key: a file of
+    all-distinct lines costs about twice the memory of its records alone.
+    """
+    memo: dict[str, ExperimentRecord | None] = {}
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line in fh:
-            line = line.strip()
-            if line:
-                out.append(record_from_dict(json.loads(line)))
+            record = memo.get(line)
+            if record is None and line not in memo:
+                text = line.strip()
+                record = memo[line] = record_from_dict(json.loads(text)) if text else None
+            if record is not None:
+                out.append(record)
     return out
 
 

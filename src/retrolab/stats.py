@@ -21,7 +21,8 @@ _MASK64 = (1 << 64) - 1
 # how far an input distribution may drift from sum == 1 before it is rejected
 _NORM_TOL = 1e-6
 
-# rows per block wherever rows are sampled, counted or written
+# rows per block wherever rows are sampled or counted; the records writer
+# renders lines in its own, smaller blocks (records.WRITE_ROWS)
 CHUNK_ROWS = 1 << 16
 
 
@@ -72,10 +73,14 @@ class RandomStream:
         return RandomStream(self.seed, _mix64(self.stream_id, index))
 
 
-def row_blocks(n: int):
-    """Consecutive slices of at most CHUNK_ROWS rows that cover range(n)."""
-    for start in range(0, n, CHUNK_ROWS):
-        yield slice(start, min(start + CHUNK_ROWS, n))
+def row_blocks(n: int, size: int | None = None):
+    """Consecutive slices of at most ``size`` rows that cover range(n).
+
+    None reads CHUNK_ROWS at each call, so a patched block size takes effect.
+    """
+    size = CHUNK_ROWS if size is None else size
+    for start in range(0, n, size):
+        yield slice(start, min(start + size, n))
 
 
 def random_blocks(rng: np.random.Generator, n: int):

@@ -16,7 +16,6 @@ from retrolab.audit import (
     audit_symmetry,
     generate_ensemble,
     reverse_ensemble,
-    reverse_record,
     score_band,
     symmetry_threshold,
 )
@@ -28,20 +27,24 @@ from retrolab.stats import RandomStream
 PI = math.pi
 
 
+def _one_row(model, sigma_l, sigma_r, **fields):
+    """Ensemble of a single run whose table holds ``fields``."""
+    return Ensemble(model, sigma_l, sigma_r, np.zeros(1, dtype=np.uint8),
+                    {field: np.array([value]) for field, value in fields.items()})
+
+
 def test_reverse_record_swaps_slots():
-    rec = ExperimentRecord(sigma_l=0.1, sigma_r=0.9, model="qm-discrete",
-                           in_channel=1, out_channel=0, tau_l=0.1, tau_r=1.4)
-    rev = reverse_record(rec)
+    ens = _one_row("qm-discrete", 0.1, 0.9, in_channel=1, out_channel=0, tau_l=0.1, tau_r=1.4)
+    rev = reverse_ensemble(ens).records()[0]
     assert rev.sigma_l == 0.9 and rev.sigma_r == 0.1
     assert rev.in_channel == 0 and rev.out_channel == 1
     assert rev.tau_l == 1.4 and rev.tau_r == 0.1
-    assert rev.model == rec.model
+    assert rev.model == ens.model
 
 
 def test_reverse_collapse_record_moves_the_gap():
-    rec = ExperimentRecord(sigma_l=0.1, sigma_r=0.9, model="qm-collapse",
-                           in_channel=1, out_channel=0, tau_l=0.1)
-    rev = reverse_record(rec)
+    ens = _one_row("qm-collapse", 0.1, 0.9, in_channel=1, out_channel=0, tau_l=0.1)
+    rev = reverse_ensemble(ens).records()[0]
     assert rev.tau_l is None and rev.tau_r == 0.1
 
 
@@ -51,9 +54,10 @@ def test_reverse_collapse_record_moves_the_gap():
     st.floats(0.0, 3.0), st.floats(0.0, 3.0),
 )
 def test_reverse_is_an_involution(in_ch, out_ch, sl, sr, tl, tr):
+    ens = _one_row("qm-discrete", sl, sr, in_channel=in_ch, out_channel=out_ch, tau_l=tl, tau_r=tr)
     rec = ExperimentRecord(sigma_l=sl, sigma_r=sr, model="qm-discrete",
                            in_channel=in_ch, out_channel=out_ch, tau_l=tl, tau_r=tr)
-    assert reverse_record(reverse_record(rec)) == rec
+    assert reverse_ensemble(reverse_ensemble(ens)).records() == [rec]
 
 
 def test_reverse_ensemble_involution():

@@ -1,7 +1,8 @@
 """Block-wise sampling and counting.
 
-The samplers draw and compare ``stats.CHUNK_ROWS`` rows at a time, and the
-audit counts signatures block by block.  Neither may change a sample or a
+The samplers draw and compare ``stats.CHUNK_ROWS`` rows at a time, the
+audit counts signatures block by block, and the records writer writes
+``records.WRITE_ROWS`` lines at a time.  None may change a sample or a
 count: the references below are the full-vector samplers the block-wise ones
 replaced, and a count over many blocks must equal a count over one.  Nor may
 the blocks' memory grow with n.
@@ -177,6 +178,12 @@ def test_audit_peak_above_one_ensemble_does_not_grow_with_n(model, traced):
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
 
 
+# the records writer's peak above what was live before it: one write block
+# of text and its encoded copy, about 1.2 MB for qm-nocollapse's 150-byte
+# lines, whatever n is
+WRITER_PEAK_BYTES = 2 << 20
+
+
 @pytest.mark.parametrize("model", ("qm-discrete", "qm-nocollapse", "twobit"))
 def test_records_writer_peak_does_not_grow_with_n(model, traced):
     # one model of each record shape; the writer holds a block of lines
@@ -185,6 +192,7 @@ def test_records_writer_peak_does_not_grow_with_n(model, traced):
         ens = generate_ensemble(model, 0.3, 1.2, n, RandomStream(3))
         _, peak[n] = _peak_bytes(lambda: write_records_jsonl(os.devnull, ens))
     assert peak[LARGE_N] <= peak[SMALL_N] + SLACK_BYTES, peak
+    assert max(peak.values()) <= WRITER_PEAK_BYTES, peak
 
 
 def test_run_tally_peak_above_the_codes_does_not_grow_with_n(traced):

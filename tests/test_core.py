@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from retrolab.core import (
     ANGLE_TOL,
+    LINEAR_TOL,
     JonesVector,
     NotLinearError,
     ZeroBeamError,
@@ -148,7 +149,7 @@ def test_roundtrip_angle_intensity_phase(t, intensity, phase):
     v = jones_from_angle(t, intensity, phase)
     assert v.intensity == pytest.approx(intensity, rel=1e-12)
     assert abs(angle_diff(pol_angle(v), t)) < 1e-9
-    assert v.is_linear()
+    assert abs(v.ellipticity) <= 2 * LINEAR_TOL
 
 
 def test_pol_angle_dark_beam():

@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 from retrolab.core import angle_diff, angles_equal, malus, pol_angle
 from retrolab.optics import pbs_combine
 from retrolab.photon import (
-    BranchPair,
     OntologyMode,
     PhotonState,
     UndefinedPosteriorError,
     born_probability,
     demon_inputs_superposition,
     emit_from_channel,
-    evolve_no_collapse,
     retrodict_channel,
     simulate_ensemble,
 )
@@ -115,18 +113,24 @@ def test_superposition_demon_complete(setting, target):
     assert abs(angle_diff(pol_angle(beam), target)) < 1e-9
 
 
-def test_branch_pair_validation():
-    BranchPair(0.25, 0.75, PhotonState.linear(0.0), PhotonState.linear(HALF_PI))
-    with pytest.raises(ValueError):
-        BranchPair(0.5, 0.4, PhotonState.linear(0.0), PhotonState.linear(HALF_PI))
+@given(angles, angles)
+def test_no_collapse_branch_weights_are_probabilities(sigma_l, sigma_r):
+    # both branches of every run are kept, weighted 0..1 and summing to 1
+    ens = simulate_ensemble(OntologyMode.NO_COLLAPSE, sigma_l, sigma_r, 2, RandomStream(0))
+    for record in ens._table_records():
+        w1, w0 = record.weights
+        assert 0.0 <= w1 <= 1.0 and 0.0 <= w0 <= 1.0
+        assert abs(w1 + w0 - 1.0) <= 1e-12
 
 
-def test_evolve_no_collapse_weights():
-    pair = evolve_no_collapse(PhotonState.linear(0.9), 0.0)
-    assert pair.weight_1 == pytest.approx(malus(0.9), abs=1e-12)
-    assert pair.weight_0 == pytest.approx(1.0 - malus(0.9), abs=1e-12)
-    assert angles_equal(pair.state_1.angle, 0.0)
-    assert angles_equal(pair.state_0.angle, HALF_PI)
+def test_no_collapse_weights_are_born_probabilities():
+    # a photon prepared at 0.9 meets the right cube at 0: branch weight cos^2
+    ens = simulate_ensemble(OntologyMode.NO_COLLAPSE, 0.9, 0.0, 2, RandomStream(0))
+    weights = {int(c): float(w) for c, w in zip(ens.table["in_channel"], ens.table["weight_1"])}
+    assert weights[1] == pytest.approx(malus(0.9), abs=1e-12)
+    assert weights[0] == pytest.approx(1.0 - malus(0.9), abs=1e-12)
+    record = next(r for r in ens._table_records() if r.in_channel == 1)
+    assert record.weights[1] == pytest.approx(1.0 - malus(0.9), abs=1e-12)
 
 
 def test_trajectory_field_signatures():

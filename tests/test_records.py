@@ -260,7 +260,7 @@ def ensembles(draw):
 def test_ensemble_writer_matches_record_writer(ens, limit_kind, chunk_rows):
     limit = {"none": None, "one": 1, "mid": ens.n // 2, "above": ens.n + 3}[limit_kind]
     for oriented in (ens, reverse_ensemble(ens)):
-        with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(records_module, "WRITE_ROWS", chunk_rows):
             got = _written(oriented, limit)
         assert got == _written(oriented.records(limit))
         assert got[0] == (ens.n if limit is None else min(ens.n, limit))
@@ -278,8 +278,8 @@ def test_ensemble_writer_keeps_signed_zeros_apart():
 
 
 def test_ensemble_writer_on_a_sampled_ensemble():
-    # many rows, few distinct lines, more than one chunk
-    n = 3 * stats.CHUNK_ROWS // 2
+    # many rows, few distinct lines, more than one write block
+    n = 3 * records_module.WRITE_ROWS // 2
     ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.3, 1.2, n, RandomStream(5))
     assert _written(ens) == _written(ens.records())
 
@@ -291,6 +291,73 @@ def test_negative_limit_is_rejected(tmp_path):
     with pytest.raises(ValueError, match="limit"):
         write_records_jsonl(tmp_path / "x.jsonl", ens, -3)
     assert list(tmp_path.iterdir()) == []
+
+
+# ------------------------------------------------- reader
+
+
+def _reference_read(data: bytes) -> list[ExperimentRecord]:
+    """One record per non-blank line, each parsed on its own."""
+    lines = data.decode("utf-8").splitlines()
+    return [record_from_dict(json.loads(line)) for line in lines if line.strip()]
+
+
+_LINES = [
+    json.dumps(record_to_dict(full_record())),
+    json.dumps(record_to_dict(ExperimentRecord(0.0, 0.5, "qm-collapse", 1, 1, tau_l=0.0))),
+    json.dumps(record_to_dict(ExperimentRecord(0.0, 0.5, "qm-collapse", 1, 1, tau_l=-0.0))),
+    json.dumps(record_to_dict(ExperimentRecord(0.2, 1.1, "qm-nocollapse", 0, tau_l=1.7,
+                                               weights=(0.25, 0.75)))),
+    json.dumps(record_to_dict(ExperimentRecord(-0.0, 1.1, "twobit", 0, 1))),
+    json.dumps(record_to_dict(ExperimentRecord(0.0, 1.1, "twobit", 0, 1))),
+    "  " + json.dumps(record_to_dict(full_record())) + "\t",
+    "",
+    "   ",
+    "\t",
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(_LINES), max_size=30), st.sampled_from(["\n", "\r\n"]),
+       st.booleans())
+def test_reader_matches_per_line_reference(lines, end, final_end):
+    # repeated, blank and whitespace-only lines, CRLF ends, and a last line
+    # with or without its end
+    data = (end.join(lines) + (end if final_end and lines else "")).encode()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        got = read_records_jsonl(path)
+    want = _reference_read(data)
+    assert got == want
+    # signed zeros read as written: -0.0 and 0.0 lines never share a record
+    def signs(record):
+        return [math.copysign(1.0, x) for x in (record.sigma_l, record.tau_l) if x is not None]
+
+    assert [signs(r) for r in got] == [signs(r) for r in want]
+
+
+def test_reader_shares_one_record_per_distinct_line(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    zero, minus_zero = _LINES[1], _LINES[2]
+    path.write_text("".join(line + "\n" for line in [zero, minus_zero, zero, "", minus_zero, zero]))
+    got = read_records_jsonl(path)
+    assert len(got) == 5
+    assert got[0] is got[2] and got[2] is got[4]
+    assert got[1] is got[3]
+    assert got[0] is not got[1]
+    assert math.copysign(1.0, got[0].tau_l) == 1.0 and math.copysign(1.0, got[1].tau_l) == -1.0
+
+
+def test_reader_round_trips_a_sampled_ensemble(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    for mode in OntologyMode:
+        ens = simulate_ensemble(mode, 0.3, 1.2, 1000, RandomStream(5))
+        write_records_jsonl(path, ens)
+        got = read_records_jsonl(path)
+        assert got == ens.records() == _reference_read(path.read_bytes())
+        assert len({id(r) for r in got}) == len(ens.table["in_channel"])
 
 
 # ------------------------------------------------- atomic writes
