@@ -36,14 +36,7 @@ import numpy as np
 from .core import HALF_PI, normalize_angle, on_axes
 # the samplers are imported for generate_ensemble, which looks up the one a
 # ModelSpec names on this module at each call
-from .hvmodels import (
-    REGISTRY,
-    ModelSpec,
-    UnknownModelError,
-    model_ids,
-    simulate_onebit_ensemble,
-    simulate_twobit_ensemble,
-)
+from .hvmodels import sampled_spec, simulate_onebit_ensemble, simulate_twobit_ensemble
 from .photon import simulate_ensemble
 from .records import Ensemble
 from .stats import RandomStream
@@ -154,19 +147,6 @@ def _profile_tv(p: dict[str, float], q: dict[str, float]) -> float:
     return 0.5 * sum(abs(p[k] - q[k]) for k in PROFILE_CLASSES)
 
 
-def _sampled_spec(model: str) -> ModelSpec:
-    """The registry entry of ``model`` if it has a sampler; UnknownModelError if not."""
-    spec = REGISTRY.get(model)
-    if spec is not None and spec.sampler is not None:
-        return spec
-    auditable = model_ids(stochastic=True)
-    if spec is not None:
-        raise UnknownModelError(
-            f"model {model!r} has no stochastic record family; auditable models: {auditable}"
-        )
-    raise UnknownModelError(f"unknown model {model!r}; expected one of {auditable}")
-
-
 def _check_memory(model: str, rows: int) -> None:
     """Reject ``rows`` records of ``model`` whose codes alone exceed physical memory.
 
@@ -174,7 +154,7 @@ def _check_memory(model: str, rows: int) -> None:
     ``stats.CHUNK_ROWS`` rows, so generation holds the codes plus a block
     allowance that does not grow with ``rows``.
     """
-    _sampled_spec(model)
+    sampled_spec(model)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if rows > have:
         raise ValueError(f"{rows} {model} records need {rows / 1e9:.1f} GB of ensemble "
@@ -188,7 +168,7 @@ def generate_ensemble(
     registry id; ValueError, before sampling, when its codes alone would
     exceed physical memory."""
     _check_memory(model, n)
-    spec = REGISTRY[model]
+    spec = sampled_spec(model)
     ensemble = globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
     return dataclasses.replace(ensemble, model=model)
 

@@ -72,10 +72,10 @@ def angles_equal(a: float, b: float, tol: float = ANGLE_TOL) -> bool:
     return abs(angle_diff(a, b)) <= tol
 
 
-def on_axes(angle, setting: float, tol: float = ANGLE_TOL):
-    """True where ``angle``, a float or a numpy array, lies within tol of
-    ``setting``'s axis or its orthogonal; a NaN angle never does."""
-    return abs((angle - setting + 0.25 * PI) % HALF_PI - 0.25 * PI) <= tol
+def on_axes(angle, setting: float):
+    """True where ``angle``, a float or a numpy array, lies within ANGLE_TOL
+    of ``setting``'s axis or its orthogonal; a NaN angle never does."""
+    return abs((angle - setting + 0.25 * PI) % HALF_PI - 0.25 * PI) <= ANGLE_TOL
 
 
 def malus(delta: float) -> float:
@@ -112,9 +112,6 @@ class JonesVector:
 
     def __add__(self, other: "JonesVector") -> "JonesVector":
         return JonesVector(self.ex + other.ex, self.ey + other.ey)
-
-    def scaled(self, factor: complex) -> "JonesVector":
-        return JonesVector(factor * self.ex, factor * self.ey)
 
     @property
     def ellipticity(self) -> float:

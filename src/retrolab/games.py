@@ -27,8 +27,8 @@ from typing import Callable, Union
 
 from .core import HALF_PI, ZERO_INTENSITY, angles_equal, normalize_angle, on_axes, pol_angle
 from .hvmodels import ModelSpec, model_spec, settings_dependence
-from .optics import ModePair, pbs_combine
-from .photon import OntologyMode, emit_from_channel
+from .optics import ModePair, demon_inputs_classical, pbs_combine
+from .photon import OntologyMode, demon_inputs_superposition, emit_from_channel
 
 #: strategy kinds for the input-side game
 KIND_DISCRETE = "discrete"
@@ -93,20 +93,12 @@ def constant_channel_demon(channel: int | None) -> DiscreteChannelStrategy:
     return DiscreteChannelStrategy(lambda _setting: channel)
 
 
-def classical_target_demon(target_pol: float, intensity: float = 1.0) -> ClassicalFieldStrategy:
-    from .optics import demon_inputs_classical
-
-    return ClassicalFieldStrategy(
-        lambda setting: demon_inputs_classical(setting, target_pol, intensity)
-    )
+def classical_target_demon(target_pol: float) -> ClassicalFieldStrategy:
+    return ClassicalFieldStrategy(lambda setting: demon_inputs_classical(setting, target_pol))
 
 
 def superposition_target_demon(target_pol: float) -> SuperpositionStrategy:
-    from .photon import demon_inputs_superposition
-
-    return SuperpositionStrategy(
-        lambda setting: demon_inputs_superposition(setting, target_pol)
-    )
+    return SuperpositionStrategy(lambda setting: demon_inputs_superposition(setting, target_pol))
 
 
 @dataclass(frozen=True)
@@ -147,6 +139,11 @@ ALL_ANGLES = AllAngles()
 AchievableSet = Union[DiscretePair, AllAngles]
 
 
+def _channel_pair(setting: float) -> DiscretePair:
+    """The two directions a cube at ``setting`` pins a single photon to."""
+    return DiscretePair(emit_from_channel(1, setting).angle, emit_from_channel(0, setting).angle)
+
+
 @dataclass(frozen=True)
 class ControlReport:
     """Verdict on who controls the polarization at one end of the bench.
@@ -167,27 +164,20 @@ class ControlReport:
     shift_detectable: bool | None = None
 
 
-def achievable_taus(sigma_l: float, strategy_kind: str) -> AchievableSet:
-    """Polarizations the Demon can hand the input-side player.
+def verify_lena_control(sigma_l: float, strategy_kind: str) -> ControlReport:
+    """Input-side control report for a given class of Demon play.
 
-    Single-channel play is enumerated (both channels, refusals excluded);
-    field and superposition play return the full circle because a
+    The achievable set holds the polarizations the Demon can hand the
+    player.  Single-channel play is enumerated (both channels, refusals
+    excluded); field and superposition play reach the full circle because a
     constructive recipe exists for every target.
     """
     if strategy_kind == KIND_DISCRETE:
-        return DiscretePair(
-            emit_from_channel(1, sigma_l).angle,
-            emit_from_channel(0, sigma_l).angle,
-        )
-    if strategy_kind in (KIND_CLASSICAL, KIND_SUPERPOSITION):
-        return ALL_ANGLES
-    raise ValueError(f"unknown strategy kind {strategy_kind!r}; expected one of {STRATEGY_KINDS}")
-
-
-def verify_lena_control(sigma_l: float, strategy_kind: str) -> ControlReport:
-    """Input-side control report for a given class of Demon play."""
-    achievable = achievable_taus(sigma_l, strategy_kind)
-    control = HALF_PI if isinstance(achievable, DiscretePair) else None
+        achievable, control = _channel_pair(sigma_l), HALF_PI
+    elif strategy_kind in (KIND_CLASSICAL, KIND_SUPERPOSITION):
+        achievable, control = ALL_ANGLES, None
+    else:
+        raise ValueError(f"unknown strategy kind {strategy_kind!r}; expected one of {STRATEGY_KINDS}")
     return ControlReport(
         side="left",
         setting=normalize_angle(sigma_l),
@@ -211,12 +201,7 @@ def verify_rena_control(sigma_r: float, rho: float, mode: OntologyMode) -> Contr
         raise ValueError(f"shift must be finite, got {rho!r}")
     sr = normalize_angle(sigma_r)
     if mode is OntologyMode.DISCRETE_SYMMETRIC:
-        base = DiscretePair(
-            emit_from_channel(1, sr).angle, emit_from_channel(0, sr).angle
-        )
-        shifted = DiscretePair(
-            emit_from_channel(1, sr + rho).angle, emit_from_channel(0, sr + rho).angle
-        )
+        base, shifted = _channel_pair(sr), _channel_pair(sr + rho)
         return ControlReport(
             side="right",
             setting=sr,

@@ -207,16 +207,19 @@ class ModelSpec:
     """Everything the package knows about one model.
 
     The three flags are the model's structural commitments and ``premise``
-    their conjunction.  ``joint`` and ``beable_distribution`` map (sigma_l,
-    sigma_r) to the analytic (entry, exit) channel joint and to the
-    distribution of the pre-right-cube beables that ``beable`` describes.
+    their conjunction.  ``beable_distribution`` maps (sigma_l, sigma_r) to
+    the distribution of everything the model locates before the right cube,
+    as ``beable`` describes it: keys are hashable outcome labels, angles in
+    them normalised, and values exact probabilities.  ``joint`` maps
+    (sigma_l, sigma_r) to the analytic (entry, exit) channel joint.
     ``sampler`` names the function on :mod:`retrolab.audit` that generates
     the model's record ensembles, called with ``sampler_args`` before
     (sigma_l, sigma_r, n, stream); it is looked up by name at each call, so
     a wrapped or patched sampler is the one that runs; the ensemble it
     returns is labelled with ``model``.  ``output_side`` is the ontology mode
-    whose output-side control analysis the model inherits.  Models without
-    channel statistics have neither a joint nor a sampler.
+    whose output-side control analysis the model inherits.  A model with
+    channel statistics has both a joint and a sampler, one without has
+    neither; either of the two alone is a ValueError.
     """
 
     model: str
@@ -229,6 +232,10 @@ class ModelSpec:
     joint: Callable[[float, float], HVJoint] | None = None
     sampler: str | None = None
     sampler_args: tuple = ()
+
+    def __post_init__(self):
+        if (self.joint is None) != (self.sampler is None):
+            raise ValueError(f"model {self.model!r} needs both a joint and a sampler, or neither")
 
     @property
     def premise(self) -> bool:
@@ -309,24 +316,20 @@ def model_spec(model: str) -> ModelSpec:
     return REGISTRY[model]
 
 
+def sampled_spec(model: str) -> ModelSpec:
+    """The registry entry of ``model`` if it has channel statistics; the one
+    UnknownModelError of every sampled entry point if not."""
+    spec = REGISTRY.get(model)
+    if spec is None or spec.sampler is None:
+        raise UnknownModelError(
+            f"no channel statistics for model {model!r}; expected one of {model_ids(stochastic=True)}"
+        )
+    return spec
+
+
 def channel_joint(model: str, sigma_l: float, sigma_r: float) -> HVJoint:
     """Analytic (entry, exit) channel joint for any stochastic model."""
-    spec = REGISTRY.get(model)
-    if spec is None or spec.joint is None:
-        raise UnknownModelError(
-            f"no channel joint for model {model!r}; expected one of {model_ids(stochastic=True)}"
-        )
-    return spec.joint(sigma_l, sigma_r)
-
-
-def beable_distribution(model: str, sigma_l: float, sigma_r: float) -> dict:
-    """Distribution of everything a model locates before the right cube.
-
-    Each model declares where its beables live; that declaration is part of
-    the model and this function is its executable form.  Keys are hashable
-    outcome labels, angles in them normalised, values exact probabilities.
-    """
-    return model_spec(model).beable_distribution(sigma_l, sigma_r)
+    return sampled_spec(model).joint(sigma_l, sigma_r)
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def pbs_split(beam: JonesVector, setting: float) -> ModePair:
     return ModePair(trans, refl, s)
 
 
-def validate_mode_pair(modes: ModePair, tol: float = MODE_AXIS_TOL) -> None:
+def validate_mode_pair(modes: ModePair) -> None:
     """Check the mode-pair invariants: trans on the axis, refl 90 degrees off.
 
     Dark modes pass.  An occupied mode that is elliptical or off-axis raises
@@ -79,7 +79,7 @@ def validate_mode_pair(modes: ModePair, tol: float = MODE_AXIS_TOL) -> None:
             direction = pol_angle(mode)
         except NotLinearError as err:
             raise ValueError(f"{label} mode must be linearly polarized") from err
-        if not angles_equal(direction, axis, tol):
+        if not angles_equal(direction, axis, MODE_AXIS_TOL):
             raise ValueError(
                 f"{label} mode is polarized at {direction:.9f}, expected {axis:.9f}"
             )

@@ -51,8 +51,8 @@ class PhotonState:
             raise ValueError("photon states must have unit intensity")
 
     @classmethod
-    def linear(cls, pol: float, phase: float = 0.0) -> "PhotonState":
-        return cls(jones_from_angle(pol, 1.0, phase))
+    def linear(cls, pol: float) -> "PhotonState":
+        return cls(jones_from_angle(pol))
 
     @property
     def angle(self) -> float:
@@ -80,11 +80,6 @@ def emit_from_channel(channel: int, setting_l: float) -> PhotonState:
     return PhotonState.linear(setting_l if channel == 1 else setting_l + HALF_PI)
 
 
-def _check_prior(prior_1: float) -> None:
-    if not (math.isfinite(prior_1) and 0.0 <= prior_1 <= 1.0):
-        raise ValueError(f"prior must lie in [0, 1], got {prior_1!r}")
-
-
 def retrodict_channel(tau_l: float, sigma_l: float, prior_1: float = 0.5) -> float:
     """Posterior probability that the photon entered on channel 1.
 
@@ -93,7 +88,8 @@ def retrodict_channel(tau_l: float, sigma_l: float, prior_1: float = 0.5) -> flo
     lopsided source prior swamps the geometric factor, which is exactly why
     the even-prior stipulation matters when reading the cos^2 backwards.
     """
-    _check_prior(prior_1)
+    if not (math.isfinite(prior_1) and 0.0 <= prior_1 <= 1.0):
+        raise ValueError(f"prior must lie in [0, 1], got {prior_1!r}")
     like1 = malus(angle_diff(tau_l, sigma_l))
     like0 = 1.0 - like1
     num = prior_1 * like1
@@ -119,19 +115,16 @@ def demon_inputs_superposition(setting_l: float, target_pol: float) -> ModePair:
 
 
 def simulate_ensemble(
-    mode: OntologyMode,
-    sigma_l: float,
-    sigma_r: float,
-    n: int,
-    stream: RandomStream,
-    prior_1: float = 0.5,
+    mode: OntologyMode, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
     """n independent source-to-detector runs under ``mode``, dictionary-encoded.
 
-    Input channels follow ``prior_1`` (even by default).  What the ensemble
-    keeps depends on the mode: discrete-symmetric runs keep channels and both
-    leg polarizations, collapse runs keep no return-leg beable, and
-    no-collapse runs keep the channel-1 branch weight in place of an outcome.
+    Input channels are even: each run enters on channel 1 with probability
+    1/2, the prior under which :func:`retrodict_channel` reads cos^2 back as
+    the channel posterior.  What the ensemble keeps depends on the mode:
+    discrete-symmetric runs keep channels and both leg polarizations,
+    collapse runs keep no return-leg beable, and no-collapse runs keep the
+    channel-1 branch weight in place of an outcome.
     The first n draws of the stream pick the input channels, the next n the
     outcomes; both are drawn and compared block by block into one uint8 code
     per run, ``2*in + out`` (``in`` for no-collapse runs), over a table of
@@ -142,7 +135,6 @@ def simulate_ensemble(
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")
-    _check_prior(prior_1)
     rng = stream.generator()
     sl = normalize_angle(sigma_l)
     sr = normalize_angle(sigma_r)
@@ -150,7 +142,7 @@ def simulate_ensemble(
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
     codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
-        np.less(u, prior_1, out=codes[rows])
+        np.less(u, 0.5, out=codes[rows])
     p1 = np.array([born_probability(PhotonState.linear(t), sr) for t in (t0, t1)])
     if mode is OntologyMode.NO_COLLAPSE:
         table = {"in_channel": np.array([0, 1], dtype=np.int8), "tau_l": np.array([t0, t1])}

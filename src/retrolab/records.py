@@ -73,9 +73,14 @@ def record_to_dict(record: ExperimentRecord) -> dict:
 
 
 def record_from_dict(data: dict) -> ExperimentRecord:
+    """Inverse of :func:`record_to_dict`; KeyError, TypeError or ValueError
+    when ``data`` is no dict, lacks a key or holds a value of the wrong type."""
+    if not isinstance(data, dict):
+        raise TypeError(f"a record is a JSON object, not {type(data).__name__}")
     weights = data.get("weights")
     if weights is not None:
-        weights = (float(weights[0]), float(weights[1]))
+        w1, w0 = weights  # a pair, or ValueError
+        weights = (float(w1), float(w0))
     return ExperimentRecord(
         sigma_l=float(data["sigma_l"]),
         sigma_r=float(data["sigma_r"]),
@@ -174,14 +179,6 @@ def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, li
     return count
 
 
-def _check_limit(limit) -> int | None:
-    if limit is None:
-        return None
-    if int(limit) < 0:
-        raise ValueError(f"limit must be None or at least 0, got {limit!r}")
-    return int(limit)
-
-
 def _write_ensemble(path, ensemble: Ensemble, limit) -> int:
     count = ensemble._count(limit)
     lines = [json.dumps(record_to_dict(record)) + "\n" for record in ensemble._table_records()]
@@ -198,15 +195,20 @@ def read_records_jsonl(path) -> list[ExperimentRecord]:
     record, so a sampled file of a few distinct lines costs one list slot
     per row.  The memo keeps every distinct line as a key: a file of
     all-distinct lines costs about twice the memory of its records alone.
+    A line that is no record is a ValueError naming the file and the line.
     """
     memo: dict[str, ExperimentRecord | None] = {}
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, 1):
             record = memo.get(line)
             if record is None and line not in memo:
                 text = line.strip()
-                record = memo[line] = record_from_dict(json.loads(text)) if text else None
+                try:
+                    record = memo[line] = record_from_dict(json.loads(text)) if text else None
+                except (KeyError, TypeError, ValueError) as err:
+                    raise ValueError(f"{os.fspath(path)}, line {number}: not a record: "
+                                     f"{type(err).__name__}: {err}") from err
             if record is not None:
                 out.append(record)
     return out
@@ -284,9 +286,13 @@ class Ensemble:
         return len(next(iter(self.table.values()), ()))
 
     def _count(self, limit: int | None = None) -> int:
-        """Rows kept under ``limit`` (None = all); a negative limit is an error."""
-        limit = _check_limit(limit)
-        return self.n if limit is None else min(self.n, limit)
+        """Rows kept under ``limit`` (None = all); ValueError unless it is an
+        integer of at least 0."""
+        if limit is None:
+            return self.n
+        if not hasattr(limit, "__index__") or limit < 0:  # numpy integers pass
+            raise ValueError(f"limit must be None or an integer of at least 0, got {limit!r}")
+        return min(self.n, int(limit))
 
     def row_counts(self) -> np.ndarray:
         """Runs per table row, counted block by block."""

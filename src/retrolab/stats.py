@@ -95,30 +95,24 @@ def random_blocks(rng: np.random.Generator, n: int):
 
 
 def _check_normalized(total: float, label: str) -> None:
-    if abs(total - 1.0) > _NORM_TOL:
+    if not abs(total - 1.0) <= _NORM_TOL:  # a NaN total fails too
         raise ValueError(f"{label} distribution sums to {total!r}, not 1")
 
 
-def tv_distance(p, q) -> float:
-    """Half the L1 distance between two probability distributions.
+def tv_distance(p: Mapping, q: Mapping) -> float:
+    """Half the L1 distance between two mappings outcome -> probability.
 
-    Accepts two mappings outcome -> probability (outcomes of probability zero
-    may be omitted) or two probability vectors of equal length; vectors of
-    different length describe different outcome spaces and are rejected.
+    Outcomes of probability zero may be omitted.  Anything but a mapping of
+    finite, nonnegative probabilities that sum to 1 is a ValueError.
     """
-    if isinstance(p, Mapping) and isinstance(q, Mapping):
-        _check_normalized(math.fsum(p.values()), "first")
-        _check_normalized(math.fsum(q.values()), "second")
-        keys = set(p) | set(q)
-        return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
-    if len(p) != len(q):
-        raise ValueError(f"outcome spaces differ: {len(p)} vs {len(q)} outcomes")
-    _check_normalized(math.fsum(p), "first")
-    _check_normalized(math.fsum(q), "second")
-    total = 0.0  # left to right: below 8 outcomes, numpy's sum bit for bit
-    for a, b in zip(p, q):
-        total += abs(float(a) - float(b))
-    return 0.5 * total
+    for label, dist in (("first", p), ("second", q)):
+        if not isinstance(dist, Mapping):
+            raise ValueError(f"{label} distribution must map outcomes to probabilities")
+        if not all(0.0 <= pr < math.inf for pr in dist.values()):  # NaN fails too
+            raise ValueError(f"{label} distribution has a negative or non-finite probability")
+        _check_normalized(math.fsum(dist.values()), label)
+    keys = set(p) | set(q)
+    return 0.5 * math.fsum(abs(p.get(k, 0.0) - q.get(k, 0.0)) for k in keys)
 
 
 def mutual_information_bits(joint: Mapping[tuple[Hashable, Hashable], float]) -> float:

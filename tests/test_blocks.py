@@ -39,13 +39,13 @@ COLUMNS = ("in_channel", "out_channel", "tau_l", "tau_r", "weight_1")
 # ------------------------------------------------- full-vector references
 
 
-def _reference_photon(mode, sigma_l, sigma_r, n, stream, prior_1):
+def _reference_photon(mode, sigma_l, sigma_r, n, stream):
     rng = stream.generator()
     sl = normalize_angle(sigma_l)
     sr = normalize_angle(sigma_r)
     t1, t0 = sl, normalize_angle(sl + HALF_PI)
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
-    in_channel = (rng.random(n) < prior_1).astype(np.int8)
+    in_channel = (rng.random(n) < 0.5).astype(np.int8)
     tau_l = np.where(in_channel == 1, t1, t0)
     p_if_1 = born_probability(PhotonState.linear(t1), sr)
     p_if_0 = born_probability(PhotonState.linear(t0), sr)
@@ -82,13 +82,10 @@ REFERENCES = {
 }
 
 
-def _sample(model, sigma_l, sigma_r, n, stream, prior_1):
+def _sample(model, sigma_l, sigma_r, n, stream):
     """The block-wise ensemble and its full-vector reference columns."""
     spec = REGISTRY[model]
     args = (*spec.sampler_args, sigma_l, sigma_r, n, stream)
-    # only the photon sampler takes an input prior; the bit models' is even
-    if spec.sampler == "simulate_ensemble":
-        args += (prior_1,)
     return getattr(audit, spec.sampler)(*args), REFERENCES[spec.sampler](*args)
 
 
@@ -104,16 +101,13 @@ def _settings(kind, base, offset):
     st.sampled_from(["equal", "orthogonal", "generic"]),
     st.floats(-4.0, 4.0),
     st.floats(0.01, 3.0),
-    st.sampled_from([0, 0.3, 0.5, 1]),
     st.integers(0, 2**32 - 1),
 )
-def test_block_samplers_match_full_vector_reference(
-    model, chunk_rows, n, kind, base, offset, prior_1, seed
-):
+def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, base, offset, seed):
     sigma_l, sigma_r = _settings(kind, base, offset)
     stream = RandomStream(seed)
     with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
-        ens, ref = _sample(model, sigma_l, sigma_r, n, stream, prior_1)
+        ens, ref = _sample(model, sigma_l, sigma_r, n, stream)
         blocked = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
     assert ens.codes.dtype == np.uint8 and ens.codes.nbytes == n
     assert all(len(values) <= 4 for values in ens.table.values())

@@ -177,10 +177,11 @@ def test_vector_algebra():
     b = jones_from_angle(0.2, 1.0)
     s = a + b
     assert s.intensity == pytest.approx(4.0, abs=1e-12)  # coherent, in phase
-    half_amp = a.scaled(0.5)
+    half_amp = JonesVector(0.5 * a.ex, 0.5 * a.ey)
     assert half_amp.intensity == pytest.approx(0.25, abs=1e-12)  # amplitude scale
-    flipped = a.scaled(-1.0)
+    flipped = JonesVector(-a.ex, -a.ey)
     assert flipped.intensity == pytest.approx(1.0, abs=1e-12)
+    assert (flipped + a).intensity == 0.0  # coherent, out of phase
 
 
 def test_jones_vector_rejects_nonfinite():

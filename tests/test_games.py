@@ -12,7 +12,6 @@ from retrolab.games import (
     KIND_DISCRETE,
     KIND_SUPERPOSITION,
     DiscretePair,
-    achievable_taus,
     classical_target_demon,
     constant_channel_demon,
     play_lena_round,
@@ -23,7 +22,8 @@ from retrolab.games import (
     verify_rena_control,
 )
 from retrolab.hvmodels import REGISTRY
-from retrolab.optics import ModePair
+from retrolab.core import JonesVector
+from retrolab.optics import ModePair, demon_inputs_classical
 from retrolab.photon import OntologyMode
 
 PI = math.pi
@@ -61,7 +61,6 @@ def test_field_demons_complete(setting, target):
 
 
 def test_round_rejects_wrong_basis_inputs():
-    from retrolab.optics import demon_inputs_classical
     from retrolab.games import ClassicalFieldStrategy
 
     stale = ClassicalFieldStrategy(lambda setting: demon_inputs_classical(0.3, 1.0))
@@ -76,7 +75,8 @@ def test_round_rejects_multi_photon_superposition():
 
     def doubled(setting):
         pair = demon_inputs_superposition(setting, 0.7)
-        return ModePair(pair.trans.scaled(2.0), pair.refl.scaled(2.0), pair.basis)
+        trans, refl = (JonesVector(2.0 * m.ex, 2.0 * m.ey) for m in (pair.trans, pair.refl))
+        return ModePair(trans, refl, pair.basis)
 
     with pytest.raises(ValueError):
         play_lena_round(0.2, SuperpositionStrategy(doubled))
@@ -85,19 +85,19 @@ def test_round_rejects_multi_photon_superposition():
 def test_dark_classical_inputs_yield_no_beam():
     from retrolab.games import ClassicalFieldStrategy
 
-    demon = ClassicalFieldStrategy(lambda s: classical_target_demon(0.0, 0.0).inputs(s))
+    demon = ClassicalFieldStrategy(lambda s: demon_inputs_classical(s, 0.0, 0.0))
     assert play_lena_round(0.5, demon) is None
 
 
 def test_achievable_sets():
-    pair = achievable_taus(0.4, KIND_DISCRETE)
+    pair = verify_lena_control(0.4, KIND_DISCRETE).achievable
     assert isinstance(pair, DiscretePair)
     assert pair.contains(0.4) and pair.contains(0.4 + HALF_PI)
     assert not pair.contains(0.4 + 0.3)
-    assert achievable_taus(0.4, KIND_CLASSICAL) is ALL_ANGLES
-    assert achievable_taus(0.4, KIND_SUPERPOSITION) is ALL_ANGLES
+    assert verify_lena_control(0.4, KIND_CLASSICAL).achievable is ALL_ANGLES
+    assert verify_lena_control(0.4, KIND_SUPERPOSITION).achievable is ALL_ANGLES
     with pytest.raises(ValueError):
-        achievable_taus(0.4, "psychic")
+        verify_lena_control(0.4, "psychic")
 
 
 @given(angles)

@@ -1,19 +1,22 @@
 """Hidden-variable joints, beable distributions, settings-dependence."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from retrolab.audit import audit_symmetry, generate_ensemble
 from retrolab.core import malus
 from retrolab.hvmodels import (
     MODELS,
+    REGISTRY,
     STOCHASTIC_MODELS,
     HVJoint,
     UnknownModelError,
-    beable_distribution,
     channel_joint,
+    model_spec,
     onebit_beable_input_joint,
     onebit_dist,
     qm_reference_joint,
@@ -122,20 +125,51 @@ def test_onebit_ensemble_flip_rate():
 
 
 def test_beable_distribution_shapes():
-    assert sum(beable_distribution("twobit", 0.0, 0.9).values()) == pytest.approx(1.0, abs=1e-12)
-    d = beable_distribution("onebit", 0.0, PI / 6)
+    def beables(model, sigma_l, sigma_r):
+        return model_spec(model).beable_distribution(sigma_l, sigma_r)
+
+    assert sum(beables("twobit", 0.0, 0.9).values()) == pytest.approx(1.0, abs=1e-12)
+    d = beables("onebit", 0.0, PI / 6)
     assert d[1] == pytest.approx(0.75, abs=1e-12)
-    d = beable_distribution("classical", 0.7, 0.2)
+    d = beables("classical", 0.7, 0.2)
     assert len(d) == 1 and next(iter(d.values())) == 1.0
-    d = beable_distribution("qm-discrete", 0.0, 0.9)
+    d = beables("qm-discrete", 0.0, 0.9)
     assert len(d) == 4  # 2 input channels x 2 return-leg polarizations
     assert sum(d.values()) == pytest.approx(1.0, abs=1e-12)
-    d = beable_distribution("qm-discrete", 0.0, PI / 4)
+    d = beables("qm-discrete", 0.0, PI / 4)
     assert all(v == pytest.approx(0.25, abs=1e-12) for v in d.values())
-    d = beable_distribution("qm-collapse", 0.0, 0.9)
+    d = beables("qm-collapse", 0.0, 0.9)
     assert len(d) == 2
     with pytest.raises(UnknownModelError):
-        beable_distribution("nope", 0.0, 0.9)
+        beables("nope", 0.0, 0.9)
+
+
+# every entry point that needs a model's channel statistics
+SAMPLED_ENTRY_POINTS = (
+    lambda model: channel_joint(model, 0.0, 0.5),
+    lambda model: generate_ensemble(model, 0.0, 0.5, 100, RandomStream(2)),
+    lambda model: audit_symmetry(model, 0.0, 0.5, 10_000, RandomStream(2)),
+)
+
+
+@pytest.mark.parametrize("model", ["classical", "nope"])
+def test_sampled_entry_points_give_one_unknown_model_message(model):
+    messages = set()
+    for call in SAMPLED_ENTRY_POINTS:
+        with pytest.raises(UnknownModelError) as err:
+            call(model)
+        messages.add(str(err.value))
+    assert messages == {
+        f"no channel statistics for model {model!r}; expected one of {STOCHASTIC_MODELS}"
+    }
+
+
+@pytest.mark.parametrize("missing", ["joint", "sampler"])
+def test_model_spec_needs_joint_and_sampler_together(missing):
+    with pytest.raises(ValueError, match="both a joint and a sampler"):
+        dataclasses.replace(REGISTRY["twobit"], **{missing: None})
+    # a model without channel statistics has neither
+    assert dataclasses.replace(REGISTRY["twobit"], joint=None, sampler=None).sampler is None
 
 
 def test_settings_dependence_twobit_pin():

@@ -45,19 +45,28 @@ def test_born_probability_pins():
 
 def test_aligned_and_orthogonal_exits_are_deterministic():
     # a photon on the right setting's axis always exits on channel 1, one
-    # orthogonal to it on channel 0, and the return leg takes that axis
-    for prior_1, channel, tau_r in ((1.0, 1, 0.7), (0.0, 0, 0.7 + HALF_PI)):
-        ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.7, 0.7, 1000, RandomStream(0),
-                                prior_1=prior_1)
-        assert (ens.out_channel == channel).all()
-        assert all(angles_equal(t, tau_r) for t in ens.tau_r)
+    # orthogonal to it on channel 0, and the return leg takes that axis: at
+    # aligned and at orthogonal settings, each input channel has one exit
+    for sigma_r in (0.7, 0.7 + HALF_PI):
+        ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.7, sigma_r, 1000, RandomStream(0))
+        for channel in (0, 1):
+            exit_1 = angles_equal(emit_from_channel(channel, 0.7).angle, sigma_r)
+            runs = ens.in_channel == channel
+            assert runs.sum() > 400  # even inputs: both channels are well sampled
+            assert (ens.out_channel[runs] == exit_1).all()
+            tau_r = sigma_r if exit_1 else sigma_r + HALF_PI
+            assert all(angles_equal(t, tau_r) for t in ens.tau_r[runs])
 
 
 def test_ensemble_exit_rate_is_malus():
-    # tau - sigma = pi/6: channel-1 frequency must sit at cos^2 within MC noise
+    # tau - sigma = pi/6 for channel-1 inputs: their channel-1 exit frequency
+    # must sit at cos^2 within MC noise, and channel-0 inputs' at sin^2
     for mode in (OntologyMode.DISCRETE_SYMMETRIC, OntologyMode.COLLAPSE):
-        ens = simulate_ensemble(mode, PI / 6, 0.0, 20_000, RandomStream(21), prior_1=1.0)
-        assert abs(float(ens.out_channel.mean()) - 0.75) < 0.01, mode
+        ens = simulate_ensemble(mode, PI / 6, 0.0, 40_000, RandomStream(21))
+        for channel, rate in ((1, 0.75), (0, 0.25)):
+            runs = ens.in_channel == channel
+            assert runs.sum() >= 19_000, mode
+            assert abs(float(ens.out_channel[runs].mean()) - rate) < 0.01, (mode, channel)
 
 
 def test_emit_from_channel():
@@ -193,10 +202,6 @@ def test_nocollapse_ensemble_weights():
 
 
 @pytest.mark.parametrize("prior", [1.7, -0.1, float("nan"), float("inf")])
-def test_ensemble_rejects_bad_prior(prior):
-    # the same rule as retrodict_channel: a prior outside [0, 1] is refused
+def test_retrodict_rejects_bad_prior(prior):
     with pytest.raises(ValueError, match="prior"):
         retrodict_channel(0.1, 0.5, prior_1=prior)
-    with pytest.raises(ValueError, match="prior"):
-        simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.1, 0.5, 100, RandomStream(0),
-                          prior_1=prior)

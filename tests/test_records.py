@@ -4,6 +4,7 @@ import errno
 import json
 import math
 import os
+import re
 import stat
 import tempfile
 from unittest import mock
@@ -293,6 +294,19 @@ def test_negative_limit_is_rejected(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("limit", [2.5, 2.0, "2", np.float64(1.0)])
+def test_non_integral_limit_is_rejected(tmp_path, limit):
+    ens = Ensemble("twobit", 0.0, 0.5, np.arange(3), {"in_channel": np.array([0, 1, 0])})
+    with pytest.raises(ValueError, match="limit"):
+        ens.records(limit)
+    with pytest.raises(ValueError, match="limit"):
+        write_records_jsonl(tmp_path / "x.jsonl", ens, limit)
+    assert list(tmp_path.iterdir()) == []
+    # numpy integers are integers
+    assert len(ens.records(np.int64(2))) == 2
+    assert write_records_jsonl(tmp_path / "x.jsonl", ens, np.uint8(2)) == 2
+
+
 # ------------------------------------------------- reader
 
 
@@ -358,6 +372,30 @@ def test_reader_round_trips_a_sampled_ensemble(tmp_path):
         got = read_records_jsonl(path)
         assert got == ens.records() == _reference_read(path.read_bytes())
         assert len({id(r) for r in got}) == len(ens.table["in_channel"])
+
+
+_GOOD = record_to_dict(full_record())
+
+
+@pytest.mark.parametrize("bad", [
+    pytest.param(json.dumps({k: v for k, v in _GOOD.items() if k != "sigma_l"}), id="no-sigma_l"),
+    pytest.param(json.dumps([0.1, 0.9]), id="array"),
+    pytest.param("7", id="number"),
+    pytest.param(json.dumps(_GOOD | {"weights": [0.5]}), id="one-weight"),
+    pytest.param(json.dumps(_GOOD | {"weights": [0.25, 0.5, 0.25]}), id="three-weights"),
+    pytest.param(json.dumps(_GOOD | {"weights": 0.5}), id="scalar-weights"),
+    pytest.param(json.dumps(_GOOD | {"in_channel": "x"}), id="text-channel"),
+    pytest.param(json.dumps(_GOOD | {"sigma_r": None}), id="null-setting"),
+    pytest.param("{not json", id="not-json"),
+])
+def test_reader_names_the_file_and_line_of_a_malformed_record(tmp_path, bad):
+    # the good line comes first and again after the bad one: the memo must
+    # not hide the bad line's number
+    path = tmp_path / "recs.jsonl"
+    good = json.dumps(_GOOD)
+    path.write_text("\n".join([good, "", bad, good]) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: "):
+        read_records_jsonl(path)
 
 
 # ------------------------------------------------- atomic writes

@@ -1,5 +1,7 @@
 """Seeded streams and the distance / information helpers."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,11 +57,35 @@ def test_tv_distance_pins():
 
 
 def test_tv_distance_vectors():
-    assert tv_distance([0.5, 0.5], [0.25, 0.75]) == pytest.approx(0.25, abs=1e-12)
-    with pytest.raises(ValueError):
-        tv_distance([0.5, 0.5], [1.0])
+    # distributions are mappings; a vector names no outcomes and is refused
+    with pytest.raises(ValueError, match="map outcomes"):
+        tv_distance([0.5, 0.5], [0.25, 0.75])
+    with pytest.raises(ValueError, match="map outcomes"):
+        tv_distance({0: 0.5, 1: 0.5}, [0.5, 0.5])
     with pytest.raises(ValueError):
         tv_distance({"a": 0.4}, {"a": 1.0})  # not normalized
+
+
+@pytest.mark.parametrize("p, q", [
+    ({"a": math.nan}, {"a": 1.0}),
+    ({"a": 1.0}, {"a": math.nan}),
+    ({"a": math.inf, "b": -math.inf}, {"a": 1.0}),
+    ({"a": 2.0, "b": -1.0}, {"a": 1.0}),
+    ({"a": 1.0}, {"a": 1.5, "b": -0.5}),
+])
+def test_tv_distance_rejects_nan_negative_and_infinite_entries(p, q):
+    with pytest.raises(ValueError, match="negative or non-finite"):
+        tv_distance(p, q)
+
+
+@pytest.mark.parametrize("joint", [
+    {(0, 0): math.nan},
+    {(0, 0): 0.5, (1, 1): math.nan},
+    {(0, 0): math.inf},
+])
+def test_mutual_information_rejects_a_non_finite_total(joint):
+    with pytest.raises(ValueError, match="sums to"):
+        mutual_information_bits(joint)
 
 
 @given(st.lists(st.floats(0.001, 1.0), min_size=2, max_size=6))
