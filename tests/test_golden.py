@@ -44,6 +44,14 @@ TOLERANCE_CASES = {
     ),
     "retro-qm-discrete-quarter-turn": ("retro", "qm-discrete", "0", "1.0955131495", "2.6663094762948966"),
 }
+# right-side game: a quarter-turn shift the pinned pair cannot register, and
+# an unpinned mode with a given --rho
+RHO_CASES = {
+    "game-right-discrete-quarter-turn": (
+        "game", "right", "0.7", "--mode", "discrete", "--rho", "1.5707963267948966",
+    ),
+    "game-right-nocollapse-rho": ("game", "right", "0.7", "--mode", "nocollapse", "--rho", "0.2"),
+}
 
 
 def cases() -> dict[str, tuple[str, ...]]:
@@ -73,7 +81,7 @@ def cases() -> dict[str, tuple[str, ...]]:
     out["run-twobit-csv"] = (
         "run", "--model", "twobit", *SETTINGS, "--n", "2000", "--seed", "3", "--format", "csv",
     )
-    return out | TOLERANCE_CASES
+    return out | TOLERANCE_CASES | RHO_CASES
 
 
 def strip_meta(text: str) -> str:
