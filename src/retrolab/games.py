@@ -1,19 +1,21 @@
 """Control games over the intermediate polarization, played at both ends.
 
-On the input side a player sets the combining cube and an adversarial Demon
-chooses what to feed it.  With continuous fields or superposed channel
-amplitudes the Demon can realize any intermediate polarization, so the player
-controls nothing.  Restricted to a single discrete channel per run, the
-Demon's hand is forced: whatever he does (including refusing to send a
-photon), any photon that does emerge is polarized at the player's setting or
-90 degrees from it.
+On the input side a player sets the combining cube and an adversarial
+:class:`Demon` chooses what to feed it.  The Demon plays one of three kinds:
+with classical fields or a photon's amplitudes superposed over both channels
+it can realize any intermediate polarization, so the player controls nothing.
+Restricted to a single discrete channel per run, the Demon's hand is forced:
+whatever it does (including refusing to send a photon), any photon that does
+emerge is polarized at the player's setting or 90 degrees from it.
 
-On the output side the mirror question: does the absorbing cube's setting
-pin down the return-leg polarization the same way?  That depends on the
-ontology, and the dependence is exactly what the implication check at the
-bottom of this module exercises: realist beables + a time-symmetric record
-family + discrete outcomes force the pre-measurement beables to depend on
-the future setting, while dropping any one conjunct lifts the force.
+Either end's verdict is a :class:`ControlReport`, and the setting controls the
+polarization exactly when the report's achievable set is an orthogonal pair.
+On the output side the mirror question, whether the absorbing cube's setting
+pins down the return-leg polarization the same way, depends on the ontology.
+That dependence is what the implication check at the bottom of this module
+sweeps: realist beables + a time-symmetric record family + discrete outcomes
+force the pre-measurement beables to depend on the future setting, while
+dropping any one conjunct lifts the force.
 
 Demons here are perfect obstructors; partially constrained or noisy Demons
 are out of scope.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .core import HALF_PI, ZERO_INTENSITY, angles_equal, normalize_angle, on_axes, pol_angle
-from .hvmodels import ModelSpec, model_spec, settings_dependence
+from .hvmodels import ModelSpec, settings_dependence
 from .optics import ModePair, demon_inputs_classical, pbs_combine
 from .photon import OntologyMode, demon_inputs_superposition, emit_from_channel
 
@@ -37,68 +39,60 @@ KIND_SUPERPOSITION = "superposition"
 STRATEGY_KINDS = (KIND_DISCRETE, KIND_CLASSICAL, KIND_SUPERPOSITION)
 
 
-@dataclass(frozen=True)
-class DiscreteChannelStrategy:
-    """Demon restricted to one input channel per run; None means refuse."""
-
-    choose: Callable[[float], int | None]
+def _check_kind(kind: str) -> None:
+    if kind not in STRATEGY_KINDS:
+        raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
 
 
 @dataclass(frozen=True)
-class ClassicalFieldStrategy:
-    """Demon free to feed arbitrary classical fields into both ports."""
+class Demon:
+    """The input-side opposition: one of :data:`STRATEGY_KINDS` and its play.
 
-    inputs: Callable[[float], ModePair]
+    ``inputs(setting)`` is what the Demon feeds a cube at ``setting``: a
+    channel (0 or 1), or None to refuse, for discrete play; a ModePair of
+    classical fields, or of one photon's amplitudes (total intensity 1) for
+    superposition play.
+    """
+
+    kind: str
+    inputs: Callable[[float], int | ModePair | None]
+
+    def __post_init__(self):
+        _check_kind(self.kind)
 
 
-@dataclass(frozen=True)
-class SuperpositionStrategy:
-    """Demon emitting one photon with amplitudes on both ports (intensity 1)."""
-
-    inputs: Callable[[float], ModePair]
-
-
-DemonStrategy = Union[DiscreteChannelStrategy, ClassicalFieldStrategy, SuperpositionStrategy]
-
-
-def play_lena_round(sigma_l: float, demon: DemonStrategy) -> float | None:
+def play_lena_round(sigma_l: float, demon: Demon) -> float | None:
     """One round of the input-side game: setting out, emerging polarization back.
 
     Returns the polarization of the beam or photon leaving the combining
     cube, or None when nothing emerges (a refused round is an outcome, not an
     error, and is excluded from control statistics by the caller).
     """
-    if isinstance(demon, DiscreteChannelStrategy):
-        channel = demon.choose(sigma_l)
-        if channel is None:
-            return None
-        return emit_from_channel(channel, sigma_l).angle
-    if isinstance(demon, (ClassicalFieldStrategy, SuperpositionStrategy)):
-        modes = demon.inputs(sigma_l)
-        if not angles_equal(modes.basis, sigma_l):
-            raise ValueError(
-                "demon inputs are built for a different cube setting"
-            )
-        if isinstance(demon, SuperpositionStrategy):
-            if abs(modes.total_intensity - 1.0) > 1e-9:
-                raise ValueError("single-photon inputs must have total intensity 1")
-        beam = pbs_combine(modes)
-        if beam.intensity <= ZERO_INTENSITY:
-            return None
-        return pol_angle(beam)
-    raise TypeError(f"not a demon strategy: {demon!r}")
+    if not isinstance(demon, Demon):
+        raise TypeError(f"not a Demon: {demon!r}")
+    played = demon.inputs(sigma_l)
+    if demon.kind == KIND_DISCRETE:
+        return None if played is None else emit_from_channel(played, sigma_l).angle
+    if not angles_equal(played.basis, sigma_l):
+        raise ValueError("demon inputs are built for a different cube setting")
+    if demon.kind == KIND_SUPERPOSITION and abs(played.total_intensity - 1.0) > 1e-9:
+        raise ValueError("single-photon inputs must have total intensity 1")
+    beam = pbs_combine(played)
+    if beam.intensity <= ZERO_INTENSITY:
+        return None
+    return pol_angle(beam)
 
 
-def constant_channel_demon(channel: int | None) -> DiscreteChannelStrategy:
-    return DiscreteChannelStrategy(lambda _setting: channel)
+def constant_channel_demon(channel: int | None) -> Demon:
+    return Demon(KIND_DISCRETE, lambda _setting: channel)
 
 
-def classical_target_demon(target_pol: float) -> ClassicalFieldStrategy:
-    return ClassicalFieldStrategy(lambda setting: demon_inputs_classical(setting, target_pol))
+def classical_target_demon(target_pol: float) -> Demon:
+    return Demon(KIND_CLASSICAL, lambda setting: demon_inputs_classical(setting, target_pol))
 
 
-def superposition_target_demon(target_pol: float) -> SuperpositionStrategy:
-    return SuperpositionStrategy(lambda setting: demon_inputs_superposition(setting, target_pol))
+def superposition_target_demon(target_pol: float) -> Demon:
+    return Demon(KIND_SUPERPOSITION, lambda setting: demon_inputs_superposition(setting, target_pol))
 
 
 @dataclass(frozen=True)
@@ -130,9 +124,6 @@ class AllAngles:
     def contains(self, angle: float) -> bool:
         return math.isfinite(angle)
 
-    def __repr__(self):
-        return "AllAngles()"
-
 
 ALL_ANGLES = AllAngles()
 
@@ -148,8 +139,8 @@ def _channel_pair(setting: float) -> DiscretePair:
 class ControlReport:
     """Verdict on who controls the polarization at one end of the bench.
 
-    ``control_mod`` is pi/2 when the local setting pins the value to an
-    orthogonal pair, None when the opposition can realize any value.  For
+    The setting controls the value exactly when ``achievable`` is an
+    orthogonal pair, and :attr:`control_mod` reads that off.  For
     output-side reports the counterfactually shifted setting and its
     achievable set are included, since the shift is how the control is
     demonstrated.
@@ -158,32 +149,27 @@ class ControlReport:
     side: str
     setting: float
     achievable: AchievableSet
-    control_mod: float | None
     rho: float | None = None
     shifted_achievable: AchievableSet | None = None
     shift_detectable: bool | None = None
 
+    @property
+    def control_mod(self) -> float | None:
+        """pi/2 when the setting pins the value to a pair, None when any value is reachable."""
+        return HALF_PI if isinstance(self.achievable, DiscretePair) else None
+
 
 def verify_lena_control(sigma_l: float, strategy_kind: str) -> ControlReport:
-    """Input-side control report for a given class of Demon play.
+    """Input-side control report for a given kind of Demon play.
 
     The achievable set holds the polarizations the Demon can hand the
     player.  Single-channel play is enumerated (both channels, refusals
     excluded); field and superposition play reach the full circle because a
     constructive recipe exists for every target.
     """
-    if strategy_kind == KIND_DISCRETE:
-        achievable, control = _channel_pair(sigma_l), HALF_PI
-    elif strategy_kind in (KIND_CLASSICAL, KIND_SUPERPOSITION):
-        achievable, control = ALL_ANGLES, None
-    else:
-        raise ValueError(f"unknown strategy kind {strategy_kind!r}; expected one of {STRATEGY_KINDS}")
-    return ControlReport(
-        side="left",
-        setting=normalize_angle(sigma_l),
-        achievable=achievable,
-        control_mod=control,
-    )
+    _check_kind(strategy_kind)
+    achievable = _channel_pair(sigma_l) if strategy_kind == KIND_DISCRETE else ALL_ANGLES
+    return ControlReport("left", normalize_angle(sigma_l), achievable)
 
 
 def verify_rena_control(sigma_r: float, rho: float, mode: OntologyMode) -> ControlReport:
@@ -202,31 +188,12 @@ def verify_rena_control(sigma_r: float, rho: float, mode: OntologyMode) -> Contr
     sr = normalize_angle(sigma_r)
     if mode is OntologyMode.DISCRETE_SYMMETRIC:
         base, shifted = _channel_pair(sr), _channel_pair(sr + rho)
-        return ControlReport(
-            side="right",
-            setting=sr,
-            achievable=base,
-            control_mod=HALF_PI,
-            rho=rho,
-            shifted_achievable=shifted,
-            shift_detectable=base.disjoint_from(shifted),
-        )
-    if mode in (OntologyMode.COLLAPSE, OntologyMode.NO_COLLAPSE):
-        return ControlReport(
-            side="right",
-            setting=sr,
-            achievable=ALL_ANGLES,
-            control_mod=None,
-            rho=rho,
-            shifted_achievable=ALL_ANGLES,
-            shift_detectable=False,
-        )
-    raise ValueError(f"unknown ontology mode: {mode!r}")
-
-
-def rena_control_for_model(model: str, sigma_r: float, rho: float) -> ControlReport:
-    """Output-side control report for any registered model identifier."""
-    return verify_rena_control(sigma_r, rho, model_spec(model).output_side)
+    elif isinstance(mode, OntologyMode):
+        base = shifted = ALL_ANGLES
+    else:
+        raise ValueError(f"unknown ontology mode: {mode!r}")
+    detectable = base is not ALL_ANGLES and base.disjoint_from(shifted)
+    return ControlReport("right", sr, base, rho, shifted, detectable)
 
 
 def retro_implication_holds(
@@ -244,7 +211,7 @@ def retro_implication_holds(
     missing a conjunct escapes by being settings-independent or by failing
     time symmetry outright.
     """
-    control = rena_control_for_model(onto.model, sigma_r, rho)
+    control = verify_rena_control(sigma_r, rho, onto.output_side)
     dep = settings_dependence(onto.model, sigma_l, sigma_r, sigma_r_alt)
     if onto.premise:
         return control.control_mod == HALF_PI and dep.retro

@@ -11,11 +11,12 @@ from retrolab.games import (
     KIND_CLASSICAL,
     KIND_DISCRETE,
     KIND_SUPERPOSITION,
+    ControlReport,
+    Demon,
     DiscretePair,
     classical_target_demon,
     constant_channel_demon,
     play_lena_round,
-    rena_control_for_model,
     retro_implication_holds,
     superposition_target_demon,
     verify_lena_control,
@@ -61,16 +62,13 @@ def test_field_demons_complete(setting, target):
 
 
 def test_round_rejects_wrong_basis_inputs():
-    from retrolab.games import ClassicalFieldStrategy
-
-    stale = ClassicalFieldStrategy(lambda setting: demon_inputs_classical(0.3, 1.0))
+    stale = Demon(KIND_CLASSICAL, lambda setting: demon_inputs_classical(0.3, 1.0))
     play_lena_round(0.3, stale)  # matching setting is fine
     with pytest.raises(ValueError):
         play_lena_round(0.9, stale)
 
 
 def test_round_rejects_multi_photon_superposition():
-    from retrolab.games import SuperpositionStrategy
     from retrolab.photon import demon_inputs_superposition
 
     def doubled(setting):
@@ -79,13 +77,11 @@ def test_round_rejects_multi_photon_superposition():
         return ModePair(trans, refl, pair.basis)
 
     with pytest.raises(ValueError):
-        play_lena_round(0.2, SuperpositionStrategy(doubled))
+        play_lena_round(0.2, Demon(KIND_SUPERPOSITION, doubled))
 
 
 def test_dark_classical_inputs_yield_no_beam():
-    from retrolab.games import ClassicalFieldStrategy
-
-    demon = ClassicalFieldStrategy(lambda s: demon_inputs_classical(s, 0.0, 0.0))
+    demon = Demon(KIND_CLASSICAL, lambda s: demon_inputs_classical(s, 0.0, 0.0))
     assert play_lena_round(0.5, demon) is None
 
 
@@ -98,6 +94,32 @@ def test_achievable_sets():
     assert verify_lena_control(0.4, KIND_SUPERPOSITION).achievable is ALL_ANGLES
     with pytest.raises(ValueError):
         verify_lena_control(0.4, "psychic")
+
+
+def test_demon_and_lena_control_reject_one_kind_alike():
+    with pytest.raises(ValueError) as demon_error:
+        Demon("psychic", lambda setting: 1)
+    with pytest.raises(ValueError) as report_error:
+        verify_lena_control(0.4, "psychic")
+    assert str(demon_error.value) == str(report_error.value)
+    assert "'psychic'" in str(demon_error.value)
+    with pytest.raises(TypeError):
+        play_lena_round(0.4, object())
+
+
+def test_control_mod_is_read_off_the_achievable_set():
+    assert ControlReport("left", 0.4, DiscretePair(0.4, 0.4 + HALF_PI)).control_mod == HALF_PI
+    assert ControlReport("left", 0.4, ALL_ANGLES).control_mod is None
+    with pytest.raises(TypeError):
+        ControlReport("left", 0.4, ALL_ANGLES, control_mod=None)
+
+
+def test_rena_control_rejects_bad_shift_and_mode():
+    with pytest.raises(ValueError, match="shift must be finite"):
+        verify_rena_control(0.7, math.inf, OntologyMode.COLLAPSE)
+    for mode in ("discrete", "collapse", None):
+        with pytest.raises(ValueError, match="unknown ontology mode"):
+            verify_rena_control(0.7, PI / 6, mode)
 
 
 @given(angles)
@@ -142,10 +164,13 @@ def test_rena_control_continuous_modes():
 
 
 def test_rena_control_for_model_dispatch():
-    assert rena_control_for_model("twobit", 0.5, PI / 6).control_mod == pytest.approx(HALF_PI)
-    assert rena_control_for_model("onebit", 0.5, PI / 6).control_mod == pytest.approx(HALF_PI)
-    assert rena_control_for_model("classical", 0.5, PI / 6).achievable is ALL_ANGLES
-    assert rena_control_for_model("qm-collapse", 0.5, PI / 6).control_mod is None
+    def report(model):
+        return verify_rena_control(0.5, PI / 6, REGISTRY[model].output_side)
+
+    assert report("twobit").control_mod == pytest.approx(HALF_PI)
+    assert report("onebit").control_mod == pytest.approx(HALF_PI)
+    assert report("classical").achievable is ALL_ANGLES
+    assert report("qm-collapse").control_mod is None
 
 
 def test_discrete_pair_validation():
