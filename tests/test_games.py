@@ -163,7 +163,7 @@ def test_rena_control_continuous_modes():
         assert report.shift_detectable is False
 
 
-def test_rena_control_for_model_dispatch():
+def test_rena_control_by_registered_model():
     def report(model):
         return verify_rena_control(0.5, PI / 6, REGISTRY[model].output_side)
 
