@@ -72,6 +72,14 @@ def record_to_dict(record: ExperimentRecord) -> dict:
     return out
 
 
+def _channel(data: dict, key: str) -> int | None:
+    """The raw JSON value at ``key``: the integer 0 or 1, or None when absent."""
+    value = data.get(key)
+    if value is None or (type(value) is int and value in (0, 1)):
+        return value
+    raise ValueError(f"{key} must be 0, 1 or null, got {value!r}")
+
+
 def record_from_dict(data: dict) -> ExperimentRecord:
     """Inverse of :func:`record_to_dict`; KeyError, TypeError or ValueError
     when ``data`` is no dict, lacks a key or holds a value of the wrong type."""
@@ -85,8 +93,8 @@ def record_from_dict(data: dict) -> ExperimentRecord:
         sigma_l=float(data["sigma_l"]),
         sigma_r=float(data["sigma_r"]),
         model=str(data["model"]),
-        in_channel=None if data.get("in_channel") is None else int(data["in_channel"]),
-        out_channel=None if data.get("out_channel") is None else int(data["out_channel"]),
+        in_channel=_channel(data, "in_channel"),
+        out_channel=_channel(data, "out_channel"),
         tau_l=None if data.get("tau_l") is None else float(data["tau_l"]),
         tau_r=None if data.get("tau_r") is None else float(data["tau_r"]),
         weights=weights,

@@ -385,6 +385,11 @@ _GOOD = record_to_dict(full_record())
     pytest.param(json.dumps(_GOOD | {"weights": [0.25, 0.5, 0.25]}), id="three-weights"),
     pytest.param(json.dumps(_GOOD | {"weights": 0.5}), id="scalar-weights"),
     pytest.param(json.dumps(_GOOD | {"in_channel": "x"}), id="text-channel"),
+    pytest.param(json.dumps(_GOOD | {"in_channel": 1.7}), id="fractional-channel"),
+    pytest.param(json.dumps(_GOOD | {"in_channel": 1.0}), id="float-channel"),
+    pytest.param(json.dumps(_GOOD | {"out_channel": True}), id="bool-channel"),
+    pytest.param(json.dumps(_GOOD | {"out_channel": 5}), id="channel-5"),
+    pytest.param(json.dumps(_GOOD | {"in_channel": -3}), id="channel-minus-3"),
     pytest.param(json.dumps(_GOOD | {"sigma_r": None}), id="null-setting"),
     pytest.param("{not json", id="not-json"),
 ])
@@ -396,6 +401,17 @@ def test_reader_names_the_file_and_line_of_a_malformed_record(tmp_path, bad):
     path.write_text("\n".join([good, "", bad, good]) + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 3: "):
         read_records_jsonl(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("in_channel", 1.7), ("in_channel", 1.0), ("out_channel", True), ("out_channel", 5),
+    ("in_channel", -3),
+])
+def test_record_channel_must_be_integer_0_or_1(key, value):
+    with pytest.raises(ValueError, match=f"^{key} must be 0, 1 or null, got {re.escape(repr(value))}$"):
+        record_from_dict(_GOOD | {key: value})
+    assert record_from_dict(_GOOD | {key: None}) == record_from_dict(
+        {k: v for k, v in _GOOD.items() if k != key})
 
 
 # ------------------------------------------------- atomic writes
