@@ -59,12 +59,7 @@ def angle_diff(a: float, b: float) -> float:
     """Signed difference between two directions, reduced to [-pi/2, pi/2)."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("angles must be finite")
-    d = math.fmod(a - b + HALF_PI, PI)
-    if d < 0.0:
-        d += PI
-    if d >= PI:
-        d -= PI
-    return d - HALF_PI
+    return normalize_angle(a - b + HALF_PI) - HALF_PI
 
 
 def angles_equal(a: float, b: float, tol: float = ANGLE_TOL) -> bool:

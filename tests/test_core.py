@@ -52,6 +52,19 @@ def test_angle_diff_range(a, b):
 def test_angle_diff_wrap():
     # frozen: fold of 0.1 - 3.1 into the half-open window
     assert angle_diff(0.1, 3.1) == pytest.approx(0.14159265358979312, abs=1e-12)
+    # signed zeros, subnormals, and one ulp either side of pi/2 and pi fold
+    # to these exact values, +0.0 and never -0.0 for equal directions
+    half_below, half_above = math.nextafter(PI / 2, 0.0), math.nextafter(PI / 2, 4.0)
+    pi_below, pi_above = math.nextafter(PI, 0.0), math.nextafter(PI, 4.0)
+    for a, b, expected in (
+        (0.0, -0.0, 0.0), (-0.0, 0.0, 0.0), (5e-324, 0.0, 0.0), (0.0, 5e-324, 0.0),
+        (1e-300, -1e-300, 0.0), (PI / 2, 0.0, -PI / 2), (0.0, PI / 2, -PI / 2),
+        (-PI / 2, 0.0, -PI / 2), (half_below, 0.0, -PI / 2), (half_above, 0.0, -PI / 2),
+        (PI, 0.0, 0.0), (0.0, PI, 0.0), (-PI, 0.0, 0.0), (pi_below, 0.0, 0.0),
+        (pi_above, 0.0, 0.0),
+    ):
+        d = angle_diff(a, b)
+        assert (d, math.copysign(1.0, d)) == (expected, math.copysign(1.0, expected)), (a, b)
 
 
 def test_angles_equal_mod_pi():
