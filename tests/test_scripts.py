@@ -1,10 +1,13 @@
 """The example scripts, run in process at small sizes."""
 
+import re
 import runpy
 import sys
 from pathlib import Path
 
 import pytest
+
+from retrolab.core import angle_diff
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -29,6 +32,24 @@ def test_script_runs(capsys, name, args, first_line):
     run_script(name, *args)
     out = capsys.readouterr().out
     assert out.splitlines()[0] == first_line
+
+
+def test_demon_game_rows_stay_in_their_pairs_and_field_demons_hit(capsys):
+    run_script("demon_game.py")
+    lines = capsys.readouterr().out.splitlines()
+    row = re.compile(r"  setting \S+: ch0 -> (\S+), ch1 -> (\S+)   achievable pair \((\S+), (\S+)\)")
+    rows = [row.fullmatch(line) for line in lines[1:7]]  # the six default settings
+    assert all(rows), lines[1:7]
+    for match in rows:
+        *taus, first, second = map(float, match.groups())
+        for tau in taus:
+            # printed to 3 decimals, so within half a unit of the last place
+            assert min(abs(angle_diff(tau, end)) for end in (first, second)) <= 5e-4, match[0]
+    misses = [lines[i + 1] for i, line in enumerate(lines) if line.endswith("worst miss across settings x targets")]
+    assert len(misses) == 2
+    for line in misses:
+        worst, rest = line.split(" rad ")
+        assert float(worst) <= 1e-9 and rest == "-> every target reachable", line
 
 
 @pytest.mark.parametrize("args, message", [
