@@ -9,9 +9,11 @@ in review.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -51,6 +53,14 @@ RHO_CASES = {
         "game", "right", "0.7", "--mode", "discrete", "--rho", "1.5707963267948966",
     ),
     "game-right-nocollapse-rho": ("game", "right", "0.7", "--mode", "nocollapse", "--rho", "0.2"),
+}
+# sha256 of the records file of ``run --n 10000 --seed 11``, one model of each
+# record shape: 10,000 lines span two full write blocks of 4,096 and part of
+# a third, which the 200-line golden files never reach
+RECORDS_SHA256 = {
+    "qm-discrete": "3cc5ebf6490b3f93c70f319506a3be4cfa90985e5f9a160d2935922fcb9af34d",
+    "qm-nocollapse": "e558acad393f6a1d918a73a53b527a9c5ee16705cbc0ff9ac0afe4febfe94201",
+    "twobit": "d27ea0427ba088afd87cf33079c06a871d9264bdb7a967a711e7ebf819a39bc9",
 }
 
 
@@ -144,3 +154,12 @@ def test_numpy_free_commands_match_golden_in_a_fresh_interpreter(name):
     )
     assert proc.returncode == json.loads((GOLDEN / EXIT_CODES).read_text())[name], proc.stderr
     assert strip_meta(proc.stdout).encode() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.parametrize("model", sorted(RECORDS_SHA256))
+def test_multiblock_records_files_match_pinned_hashes(model, tmp_path):
+    path = tmp_path / "recs.jsonl"
+    argv = ["run", "--model", model, *SETTINGS, "--n", "10000", "--seed", "11",
+            "--records", str(path), "--records-limit", "0", "--out", os.devnull]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDS_SHA256[model]
