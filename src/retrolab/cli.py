@@ -22,7 +22,7 @@ import os
 import sys
 from datetime import datetime, timezone
 
-from . import __version__, games, hvmodels, records
+from . import __version__, hvmodels, records
 from .photon import OntologyMode
 from .stats import RandomStream, tv_distance
 
@@ -93,7 +93,7 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         with records.atomic_open(out) as fh:
-            fh.write(text)
+            fh.write(text.encode())
 
 
 def _emit_json(args, config: dict, result: dict) -> None:
@@ -103,6 +103,8 @@ def _emit_json(args, config: dict, result: dict) -> None:
 
 
 def _achievable_json(value):
+    from . import games
+
     if isinstance(value, games.DiscretePair):
         return [value.first, value.second]
     return "all"
@@ -186,6 +188,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_game(args) -> int:
+    from . import games  # loaded by this command alone
+
     setting = _angle(args.setting, args.degrees)
     chosen = [k for k in games.STRATEGY_KINDS if getattr(args, k)]
     if args.side == "left":

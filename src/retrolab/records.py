@@ -7,11 +7,12 @@ polarizations, collapse runs drop the return-leg polarization, no-collapse
 runs drop the outcome and carry the branch weight pair instead.  Absent
 fields stay None in memory and are omitted on disk; angles are radians.
 
-Records files are written atomically: the lines go to a temporary file in the
+Records files are UTF-8, one record per line, and every line ends in a line
+feed on every platform: the lines are encoded once and written through a binary
+handle.  Files are written atomically: the bytes go to a temporary file in the
 target directory, which replaces the target only once it is complete, so a
-failed write leaves no partial file.  A pipe, a terminal or a descriptor
-path such as ``/dev/stdout`` is written in place.  A negative row limit is
-rejected.
+failed write leaves no partial file.  A pipe, a terminal or a descriptor path
+such as ``/dev/stdout`` is written in place.  A negative row limit is rejected.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .stats import row_blocks
 if TYPE_CHECKING:
     import numpy as np
 
-# rows per block of text the ensemble writer joins and writes, about 0.6 MB;
-# a sampling block of 2^16 lines would be about 10 MB of text
+# rows per block of bytes the ensemble writer joins and writes, about 0.6 MB;
+# a sampling block of 2^16 lines would be about 10 MB
 WRITE_ROWS = 1 << 12
 
 # fixed key order of the JSON-lines format
@@ -128,30 +129,30 @@ def _written_in_place(path) -> bool:
 
 @contextlib.contextmanager
 def atomic_open(path):
-    """Text handle whose content replaces ``path`` only if the block succeeds.
+    """Binary handle whose content replaces ``path`` only if the block succeeds.
 
     The handle writes to a temporary file beside ``path``, so the final
     ``os.replace`` is a rename within one file system; on any error the
     temporary file is removed and ``path`` is left as it was.  A replaced
     file keeps its permission bits; as with any rename, hard links to it keep
-    the old content.  A symlink is followed, as by ``open(path, "w")``.
-    ``path`` is written in place, as by ``open(path, "w")``, when it names a
+    the old content.  A symlink is followed, as by ``open(path, "wb")``.
+    ``path`` is written in place, as by ``open(path, "wb")``, when it names a
     descriptor (see :func:`_written_in_place`) or when its directory takes
     no new file but the file itself exists.
     """
     if _written_in_place(path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "wb") as fh:
             yield fh
         return
     target = os.path.realpath(path)
     head, tail = os.path.split(target)
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(tmp, "x", encoding="utf-8")
+        fh = open(tmp, "xb")
     except PermissionError:
         if not os.path.isfile(target):
             raise
-        with open(target, "w", encoding="utf-8") as fh:
+        with open(target, "wb") as fh:
             yield fh
         return
     try:
@@ -167,52 +168,56 @@ def atomic_open(path):
 
 
 def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, limit=None) -> int:
-    """Write records one JSON object per line; returns the number written.
+    """Write records one JSON object per line, UTF-8 with line-feed ends;
+    returns the number written.
 
     ``records`` is an iterable of records or an :class:`Ensemble`, whose
     first ``limit`` rows are written (None = all).  An ensemble is written
-    without materialising its rows: each table row is rendered once, and the
-    codes pick every row's line in blocks of :data:`WRITE_ROWS` rows, so the
-    writer's peak, one block of text and its encoded copy (0.7–1.2 MB under
-    tracemalloc), does not grow with n.
+    without materialising its rows: each table row's line is rendered and
+    encoded once, and the codes pick every row's line in blocks of
+    :data:`WRITE_ROWS` rows, so the writer's peak, one block of bytes
+    (0.7–1.0 MB under tracemalloc), does not grow with n.
     """
     if isinstance(records, Ensemble):
         return _write_ensemble(path, records, limit)
     count = 0
     with atomic_open(path) as fh:
         for record in records:
-            fh.write(json.dumps(record_to_dict(record)))
-            fh.write("\n")
+            fh.write(json.dumps(record_to_dict(record)).encode() + b"\n")
             count += 1
     return count
 
 
 def _write_ensemble(path, ensemble: Ensemble, limit) -> int:
     count = ensemble._count(limit)
-    lines = [json.dumps(record_to_dict(record)) + "\n" for record in ensemble._table_records()]
+    lines = [json.dumps(record_to_dict(record)).encode() + b"\n"
+             for record in ensemble._table_records()]
     with atomic_open(path) as fh:
         for rows in row_blocks(count, WRITE_ROWS):
-            fh.write("".join([lines[c] for c in ensemble.codes[rows].tolist()]))
+            fh.write(b"".join([lines[c] for c in ensemble.codes[rows].tolist()]))
     return count
 
 
 def read_records_jsonl(path) -> list[ExperimentRecord]:
-    """Records of a JSON-lines file, in file order; blank lines are skipped.
+    """Records of a UTF-8 JSON-lines file, in file order; blank lines are
+    skipped.
 
-    Each distinct line is parsed once, and equal lines share one frozen
-    record, so a sampled file of a few distinct lines costs one list slot
-    per row.  The memo keeps every distinct line as a key: a file of
-    all-distinct lines costs about twice the memory of its records alone.
-    A line that is no record is a ValueError naming the file and the line.
+    Lines end at a line feed; a carriage return before it is stripped with
+    the other whitespace, but a lone carriage return ends no line.  Each distinct line is
+    decoded and parsed once, and equal lines share one frozen record, so a
+    sampled file of a few distinct lines costs one list slot per row.  The
+    memo keeps every distinct line as a key: a file of all-distinct lines
+    costs about twice the memory of its records alone.  A line that is no
+    UTF-8 or no record is a ValueError naming the file and the line.
     """
-    memo: dict[str, ExperimentRecord | None] = {}
+    memo: dict[bytes, ExperimentRecord | None] = {}
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for number, line in enumerate(fh, 1):
             record = memo.get(line)
             if record is None and line not in memo:
-                text = line.strip()
                 try:
+                    text = line.decode().strip()
                     record = memo[line] = record_from_dict(json.loads(text)) if text else None
                 except (KeyError, TypeError, ValueError) as err:
                     raise ValueError(f"{os.fspath(path)}, line {number}: not a record: "

@@ -1,6 +1,7 @@
 """End-to-end command-line checks, exit codes included."""
 
 import contextlib
+import functools
 import io
 import json
 import math
@@ -396,18 +397,23 @@ SAMPLING_COMMANDS = {
 }
 
 
-def imports_numpy(*args) -> bool:
-    """Whether ``retrolab *args`` imports numpy, from ``-X importtime``'s listing."""
+@functools.lru_cache(maxsize=None)
+def imported(*args) -> frozenset[str]:
+    """Modules a fresh ``retrolab *args`` imports, from ``-X importtime``'s listing."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "retrolab", *args],
         capture_output=True,
         text=True,
     )
     assert proc.returncode in (0, 1), proc.stderr
-    names = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-             if line.startswith("import time:")]
+    names = frozenset(line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                      if line.startswith("import time:"))
     assert "retrolab.cli" in names
-    return any(name == "numpy" or name.startswith("numpy.") for name in names)
+    return names
+
+
+def imports_numpy(*args) -> bool:
+    return any(name == "numpy" or name.startswith("numpy.") for name in imported(*args))
 
 
 @pytest.mark.parametrize("name", sorted(ANALYTIC_COMMANDS))
@@ -418,6 +424,12 @@ def test_analytic_commands_do_not_import_numpy(name):
 @pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
 def test_sampling_commands_import_numpy(name):
     assert imports_numpy(*SAMPLING_COMMANDS[name])
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_COMMANDS | SAMPLING_COMMANDS))
+def test_only_game_imports_the_games_module(name):
+    args = (ANALYTIC_COMMANDS | SAMPLING_COMMANDS)[name]
+    assert ("retrolab.games" in imported(*args)) == (args[0] == "game")
 
 
 @pytest.mark.parametrize("args", [

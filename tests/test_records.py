@@ -403,6 +403,23 @@ def test_reader_names_the_file_and_line_of_a_malformed_record(tmp_path, bad):
         read_records_jsonl(path)
 
 
+def test_reader_names_the_file_and_line_of_a_non_utf8_byte(tmp_path):
+    path = tmp_path / "recs.jsonl"
+    good = json.dumps(_GOOD).encode() + b"\n"
+    path.write_bytes(good + b'{"model": "\xff"}\n' + good)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 2: .*UnicodeDecodeError"):
+        read_records_jsonl(path)
+
+
+def test_reader_ends_lines_at_newline_only(tmp_path):
+    # a lone carriage return is inside a line, not between two
+    path = tmp_path / "recs.jsonl"
+    good = json.dumps(_GOOD).encode()
+    path.write_bytes(good + b"\r\n" + good + b"\r" + good + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}, line 2: "):
+        read_records_jsonl(path)
+
+
 @pytest.mark.parametrize("key, value", [
     ("in_channel", 1.7), ("in_channel", 1.0), ("out_channel", True), ("out_channel", 5),
     ("in_channel", -3),
@@ -418,7 +435,7 @@ def test_record_channel_must_be_integer_0_or_1(key, value):
 
 
 def _disk_holding(capacity):
-    """An ``open`` whose files refuse writes past ``capacity`` characters,
+    """An ``open`` whose files refuse writes past ``capacity`` bytes,
     after writing what still fits, as a full disk would."""
 
     def fake_open(*args, **kwargs):
