@@ -20,7 +20,7 @@ from retrolab.audit import (
     symmetry_threshold,
 )
 from retrolab.core import ANGLE_TOL, on_axes
-from retrolab.hvmodels import STOCHASTIC_MODELS, UnknownModelError
+from retrolab.hvmodels import STOCHASTIC_MODELS, UnknownModelError, model_ids
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
 
@@ -145,6 +145,20 @@ def test_collapse_verdict_switches_at_angle_tol(offset):
     assert far.verdict == "asymmetric" and not far.degenerate_settings
     near = audit_symmetry("qm-collapse", 0.0, offset + 1e-10, 10_000, RandomStream(7))
     assert near.verdict == "inconclusive" and near.degenerate_settings
+
+
+_SWEEP_PAIRS = ((0.0, PI / 6), (0.3, 1.2), (0.4, 0.4), (0.0, 1e-10), (0.0, 1e-8), (0.3, 0.3 - 1e-9),
+                (0.0, PI / 2), (0.0, PI / 2 + 2e-9), (1.2, 1.2 - PI / 2 - 1e-9), (2.9, 2.9 + PI / 2 + 1e-10))
+
+
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
+def test_score_and_alignment_tv_are_bounded_by_the_finer_signatures(model):
+    # the profile coarsens the slot-free signature, which coarsens the slot
+    # signature, so each TV bounds the next at every pair, near ANGLE_TOL too
+    for i, pair in enumerate(_SWEEP_PAIRS):
+        report = audit_symmetry(model, *pair, MIN_AUDIT_N, RandomStream(90 + i))
+        assert 2 * abs(report.distinguisher_score - 0.5) <= report.tv_alignment + 1e-15, pair
+        assert report.tv_alignment <= report.tv_distance + 1e-15, pair
 
 
 def _ulps(x, k):
