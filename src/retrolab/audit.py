@@ -12,11 +12,12 @@ The audit compares two discrete reductions of each record:
 * the slot-free signature, which keeps the alignment classes of whichever
   leg beables exist but forgets which leg they sat on.
 
-Alignment-level asymmetry (the slot-free TV) is convention-free and decides
-"asymmetric".  When only the slot bookkeeping differs, the audit refuses to
-call it: at degenerate settings (equal or orthogonal) a beable aligned with
-one setting is aligned with both, so which leg it is recorded on cannot be
-grounded in anything observable, and the verdict is "inconclusive".
+Two tests decide.  Alignment-level asymmetry (the slot-free TV) is
+convention-free and decides "asymmetric".  When only the slot bookkeeping
+differs, the audit refuses to call it: at degenerate settings (equal or
+orthogonal) a beable aligned with one setting is aligned with both, so which
+leg it is recorded on cannot be grounded in anything observable, and the
+verdict is "inconclusive".  The structural distinguisher is only reported.
 
 Branch-weight records need one extra convention to be reversible at all:
 the definite channel end and the branch end swap roles, mirroring the even
@@ -54,7 +55,7 @@ def symmetry_threshold(n: int) -> float:
 
 
 def score_band(n: int) -> float:
-    """Distinguisher accuracy must sit within this band of 1/2 to pass."""
+    """Half the threshold: a symmetric verdict keeps the score within it of 1/2."""
     return 2.5 * math.sqrt(2.0 / n)
 
 
@@ -91,9 +92,12 @@ def _orient_forward(ensemble: Ensemble) -> tuple[Ensemble, bool]:
 _CLASS_OF = np.array([3, 1, 0, 2], dtype=np.uint8)
 
 # alignment bits of each class, 1 on the left setting's axes and 2 on the
-# right's, and of a record by the classes of its two legs
+# right's; a record's profile class (an index into PROFILE_CLASSES) by the
+# classes of its two legs is named by the OR of their bits, or is
+# no_beables when both legs are absent
 _BITS_OF = np.array([1, 2, 3, 0, 0])
-_RECORD_BITS = _BITS_OF[:, None] | _BITS_OF[None, :]
+_PROFILE_OF = np.array([4, 1, 2, 3])[_BITS_OF[:, None] | _BITS_OF[None, :]]
+_PROFILE_OF[4, 4] = 0
 
 
 def _classify(ensemble: Ensemble, angles: np.ndarray) -> np.ndarray:
@@ -127,27 +131,19 @@ def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     return slot_counts, folded[:, upper_rows, upper_cols].ravel()
 
 
-def _alignment_profile(ensemble: Ensemble, slot_counts: np.ndarray) -> dict[str, float]:
+def _alignment_profile(slot_counts: np.ndarray, n: int) -> dict[str, float]:
     """Fractions of records by where their leg beables point.
 
     A record is left-aligned when any of its leg beables lies on the left
     setting's axis pair, right-aligned likewise; records with no leg beables
-    get their own class.  Read off the ensemble's slot counts.
+    get their own class.  Read off the slot counts of n records.
     """
-    if not {"tau_l", "tau_r"} & ensemble.table.keys():
-        return {"no_beables": 1.0, "left_only": 0.0, "right_only": 0.0, "both": 0.0, "neither": 0.0}
-    legs = slot_counts.reshape(9, 5, 5).sum(axis=0)
-    names = ("neither", "left_only", "right_only", "both")
-    return {"no_beables": 0.0} | {
-        name: int(legs[_RECORD_BITS == bits].sum()) / ensemble.n for bits, name in enumerate(names)
-    }
+    profile = np.zeros(len(PROFILE_CLASSES), dtype=np.intp)
+    np.add.at(profile, _PROFILE_OF, slot_counts.reshape(9, 5, 5).sum(axis=0))
+    return {name: int(count) / n for name, count in zip(PROFILE_CLASSES, profile)}
 
 
-def _profile_tv(p: dict[str, float], q: dict[str, float]) -> float:
-    return 0.5 * sum(abs(p[k] - q[k]) for k in PROFILE_CLASSES)
-
-
-def _check_memory(model: str, rows: int) -> None:
+def check_memory(model: str, rows: int) -> None:
     """Reject ``rows`` records of ``model`` whose codes alone exceed physical memory.
 
     Every sampler stores one uint8 code per row and works in blocks of
@@ -167,7 +163,7 @@ def generate_ensemble(
     """Forward record ensemble for any auditable model, labelled with its
     registry id; ValueError, before sampling, when its codes alone would
     exceed physical memory."""
-    _check_memory(model, n)
+    check_memory(model, n)
     spec = sampled_spec(model)
     ensemble = globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
     return dataclasses.replace(ensemble, model=model)
@@ -178,10 +174,10 @@ class SymmetryReport:
     """Outcome of one reversal audit.
 
     ``tv_distance`` is over the slot signature, ``tv_alignment`` over the
-    slot-free one; ``verdict`` is symmetric / asymmetric / inconclusive.
-    ``distinguisher_score`` is the accuracy of the best structural rule that
-    guesses "forward or reversed?" from the alignment profile; 1/2 means the
-    rule is blind, 1 means it never misses.
+    slot-free one; these two decide ``verdict``: symmetric / asymmetric /
+    inconclusive.  ``distinguisher_score``, reported only, is the accuracy
+    of the best structural rule that guesses "forward or reversed?" from the
+    alignment profile; 1/2 means the rule is blind, 1 means it never misses.
     """
 
     model: str
@@ -205,20 +201,11 @@ class SymmetryReport:
         return self.verdict == "symmetric"
 
 
-def _audit_side(
-    model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream, reverse: bool
-) -> tuple[np.ndarray, np.ndarray, dict[str, float], tuple[float, float], bool]:
-    """One side of an audit: generate, reverse if asked, orient, count.
-
-    Returns the slot and slot-free counts, the alignment profile, the
-    settings the ensemble was generated at and whether orientation flipped
-    it.  The ensemble itself dies with the call.
-    """
-    ensemble = generate_ensemble(model, sigma_l, sigma_r, n, stream)
-    settings = (ensemble.sigma_l, ensemble.sigma_r)
-    oriented, flipped = _orient_forward(reverse_ensemble(ensemble) if reverse else ensemble)
-    slot, free = _signature_counts(oriented)
-    return slot, free, _alignment_profile(oriented, slot), settings, flipped
+def _side_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Slot and slot-free counts of one audit side, oriented forward, and
+    whether orientation flipped it."""
+    oriented, flipped = _orient_forward(ensemble)
+    return (*_signature_counts(oriented), flipped)
 
 
 def audit_symmetry(
@@ -235,7 +222,9 @@ def audit_symmetry(
 
     Verdict logic: slot-free asymmetry is conclusive; asymmetry visible only
     in slot bookkeeping is not, and reports "inconclusive" (the degenerate
-    collapse case lands here by construction).  Settings are degenerate
+    collapse case lands here by construction).  The score is reported: its
+    profile coarsens the slot-free signature, so 2·|score - 1/2| <=
+    ``tv_alignment`` (up to 2.2e-16).  Settings are degenerate
     when a beable pinned to one setting's axes is on the other's
     (:func:`core.on_axes`), so a leg beable is aligned with both: the
     collapse audit at (0, d) or (0, pi/2 + d) is "asymmetric" for d = 1e-8
@@ -243,49 +232,54 @@ def audit_symmetry(
     ValueError, before sampling, when the codes of two ensembles would
     exceed physical memory: the bound stays at both sides' codes although
     one side is held at a time.
+
+    False positives: a non-symmetric verdict needs ``tv_distance`` > t =
+    5·sqrt(2/n).  A side fills at most 4 slots, so under a symmetric model
+    the L1 deviation bound (Weissman et al., 2003) caps the rate at
+    2·14·exp(-25) ≈ 3.9e-10 for any n >= MIN_AUDIT_N.
     """
     n = int(n)
     if n < MIN_AUDIT_N:
         raise ValueError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
-    _check_memory(model, 2 * n)
-    slot_a, free_a, profile_rev, settings_a, flipped_a = _audit_side(
-        model, sigma_a, sigma_b, n, stream.child(0), reverse=True
+    check_memory(model, 2 * n)
+    slot_a, free_a, flipped_a = _side_counts(
+        reverse_ensemble(generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0)))
     )
-    slot_b, free_b, profile_fwd, _, flipped_b = _audit_side(
-        model, sigma_b, sigma_a, n, stream.child(1), reverse=False
+    slot_b, free_b, flipped_b = _side_counts(
+        generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1))
     )
+    settings = (normalize_angle(sigma_a), normalize_angle(sigma_b))
     tv_slot = 0.5 * float(np.abs(slot_a / n - slot_b / n).sum())
     tv_free = 0.5 * float(np.abs(free_a / n - free_b / n).sum())
+    profile_rev = _alignment_profile(slot_a, n)
+    profile_fwd = _alignment_profile(slot_b, n)
     separation = max(abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES)
-    score = 0.5 * (1.0 + _profile_tv(profile_fwd, profile_rev))
+    score = 0.5 * (1.0 + 0.5 * sum(abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES))
     # a beable the samplers pin to one setting's axes lies on the other's too
-    degenerate = any(on_axes(pinned, other) for setting, other in (settings_a, settings_a[::-1])
+    degenerate = any(on_axes(pinned, other) for setting, other in (settings, settings[::-1])
                      for pinned in (setting, normalize_angle(setting + HALF_PI)))
 
     threshold = symmetry_threshold(n)
-    band = score_band(n)
     if tv_free > threshold:
         verdict = "asymmetric"
     elif tv_slot > threshold:
         # all the difference lives in which leg carries the beable; with the
         # alignment layer blind there is nothing observable to ground it
         verdict = "inconclusive"
-    elif abs(score - 0.5) > band:
-        verdict = "inconclusive"
     else:
         verdict = "symmetric"
 
     return SymmetryReport(
         model=model,
-        sigma_a=settings_a[0],
-        sigma_b=settings_a[1],
+        sigma_a=settings[0],
+        sigma_b=settings[1],
         n=n,
         tv_distance=tv_slot,
         tv_alignment=tv_free,
         threshold=threshold,
         verdict=verdict,
         distinguisher_score=score,
-        score_band=band,
+        score_band=score_band(n),
         alignment_separation=separation,
         forward_alignment=profile_fwd,
         reversed_alignment=profile_rev,

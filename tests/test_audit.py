@@ -1,5 +1,6 @@
 """Record reversal and the forward/backward distinguishability audit."""
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -12,6 +13,7 @@ from retrolab.audit import (
     MIN_AUDIT_N,
     _alignment_profile,
     _orient_forward,
+    _side_counts,
     _signature_counts,
     audit_symmetry,
     generate_ensemble,
@@ -20,7 +22,7 @@ from retrolab.audit import (
     symmetry_threshold,
 )
 from retrolab.core import ANGLE_TOL, on_axes
-from retrolab.hvmodels import STOCHASTIC_MODELS, UnknownModelError, model_ids
+from retrolab.hvmodels import UnknownModelError, channel_joint, model_ids
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
 
@@ -69,7 +71,7 @@ def test_reverse_ensemble_involution():
 
 
 def test_generate_ensemble_dispatch():
-    for model in STOCHASTIC_MODELS:
+    for model in model_ids(stochastic=True):
         ens = generate_ensemble(model, 0.0, 0.5, 100, RandomStream(2))
         assert ens.n == 100
         assert ens.model == model
@@ -159,6 +161,39 @@ def test_score_and_alignment_tv_are_bounded_by_the_finer_signatures(model):
         report = audit_symmetry(model, *pair, MIN_AUDIT_N, RandomStream(90 + i))
         assert 2 * abs(report.distinguisher_score - 0.5) <= report.tv_alignment + 1e-15, pair
         assert report.tv_alignment <= report.tv_distance + 1e-15, pair
+
+
+@pytest.mark.parametrize("model", ("twobit", "onebit", "qm-discrete", "qm-nocollapse"))
+@pytest.mark.parametrize("pair", ((0.0, PI / 6), (0.3, 1.2)))
+def test_symmetric_models_stay_within_the_stated_false_positive_rate(model, pair):
+    # each side's table-row counts are multinomial on the exact row
+    # probabilities, as the L1 deviation bound assumes; at the loose
+    # threshold t the bound 2 * 14 * exp(-n t^2 / 2) on tv_distance > t is 5%
+    n, trials = MIN_AUDIT_N, 500
+    t = math.sqrt(2 * math.log(560) / n)
+    rng = np.random.default_rng(12)
+    sides = []
+    for (sigma_l, sigma_r), reverse in ((pair, True), (pair[::-1], False)):
+        small = generate_ensemble(model, sigma_l, sigma_r, 16, RandomStream(0))
+        rows = len(small.table["in_channel"])
+        p = channel_joint(model, sigma_l, sigma_r).as_tuple() if rows == 4 else (0.5, 0.5)
+        sides.append((small, p, reverse))
+    fired = 0
+    for _ in range(trials):
+        slots = []
+        for small, p, reverse in sides:
+            codes = np.repeat(np.arange(len(p), dtype=np.uint8), rng.multinomial(n, p))
+            ensemble = dataclasses.replace(small, codes=codes)
+            slots.append(_side_counts(reverse_ensemble(ensemble) if reverse else ensemble)[0])
+        fired += 0.5 * np.abs(slots[0] / n - slots[1] / n).sum() > t
+    assert fired <= 0.05 * trials
+
+
+@pytest.mark.parametrize("pair", ((0.0, PI / 6), (0.3, 1.2)))
+def test_collapse_is_asymmetric_for_every_seed(pair):
+    for seed in range(200):
+        report = audit_symmetry("qm-collapse", *pair, MIN_AUDIT_N, RandomStream(seed))
+        assert report.verdict == "asymmetric", seed
 
 
 def _ulps(x, k):
@@ -313,7 +348,7 @@ def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
         assert slot.sum() == oriented.n
-        assert _alignment_profile(oriented, slot) == _reference_profile(oriented)
+        assert _alignment_profile(slot, oriented.n) == _reference_profile(oriented)
 
 
 def _assert_one_byte_codes(ens, n):
@@ -321,7 +356,7 @@ def _assert_one_byte_codes(ens, n):
     assert all(len(values) <= 4 for values in ens.table.values())
 
 
-@pytest.mark.parametrize("model", STOCHASTIC_MODELS)
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
 @pytest.mark.parametrize("pair", ((0.0, PI / 6), (0.0, 0.0), (0.0, PI / 2), (0.3, 1.2)))
 def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
     ens = generate_ensemble(model, *pair, 20_000, RandomStream(5))
@@ -331,10 +366,10 @@ def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
-        assert _alignment_profile(oriented, slot) == _reference_profile(oriented)
+        assert _alignment_profile(slot, oriented.n) == _reference_profile(oriented)
 
 
-@pytest.mark.parametrize("model", STOCHASTIC_MODELS)
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_row_bytes_match_generated_columns(model, monkeypatch):
     # the memory check counts one byte a row, what a generated ensemble's
     # codes take: 10 bytes of memory hold 10 rows and not 11
