@@ -302,13 +302,6 @@ def model_ids(stochastic: bool = False) -> tuple[str, ...]:
     return tuple(m for m, spec in REGISTRY.items() if spec.sampler or not stochastic)
 
 
-#: every model identifier the package understands
-MODELS = model_ids()
-
-#: models that generate stochastic channel records (everything but classical)
-STOCHASTIC_MODELS = model_ids(stochastic=True)
-
-
 def model_spec(model: str) -> ModelSpec:
     """The registry entry of ``model``; UnknownModelError when it has none."""
     if model not in REGISTRY:

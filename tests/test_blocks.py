@@ -26,7 +26,7 @@ from retrolab.audit import (
     reverse_ensemble,
 )
 from retrolab.core import HALF_PI, normalize_angle
-from retrolab.hvmodels import REGISTRY, STOCHASTIC_MODELS, onebit_dist, twobit_dist
+from retrolab.hvmodels import REGISTRY, model_ids, onebit_dist, twobit_dist
 from retrolab.photon import OntologyMode, PhotonState, born_probability
 from retrolab.records import write_records_jsonl
 from retrolab.stats import RandomStream
@@ -95,7 +95,7 @@ def _settings(kind, base, offset):
 
 @settings(max_examples=400, deadline=None)
 @given(
-    st.sampled_from(STOCHASTIC_MODELS),
+    st.sampled_from(model_ids(stochastic=True)),
     st.integers(1, 7),
     st.integers(1, 500),
     st.sampled_from(["equal", "orthogonal", "generic"]),
@@ -151,7 +151,7 @@ def traced():
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("model", STOCHASTIC_MODELS)
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_generation_peak_above_the_columns_does_not_grow_with_n(model, traced):
     generate_ensemble(model, 0.3, 1.2, SMALL_N, RandomStream(3))  # warm-up
     extra = {}
@@ -162,7 +162,7 @@ def test_generation_peak_above_the_columns_does_not_grow_with_n(model, traced):
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
 
 
-@pytest.mark.parametrize("model", STOCHASTIC_MODELS)
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_audit_peak_above_one_ensemble_does_not_grow_with_n(model, traced):
     audit_symmetry(model, 0.3, 1.2, SMALL_N, RandomStream(3))  # warm-up
     extra = {}

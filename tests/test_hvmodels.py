@@ -10,12 +10,11 @@ from hypothesis import given, settings, strategies as st
 from retrolab.audit import audit_symmetry, generate_ensemble
 from retrolab.core import malus
 from retrolab.hvmodels import (
-    MODELS,
     REGISTRY,
-    STOCHASTIC_MODELS,
     HVJoint,
     UnknownModelError,
     channel_joint,
+    model_ids,
     model_spec,
     onebit_beable_input_joint,
     onebit_dist,
@@ -160,7 +159,7 @@ def test_sampled_entry_points_give_one_unknown_model_message(model):
             call(model)
         messages.add(str(err.value))
     assert messages == {
-        f"no channel statistics for model {model!r}; expected one of {STOCHASTIC_MODELS}"
+        f"no channel statistics for model {model!r}; expected one of {model_ids(stochastic=True)}"
     }
 
 
@@ -241,9 +240,9 @@ def test_settings_dependence_rejects_equal_alt():
 
 
 def test_model_lists():
-    assert MODELS == ("twobit", "onebit", "qm-discrete", "qm-collapse", "qm-nocollapse", "classical")
-    assert set(STOCHASTIC_MODELS) < set(MODELS)
-    assert "classical" in MODELS and "classical" not in STOCHASTIC_MODELS
+    assert model_ids() == ("twobit", "onebit", "qm-discrete", "qm-collapse", "qm-nocollapse", "classical")
+    assert set(model_ids(stochastic=True)) < set(model_ids())
+    assert "classical" in model_ids() and "classical" not in model_ids(stochastic=True)
 
 
 def test_beable_input_information_split():

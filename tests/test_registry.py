@@ -12,7 +12,7 @@ import pytest
 
 from retrolab import audit, cli, hvmodels
 from retrolab.audit import generate_ensemble
-from retrolab.hvmodels import MODELS, STOCHASTIC_MODELS
+from retrolab.hvmodels import model_ids
 from retrolab.stats import RandomStream
 
 COMMANDS = {
@@ -55,7 +55,7 @@ SAMPLED_BY = {
 
 
 def test_every_stochastic_model_has_a_sampler_name():
-    assert sorted(m for models in SAMPLED_BY.values() for m in models) == sorted(STOCHASTIC_MODELS)
+    assert sorted(m for models in SAMPLED_BY.values() for m in models) == sorted(model_ids(stochastic=True))
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLED_BY))
@@ -70,7 +70,7 @@ def test_patching_a_sampler_name_intercepts_generate_ensemble(name, monkeypatch)
 
     monkeypatch.setattr(audit, name, sampler)
     stream = RandomStream(1)
-    for model in STOCHASTIC_MODELS:
+    for model in model_ids(stochastic=True):
         generated = generate_ensemble(model, 0.3, 1.2, 10, stream)
         if model in SAMPLED_BY[name]:
             assert generated.codes is sampled[-1].codes  # relabelled, not copied
@@ -107,8 +107,8 @@ def _load_bench_module(name, monkeypatch):
 def test_registry_matches_the_benchmark_models(monkeypatch):
     # the benchmark lists its models itself; it must keep covering every one
     bench = _load_bench_module("run", monkeypatch)
-    assert bench.ALL_MODELS == MODELS
-    assert bench.AUDIT_MODELS == STOCHASTIC_MODELS
+    assert bench.ALL_MODELS == model_ids()
+    assert bench.AUDIT_MODELS == model_ids(stochastic=True)
 
 
 def test_benchmark_tracer_wraps_live_names(tmp_path, monkeypatch):
