@@ -8,8 +8,8 @@ Example:
 import argparse
 import math
 
-from retrolab.audit import MIN_AUDIT_N, audit_symmetry
-from retrolab.hvmodels import REGISTRY
+from retrolab.audit import MIN_AUDIT_N, audit_symmetry, check_memory
+from retrolab.hvmodels import model_ids
 from retrolab.stats import RandomStream
 
 VERDICT_MARK = {"symmetric": ".", "asymmetric": "X", "inconclusive": "?"}
@@ -29,15 +29,19 @@ def main() -> None:
         stream = RandomStream(args.seed)
     except ValueError as err:
         ap.error(f"--seed: {err}")
+    models = model_ids(stochastic=True)  # the models with record ensembles to audit
+    for model in models:
+        try:
+            check_memory(model, 2 * args.n)
+        except ValueError as err:
+            ap.error(f"--n: {err}")
 
     grid = [k * (math.pi / 2) / (args.points - 1) for k in range(args.points)]
 
     print(f"audit verdicts over a {args.points}x{args.points} grid, n={args.n}")
     print("marks: . symmetric   X asymmetric   ? inconclusive\n")
     child = 0
-    for model, spec in REGISTRY.items():
-        if spec.sampler is None:
-            continue  # no record ensembles to audit
+    for model in models:
         rows = []
         worst_tv = 0.0
         for a in grid:

@@ -63,3 +63,12 @@ def test_symmetry_grid_rejects_bad_input(capsys, args, message):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if "error" in line] == [f"symmetry_grid.py: error: {message}"]
+
+
+def test_symmetry_grid_rejects_n_beyond_memory(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_script("symmetry_grid.py", "--points", "2", "--n", "100000000000000")
+    assert exit_info.value.code == 2
+    err = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    assert len(err) == 1
+    assert err[0].startswith("symmetry_grid.py: error: --n: 200000000000000 twobit records need")
