@@ -132,6 +132,8 @@ def simulate_ensemble(
     """
     import numpy as np
 
+    if not isinstance(mode, OntologyMode):
+        raise ValueError(f"unknown ontology mode: {mode!r}")
     n = int(n)
     if n < 1:
         raise ValueError("need at least one run")
@@ -154,7 +156,5 @@ def simulate_ensemble(
         block += out
     if mode is OntologyMode.COLLAPSE:
         return Ensemble(mode.model_id, sl, sr, codes, channel_table(tau_l=[t0, t0, t1, t1]))
-    if mode is OntologyMode.DISCRETE_SYMMETRIC:
-        table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
-        return Ensemble(mode.model_id, sl, sr, codes, table)
-    raise ValueError(f"unknown ontology mode: {mode!r}")
+    table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
+    return Ensemble(mode.model_id, sl, sr, codes, table)

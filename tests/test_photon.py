@@ -191,6 +191,15 @@ def test_collapse_ensemble_has_no_return_beable():
     assert ens.out_channel is not None
 
 
+def test_unknown_mode_rejected_before_sampling(monkeypatch):
+    def sampled(self):
+        raise AssertionError("sampled before the mode check")
+
+    monkeypatch.setattr(RandomStream, "generator", sampled)
+    with pytest.raises(ValueError, match="unknown ontology mode: 'discrete'"):
+        simulate_ensemble("discrete", 0.3, 1.2, 10**7, RandomStream(1))
+
+
 def test_nocollapse_ensemble_weights():
     sl, sr = 0.2, 1.1
     ens = simulate_ensemble(OntologyMode.NO_COLLAPSE, sl, sr, 1000, RandomStream(3))
