@@ -27,10 +27,9 @@ flagged ``convention_dependent``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -166,11 +165,10 @@ def generate_ensemble(
     check_memory(model, n)
     spec = sampled_spec(model)
     ensemble = globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
-    return dataclasses.replace(ensemble, model=model)
+    return Ensemble(model, ensemble.sigma_l, ensemble.sigma_r, ensemble.codes, ensemble.table)
 
 
-@dataclass(frozen=True)
-class SymmetryReport:
+class SymmetryReport(NamedTuple):
     """Outcome of one reversal audit.
 
     ``tv_distance`` is over the slot signature, ``tv_alignment`` over the

@@ -15,14 +15,13 @@ settings-dependent, 2 unusable configuration, 3 write failure,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import sys
-from datetime import datetime, timezone
+import time
 
-from . import __version__, hvmodels, records
+from . import __version__, hvmodels
 from .photon import OntologyMode
 from .stats import RandomStream, tv_distance
 
@@ -92,12 +91,14 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with records.atomic_open(out) as fh:
+        from .records import atomic_open
+
+        with atomic_open(out) as fh:
             fh.write(text.encode())
 
 
 def _emit_json(args, config: dict, result: dict) -> None:
-    created_at = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    created_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
     payload = {"config": config, "result": result, "meta": {"created_at": created_at}}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
 
@@ -168,6 +169,8 @@ def _cmd_run(args) -> int:
     }
 
     if args.records is not None:
+        from . import records
+
         limit = None if args.records_limit == 0 else args.records_limit
         records.write_records_jsonl(args.records, ensemble, limit)
 
@@ -239,7 +242,7 @@ def _cmd_audit(args) -> int:
     sigma_b = _angle(args.sigma_b, args.degrees)
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
     report = _sampler().audit_symmetry(args.model, sigma_a, sigma_b, args.n, stream)
-    result = dataclasses.asdict(report) | {"symmetric": report.symmetric}
+    result = report._asdict() | {"symmetric": report.symmetric}
     config = {key: result.pop(key) for key in ("model", "sigma_a", "sigma_b", "n")}
     cfg = _resolved(args, **config, seed=args.seed)
     _emit_json(args, cfg, result)
@@ -256,7 +259,7 @@ def _cmd_retro(args) -> int:
         _angle(args.sigma_r, args.degrees),
         _angle(args.sigma_r_alt, args.degrees),
     )
-    result = dataclasses.asdict(report)
+    result = report._asdict()
     config = {key: result.pop(key) for key in ("model", "sigma_l", "sigma_r", "sigma_r_alt")}
     cfg = _resolved(args, **config)
     _emit_json(args, cfg, result)

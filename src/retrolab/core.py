@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PI = math.pi
 HALF_PI = 0.5 * math.pi
@@ -81,20 +81,16 @@ def malus(delta: float) -> float:
     return c * c
 
 
-@dataclass(frozen=True)
-class JonesVector:
+class JonesVector(NamedTuple("JonesVector", [("ex", complex), ("ey", complex)])):
     """Complex amplitudes (ex, ey) of one field mode in the lab basis."""
 
-    ex: complex
-    ey: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        ex = complex(self.ex)
-        ey = complex(self.ey)
+    def __new__(cls, ex: complex, ey: complex):
+        ex, ey = complex(ex), complex(ey)
         if not (cmath.isfinite(ex) and cmath.isfinite(ey)):
             raise ValueError("field amplitudes must be finite")
-        object.__setattr__(self, "ex", ex)
-        object.__setattr__(self, "ey", ey)
+        return super().__new__(cls, ex, ey)
 
     @property
     def intensity(self) -> float:

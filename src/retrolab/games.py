@@ -24,8 +24,7 @@ are out of scope.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from .core import HALF_PI, ZERO_INTENSITY, angles_equal, normalize_angle, on_axes, pol_angle
 from .hvmodels import ModelSpec, settings_dependence
@@ -44,8 +43,8 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_KINDS}")
 
 
-@dataclass(frozen=True)
-class Demon:
+class Demon(NamedTuple("Demon", [("kind", str),
+                                 ("inputs", Callable[[float], int | ModePair | None])])):
     """The input-side opposition: one of :data:`STRATEGY_KINDS` and its play.
 
     ``inputs(setting)`` is what the Demon feeds a cube at ``setting``: a
@@ -54,11 +53,11 @@ class Demon:
     superposition play.
     """
 
-    kind: str
-    inputs: Callable[[float], int | ModePair | None]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_kind(self.kind)
+    def __new__(cls, kind: str, inputs: Callable[[float], int | ModePair | None]):
+        _check_kind(kind)
+        return super().__new__(cls, kind, inputs)
 
 
 def play_lena_round(sigma_l: float, demon: Demon) -> float | None:
@@ -95,24 +94,22 @@ def superposition_target_demon(target_pol: float) -> Demon:
     return Demon(KIND_SUPERPOSITION, lambda setting: demon_inputs_superposition(setting, target_pol))
 
 
-@dataclass(frozen=True)
-class DiscretePair:
+class DiscretePair(NamedTuple("DiscretePair", [("first", float), ("second", float)])):
     """Achievable set of exactly two orthogonal directions."""
 
-    first: float
-    second: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "first", normalize_angle(self.first))
-        object.__setattr__(self, "second", normalize_angle(self.second))
-        if not angles_equal(self.second, self.first + HALF_PI):
+    def __new__(cls, first: float, second: float):
+        first, second = normalize_angle(first), normalize_angle(second)
+        if not angles_equal(second, first + HALF_PI):
             raise ValueError("the two achievable directions must be orthogonal")
+        return super().__new__(cls, first, second)
 
     def contains(self, angle: float) -> bool:
         return on_axes(angle, self.first)
 
     def as_tuple(self) -> tuple[float, float]:
-        return (self.first, self.second)
+        return tuple(self)
 
     def disjoint_from(self, other: "DiscretePair") -> bool:
         return not on_axes(other.first, self.first)
@@ -135,8 +132,7 @@ def _channel_pair(setting: float) -> DiscretePair:
     return DiscretePair(emit_from_channel(1, setting).angle, emit_from_channel(0, setting).angle)
 
 
-@dataclass(frozen=True)
-class ControlReport:
+class ControlReport(NamedTuple):
     """Verdict on who controls the polarization at one end of the bench.
 
     The setting controls the value exactly when ``achievable`` is an

@@ -23,13 +23,14 @@ module reads a model's facts from there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .core import HALF_PI, angles_equal, malus, normalize_angle
 from .photon import OntologyMode, born_probability, emit_from_channel
-from .records import Ensemble, channel_table
 from .stats import RandomStream, random_blocks, tv_distance
+
+if TYPE_CHECKING:
+    from .records import Ensemble
 
 MODEL_TWOBIT = "twobit"
 MODEL_ONEBIT = "onebit"
@@ -46,30 +47,28 @@ class UnknownModelError(ValueError):
     """Model identifier missing from the registry, or unsupported here."""
 
 
-@dataclass(frozen=True)
-class HVJoint:
+class HVJoint(NamedTuple("HVJoint", [("p00", float), ("p01", float), ("p10", float), ("p11", float)])):
     """Probability four-vector over (past channel, future channel)."""
 
-    p00: float
-    p01: float
-    p10: float
-    p11: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.as_tuple():
+    def __new__(cls, p00: float, p01: float, p10: float, p11: float):
+        joint = super().__new__(cls, p00, p01, p10, p11)
+        for p in joint:
             if not (-1e-12 <= p <= 1.0 + 1e-12):
                 raise ValueError(f"cell probability out of range: {p!r}")
-        if abs(math.fsum(self.as_tuple()) - 1.0) > 1e-12:
+        if abs(math.fsum(joint) - 1.0) > 1e-12:
             raise ValueError("joint must sum to 1")
+        return joint
 
     def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.p00, self.p01, self.p10, self.p11)
+        return tuple(self)
 
     def as_dict(self) -> dict[str, float]:
         return {"00": self.p00, "01": self.p01, "10": self.p10, "11": self.p11}
 
     def prob(self, past: int, future: int) -> float:
-        return self.as_tuple()[2 * past + future]
+        return self[2 * past + future]
 
     @property
     def p_match(self) -> float:
@@ -98,6 +97,8 @@ def simulate_twobit_ensemble(
     or below u; it is written to one uint8 code per run, block by block.
     """
     import numpy as np
+
+    from .records import Ensemble, channel_table
 
     n = int(n)
     if n < 1:
@@ -133,6 +134,8 @@ def simulate_onebit_ensemble(
     channel repeats it; the exit channel flips the input where it does not.
     """
     import numpy as np
+
+    from .records import Ensemble, channel_table
 
     n = int(n)
     if n < 1:
@@ -202,8 +205,20 @@ def _classical_beables(sigma_l: float, sigma_r: float) -> dict:
     return {("field", normalize_angle(sigma_l)): 1.0}
 
 
-@dataclass(frozen=True)
-class ModelSpec:
+class _ModelFields(NamedTuple):
+    model: str
+    realist_beables: bool
+    time_symmetric: bool
+    discrete_outputs: bool
+    beable_distribution: Callable[[float, float], dict]
+    beable: str
+    output_side: OntologyMode
+    joint: Callable[[float, float], HVJoint] | None = None
+    sampler: str | None = None
+    sampler_args: tuple = ()
+
+
+class ModelSpec(_ModelFields):
     """Everything the package knows about one model.
 
     The three flags are the model's structural commitments and ``premise``
@@ -222,20 +237,13 @@ class ModelSpec:
     neither; either of the two alone is a ValueError.
     """
 
-    model: str
-    realist_beables: bool
-    time_symmetric: bool
-    discrete_outputs: bool
-    beable_distribution: Callable[[float, float], dict]
-    beable: str
-    output_side: OntologyMode
-    joint: Callable[[float, float], HVJoint] | None = None
-    sampler: str | None = None
-    sampler_args: tuple = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.joint is None) != (self.sampler is None):
-            raise ValueError(f"model {self.model!r} needs both a joint and a sampler, or neither")
+    def __new__(cls, *fields, **named):
+        spec = super().__new__(cls, *fields, **named)
+        if (spec.joint is None) != (spec.sampler is None):
+            raise ValueError(f"model {spec.model!r} needs both a joint and a sampler, or neither")
+        return spec
 
     @property
     def premise(self) -> bool:
@@ -325,8 +333,7 @@ def channel_joint(model: str, sigma_l: float, sigma_r: float) -> HVJoint:
     return sampled_spec(model).joint(sigma_l, sigma_r)
 
 
-@dataclass(frozen=True)
-class RetroReport:
+class RetroReport(NamedTuple):
     """Settings-dependence verdict for the pre-measurement beables."""
 
     model: str

@@ -12,7 +12,7 @@ is all that matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     HALF_PI,
@@ -30,16 +30,14 @@ from .core import (
 MODE_AXIS_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class ModePair:
+class ModePair(NamedTuple("ModePair", [("trans", JonesVector), ("refl", JonesVector),
+                                       ("basis", float)])):
     """Transmitted and reflected field modes of a cube set at ``basis``."""
 
-    trans: JonesVector
-    refl: JonesVector
-    basis: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "basis", normalize_angle(self.basis))
+    def __new__(cls, trans: JonesVector, refl: JonesVector, basis: float):
+        return super().__new__(cls, trans, refl, normalize_angle(basis))
 
     @property
     def total_intensity(self) -> float:

@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
-from .optics import ModePair, demon_inputs_classical
-from .records import Ensemble, channel_table
 from .stats import RandomStream, random_blocks
+
+if TYPE_CHECKING:
+    from .optics import ModePair
+    from .records import Ensemble
 
 
 class UndefinedPosteriorError(ValueError):
@@ -40,15 +42,15 @@ class OntologyMode(enum.Enum):
         return "qm-" + self.value
 
 
-@dataclass(frozen=True)
-class PhotonState:
+class PhotonState(NamedTuple("PhotonState", [("jones", JonesVector)])):
     """Unit-intensity Jones vector: the polarization state of one photon."""
 
-    jones: JonesVector
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.jones.intensity - 1.0) > 1e-12:
+    def __new__(cls, jones: JonesVector):
+        if abs(jones.intensity - 1.0) > 1e-12:
             raise ValueError("photon states must have unit intensity")
+        return super().__new__(cls, jones)
 
     @classmethod
     def linear(cls, pol: float) -> "PhotonState":
@@ -111,6 +113,8 @@ def demon_inputs_superposition(setting_l: float, target_pol: float) -> ModePair:
     Every target is reachable, so superposed inputs restore on the input side
     the continuity that single-channel inputs lack.
     """
+    from .optics import demon_inputs_classical
+
     return demon_inputs_classical(setting_l, target_pol, 1.0)
 
 
@@ -131,6 +135,8 @@ def simulate_ensemble(
     the angles and weights each channel pins.
     """
     import numpy as np
+
+    from .records import Ensemble, channel_table
 
     if not isinstance(mode, OntologyMode):
         raise ValueError(f"unknown ontology mode: {mode!r}")

@@ -21,8 +21,7 @@ import contextlib
 import json
 import os
 import stat
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from .stats import row_blocks
 
@@ -46,8 +45,7 @@ RECORD_KEYS = (
 )
 
 
-@dataclass(frozen=True)
-class ExperimentRecord:
+class ExperimentRecord(NamedTuple):
     """Everything one run wrote down; beables that never existed stay None."""
 
     sigma_l: float
@@ -249,7 +247,6 @@ def _decoded(field: str) -> property:
     return property(lambda self: self.table[field][self.codes] if field in self.table else None)
 
 
-@dataclass(frozen=True)
 class Ensemble:
     """Batch of runs from one model at fixed settings, dictionary-encoded.
 
@@ -263,11 +260,7 @@ class Ensemble:
     integer array and codes outside the table are a ValueError.
     """
 
-    model: str
-    sigma_l: float
-    sigma_r: float
-    codes: np.ndarray
-    table: dict[str, np.ndarray]
+    __slots__ = ("model", "sigma_l", "sigma_r", "codes", "table")
 
     in_channel = _decoded("in_channel")
     out_channel = _decoded("out_channel")
@@ -275,15 +268,17 @@ class Ensemble:
     tau_r = _decoded("tau_r")
     weight_1 = _decoded("weight_1")
 
-    def __post_init__(self):
+    def __init__(self, model: str, sigma_l: float, sigma_r: float, codes: np.ndarray,
+                 table: dict[str, np.ndarray]):
         import numpy as np
 
-        lengths = {field: len(values) for field, values in self.table.items()}
+        self.model, self.sigma_l, self.sigma_r, self.codes, self.table = (
+            model, sigma_l, sigma_r, codes, table)
+        lengths = {field: len(values) for field, values in table.items()}
         if set(lengths) - set(FIELDS):
             raise ValueError(f"unknown table fields {sorted(set(lengths) - set(FIELDS))}")
         if len(set(lengths.values())) > 1:
             raise ValueError(f"table columns differ in length: {lengths}")
-        codes = self.codes
         if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
             raise ValueError(f"codes must be a 1-d integer array, not {np.asarray(codes).dtype}"
                              f"{list(np.shape(codes))}")

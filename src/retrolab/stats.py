@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,8 +37,7 @@ def _mix64(a: int, b: int) -> int:
     return x
 
 
-@dataclass(frozen=True)
-class RandomStream:
+class RandomStream(NamedTuple("RandomStream", [("seed", int), ("stream_id", int)])):
     """Value-typed handle on one reproducible random stream.
 
     Equal (seed, stream_id) regenerate exactly the same draws.  Children
@@ -47,17 +45,17 @@ class RandomStream:
     and of each other, and do not depend on consumption order.
     """
 
-    seed: int
-    stream_id: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.seed, int) or not isinstance(self.stream_id, int):
+    def __new__(cls, seed: int, stream_id: int = 0):
+        if not isinstance(seed, int) or not isinstance(stream_id, int):
             raise ValueError("seed and stream_id must be integers")
         # both are 64-bit words of the Philox key; reducing a value outside
         # the range would give two seeds one stream
-        for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
+        for name, value in (("seed", seed), ("stream_id", stream_id)):
             if not 0 <= value <= _MASK64:
                 raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+        return super().__new__(cls, seed, stream_id)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at draw index zero of this stream."""

@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+from datetime import datetime, timezone
 
 import pytest
 
@@ -71,6 +73,17 @@ def test_run_is_deterministic():
     lines_a = [l for l in a.stdout.splitlines() if "created_at" not in l]
     lines_b = [l for l in b.stdout.splitlines() if "created_at" not in l]
     assert lines_a == lines_b
+
+
+def test_created_at_is_utc_to_the_second():
+    stdout = io.StringIO()
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "1"]) == 0
+    after = datetime.now(timezone.utc)
+    created_at = json.loads(stdout.getvalue())["meta"]["created_at"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", created_at)
+    assert before <= datetime.fromisoformat(created_at) <= after
 
 
 def test_run_embeds_resolved_config():
@@ -424,6 +437,21 @@ def test_analytic_commands_do_not_import_numpy(name):
 @pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
 def test_sampling_commands_import_numpy(name):
     assert imports_numpy(*SAMPLING_COMMANDS[name])
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_COMMANDS))
+def test_analytic_commands_do_not_import_dataclasses_or_inspect(name):
+    assert not {"dataclasses", "inspect", "datetime"} & imported(*ANALYTIC_COMMANDS[name])
+
+
+@pytest.mark.parametrize("name", ["table", "retro", "version"])
+def test_closed_form_commands_do_not_import_records_or_optics(name):
+    assert not {"retrolab.records", "retrolab.optics"} & imported(*ANALYTIC_COMMANDS[name])
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
+def test_sampling_commands_do_not_import_dataclasses(name):
+    assert "dataclasses" not in imported(*SAMPLING_COMMANDS[name])
 
 
 @pytest.mark.parametrize("name", sorted(ANALYTIC_COMMANDS | SAMPLING_COMMANDS))

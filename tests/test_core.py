@@ -200,6 +200,9 @@ def test_vector_algebra():
 def test_jones_vector_rejects_nonfinite():
     with pytest.raises(ValueError):
         JonesVector(complex("nan"), 0.0)
+    # finite amplitudes of any number type are stored as complex
+    v = JonesVector(1, 0.0)
+    assert type(v.ex) is complex and type(v.ey) is complex and v == (1 + 0j, 0j)
 
 
 @given(angles, angles)

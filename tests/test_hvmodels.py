@@ -1,6 +1,5 @@
 """Hidden-variable joints, beable distributions, settings-dependence."""
 
-import dataclasses
 import math
 
 import numpy as np
@@ -12,6 +11,7 @@ from retrolab.core import malus
 from retrolab.hvmodels import (
     REGISTRY,
     HVJoint,
+    ModelSpec,
     UnknownModelError,
     channel_joint,
     model_ids,
@@ -166,9 +166,9 @@ def test_sampled_entry_points_give_one_unknown_model_message(model):
 @pytest.mark.parametrize("missing", ["joint", "sampler"])
 def test_model_spec_needs_joint_and_sampler_together(missing):
     with pytest.raises(ValueError, match="both a joint and a sampler"):
-        dataclasses.replace(REGISTRY["twobit"], **{missing: None})
+        ModelSpec(**REGISTRY["twobit"]._asdict() | {missing: None})
     # a model without channel statistics has neither
-    assert dataclasses.replace(REGISTRY["twobit"], joint=None, sampler=None).sampler is None
+    assert ModelSpec(**REGISTRY["twobit"]._asdict() | {"joint": None, "sampler": None}).sampler is None
 
 
 def test_settings_dependence_twobit_pin():

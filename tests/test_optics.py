@@ -111,3 +111,5 @@ def test_classical_demon_complete(setting, target):
 def test_mode_pair_basis_normalized():
     pair = ModePair(JonesVector(0.0, 0.0), JonesVector(0.0, 0.0), PI + 0.25)
     assert pair.basis == pytest.approx(0.25, abs=1e-12)
+    pair = ModePair(JonesVector(0.0, 0.0), JonesVector(0.0, 0.0), -0.25)
+    assert pair.basis == pytest.approx(PI - 0.25, abs=1e-12)

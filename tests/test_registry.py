@@ -1,7 +1,6 @@
 """The model registry: one ModelSpec per model is all the rest of the package reads."""
 
 import contextlib
-import dataclasses
 import importlib.util
 import io
 import json
@@ -35,7 +34,7 @@ def run_main(argv, model):
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_one_registry_entry_adds_a_model(command, monkeypatch):
-    copy = dataclasses.replace(hvmodels.REGISTRY["twobit"], model="twobit-copy")
+    copy = hvmodels.ModelSpec(**hvmodels.REGISTRY["twobit"]._asdict() | {"model": "twobit-copy"})
     monkeypatch.setitem(hvmodels.REGISTRY, "twobit-copy", copy)
     rc_copy, payload_copy = run_main(COMMANDS[command], "twobit-copy")
     rc, payload = run_main(COMMANDS[command], "twobit")
@@ -83,7 +82,7 @@ def test_patching_a_sampler_name_intercepts_generate_ensemble(name, monkeypatch)
 
 def test_records_carry_the_registry_id(tmp_path, monkeypatch):
     # a model that reuses another's sampler still labels its records with its own id
-    copy = dataclasses.replace(hvmodels.REGISTRY["twobit"], model="twobit-copy")
+    copy = hvmodels.ModelSpec(**hvmodels.REGISTRY["twobit"]._asdict() | {"model": "twobit-copy"})
     monkeypatch.setitem(hvmodels.REGISTRY, "twobit-copy", copy)
     path = tmp_path / "copy.jsonl"
     argv = [arg.format("twobit-copy") for arg in COMMANDS["run"]]

@@ -43,6 +43,12 @@ def test_stream_key_words_must_fit_64_bits(seed, stream_id):
         RandomStream(seed, stream_id)
 
 
+@pytest.mark.parametrize("key", [(1.5,), (0, 1.5), ("1",)])
+def test_stream_key_words_must_be_integers(key):
+    with pytest.raises(ValueError, match="must be integers"):
+        RandomStream(*key)
+
+
 def test_largest_stream_key_is_accepted():
     top = 2**64 - 1
     a = RandomStream(top, top).generator().random(3)
