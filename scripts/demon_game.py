@@ -35,7 +35,7 @@ def main() -> None:
         report = verify_lena_control(sigma, "discrete")
         print(
             f"  setting {sigma:5.3f}: ch0 -> {taus[0]:5.3f}, ch1 -> {taus[1]:5.3f}"
-            f"   achievable pair {report.achievable.as_tuple()}"
+            f"   achievable pair {tuple(report.achievable)}"
         )
 
     for label, make in (

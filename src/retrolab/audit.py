@@ -14,10 +14,11 @@ The audit compares two discrete reductions of each record:
 
 Two tests decide.  Alignment-level asymmetry (the slot-free TV) is
 convention-free and decides "asymmetric".  When only the slot bookkeeping
-differs, the audit refuses to call it: at degenerate settings (equal or
-orthogonal) a beable aligned with one setting is aligned with both, so which
-leg it is recorded on cannot be grounded in anything observable, and the
-verdict is "inconclusive".  The structural distinguisher is only reported.
+differs, the audit refuses to call it and the verdict is "inconclusive".  At
+degenerate settings (equal or orthogonal) a beable aligned with one setting
+is aligned with both, so neither test is grounded in anything observable: a
+degenerate pair is at most "inconclusive".  The structural distinguisher is
+only reported.
 
 Branch-weight records need one extra convention to be reversible at all:
 the definite channel end and the branch end swap roles, mirroring the even
@@ -219,14 +220,16 @@ def audit_symmetry(
     generated, so only one ensemble is alive at a time.
 
     Verdict logic: slot-free asymmetry is conclusive; asymmetry visible only
-    in slot bookkeeping is not, and reports "inconclusive" (the degenerate
-    collapse case lands here by construction).  The score is reported: its
-    profile coarsens the slot-free signature, so 2·|score - 1/2| <=
-    ``tv_alignment`` (up to 2.2e-16).  Settings are degenerate
-    when a beable pinned to one setting's axes is on the other's
-    (:func:`core.on_axes`), so a leg beable is aligned with both: the
-    collapse audit at (0, d) or (0, pi/2 + d) is "asymmetric" for d = 1e-8
-    and "inconclusive", with ``degenerate_settings`` true, for d = 1e-10.
+    in slot bookkeeping is not, and reports "inconclusive".  The score is
+    reported: its profile coarsens the slot-free signature, so 2·|score -
+    1/2| <= ``tv_alignment`` (up to 2.2e-16).  Settings are degenerate when a
+    beable pinned to one setting's axes is on the other's
+    (:func:`core.on_axes`), so a leg beable is aligned with both, and a
+    degenerate pair is at most "inconclusive": the collapse audit at (0, d)
+    or (0, pi/2 + d) is "asymmetric" for d = 1e-8 and "inconclusive", with
+    ``degenerate_settings`` true, for d = 1e-10.  Within ulps of
+    ``ANGLE_TOL`` rounding decides the flag: (0, 1.5707963257948967) is
+    degenerate and its mirror about pi/2, (0, 1.5707963277948966), is not.
     ValueError, before sampling, when the codes of two ensembles would
     exceed physical memory: the bound stays at both sides' codes although
     one side is held at a time.
@@ -234,7 +237,9 @@ def audit_symmetry(
     False positives: a non-symmetric verdict needs ``tv_distance`` > t =
     5·sqrt(2/n).  A side fills at most 4 slots, so under a symmetric model
     the L1 deviation bound (Weissman et al., 2003) caps the rate at
-    2·14·exp(-25) ≈ 3.9e-10 for any n >= MIN_AUDIT_N.
+    2·14·exp(-25) ≈ 3.9e-10 for any n >= MIN_AUDIT_N.  The rate of a false
+    "asymmetric" holds at every pair, degenerate ones included, since a
+    degenerate pair never reads "asymmetric".
     """
     n = int(n)
     if n < MIN_AUDIT_N:
@@ -258,11 +263,11 @@ def audit_symmetry(
                      for pinned in (setting, normalize_angle(setting + HALF_PI)))
 
     threshold = symmetry_threshold(n)
-    if tv_free > threshold:
+    if tv_free > threshold and not degenerate:
         verdict = "asymmetric"
-    elif tv_slot > threshold:
-        # all the difference lives in which leg carries the beable; with the
-        # alignment layer blind there is nothing observable to ground it
+    elif tv_slot > threshold or tv_free > threshold:
+        # all the difference lives in which leg carries the beable, or the
+        # settings align a beable with both: nothing observable grounds it
         verdict = "inconclusive"
     else:
         verdict = "symmetric"

@@ -31,15 +31,7 @@ class ZeroBeamError(ValueError):
 
 
 class NotLinearError(ValueError):
-    """Raised when linear polarization is required but the field is elliptical.
-
-    ``ellipticity`` is 2 Im(ex conj ey) / intensity, in [-1, 1]: 0 for linear
-    light, +-1 for circular.
-    """
-
-    def __init__(self, message: str, ellipticity: float):
-        super().__init__(message)
-        self.ellipticity = ellipticity
+    """Raised when linear polarization is required but the field is elliptical."""
 
 
 def normalize_angle(x: float) -> float:
@@ -104,14 +96,6 @@ class JonesVector(NamedTuple("JonesVector", [("ex", complex), ("ey", complex)]))
     def __add__(self, other: "JonesVector") -> "JonesVector":
         return JonesVector(self.ex + other.ex, self.ey + other.ey)
 
-    @property
-    def ellipticity(self) -> float:
-        """2 Im(ex conj ey) / intensity; 0 is linear, +-1 circular."""
-        i = self.intensity
-        if i <= ZERO_INTENSITY:
-            return 0.0
-        return 2.0 * (self.ex * self.ey.conjugate()).imag / i
-
 
 def jones_from_angle(pol: float, intensity: float = 1.0, phase: float = 0.0) -> JonesVector:
     """Linearly polarized field at direction ``pol`` with the given intensity.
@@ -131,18 +115,15 @@ def pol_angle(v: JonesVector) -> float:
     """Polarization direction of a linearly polarized field, in [0, pi).
 
     Inverse of :func:`jones_from_angle` up to global phase.  Raises
-    ZeroBeamError on dark fields and NotLinearError (carrying the ellipticity)
-    when the field has a circular component.
+    ZeroBeamError on dark fields and NotLinearError when the field has a
+    circular component.
     """
     i = v.intensity
     if i <= ZERO_INTENSITY:
         raise ZeroBeamError("polarization direction of a dark field is undefined")
     cross = v.ex * v.ey.conjugate()
     if abs(cross.imag) > LINEAR_TOL * i:
-        raise NotLinearError(
-            "field is elliptically polarized, direction undefined",
-            ellipticity=2.0 * cross.imag / i,
-        )
+        raise NotLinearError("field is elliptically polarized, direction undefined")
     # the doubled angle is insensitive to the global phase and to pol -> pol+pi
     s1 = (v.ex.real * v.ex.real + v.ex.imag * v.ex.imag) - (
         v.ey.real * v.ey.real + v.ey.imag * v.ey.imag

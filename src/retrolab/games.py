@@ -108,9 +108,6 @@ class DiscretePair(NamedTuple("DiscretePair", [("first", float), ("second", floa
     def contains(self, angle: float) -> bool:
         return on_axes(angle, self.first)
 
-    def as_tuple(self) -> tuple[float, float]:
-        return tuple(self)
-
     def disjoint_from(self, other: "DiscretePair") -> bool:
         return not on_axes(other.first, self.first)
 

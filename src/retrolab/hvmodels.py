@@ -61,9 +61,6 @@ class HVJoint(NamedTuple("HVJoint", [("p00", float), ("p01", float), ("p10", flo
             raise ValueError("joint must sum to 1")
         return joint
 
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return tuple(self)
-
     def as_dict(self) -> dict[str, float]:
         return {"00": self.p00, "01": self.p01, "10": self.p10, "11": self.p11}
 
@@ -104,7 +101,7 @@ def simulate_twobit_ensemble(
     if n < 1:
         raise ValueError("need at least one run")
     rng = stream.generator()
-    c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r).as_tuple())[:3]
+    c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r))[:3]
     codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
         block = codes[rows]

@@ -21,7 +21,7 @@ import contextlib
 import json
 import os
 import stat
-from typing import TYPE_CHECKING, Iterable, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .stats import row_blocks
 
@@ -165,28 +165,15 @@ def atomic_open(path):
         raise
 
 
-def write_records_jsonl(path, records: Iterable[ExperimentRecord] | Ensemble, limit=None) -> int:
-    """Write records one JSON object per line, UTF-8 with line-feed ends;
-    returns the number written.
+def write_records_jsonl(path, ensemble: Ensemble, limit=None) -> int:
+    """Write the first ``limit`` rows of ``ensemble`` (None = all) one JSON
+    object per line, UTF-8 with line-feed ends; returns the number written.
 
-    ``records`` is an iterable of records or an :class:`Ensemble`, whose
-    first ``limit`` rows are written (None = all).  An ensemble is written
-    without materialising its rows: each table row's line is rendered and
+    The rows are never materialised: each table row's line is rendered and
     encoded once, and the codes pick every row's line in blocks of
     :data:`WRITE_ROWS` rows, so the writer's peak, one block of bytes
     (0.7–1.0 MB under tracemalloc), does not grow with n.
     """
-    if isinstance(records, Ensemble):
-        return _write_ensemble(path, records, limit)
-    count = 0
-    with atomic_open(path) as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record)).encode() + b"\n")
-            count += 1
-    return count
-
-
-def _write_ensemble(path, ensemble: Ensemble, limit) -> int:
     count = ensemble._count(limit)
     lines = [json.dumps(record_to_dict(record)).encode() + b"\n"
              for record in ensemble._table_records()]

@@ -89,8 +89,8 @@ def test_criterion_02_twobit_reproduces_channel_statistics():
     with criterion(2, "two-bit model = channel statistics"):
         for sl in GRID:
             for sr in GRID:
-                t = twobit_dist(sl, sr).as_tuple()
-                q = qm_reference_joint(sl, sr).as_tuple()
+                t = twobit_dist(sl, sr)
+                q = qm_reference_joint(sl, sr)
                 assert max(abs(a - b) for a, b in zip(t, q)) <= 1e-12, (sl, sr)
         analytic = twobit_dist(0.0, PI / 6).as_dict()
         ens = simulate_twobit_ensemble(0.0, PI / 6, N, STREAM.child(200))

@@ -138,6 +138,14 @@ def test_report_angles_are_normalized():
     assert report.sigma_a == pytest.approx(0.1, abs=1e-12)
 
 
+# sigma_b written as each offset ± ANGLE_TOL in decimal, and whether
+# rounding makes (0, sigma_b) degenerate: the flag is set on one side only
+_AT_ANGLE_TOL = {
+    0.0: ((1e-9, True), (-1e-9, False)),
+    PI / 2: ((1.5707963257948967, True), (1.5707963277948966, False)),
+}
+
+
 @pytest.mark.parametrize("offset", (0.0, PI / 2))
 def test_collapse_verdict_switches_at_angle_tol(offset):
     # settings more than ANGLE_TOL from equal or orthogonal are generic, so
@@ -146,6 +154,12 @@ def test_collapse_verdict_switches_at_angle_tol(offset):
     assert far.verdict == "asymmetric" and not far.degenerate_settings
     near = audit_symmetry("qm-collapse", 0.0, offset + 1e-10, 10_000, RandomStream(7))
     assert near.verdict == "inconclusive" and near.degenerate_settings
+    # at ANGLE_TOL the gap is still seen, but a degenerate pair is at most
+    # inconclusive
+    for sigma_b, degenerate in _AT_ANGLE_TOL[offset]:
+        report = audit_symmetry("qm-collapse", 0.0, sigma_b, 10_000, RandomStream(7))
+        assert report.degenerate_settings == degenerate, sigma_b
+        assert report.verdict == ("inconclusive" if degenerate else "asymmetric"), sigma_b
 
 
 _SWEEP_PAIRS = ((0.0, PI / 6), (0.3, 1.2), (0.4, 0.4), (0.0, 1e-10), (0.0, 1e-8), (0.3, 0.3 - 1e-9),
@@ -175,7 +189,7 @@ def test_symmetric_models_stay_within_the_stated_false_positive_rate(model, pair
     for (sigma_l, sigma_r), reverse in ((pair, True), (pair[::-1], False)):
         small = generate_ensemble(model, sigma_l, sigma_r, 16, RandomStream(0))
         rows = len(small.table["in_channel"])
-        p = channel_joint(model, sigma_l, sigma_r).as_tuple() if rows == 4 else (0.5, 0.5)
+        p = channel_joint(model, sigma_l, sigma_r) if rows == 4 else (0.5, 0.5)
         sides.append((small, p, reverse))
     fired = 0
     for _ in range(trials):
@@ -225,8 +239,6 @@ def test_degenerate_settings_follow_the_leg_classes_within_ulps_of_angle_tol(mod
                 assert report.degenerate_settings == both, (sigma_a, sigma_b)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: qm-nocollapse reads asymmetric at "
-                   "pairs within ulps of ANGLE_TOL, since on_axes is not symmetric there")
 def test_no_symmetric_model_reads_asymmetric_within_ulps_of_angle_tol():
     # the sweep above, over every time-symmetric model: a symmetric model may
     # be inconclusive at a degenerate pair, never asymmetric

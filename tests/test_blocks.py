@@ -61,7 +61,7 @@ def _reference_photon(mode, sigma_l, sigma_r, n, stream):
 
 def _reference_twobit(sigma_l, sigma_r, n, stream):
     rng = stream.generator()
-    cum = np.cumsum(twobit_dist(sigma_l, sigma_r).as_tuple())
+    cum = np.cumsum(twobit_dist(sigma_l, sigma_r))
     idx = np.searchsorted(cum[:3], rng.random(n), side="right")
     return {"in_channel": (idx >> 1).astype(np.int8), "out_channel": (idx & 1).astype(np.int8)}
 

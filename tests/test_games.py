@@ -228,5 +228,5 @@ def test_left_right_mirror_symmetry():
     # same setting: identical achievable pair and granularity on both sides
     left = verify_lena_control(0.6, KIND_DISCRETE)
     right = verify_rena_control(0.6, PI / 6, OntologyMode.DISCRETE_SYMMETRIC)
-    assert left.achievable.as_tuple() == pytest.approx(right.achievable.as_tuple())
+    assert left.achievable == pytest.approx(right.achievable)
     assert left.control_mod == right.control_mod

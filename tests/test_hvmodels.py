@@ -42,9 +42,9 @@ def test_hvjoint_validation():
 
 def test_twobit_dist_pins():
     j = twobit_dist(0.0, PI / 3)
-    assert j.as_tuple() == pytest.approx((0.125, 0.375, 0.375, 0.125), abs=1e-12)
+    assert j == pytest.approx((0.125, 0.375, 0.375, 0.125), abs=1e-12)
     j = twobit_dist(0.0, PI / 4)
-    assert j.as_tuple() == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
+    assert j == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
     j = twobit_dist(0.0, 1.0472)
     assert j.prob(0, 0) == pytest.approx(0.12499893963852159, abs=1e-15)
     assert j.prob(0, 1) == pytest.approx(0.3750010603614784, abs=1e-15)
@@ -69,14 +69,14 @@ def test_onebit_dist_pins():
 @given(angles, angles)
 def test_twobit_matches_photon_enumeration(sl, sr):
     """The two-bit table and the trajectory enumeration are the same joint."""
-    t = twobit_dist(sl, sr).as_tuple()
-    q = qm_reference_joint(sl, sr).as_tuple()
+    t = twobit_dist(sl, sr)
+    q = qm_reference_joint(sl, sr)
     assert max(abs(a - b) for a, b in zip(t, q)) < 1e-12
 
 
 def test_qm_reference_uniform_at_quarter_turn():
     q = qm_reference_joint(0.0, PI / 4)
-    assert q.as_tuple() == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
+    assert q == pytest.approx((0.25, 0.25, 0.25, 0.25), abs=1e-12)
 
 
 def test_channel_joint_dispatch():

@@ -41,6 +41,15 @@ def full_record():
     )
 
 
+def full_ensemble(k=1):
+    """k copies of :func:`full_record` as an ensemble, one table row per
+    record (codes = arange(k))."""
+    rec = full_record()
+    table = {field: np.array([getattr(rec, field)] * k)
+             for field in ("in_channel", "out_channel", "tau_l", "tau_r")}
+    return Ensemble(rec.model, rec.sigma_l, rec.sigma_r, np.arange(k), table)
+
+
 def test_dict_roundtrip_full():
     rec = full_record()
     assert record_from_dict(record_to_dict(rec)) == rec
@@ -67,15 +76,14 @@ def test_weights_record_roundtrip():
 
 def test_jsonl_file_roundtrip(tmp_path):
     path = tmp_path / "recs.jsonl"
-    recs = [full_record() for _ in range(3)]
-    count = write_records_jsonl(path, recs)
+    count = write_records_jsonl(path, full_ensemble(3))
     assert count == 3
-    assert read_records_jsonl(path) == recs
+    assert read_records_jsonl(path) == [full_record()] * 3
 
 
 def test_jsonl_key_order_is_fixed(tmp_path):
     path = tmp_path / "one.jsonl"
-    write_records_jsonl(path, [full_record()])
+    write_records_jsonl(path, full_ensemble())
     line = path.read_text().splitlines()[0]
     keys = list(json.loads(line).keys())
     expected = [k for k in RECORD_KEYS if k in keys]
@@ -192,14 +200,19 @@ def test_bad_encodings_are_rejected(codes, table, match):
 # ------------------------------------------------- ensemble writer
 
 
-def _written(records, limit=None):
+def _written(ensemble, limit=None):
     """Count and bytes that write_records_jsonl returns and leaves on disk."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "out.jsonl")
-        count = write_records_jsonl(path, records, limit)
+        count = write_records_jsonl(path, ensemble, limit)
         assert os.listdir(tmp) == ["out.jsonl"]  # no temporary file left behind
         with open(path, "rb") as fh:
             return count, fh.read()
+
+
+def _reference_write(records) -> tuple[int, bytes]:
+    """Count and bytes of the records, each line rendered on its own."""
+    return len(records), b"".join(json.dumps(record_to_dict(r)).encode() + b"\n" for r in records)
 
 
 _FLOAT_POOL = [0.0, -0.0, 0.3, 1.8707963267948966, 1e-300, float("inf"), float("nan")]
@@ -263,7 +276,7 @@ def test_ensemble_writer_matches_record_writer(ens, limit_kind, chunk_rows):
     for oriented in (ens, reverse_ensemble(ens)):
         with mock.patch.object(records_module, "WRITE_ROWS", chunk_rows):
             got = _written(oriented, limit)
-        assert got == _written(oriented.records(limit))
+        assert got == _reference_write(oriented.records(limit))
         assert got[0] == (ens.n if limit is None else min(ens.n, limit))
 
 
@@ -273,7 +286,7 @@ def test_ensemble_writer_keeps_signed_zeros_apart():
         "tau_l": np.array([0.0, -0.0]),
     })
     count, data = _written(ens)
-    assert (count, data) == _written(ens.records())
+    assert (count, data) == _reference_write(ens.records())
     taus = [json.loads(line)["tau_l"] for line in data.decode().splitlines()]
     assert [math.copysign(1.0, t) for t in taus] == [1.0, -1.0, -1.0, 1.0]
 
@@ -282,7 +295,7 @@ def test_ensemble_writer_on_a_sampled_ensemble():
     # many rows, few distinct lines, more than one write block
     n = 3 * records_module.WRITE_ROWS // 2
     ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.3, 1.2, n, RandomStream(5))
-    assert _written(ens) == _written(ens.records())
+    assert _written(ens) == _reference_write(ens.records())
 
 
 def test_negative_limit_is_rejected(tmp_path):
@@ -476,7 +489,7 @@ def test_failed_write_leaves_no_partial_file(tmp_path, monkeypatch, flag, existi
 def test_successful_write_replaces_target(tmp_path):
     path = tmp_path / "recs.jsonl"
     path.write_text("stale\n" * 10)
-    assert write_records_jsonl(path, [full_record()]) == 1
+    assert write_records_jsonl(path, full_ensemble()) == 1
     assert [p.name for p in tmp_path.iterdir()] == ["recs.jsonl"]
     assert read_records_jsonl(path) == [full_record()]
 
@@ -487,7 +500,7 @@ def test_write_through_to_a_pipe(tmp_path):
     os.mkfifo(fifo)
     reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
     try:
-        assert write_records_jsonl(fifo, [full_record()]) == 1
+        assert write_records_jsonl(fifo, full_ensemble()) == 1
         data = os.read(reader, 1 << 16)
     finally:
         os.close(reader)
@@ -500,7 +513,7 @@ def test_replaced_target_keeps_its_mode(tmp_path, mode):
     path = tmp_path / "recs.jsonl"
     path.write_text("stale\n")
     path.chmod(mode)
-    assert write_records_jsonl(path, [full_record()]) == 1
+    assert write_records_jsonl(path, full_ensemble()) == 1
     assert stat.S_IMODE(os.stat(path).st_mode) == mode
 
 
@@ -510,7 +523,7 @@ def test_descriptor_path_is_written_in_place(tmp_path):
     path = tmp_path / "held.jsonl"
     with open(path, "w") as held:
         inode = os.fstat(held.fileno()).st_ino
-        assert write_records_jsonl(f"/dev/fd/{held.fileno()}", [full_record()]) == 1
+        assert write_records_jsonl(f"/dev/fd/{held.fileno()}", full_ensemble()) == 1
         assert os.stat(path).st_ino == inode
     assert read_records_jsonl(path) == [full_record()]
     assert [p.name for p in tmp_path.iterdir()] == ["held.jsonl"]
@@ -527,7 +540,7 @@ def test_directory_without_room_for_a_temporary_file(tmp_path, monkeypatch):
     monkeypatch.setattr(records_module, "open", refuse_new, raising=False)
     path = tmp_path / "recs.jsonl"
     with pytest.raises(PermissionError):
-        write_records_jsonl(path, [full_record()])
+        write_records_jsonl(path, full_ensemble())
     path.write_text("stale\n")
-    assert write_records_jsonl(path, [full_record()]) == 1
+    assert write_records_jsonl(path, full_ensemble()) == 1
     assert read_records_jsonl(path) == [full_record()]
