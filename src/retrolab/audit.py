@@ -1,4 +1,9 @@
-"""Time-reversal audit of experiment records.
+"""Record sampling and the time-reversal audit of experiment records.
+
+Every sampled model's records are drawn here, block by block from the
+closed forms of :mod:`photon` and :mod:`hvmodels`: one uint8 code
+``2*in + out`` per run over a table of at most four rows
+(:func:`channel_table`).
 
 Reversal swaps the two ends of a record: settings, channels, and leg
 polarizations trade places.  A model family is time-symmetric when the
@@ -35,12 +40,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import HALF_PI, normalize_angle, on_axes
-# the samplers are imported for generate_ensemble, which looks up the one a
-# ModelSpec names on this module at each call
-from .hvmodels import sampled_spec, simulate_onebit_ensemble, simulate_twobit_ensemble
-from .photon import simulate_ensemble
+from .hvmodels import MODEL_ONEBIT, MODEL_TWOBIT, onebit_dist, sampled_spec, twobit_dist
+from .photon import OntologyMode, PhotonState, born_probability
 from .records import Ensemble
-from .stats import RandomStream
+from .stats import RandomStream, random_blocks
 
 # minimum ensemble size; below this the thresholds are meaningless
 MIN_AUDIT_N = 10_000
@@ -143,10 +146,113 @@ def _alignment_profile(slot_counts: np.ndarray, n: int) -> dict[str, float]:
     return {name: int(count) / n for name, count in zip(PROFILE_CLASSES, profile)}
 
 
+def channel_table(**columns) -> dict[str, np.ndarray]:
+    """Table over the four codes ``2*in + out`` that the samplers write: both
+    channel columns, plus ``columns`` given as one value per code."""
+    table = {
+        "in_channel": np.array([0, 0, 1, 1], dtype=np.int8),
+        "out_channel": np.array([0, 1, 0, 1], dtype=np.int8),
+    }
+    return table | {field: np.array(values) for field, values in columns.items()}
+
+
+def _run_count(n) -> int:
+    """``n`` as an int; ValueError unless it is an integer of at least 1."""
+    if not hasattr(n, "__index__") or n < 1:  # numpy integers pass
+        raise ValueError(f"need an integer count of at least one run, got {n!r}")
+    return int(n)
+
+
+def simulate_ensemble(
+    mode: OntologyMode, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
+) -> Ensemble:
+    """n independent source-to-detector runs under ``mode``, dictionary-encoded.
+
+    Input channels are even: each run enters on channel 1 with probability
+    1/2, the prior under which :func:`photon.retrodict_channel` reads cos^2
+    back as the channel posterior.  What the ensemble keeps depends on the
+    mode: discrete-symmetric runs keep channels and both leg polarizations,
+    collapse runs keep no return-leg beable, and no-collapse runs keep the
+    channel-1 branch weight in place of an outcome.
+    The first n draws of the stream pick the input channels, the next n the
+    outcomes; both are drawn and compared block by block into one uint8 code
+    per run, ``2*in + out`` (``in`` for no-collapse runs), over a table of
+    the angles and weights each channel pins.
+    """
+    if not isinstance(mode, OntologyMode):
+        raise ValueError(f"unknown ontology mode: {mode!r}")
+    n = _run_count(n)
+    rng = stream.generator()
+    sl = normalize_angle(sigma_l)
+    sr = normalize_angle(sigma_r)
+    t1, t0 = sl, normalize_angle(sl + HALF_PI)
+    r1, r0 = sr, normalize_angle(sr + HALF_PI)
+    codes = np.empty(n, dtype=np.uint8)
+    for rows, u in random_blocks(rng, n):
+        np.less(u, 0.5, out=codes[rows])
+    p1 = np.array([born_probability(PhotonState.linear(t), sr) for t in (t0, t1)])
+    if mode is OntologyMode.NO_COLLAPSE:
+        table = {"in_channel": np.array([0, 1], dtype=np.int8), "tau_l": np.array([t0, t1])}
+        return Ensemble(mode.model_id, sl, sr, codes, table | {"weight_1": p1})
+    for rows, u in random_blocks(rng, n):
+        block = codes[rows]
+        out = u < p1[block]
+        block *= 2
+        block += out
+    if mode is OntologyMode.COLLAPSE:
+        return Ensemble(mode.model_id, sl, sr, codes, channel_table(tau_l=[t0, t0, t1, t1]))
+    table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
+    return Ensemble(mode.model_id, sl, sr, codes, table)
+
+
+def simulate_twobit_ensemble(
+    sigma_l: float, sigma_r: float, n: int, stream: RandomStream
+) -> Ensemble:
+    """n independent two-bit draws as channel records.
+
+    Draw u picks the pair whose cumulative interval holds it.  The pair's
+    code ``2*past + future`` counts the cumulative bounds c0 <= c1 <= c2 at
+    or below u; it is written to one uint8 code per run, block by block.
+    """
+    n = _run_count(n)
+    rng = stream.generator()
+    c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r))[:3]
+    codes = np.empty(n, dtype=np.uint8)
+    for rows, u in random_blocks(rng, n):
+        block = codes[rows]
+        np.greater_equal(u, c0, out=block)
+        block += u >= c1
+        block += u >= c2
+    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
+    return Ensemble(MODEL_TWOBIT, sl, sr, codes, channel_table())
+
+
+def simulate_onebit_ensemble(
+    sigma_l: float, sigma_r: float, n: int, stream: RandomStream
+) -> Ensemble:
+    """Even input channel plus an independent parity draw per run.
+
+    The first n draws pick the input channels, the next n whether the exit
+    channel repeats it; the exit channel flips the input where it does not.
+    """
+    n = _run_count(n)
+    rng = stream.generator()
+    codes = np.empty(n, dtype=np.uint8)
+    for rows, u in random_blocks(rng, n):
+        np.less(u, 0.5, out=codes[rows])
+    p_repeat = onebit_dist(sigma_l, sigma_r)
+    for rows, u in random_blocks(rng, n):
+        block = codes[rows]
+        block *= 3  # 2*in + in: the exit repeats the entry...
+        block ^= u >= p_repeat  # ...unless this draw flips the low bit
+    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
+    return Ensemble(MODEL_ONEBIT, sl, sr, codes, channel_table())
+
+
 def check_memory(model: str, rows: int) -> None:
     """Reject ``rows`` records of ``model`` whose codes alone exceed physical memory.
 
-    Every sampler stores one uint8 code per row and works in blocks of
+    Every sampler above stores one uint8 code per row and works in blocks of
     ``stats.CHUNK_ROWS`` rows, so generation holds the codes plus a block
     allowance that does not grow with ``rows``.
     """
@@ -161,8 +267,10 @@ def generate_ensemble(
     model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
     """Forward record ensemble for any auditable model, labelled with its
-    registry id; ValueError, before sampling, when its codes alone would
-    exceed physical memory."""
+    registry id; ValueError, before sampling, when ``n`` is no integer of at
+    least 1 or its codes alone would exceed physical memory.  The sampler is
+    looked up on this module at each call, so a patched one is what runs."""
+    n = _run_count(n)
     check_memory(model, n)
     spec = sampled_spec(model)
     ensemble = globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
@@ -241,7 +349,7 @@ def audit_symmetry(
     "asymmetric" holds at every pair, degenerate ones included, since a
     degenerate pair never reads "asymmetric".
     """
-    n = int(n)
+    n = _run_count(n)
     if n < MIN_AUDIT_N:
         raise ValueError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
     check_memory(model, 2 * n)

@@ -389,7 +389,3 @@ def main(argv=None) -> int:
     except OSError as err:
         print(f"write failed: {err}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

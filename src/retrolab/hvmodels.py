@@ -8,29 +8,27 @@ Two models trade the continuous polarization beable for bookkeeping bits:
 * one-bit: the hidden variable only records whether the future channel
   repeats the past one, with probability cos^2 of the settings difference.
 
-Both reproduce the quantum channel statistics exactly.  The detector here,
-:func:`settings_dependence`, asks the question those statistics hide: does
-the distribution of whatever exists before the right cube depend on the
-right-cube setting?  A yes is what "retrocausal" means operationally in this
-package.
+Both reproduce the quantum channel statistics exactly; their samplers live
+in :mod:`retrolab.audit`, and this module keeps the closed forms.  The
+detector here, :func:`settings_dependence`, asks the question those
+statistics hide: does the distribution of whatever exists before the right
+cube depend on the right-cube setting?  A yes is what "retrocausal" means
+operationally in this package.
 
 :data:`REGISTRY` holds one :class:`ModelSpec` per model, the photon
 ontologies and the classical field included: its structural commitments,
-channel joint, beables, sampler and output-side analysis.  Every other
+channel joint, beables, sampler name and output-side analysis.  Every other
 module reads a model's facts from there.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from .core import HALF_PI, angles_equal, malus, normalize_angle
 from .photon import OntologyMode, born_probability, emit_from_channel
-from .stats import RandomStream, random_blocks, tv_distance
-
-if TYPE_CHECKING:
-    from .records import Ensemble
+from .stats import tv_distance
 
 MODEL_TWOBIT = "twobit"
 MODEL_ONEBIT = "onebit"
@@ -84,34 +82,6 @@ def twobit_dist(sigma_l: float, sigma_r: float) -> HVJoint:
     return HVJoint(0.5 * match, 0.5 * miss, 0.5 * miss, 0.5 * match)
 
 
-def simulate_twobit_ensemble(
-    sigma_l: float, sigma_r: float, n: int, stream: RandomStream
-) -> Ensemble:
-    """n independent two-bit draws as channel records.
-
-    Draw u picks the pair whose cumulative interval holds it.  The pair's
-    code ``2*past + future`` counts the cumulative bounds c0 <= c1 <= c2 at
-    or below u; it is written to one uint8 code per run, block by block.
-    """
-    import numpy as np
-
-    from .records import Ensemble, channel_table
-
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one run")
-    rng = stream.generator()
-    c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r))[:3]
-    codes = np.empty(n, dtype=np.uint8)
-    for rows, u in random_blocks(rng, n):
-        block = codes[rows]
-        np.greater_equal(u, c0, out=block)
-        block += u >= c1
-        block += u >= c2
-    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
-    return Ensemble(MODEL_TWOBIT, sl, sr, codes, channel_table())
-
-
 def onebit_dist(sigma_l: float, sigma_r: float) -> float:
     """Probability that the exit channel repeats the entry channel.
 
@@ -120,34 +90,6 @@ def onebit_dist(sigma_l: float, sigma_r: float) -> float:
     labeling is used throughout so the cos^2 always attaches to "repeat".
     """
     return malus(sigma_l - sigma_r)
-
-
-def simulate_onebit_ensemble(
-    sigma_l: float, sigma_r: float, n: int, stream: RandomStream
-) -> Ensemble:
-    """Even input channel plus an independent parity draw per run.
-
-    The first n draws pick the input channels, the next n whether the exit
-    channel repeats it; the exit channel flips the input where it does not.
-    """
-    import numpy as np
-
-    from .records import Ensemble, channel_table
-
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one run")
-    rng = stream.generator()
-    codes = np.empty(n, dtype=np.uint8)
-    for rows, u in random_blocks(rng, n):
-        np.less(u, 0.5, out=codes[rows])
-    p_repeat = onebit_dist(sigma_l, sigma_r)
-    for rows, u in random_blocks(rng, n):
-        block = codes[rows]
-        block *= 3  # 2*in + in: the exit repeats the entry...
-        block ^= u >= p_repeat  # ...unless this draw flips the low bit
-    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
-    return Ensemble(MODEL_ONEBIT, sl, sr, codes, channel_table())
 
 
 def qm_reference_joint(sigma_l: float, sigma_r: float) -> HVJoint:
@@ -224,8 +166,8 @@ class ModelSpec(_ModelFields):
     as ``beable`` describes it: keys are hashable outcome labels, angles in
     them normalised, and values exact probabilities.  ``joint`` maps
     (sigma_l, sigma_r) to the analytic (entry, exit) channel joint.
-    ``sampler`` names the function on :mod:`retrolab.audit` that generates
-    the model's record ensembles, called with ``sampler_args`` before
+    ``sampler`` names the function defined in :mod:`retrolab.audit` that
+    generates the model's record ensembles, called with ``sampler_args`` before
     (sigma_l, sigma_r, n, stream); it is looked up by name at each call, so
     a wrapped or patched sampler is the one that runs; the ensemble it
     returns is labelled with ``model``.  ``output_side`` is the ontology mode

@@ -1,8 +1,9 @@
 """Single-photon versions of the polarizing-cube experiments.
 
 Intensities become probabilities: a photon polarized at t meets a cube set to
-s and takes the transmitted channel with probability cos^2(t - s).  For the
-full source-to-detector run three ontologies are modeled:
+s and takes the transmitted channel with probability cos^2(t - s).  This
+module keeps the closed forms; :func:`retrolab.audit.simulate_ensemble`
+samples the full source-to-detector run under three ontologies:
 
 * ``DISCRETE_SYMMETRIC``: the photon carries a definite polarization on both
   legs, pinned to the local setting by the channel taken at each end.
@@ -18,12 +19,10 @@ import enum
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
-from .stats import RandomStream, random_blocks
+from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, pol_angle
 
 if TYPE_CHECKING:
     from .optics import ModePair
-    from .records import Ensemble
 
 
 class UndefinedPosteriorError(ValueError):
@@ -116,51 +115,3 @@ def demon_inputs_superposition(setting_l: float, target_pol: float) -> ModePair:
     from .optics import demon_inputs_classical
 
     return demon_inputs_classical(setting_l, target_pol, 1.0)
-
-
-def simulate_ensemble(
-    mode: OntologyMode, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
-) -> Ensemble:
-    """n independent source-to-detector runs under ``mode``, dictionary-encoded.
-
-    Input channels are even: each run enters on channel 1 with probability
-    1/2, the prior under which :func:`retrodict_channel` reads cos^2 back as
-    the channel posterior.  What the ensemble keeps depends on the mode:
-    discrete-symmetric runs keep channels and both leg polarizations,
-    collapse runs keep no return-leg beable, and no-collapse runs keep the
-    channel-1 branch weight in place of an outcome.
-    The first n draws of the stream pick the input channels, the next n the
-    outcomes; both are drawn and compared block by block into one uint8 code
-    per run, ``2*in + out`` (``in`` for no-collapse runs), over a table of
-    the angles and weights each channel pins.
-    """
-    import numpy as np
-
-    from .records import Ensemble, channel_table
-
-    if not isinstance(mode, OntologyMode):
-        raise ValueError(f"unknown ontology mode: {mode!r}")
-    n = int(n)
-    if n < 1:
-        raise ValueError("need at least one run")
-    rng = stream.generator()
-    sl = normalize_angle(sigma_l)
-    sr = normalize_angle(sigma_r)
-    t1, t0 = sl, normalize_angle(sl + HALF_PI)
-    r1, r0 = sr, normalize_angle(sr + HALF_PI)
-    codes = np.empty(n, dtype=np.uint8)
-    for rows, u in random_blocks(rng, n):
-        np.less(u, 0.5, out=codes[rows])
-    p1 = np.array([born_probability(PhotonState.linear(t), sr) for t in (t0, t1)])
-    if mode is OntologyMode.NO_COLLAPSE:
-        table = {"in_channel": np.array([0, 1], dtype=np.int8), "tau_l": np.array([t0, t1])}
-        return Ensemble(mode.model_id, sl, sr, codes, table | {"weight_1": p1})
-    for rows, u in random_blocks(rng, n):
-        block = codes[rows]
-        out = u < p1[block]
-        block *= 2
-        block += out
-    if mode is OntologyMode.COLLAPSE:
-        return Ensemble(mode.model_id, sl, sr, codes, channel_table(tau_l=[t0, t0, t1, t1]))
-    table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
-    return Ensemble(mode.model_id, sl, sr, codes, table)

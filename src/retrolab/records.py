@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 import stat
 from typing import TYPE_CHECKING, NamedTuple
@@ -81,14 +82,20 @@ def _channel(data: dict, key: str) -> int | None:
 
 def record_from_dict(data: dict) -> ExperimentRecord:
     """Inverse of :func:`record_to_dict`; KeyError, TypeError or ValueError
-    when ``data`` is no dict, lacks a key or holds a value of the wrong type."""
+    when ``data`` is no dict, lacks a key, holds a key outside
+    :data:`RECORD_KEYS` or a value of the wrong type, a non-finite angle, or
+    weights that are not two numbers >= 0 summing to 1 within 1e-12."""
     if not isinstance(data, dict):
         raise TypeError(f"a record is a JSON object, not {type(data).__name__}")
+    if data.keys() - set(RECORD_KEYS):
+        raise ValueError(f"unknown keys {sorted(data.keys() - set(RECORD_KEYS))}")
     weights = data.get("weights")
     if weights is not None:
-        w1, w0 = weights  # a pair, or ValueError
-        weights = (float(w1), float(w0))
-    return ExperimentRecord(
+        w1, w0 = map(float, weights)  # a pair, or ValueError
+        if not (w1 >= 0.0 and w0 >= 0.0 and abs(w1 + w0 - 1.0) <= 1e-12):  # NaN fails too
+            raise ValueError(f"weights must be two numbers >= 0 summing to 1, got {weights!r}")
+        weights = (w1, w0)
+    record = ExperimentRecord(
         sigma_l=float(data["sigma_l"]),
         sigma_r=float(data["sigma_r"]),
         model=str(data["model"]),
@@ -98,6 +105,11 @@ def record_from_dict(data: dict) -> ExperimentRecord:
         tau_r=None if data.get("tau_r") is None else float(data["tau_r"]),
         weights=weights,
     )
+    for key in ("sigma_l", "sigma_r", "tau_l", "tau_r"):
+        value = getattr(record, key)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    return record
 
 
 def _written_in_place(path) -> bool:
@@ -215,18 +227,6 @@ def read_records_jsonl(path) -> list[ExperimentRecord]:
 #: the fields an ensemble's table may hold, in the order of ExperimentRecord's
 #: fields after ``model`` (``weight_1`` standing for ``weights``)
 FIELDS = ("in_channel", "out_channel", "tau_l", "tau_r", "weight_1")
-
-
-def channel_table(**columns) -> dict[str, np.ndarray]:
-    """Table over the four codes ``2*in + out`` that the samplers write: both
-    channel columns, plus ``columns`` given as one value per code."""
-    import numpy as np
-
-    table = {
-        "in_channel": np.array([0, 0, 1, 1], dtype=np.int8),
-        "out_channel": np.array([0, 1, 0, 1], dtype=np.int8),
-    }
-    return table | {field: np.array(values) for field, values in columns.items()}
 
 
 def _decoded(field: str) -> property:

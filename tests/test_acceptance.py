@@ -14,7 +14,12 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from retrolab.audit import audit_symmetry
+from retrolab.audit import (
+    audit_symmetry,
+    simulate_ensemble,
+    simulate_onebit_ensemble,
+    simulate_twobit_ensemble,
+)
 from retrolab.core import angle_diff, jones_from_angle, malus, pol_angle
 from retrolab.games import (
     KIND_DISCRETE,
@@ -27,8 +32,6 @@ from retrolab.hvmodels import (
     REGISTRY,
     onebit_beable_input_joint,
     qm_reference_joint,
-    simulate_onebit_ensemble,
-    simulate_twobit_ensemble,
     twobit_beable_input_joint,
     twobit_dist,
 )
@@ -42,7 +45,6 @@ from retrolab.photon import (
     PhotonState,
     born_probability,
     demon_inputs_superposition,
-    simulate_ensemble,
 )
 from retrolab.stats import RandomStream, mutual_information_bits, tv_distance
 

@@ -85,6 +85,23 @@ def test_audit_rejects_small_samples():
         audit_symmetry("qm-discrete", 0.0, 0.5, MIN_AUDIT_N - 1, RandomStream(3))
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, "2", np.float64(1.0)])
+def test_non_integral_run_count_is_rejected(n):
+    stream = RandomStream(4)
+    for model in model_ids(stochastic=True):
+        spec = model_spec(model)
+        with pytest.raises(ValueError, match="integer count"):
+            getattr(audit, spec.sampler)(*spec.sampler_args, 0.0, 0.5, n, stream)
+        with pytest.raises(ValueError, match="integer count"):
+            generate_ensemble(model, 0.0, 0.5, n, stream)
+        with pytest.raises(ValueError, match="integer count"):
+            audit_symmetry(model, 0.0, 0.5, MIN_AUDIT_N + 0.5, stream)
+        # numpy integers are integers
+        assert getattr(audit, spec.sampler)(*spec.sampler_args, 0.0, 0.5, np.int64(2), stream).n == 2
+        assert generate_ensemble(model, 0.0, 0.5, np.int64(2), stream).n == 2
+    assert audit_symmetry("twobit", 0.0, 0.5, np.int64(MIN_AUDIT_N), stream).n == MIN_AUDIT_N
+
+
 def test_thresholds():
     assert symmetry_threshold(1_000_000) == pytest.approx(0.007071067811865475, abs=1e-15)
     assert score_band(1_000_000) == pytest.approx(0.0035355339059327377, abs=1e-15)

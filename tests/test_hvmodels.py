@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab.audit import audit_symmetry, generate_ensemble
+from retrolab.audit import (
+    audit_symmetry,
+    generate_ensemble,
+    simulate_onebit_ensemble,
+    simulate_twobit_ensemble,
+)
 from retrolab.core import malus
 from retrolab.hvmodels import (
     REGISTRY,
@@ -20,8 +25,6 @@ from retrolab.hvmodels import (
     onebit_dist,
     qm_reference_joint,
     settings_dependence,
-    simulate_onebit_ensemble,
-    simulate_twobit_ensemble,
     twobit_beable_input_joint,
     twobit_dist,
 )

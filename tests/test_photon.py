@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from retrolab.audit import simulate_ensemble
 from retrolab.core import angle_diff, angles_equal, malus, pol_angle
 from retrolab.optics import pbs_combine
 from retrolab.photon import (
@@ -16,7 +17,6 @@ from retrolab.photon import (
     demon_inputs_superposition,
     emit_from_channel,
     retrodict_channel,
-    simulate_ensemble,
 )
 from retrolab.stats import RandomStream
 

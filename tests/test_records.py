@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retrolab import cli, stats
-from retrolab.audit import reverse_ensemble
+from retrolab.audit import reverse_ensemble, simulate_ensemble
 from retrolab import records as records_module
-from retrolab.photon import OntologyMode, simulate_ensemble
+from retrolab.photon import OntologyMode
 from retrolab.records import (
     RECORD_KEYS,
     Ensemble,
@@ -405,6 +405,13 @@ _GOOD = record_to_dict(full_record())
     pytest.param(json.dumps(_GOOD | {"in_channel": -3}), id="channel-minus-3"),
     pytest.param(json.dumps(_GOOD | {"sigma_r": None}), id="null-setting"),
     pytest.param("{not json", id="not-json"),
+    pytest.param(json.dumps(_GOOD | {"extra": 1}), id="unknown-key"),
+    pytest.param(json.dumps(_GOOD | {"tau_l": math.nan}), id="nan-angle"),
+    pytest.param(json.dumps(_GOOD | {"sigma_r": math.inf}), id="infinite-setting"),
+    pytest.param(json.dumps(_GOOD | {"tau_r": -math.inf}), id="infinite-angle"),
+    pytest.param(json.dumps(_GOOD | {"weights": [0.9, 0.9]}), id="weights-sum-1.8"),
+    pytest.param(json.dumps(_GOOD | {"weights": [1.5, -0.5]}), id="negative-weight"),
+    pytest.param(json.dumps(_GOOD | {"weights": [math.nan, 1.0]}), id="nan-weight"),
 ])
 def test_reader_names_the_file_and_line_of_a_malformed_record(tmp_path, bad):
     # the good line comes first and again after the bad one: the memo must

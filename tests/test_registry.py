@@ -61,6 +61,7 @@ def test_every_stochastic_model_has_a_sampler_name():
 def test_patching_a_sampler_name_intercepts_generate_ensemble(name, monkeypatch):
     calls, sampled = [], []
     real = getattr(audit, name)
+    assert real.__module__ == "retrolab.audit"
 
     def sampler(*args):
         calls.append(args)
@@ -114,6 +115,7 @@ def test_benchmark_tracer_wraps_live_names(tmp_path, monkeypatch):
     # the tracer wraps audit.simulate_*, Ensemble.records and more by name,
     # and reads the ensemble column attributes; all must still exist and count
     tracer = _load_bench_module("spans", monkeypatch).Tracer()
+    sampler = audit.simulate_twobit_ensemble
     tracer.install()
     try:
         path = tmp_path / "runs.jsonl"
@@ -130,4 +132,4 @@ def test_benchmark_tracer_wraps_live_names(tmp_path, monkeypatch):
     assert tracer.counts["records.rows_written"] == 300
     assert tracer.counts["ensemble.rows"] == 20300
     assert tracer.calls["audit.reverse"] >= 1 and tracer.calls["records.write"] == 1
-    assert audit.simulate_twobit_ensemble is hvmodels.simulate_twobit_ensemble  # restored
+    assert audit.simulate_twobit_ensemble is sampler  # restored
