@@ -191,7 +191,7 @@ def simulate_ensemble(
     for rows, u in random_blocks(rng, n):
         np.less(u, 0.5, out=codes[rows])
     p1 = np.array([born_probability(PhotonState.linear(t), sr) for t in (t0, t1)])
-    if mode is OntologyMode.NO_COLLAPSE:
+    if not mode.discrete_outputs:
         table = {"in_channel": np.array([0, 1], dtype=np.int8), "tau_l": np.array([t0, t1])}
         return Ensemble(mode.model_id, sl, sr, codes, table | {"weight_1": p1})
     for rows, u in random_blocks(rng, n):
@@ -199,7 +199,7 @@ def simulate_ensemble(
         out = u < p1[block]
         block *= 2
         block += out
-    if mode is OntologyMode.COLLAPSE:
+    if not mode.time_symmetric:
         return Ensemble(mode.model_id, sl, sr, codes, channel_table(tau_l=[t0, t0, t1, t1]))
     table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
     return Ensemble(mode.model_id, sl, sr, codes, table)

@@ -98,7 +98,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _emit_json(args, config: dict, result: dict) -> None:
-    created_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime())
+    # time.gmtime() alone reads the coarse clock, up to a tick behind time.time()
+    created_at = time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time()))
     payload = {"config": config, "result": result, "meta": {"created_at": created_at}}
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
 

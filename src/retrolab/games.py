@@ -204,8 +204,8 @@ def retro_implication_holds(
     missing a conjunct escapes by being settings-independent or by failing
     time symmetry outright.
     """
-    control = verify_rena_control(sigma_r, rho, onto.output_side)
+    control = verify_rena_control(sigma_r, rho, onto.ontology)
     dep = settings_dependence(onto.model, sigma_l, sigma_r, sigma_r_alt)
     if onto.premise:
         return control.control_mod == HALF_PI and dep.retro
-    return (not dep.retro) or (not onto.time_symmetric)
+    return (not dep.retro) or (not onto.ontology.time_symmetric)

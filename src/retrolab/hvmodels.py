@@ -77,7 +77,7 @@ def twobit_dist(sigma_l: float, sigma_r: float) -> HVJoint:
     pairs share sin^2; the even split keeps the past-bit marginal at 1/2 for
     every pair of settings, as the even input prior demands.
     """
-    match = malus(sigma_l - sigma_r)
+    match = malus(normalize_angle(sigma_l) - normalize_angle(sigma_r))
     miss = 1.0 - match
     return HVJoint(0.5 * match, 0.5 * miss, 0.5 * miss, 0.5 * match)
 
@@ -89,7 +89,7 @@ def onebit_dist(sigma_l: float, sigma_r: float) -> float:
     (entry XOR exit) instead changes no observable statistic; only this one
     labeling is used throughout so the cos^2 always attaches to "repeat".
     """
-    return malus(sigma_l - sigma_r)
+    return malus(normalize_angle(sigma_l) - normalize_angle(sigma_r))
 
 
 def qm_reference_joint(sigma_l: float, sigma_r: float) -> HVJoint:
@@ -122,11 +122,12 @@ def _onebit_beables(sigma_l: float, sigma_r: float) -> dict:
 def _qm_discrete_beables(sigma_l: float, sigma_r: float) -> dict:
     # the return-leg polarization already exists before the right cube,
     # pinned to whichever value the exit channel will select
+    sigma_r = normalize_angle(sigma_r)
     out: dict = {}
     for c in (0, 1):
         t = emit_from_channel(c, sigma_l).angle
         p1 = born_probability(emit_from_channel(c, sigma_l), sigma_r)
-        out[(c, t, normalize_angle(sigma_r))] = 0.5 * p1
+        out[(c, t, sigma_r)] = 0.5 * p1
         out[(c, t, normalize_angle(sigma_r + HALF_PI))] = 0.5 * (1.0 - p1)
     return out
 
@@ -146,12 +147,9 @@ def _classical_beables(sigma_l: float, sigma_r: float) -> dict:
 
 class _ModelFields(NamedTuple):
     model: str
-    realist_beables: bool
-    time_symmetric: bool
-    discrete_outputs: bool
     beable_distribution: Callable[[float, float], dict]
     beable: str
-    output_side: OntologyMode
+    ontology: OntologyMode
     joint: Callable[[float, float], HVJoint] | None = None
     sampler: str | None = None
     sampler_args: tuple = ()
@@ -160,20 +158,23 @@ class _ModelFields(NamedTuple):
 class ModelSpec(_ModelFields):
     """Everything the package knows about one model.
 
-    The three flags are the model's structural commitments and ``premise``
-    their conjunction.  ``beable_distribution`` maps (sigma_l, sigma_r) to
-    the distribution of everything the model locates before the right cube,
-    as ``beable`` describes it: keys are hashable outcome labels, angles in
-    them normalised, and values exact probabilities.  ``joint`` maps
-    (sigma_l, sigma_r) to the analytic (entry, exit) channel joint.
-    ``sampler`` names the function defined in :mod:`retrolab.audit` that
-    generates the model's record ensembles, called with ``sampler_args`` before
-    (sigma_l, sigma_r, n, stream); it is looked up by name at each call, so
-    a wrapped or patched sampler is the one that runs; the ensemble it
-    returns is labelled with ``model``.  ``output_side`` is the ontology mode
-    whose output-side control analysis the model inherits.  A model with
-    channel statistics has both a joint and a sampler, one without has
-    neither; either of the two alone is a ValueError.
+    ``ontology`` is the photon ontology mode whose output-side control
+    analysis the model inherits.  It fixes two of the model's structural
+    commitments, a time-symmetric record family and discrete outputs, and
+    ``premise`` is their conjunction.  The third, realist beables, every
+    model keeps; with one value in use and no observable counterpart in the
+    bench, it is stated here and stored nowhere.  ``beable_distribution``
+    maps (sigma_l, sigma_r) to the distribution of everything the model
+    locates before the right cube, as ``beable`` describes it: keys are
+    hashable outcome labels, angles in them normalised, and values exact
+    probabilities.  ``joint`` maps (sigma_l, sigma_r) to the analytic
+    (entry, exit) channel joint.  ``sampler`` names the function defined in
+    :mod:`retrolab.audit` that generates the model's record ensembles,
+    called with ``sampler_args`` before (sigma_l, sigma_r, n, stream); it is
+    looked up by name at each call, so a wrapped or patched sampler is the
+    one that runs; the ensemble it returns is labelled with ``model``.  A
+    model with channel statistics has both a joint and a sampler, one
+    without has neither; either of the two alone is a ValueError.
     """
 
     __slots__ = ()
@@ -186,56 +187,48 @@ class ModelSpec(_ModelFields):
 
     @property
     def premise(self) -> bool:
-        return self.realist_beables and self.time_symmetric and self.discrete_outputs
+        return self.ontology.time_symmetric and self.ontology.discrete_outputs
 
 
-# Output sides: the bit models keep discrete exits, so under a realist
-# reading the exit channel plus the setting fix the absorbed polarization
-# exactly as in the discrete-symmetric photon ontology; the classical field's
-# exits are continuous, like the no-collapse branch weights, so its setting
-# pins nothing.
+# Ontologies: the bit models' records are closed under reversal and keep
+# discrete exits, so under a realist reading the exit channel plus the
+# setting fix the absorbed polarization exactly as in the discrete-symmetric
+# photon ontology; the classical field is fixed by the left side alone, so it
+# keeps time symmetry, but its exits are continuous intensities, like the
+# no-collapse branch weights, so its setting pins nothing.
 
 #: every model, keyed by id, in a fixed order
 REGISTRY: dict[str, ModelSpec] = {
     spec.model: spec
     for spec in (
         ModelSpec(
-            MODEL_TWOBIT, True, True, True,
-            beable_distribution=_twobit_beables, beable="(past channel, future channel) bit pair",
-            output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist,
-            sampler="simulate_twobit_ensemble",
+            MODEL_TWOBIT, _twobit_beables, "(past channel, future channel) bit pair",
+            OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist, sampler="simulate_twobit_ensemble",
         ),
         ModelSpec(
-            MODEL_ONEBIT, True, True, True,
-            beable_distribution=_onebit_beables, beable="channel parity bit",
-            output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist,
-            sampler="simulate_onebit_ensemble",
+            MODEL_ONEBIT, _onebit_beables, "channel parity bit",
+            OntologyMode.DISCRETE_SYMMETRIC, joint=twobit_dist, sampler="simulate_onebit_ensemble",
         ),
         ModelSpec(
-            MODEL_QM_DISCRETE, True, True, True,
-            beable_distribution=_qm_discrete_beables,
-            beable="input channel, emitted polarization, return-leg polarization",
-            output_side=OntologyMode.DISCRETE_SYMMETRIC, joint=qm_reference_joint,
+            MODEL_QM_DISCRETE, _qm_discrete_beables,
+            "input channel, emitted polarization, return-leg polarization",
+            OntologyMode.DISCRETE_SYMMETRIC, joint=qm_reference_joint,
             sampler="simulate_ensemble", sampler_args=(OntologyMode.DISCRETE_SYMMETRIC,),
         ),
         ModelSpec(
-            MODEL_QM_COLLAPSE, True, False, True,
-            beable_distribution=_prepared_beables, beable="input channel and prepared polarization",
-            output_side=OntologyMode.COLLAPSE, joint=qm_reference_joint,
+            MODEL_QM_COLLAPSE, _prepared_beables, "input channel and prepared polarization",
+            OntologyMode.COLLAPSE, joint=qm_reference_joint,
             sampler="simulate_ensemble", sampler_args=(OntologyMode.COLLAPSE,),
         ),
         ModelSpec(
-            MODEL_QM_NOCOLLAPSE, True, True, False,
-            beable_distribution=_prepared_beables,
-            beable="input channel and uncollapsed polarization state",
-            output_side=OntologyMode.NO_COLLAPSE, joint=qm_reference_joint,
+            MODEL_QM_NOCOLLAPSE, _prepared_beables,
+            "input channel and uncollapsed polarization state",
+            OntologyMode.NO_COLLAPSE, joint=qm_reference_joint,
             sampler="simulate_ensemble", sampler_args=(OntologyMode.NO_COLLAPSE,),
         ),
         ModelSpec(
-            MODEL_CLASSICAL, True, True, False,
-            beable_distribution=_classical_beables,
-            beable="intermediate field fixed by the left-side preparation",
-            output_side=OntologyMode.NO_COLLAPSE,
+            MODEL_CLASSICAL, _classical_beables,
+            "intermediate field fixed by the left-side preparation", OntologyMode.NO_COLLAPSE,
         ),
     )
 }
@@ -329,14 +322,9 @@ def settings_dependence(
 
 def twobit_beable_input_joint(sigma_l: float, sigma_r: float) -> dict:
     """Joint of (hidden bit pair, input channel); the pair fixes the input."""
-    j = twobit_dist(sigma_l, sigma_r)
-    return {((p, f), p): j.prob(p, f) for p in (0, 1) for f in (0, 1)}
+    return {(pair, pair[0]): p for pair, p in _twobit_beables(sigma_l, sigma_r).items()}
 
 
 def onebit_beable_input_joint(sigma_l: float, sigma_r: float) -> dict:
     """Joint of (parity bit, input channel); exact product of its marginals."""
-    p_same = onebit_dist(sigma_l, sigma_r)
-    p_diff = 1.0 - p_same
-    return {
-        (s, c): 0.5 * (p_same if s == 1 else p_diff) for s in (0, 1) for c in (0, 1)
-    }
+    return {(s, c): 0.5 * p for s, p in _onebit_beables(sigma_l, sigma_r).items() for c in (0, 1)}

@@ -19,7 +19,7 @@ import enum
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, pol_angle
+from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
 
 if TYPE_CHECKING:
     from .optics import ModePair
@@ -30,7 +30,12 @@ class UndefinedPosteriorError(ValueError):
 
 
 class OntologyMode(enum.Enum):
-    """What is taken to exist during a run, and when."""
+    """What is taken to exist during a run, and when.
+
+    A mode fixes two commitments: the record family is time-symmetric unless
+    it collapses, and each run ends in one exit channel unless no outcome is
+    ever selected.
+    """
 
     DISCRETE_SYMMETRIC = "discrete"
     COLLAPSE = "collapse"
@@ -39,6 +44,14 @@ class OntologyMode(enum.Enum):
     @property
     def model_id(self) -> str:
         return "qm-" + self.value
+
+    @property
+    def time_symmetric(self) -> bool:
+        return self is not OntologyMode.COLLAPSE
+
+    @property
+    def discrete_outputs(self) -> bool:
+        return self is not OntologyMode.NO_COLLAPSE
 
 
 class PhotonState(NamedTuple("PhotonState", [("jones", JonesVector)])):
@@ -62,6 +75,7 @@ class PhotonState(NamedTuple("PhotonState", [("jones", JonesVector)])):
 
 def born_probability(state: PhotonState, setting: float) -> float:
     """Chance the photon takes the transmitted channel of a cube at ``setting``."""
+    setting = normalize_angle(setting)  # as the samplers reduce it
     c, s = math.cos(setting), math.sin(setting)
     amp = state.jones.ex * c + state.jones.ey * s
     p = amp.real * amp.real + amp.imag * amp.imag
@@ -78,6 +92,7 @@ def emit_from_channel(channel: int, setting_l: float) -> PhotonState:
     """
     if channel not in (0, 1):
         raise ValueError(f"channel must be 0 or 1, got {channel!r}")
+    setting_l = normalize_angle(setting_l)  # before the quarter turn, as the samplers do
     return PhotonState.linear(setting_l if channel == 1 else setting_l + HALF_PI)
 
 

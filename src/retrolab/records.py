@@ -80,36 +80,46 @@ def _channel(data: dict, key: str) -> int | None:
     raise ValueError(f"{key} must be 0, 1 or null, got {value!r}")
 
 
+def _number(key: str, value) -> float:
+    """``value`` as a float; ValueError unless it is a finite JSON number,
+    an int or a float but not a bool; OverflowError for an int beyond floats."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def record_from_dict(data: dict) -> ExperimentRecord:
     """Inverse of :func:`record_to_dict`; KeyError, TypeError or ValueError
     when ``data`` is no dict, lacks a key, holds a key outside
-    :data:`RECORD_KEYS` or a value of the wrong type, a non-finite angle, or
-    weights that are not two numbers >= 0 summing to 1 within 1e-12."""
+    :data:`RECORD_KEYS` or a value of the wrong type (a model that is no
+    string, an angle or a weight that is no number), a non-finite angle,
+    weights that are not two numbers >= 0 summing to 1 within 1e-12, or
+    weights beside an exit channel; OverflowError for an integer angle or
+    weight beyond the float range."""
     if not isinstance(data, dict):
         raise TypeError(f"a record is a JSON object, not {type(data).__name__}")
     if data.keys() - set(RECORD_KEYS):
         raise ValueError(f"unknown keys {sorted(data.keys() - set(RECORD_KEYS))}")
+    if type(data["model"]) is not str:
+        raise ValueError(f"model must be a string, got {data['model']!r}")
     weights = data.get("weights")
     if weights is not None:
-        w1, w0 = map(float, weights)  # a pair, or ValueError
-        if not (w1 >= 0.0 and w0 >= 0.0 and abs(w1 + w0 - 1.0) <= 1e-12):  # NaN fails too
+        w1, w0 = (_number("weights", w) for w in weights)  # a pair, or ValueError
+        if not (w1 >= 0.0 and w0 >= 0.0 and abs(w1 + w0 - 1.0) <= 1e-12):
             raise ValueError(f"weights must be two numbers >= 0 summing to 1, got {weights!r}")
+        if data.get("out_channel") is not None:
+            raise ValueError("a record with weights has no exit channel")
         weights = (w1, w0)
-    record = ExperimentRecord(
-        sigma_l=float(data["sigma_l"]),
-        sigma_r=float(data["sigma_r"]),
-        model=str(data["model"]),
+    return ExperimentRecord(
+        sigma_l=_number("sigma_l", data["sigma_l"]),
+        sigma_r=_number("sigma_r", data["sigma_r"]),
+        model=data["model"],
         in_channel=_channel(data, "in_channel"),
         out_channel=_channel(data, "out_channel"),
-        tau_l=None if data.get("tau_l") is None else float(data["tau_l"]),
-        tau_r=None if data.get("tau_r") is None else float(data["tau_r"]),
+        tau_l=None if data.get("tau_l") is None else _number("tau_l", data["tau_l"]),
+        tau_r=None if data.get("tau_r") is None else _number("tau_r", data["tau_r"]),
         weights=weights,
     )
-    for key in ("sigma_l", "sigma_r", "tau_l", "tau_r"):
-        value = getattr(record, key)
-        if value is not None and not math.isfinite(value):
-            raise ValueError(f"{key} must be finite, got {value!r}")
-    return record
 
 
 def _written_in_place(path) -> bool:
@@ -216,7 +226,7 @@ def read_records_jsonl(path) -> list[ExperimentRecord]:
                 try:
                     text = line.decode().strip()
                     record = memo[line] = record_from_dict(json.loads(text)) if text else None
-                except (KeyError, TypeError, ValueError) as err:
+                except (KeyError, TypeError, ValueError, OverflowError) as err:
                     raise ValueError(f"{os.fspath(path)}, line {number}: not a record: "
                                      f"{type(err).__name__}: {err}") from err
             if record is not None:

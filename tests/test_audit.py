@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, stats
+from retrolab import audit, hvmodels, stats
 from retrolab.audit import (
     MIN_AUDIT_N,
     _alignment_profile,
@@ -21,6 +21,7 @@ from retrolab.audit import (
     symmetry_threshold,
 )
 from retrolab.core import ANGLE_TOL, on_axes
+from retrolab.photon import OntologyMode
 from retrolab.hvmodels import UnknownModelError, channel_joint, model_ids, model_spec
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
@@ -259,7 +260,7 @@ def test_degenerate_settings_follow_the_leg_classes_within_ulps_of_angle_tol(mod
 def test_no_symmetric_model_reads_asymmetric_within_ulps_of_angle_tol():
     # the sweep above, over every time-symmetric model: a symmetric model may
     # be inconclusive at a degenerate pair, never asymmetric
-    symmetric = [m for m in model_ids(stochastic=True) if model_spec(m).time_symmetric]
+    symmetric = [m for m in model_ids(stochastic=True) if model_spec(m).ontology.time_symmetric]
     asymmetric = []
     for model in symmetric:
         for sigma_a in (0.0, 0.3, 1.2, 2.9):
@@ -272,6 +273,43 @@ def test_no_symmetric_model_reads_asymmetric_within_ulps_of_angle_tol():
                         if report.verdict == "asymmetric":
                             asymmetric.append((model, sigma_a, sigma_b))
     assert asymmetric == []
+
+
+def _contradicted_commitments(model):
+    """The commitments of ``model``'s ontology mode that its records contradict.
+
+    Discrete outputs hold when the sampled table has an exit channel and no
+    branch weight; time symmetry when the audit reads symmetric at two
+    generic pairs, and its absence when it reads asymmetric at both.
+    """
+    ontology = model_spec(model).ontology
+    table = generate_ensemble(model, 0.3, 1.2, 16, RandomStream(5)).table
+    verdicts = {audit_symmetry(model, a, b, MIN_AUDIT_N, RandomStream(7)).verdict
+                for a, b in ((0.3, 1.2), (0.0, 0.5236))}
+    contradicted = []
+    if ("out_channel" in table and "weight_1" not in table) != ontology.discrete_outputs:
+        contradicted.append("discrete_outputs")
+    if verdicts != {"symmetric" if ontology.time_symmetric else "asymmetric"}:
+        contradicted.append("time_symmetric")
+    return contradicted
+
+
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
+def test_records_keep_the_commitments_of_the_ontology(model):
+    assert _contradicted_commitments(model) == []
+
+
+@pytest.mark.parametrize("ontology, contradicted", [
+    (OntologyMode.COLLAPSE, ["time_symmetric"]),
+    (OntologyMode.NO_COLLAPSE, ["discrete_outputs"]),
+])
+def test_a_model_whose_ontology_its_records_contradict_is_caught(ontology, contradicted,
+                                                                  monkeypatch):
+    # the implication sweep takes the mode at its word; the records do not
+    copy = hvmodels.ModelSpec(**hvmodels.REGISTRY["twobit"]._asdict()
+                              | {"model": "twobit-copy", "ontology": ontology})
+    monkeypatch.setitem(hvmodels.REGISTRY, "twobit-copy", copy)
+    assert _contradicted_commitments("twobit-copy") == contradicted
 
 
 # ---------------------------------------------------------------- per-row reference

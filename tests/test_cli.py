@@ -329,6 +329,21 @@ def test_game_left_discrete():
     assert result["achievable"][0] == pytest.approx(0.4)
 
 
+def test_large_settings_are_reduced_before_the_closed_forms():
+    # 1e17 + pi/2 rounds back to 1e17, and cos(1e17) is not cos of the
+    # reduced setting the samplers use: each setting is reduced first
+    rc, out, err = main_in_process("run", "--model", "qm-discrete", "--sigma-l", "1e17",
+                                   "--sigma-r", "0.2", "--n", "10000", "--seed", "1")
+    assert rc == 0, err
+    assert json.loads(out)["result"]["tv_to_analytic"] < 0.01
+    rc, out, err = main_in_process("game", "left", "1e17", "--discrete")
+    assert rc == 0, err
+    assert json.loads(out)["result"]["control_mod"] == "pi/2"
+    rc, out, err = main_in_process("retro", "qm-discrete", "0", "1e17", "0.9")
+    assert rc == 1, err
+    assert json.loads(out)["result"]["retro"] is True
+
+
 def test_game_left_classical_has_no_control():
     proc = run_cli("game", "left", "0.4", "--classical")
     assert payload_of(proc)["result"]["achievable"] == "all"

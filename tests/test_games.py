@@ -165,7 +165,7 @@ def test_rena_control_continuous_modes():
 
 def test_rena_control_by_registered_model():
     def report(model):
-        return verify_rena_control(0.5, PI / 6, REGISTRY[model].output_side)
+        return verify_rena_control(0.5, PI / 6, REGISTRY[model].ontology)
 
     assert report("twobit").control_mod == pytest.approx(HALF_PI)
     assert report("onebit").control_mod == pytest.approx(HALF_PI)
@@ -180,6 +180,16 @@ def test_discrete_pair_validation():
     b = DiscretePair(0.3, 0.3 + HALF_PI)
     assert a.disjoint_from(b)
     assert not a.disjoint_from(DiscretePair(HALF_PI, PI))
+
+
+def test_ontology_modes_fix_two_commitments():
+    # a model's time symmetry and discrete outputs are read off its mode
+    commitments = {mode: (mode.time_symmetric, mode.discrete_outputs) for mode in OntologyMode}
+    assert commitments == {
+        OntologyMode.DISCRETE_SYMMETRIC: (True, True),
+        OntologyMode.COLLAPSE: (False, True),
+        OntologyMode.NO_COLLAPSE: (True, False),
+    }
 
 
 def test_ontology_premises():

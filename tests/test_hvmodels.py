@@ -12,7 +12,7 @@ from retrolab.audit import (
     simulate_onebit_ensemble,
     simulate_twobit_ensemble,
 )
-from retrolab.core import malus
+from retrolab.core import malus, normalize_angle
 from retrolab.hvmodels import (
     REGISTRY,
     HVJoint,
@@ -75,6 +75,23 @@ def test_twobit_matches_photon_enumeration(sl, sr):
     t = twobit_dist(sl, sr)
     q = qm_reference_joint(sl, sr)
     assert max(abs(a - b) for a, b in zip(t, q)) < 1e-12
+
+
+@pytest.mark.parametrize("big", (1e9, 1e17, -1e17, 2.0**60))
+def test_closed_forms_reduce_settings_first(big):
+    # the samplers reduce each setting to [0, pi) before a quarter turn or a
+    # difference; the closed forms must too, or they part at large angles
+    small = normalize_angle(big)
+    for model in model_ids(stochastic=True):
+        assert channel_joint(model, big, 0.2) == channel_joint(model, small, 0.2)
+        assert channel_joint(model, 0.2, big) == channel_joint(model, 0.2, small)
+    for model in model_ids():
+        beables = model_spec(model).beable_distribution
+        assert beables(big, 0.2) == beables(small, 0.2)
+        assert beables(0.2, big) == beables(0.2, small)
+    assert onebit_dist(big, 0.2) == onebit_dist(small, 0.2)
+    for sl, sr in ((big, 0.2), (0.2, big)):
+        assert channel_joint("qm-discrete", sl, sr) == pytest.approx(twobit_dist(sl, sr), abs=2e-16)
 
 
 def test_qm_reference_uniform_at_quarter_turn():
@@ -164,6 +181,12 @@ def test_sampled_entry_points_give_one_unknown_model_message(model):
     assert messages == {
         f"no channel statistics for model {model!r}; expected one of {model_ids(stochastic=True)}"
     }
+
+
+def test_model_spec_fields():
+    # the ontology mode carries time symmetry and discrete outputs
+    assert ModelSpec._fields == ("model", "beable_distribution", "beable", "ontology", "joint",
+                                 "sampler", "sampler_args")
 
 
 @pytest.mark.parametrize("missing", ["joint", "sampler"])

@@ -64,10 +64,14 @@ def test_dict_omits_absent_fields():
     assert record_from_dict(d) == rec
 
 
+def weighted_record():
+    return ExperimentRecord(sigma_l=0.2, sigma_r=1.1, model="qm-nocollapse",
+                            in_channel=0, tau_l=0.2 + 1.5707963267948966,
+                            weights=(0.3863989526534564, 0.6136010473465436))
+
+
 def test_weights_record_roundtrip():
-    rec = ExperimentRecord(sigma_l=0.2, sigma_r=1.1, model="qm-nocollapse",
-                           in_channel=0, tau_l=0.2 + 1.5707963267948966,
-                           weights=(0.3863989526534564, 0.6136010473465436))
+    rec = weighted_record()
     d = record_to_dict(rec)
     assert d["weights"] == [0.3863989526534564, 0.6136010473465436]
     assert "out_channel" not in d
@@ -388,6 +392,7 @@ def test_reader_round_trips_a_sampled_ensemble(tmp_path):
 
 
 _GOOD = record_to_dict(full_record())
+_BRANCH = record_to_dict(weighted_record())
 
 
 @pytest.mark.parametrize("bad", [
@@ -412,6 +417,14 @@ _GOOD = record_to_dict(full_record())
     pytest.param(json.dumps(_GOOD | {"weights": [0.9, 0.9]}), id="weights-sum-1.8"),
     pytest.param(json.dumps(_GOOD | {"weights": [1.5, -0.5]}), id="negative-weight"),
     pytest.param(json.dumps(_GOOD | {"weights": [math.nan, 1.0]}), id="nan-weight"),
+    pytest.param(json.dumps(_GOOD | {"model": [1, 2]}), id="list-model"),
+    pytest.param(json.dumps(_GOOD | {"sigma_l": "0.1"}), id="text-setting"),
+    pytest.param(json.dumps(_GOOD | {"sigma_l": True}), id="bool-setting"),
+    pytest.param(json.dumps(_GOOD | {"sigma_l": 10**400}), id="setting-beyond-floats"),
+    pytest.param(json.dumps(_GOOD | {"tau_l": "1"}), id="text-angle"),
+    pytest.param(json.dumps(_BRANCH | {"weights": ["0.5", 0.5]}), id="text-weight"),
+    pytest.param(json.dumps(_BRANCH | {"weights": [True, 0]}), id="bool-weight"),
+    pytest.param(json.dumps(_GOOD | {"weights": [0.5, 0.5]}), id="weights-beside-exit-channel"),
 ])
 def test_reader_names_the_file_and_line_of_a_malformed_record(tmp_path, bad):
     # the good line comes first and again after the bad one: the memo must
