@@ -40,8 +40,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import HALF_PI, normalize_angle, on_axes
-from .hvmodels import MODEL_ONEBIT, MODEL_TWOBIT, onebit_dist, sampled_spec, twobit_dist
-from .photon import OntologyMode, PhotonState, born_probability
+from .hvmodels import MODEL_ONEBIT, MODEL_TWOBIT, qm_reference_joint, sampled_spec, twobit_dist
+from .photon import OntologyMode
 from .records import Ensemble
 from .stats import RandomStream, random_blocks
 
@@ -190,7 +190,8 @@ def simulate_ensemble(
     codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
         np.less(u, 0.5, out=codes[rows])
-    p1 = np.array([born_probability(PhotonState.linear(t), sr) for t in (t0, t1)])
+    joint = qm_reference_joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
+    p1 = np.array([2.0 * joint.p01, 2.0 * joint.p11])
     if not mode.discrete_outputs:
         table = {"in_channel": np.array([0, 1], dtype=np.int8), "tau_l": np.array([t0, t1])}
         return Ensemble(mode.model_id, sl, sr, codes, table | {"weight_1": p1})
@@ -240,7 +241,7 @@ def simulate_onebit_ensemble(
     codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
         np.less(u, 0.5, out=codes[rows])
-    p_repeat = onebit_dist(sigma_l, sigma_r)
+    p_repeat = twobit_dist(sigma_l, sigma_r).p_match
     for rows, u in random_blocks(rng, n):
         block = codes[rows]
         block *= 3  # 2*in + in: the exit repeats the entry...

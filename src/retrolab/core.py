@@ -51,6 +51,9 @@ def angle_diff(a: float, b: float) -> float:
     """Signed difference between two directions, reduced to [-pi/2, pi/2)."""
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("angles must be finite")
+    # within two turns a - b + pi/2 rounds by an ulp of 14 at most; a larger
+    # angle could round the direction away, so it is reduced first
+    a, b = (normalize_angle(x) if abs(x) > 2.0 * PI else x for x in (a, b))
     return normalize_angle(a - b + HALF_PI) - HALF_PI
 
 

@@ -180,7 +180,7 @@ def verify_rena_control(sigma_r: float, rho: float, mode: OntologyMode) -> Contr
         raise ValueError(f"shift must be finite, got {rho!r}")
     sr = normalize_angle(sigma_r)
     if mode is OntologyMode.DISCRETE_SYMMETRIC:
-        base, shifted = _channel_pair(sr), _channel_pair(sr + rho)
+        base, shifted = _channel_pair(sr), _channel_pair(sr + normalize_angle(rho))
     elif isinstance(mode, OntologyMode):
         base = shifted = ALL_ANGLES
     else:

@@ -6,14 +6,15 @@ Two models trade the continuous polarization beable for bookkeeping bits:
   with matched pairs carrying cos^2 of the settings difference split evenly
   and mismatched pairs the complementary sin^2;
 * one-bit: the hidden variable only records whether the future channel
-  repeats the past one, with probability cos^2 of the settings difference.
+  repeats the past one, with the two-bit joint's match probability cos^2.
 
-Both reproduce the quantum channel statistics exactly; their samplers live
-in :mod:`retrolab.audit`, and this module keeps the closed forms.  The
-detector here, :func:`settings_dependence`, asks the question those
-statistics hide: does the distribution of whatever exists before the right
-cube depend on the right-cube setting?  A yes is what "retrocausal" means
-operationally in this package.
+Both reproduce the quantum channel statistics exactly.  Every sampler in
+:mod:`retrolab.audit` and every beable table reads those statistics from
+the joints registered here, and nowhere else.  The detector here,
+:func:`settings_dependence`, asks the question those statistics hide: does
+the distribution of whatever exists before the right cube depend on the
+right-cube setting?  A yes is what "retrocausal" means operationally in
+this package.
 
 :data:`REGISTRY` holds one :class:`ModelSpec` per model, the photon
 ontologies and the classical field included: its structural commitments,
@@ -82,16 +83,6 @@ def twobit_dist(sigma_l: float, sigma_r: float) -> HVJoint:
     return HVJoint(0.5 * match, 0.5 * miss, 0.5 * miss, 0.5 * match)
 
 
-def onebit_dist(sigma_l: float, sigma_r: float) -> float:
-    """Probability that the exit channel repeats the entry channel.
-
-    The hidden bit is stored with 1 meaning "repeat".  Storing its complement
-    (entry XOR exit) instead changes no observable statistic; only this one
-    labeling is used throughout so the cos^2 always attaches to "repeat".
-    """
-    return malus(normalize_angle(sigma_l) - normalize_angle(sigma_r))
-
-
 def qm_reference_joint(sigma_l: float, sigma_r: float) -> HVJoint:
     """Channel joint implied by the photon rules with an even input prior.
 
@@ -115,7 +106,8 @@ def _twobit_beables(sigma_l: float, sigma_r: float) -> dict:
 
 
 def _onebit_beables(sigma_l: float, sigma_r: float) -> dict:
-    p_same = onebit_dist(sigma_l, sigma_r)
+    # bit 1 stands for "the exit repeats the entry"; its complement changes no statistic
+    p_same = twobit_dist(sigma_l, sigma_r).p_match
     return {1: p_same, 0: 1.0 - p_same}
 
 
@@ -123,13 +115,9 @@ def _qm_discrete_beables(sigma_l: float, sigma_r: float) -> dict:
     # the return-leg polarization already exists before the right cube,
     # pinned to whichever value the exit channel will select
     sigma_r = normalize_angle(sigma_r)
-    out: dict = {}
-    for c in (0, 1):
-        t = emit_from_channel(c, sigma_l).angle
-        p1 = born_probability(emit_from_channel(c, sigma_l), sigma_r)
-        out[(c, t, sigma_r)] = 0.5 * p1
-        out[(c, t, normalize_angle(sigma_r + HALF_PI))] = 0.5 * (1.0 - p1)
-    return out
+    joint = qm_reference_joint(sigma_l, sigma_r)
+    return {(c, emit_from_channel(c, sigma_l).angle, r): joint.prob(c, f)
+            for c in (0, 1) for f, r in ((1, sigma_r), (0, normalize_angle(sigma_r + HALF_PI)))}
 
 
 def _prepared_beables(sigma_l: float, sigma_r: float) -> dict:
@@ -168,7 +156,8 @@ class ModelSpec(_ModelFields):
     locates before the right cube, as ``beable`` describes it: keys are
     hashable outcome labels, angles in them normalised, and values exact
     probabilities.  ``joint`` maps (sigma_l, sigma_r) to the analytic
-    (entry, exit) channel joint.  ``sampler`` names the function defined in
+    (entry, exit) channel joint; the sampler, and a beable table that holds
+    channel statistics, take them from it.  ``sampler`` names the function defined in
     :mod:`retrolab.audit` that generates the model's record ensembles,
     called with ``sampler_args`` before (sigma_l, sigma_r, n, stream); it is
     looked up by name at each call, so a wrapped or patched sampler is the

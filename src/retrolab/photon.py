@@ -75,7 +75,7 @@ class PhotonState(NamedTuple("PhotonState", [("jones", JonesVector)])):
 
 def born_probability(state: PhotonState, setting: float) -> float:
     """Chance the photon takes the transmitted channel of a cube at ``setting``."""
-    setting = normalize_angle(setting)  # as the samplers reduce it
+    setting = normalize_angle(setting)  # reduced first; the samplers draw from this form
     c, s = math.cos(setting), math.sin(setting)
     amp = state.jones.ex * c + state.jones.ey * s
     p = amp.real * amp.real + amp.imag * amp.imag
@@ -92,7 +92,7 @@ def emit_from_channel(channel: int, setting_l: float) -> PhotonState:
     """
     if channel not in (0, 1):
         raise ValueError(f"channel must be 0 or 1, got {channel!r}")
-    setting_l = normalize_angle(setting_l)  # before the quarter turn, as the samplers do
+    setting_l = normalize_angle(setting_l)  # before the quarter turn; the samplers draw from this
     return PhotonState.linear(setting_l if channel == 1 else setting_l + HALF_PI)
 
 

@@ -22,7 +22,7 @@ from retrolab.audit import (
 )
 from retrolab.core import ANGLE_TOL, on_axes
 from retrolab.photon import OntologyMode
-from retrolab.hvmodels import UnknownModelError, channel_joint, model_ids, model_spec
+from retrolab.hvmodels import HVJoint, UnknownModelError, channel_joint, model_ids, model_spec
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
 
@@ -79,6 +79,20 @@ def test_generate_ensemble_dispatch():
         generate_ensemble("classical", 0.0, 0.5, 100, RandomStream(2))
     with pytest.raises(UnknownModelError):
         generate_ensemble("nope", 0.0, 0.5, 100, RandomStream(2))
+
+
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
+def test_samplers_draw_from_the_registered_joint(model, monkeypatch):
+    # a joint whose exit always repeats the entry: a sampler that reads it,
+    # and no copy of the channel statistics, never lets the exit differ
+    repeat = HVJoint(0.5, 0.0, 0.0, 0.5)
+    for name in ("qm_reference_joint", "twobit_dist"):
+        monkeypatch.setattr(audit, name, lambda sl, sr: repeat, raising=False)
+    ens = generate_ensemble(model, 0.3, 1.2, 5000, RandomStream(3))
+    if ens.out_channel is None:
+        assert (ens.weight_1 == ens.in_channel).all()
+    else:
+        assert (ens.out_channel == ens.in_channel).all()
 
 
 def test_audit_rejects_small_samples():

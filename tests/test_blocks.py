@@ -26,7 +26,7 @@ from retrolab.audit import (
     reverse_ensemble,
 )
 from retrolab.core import HALF_PI, normalize_angle
-from retrolab.hvmodels import REGISTRY, model_ids, onebit_dist, twobit_dist
+from retrolab.hvmodels import REGISTRY, model_ids, twobit_dist
 from retrolab.photon import OntologyMode, PhotonState, born_probability
 from retrolab.records import write_records_jsonl
 from retrolab.stats import RandomStream
@@ -69,7 +69,7 @@ def _reference_twobit(sigma_l, sigma_r, n, stream):
 def _reference_onebit(sigma_l, sigma_r, n, stream):
     rng = stream.generator()
     in_channel = (rng.random(n) < 0.5).astype(np.int8)
-    repeat = rng.random(n) < onebit_dist(sigma_l, sigma_r)
+    repeat = rng.random(n) < twobit_dist(sigma_l, sigma_r).p_match
     out_channel = np.where(repeat, in_channel, 1 - in_channel).astype(np.int8)
     return {"in_channel": in_channel, "out_channel": out_channel}
 

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from retrolab import __version__, cli
+from retrolab.core import normalize_angle
 from retrolab.records import read_records_jsonl
 from test_golden import GOLDEN, render
 
@@ -344,6 +345,16 @@ def test_large_settings_are_reduced_before_the_closed_forms():
     assert json.loads(out)["result"]["retro"] is True
 
 
+def test_game_right_reduces_the_shift_first():
+    results = []
+    for rho in ("1e17", repr(normalize_angle(1e17))):
+        rc, out, err = main_in_process("game", "right", "0.3", "--mode", "discrete", "--rho", rho)
+        assert rc == 0, err
+        results.append(json.loads(out)["result"])
+    assert results[0]["shifted_achievable"] == results[1]["shifted_achievable"]
+    assert results[0]["rho"] == 1e17
+
+
 def test_game_left_classical_has_no_control():
     proc = run_cli("game", "left", "0.4", "--classical")
     assert payload_of(proc)["result"]["achievable"] == "all"
@@ -499,6 +510,15 @@ def test_analytic_commands_do_not_import_dataclasses_or_inspect(name):
 @pytest.mark.parametrize("name", ["table", "retro", "version"])
 def test_closed_form_commands_do_not_import_records_or_optics(name):
     assert not {"retrolab.records", "retrolab.optics"} & imported(*ANALYTIC_COMMANDS[name])
+
+
+@pytest.mark.parametrize("name", ["table", "retro", "version"])
+def test_closed_form_commands_import_exactly_the_start_up_modules(name):
+    # a module added to the start-up path costs every short command its import
+    loaded = {module for module in imported(*ANALYTIC_COMMANDS[name])
+              if module == "retrolab" or module.startswith("retrolab.")}
+    assert loaded == {"retrolab", "retrolab.cli", "retrolab.core", "retrolab.hvmodels",
+                      "retrolab.photon", "retrolab.stats"}
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))

@@ -66,6 +66,14 @@ def test_angle_diff_wrap():
         assert (d, math.copysign(1.0, d)) == (expected, math.copysign(1.0, expected)), (a, b)
 
 
+@pytest.mark.parametrize("big", (1e17, -1e17, 2.0**60, 1e9))
+def test_angle_diff_reduces_large_angles_first(big):
+    # big - normalize_angle(big) + pi/2 would round the direction away
+    small = normalize_angle(big)
+    assert angle_diff(big, small) == 0.0 and angle_diff(small, big) == 0.0
+    assert angles_equal(big, small)
+
+
 def test_angles_equal_mod_pi():
     assert angles_equal(0.0, PI)
     assert angles_equal(0.2, 0.2 + 7 * PI)

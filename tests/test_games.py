@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from retrolab.core import angle_diff, angles_equal
+from retrolab.core import angle_diff, angles_equal, normalize_angle
 from retrolab.games import (
     ALL_ANGLES,
     KIND_CLASSICAL,
@@ -152,6 +152,14 @@ def test_rena_control_quarter_turn_shift_is_blind():
     # the one shift size the orthogonal pair cannot register
     report = verify_rena_control(0.7, HALF_PI, OntologyMode.DISCRETE_SYMMETRIC)
     assert report.shift_detectable is False
+
+
+def test_rena_control_reduces_the_shift_first():
+    # 0.3 + 1e17 would round the setting away; the shift is a direction
+    report = verify_rena_control(0.3, 1e17, OntologyMode.DISCRETE_SYMMETRIC)
+    reduced = verify_rena_control(0.3, normalize_angle(1e17), OntologyMode.DISCRETE_SYMMETRIC)
+    assert report.shifted_achievable == reduced.shifted_achievable
+    assert report.rho == 1e17
 
 
 def test_rena_control_continuous_modes():

@@ -22,7 +22,6 @@ from retrolab.hvmodels import (
     model_ids,
     model_spec,
     onebit_beable_input_joint,
-    onebit_dist,
     qm_reference_joint,
     settings_dependence,
     twobit_beable_input_joint,
@@ -62,11 +61,12 @@ def test_twobit_degenerate_settings():
     assert j.prob(1, 1) == pytest.approx(0.0, abs=1e-12)
 
 
-def test_onebit_dist_pins():
-    assert onebit_dist(0.3, 0.3) == 1.0
-    assert onebit_dist(0.0, PI / 2) == pytest.approx(0.0, abs=1e-12)
-    assert onebit_dist(0.0, PI / 6) == pytest.approx(0.75, abs=1e-12)
-    assert onebit_dist(0.0, 0.9) == pytest.approx(0.3863989526534564, abs=1e-12)
+def test_p_match_pins():
+    # the onebit model's chance that the exit repeats the entry
+    assert twobit_dist(0.3, 0.3).p_match == 1.0
+    assert twobit_dist(0.0, PI / 2).p_match == pytest.approx(0.0, abs=1e-12)
+    assert twobit_dist(0.0, PI / 6).p_match == pytest.approx(0.75, abs=1e-12)
+    assert twobit_dist(0.0, 0.9).p_match == pytest.approx(0.3863989526534564, abs=1e-12)
 
 
 @given(angles, angles)
@@ -89,7 +89,6 @@ def test_closed_forms_reduce_settings_first(big):
         beables = model_spec(model).beable_distribution
         assert beables(big, 0.2) == beables(small, 0.2)
         assert beables(0.2, big) == beables(0.2, small)
-    assert onebit_dist(big, 0.2) == onebit_dist(small, 0.2)
     for sl, sr in ((big, 0.2), (0.2, big)):
         assert channel_joint("qm-discrete", sl, sr) == pytest.approx(twobit_dist(sl, sr), abs=2e-16)
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retrolab.audit import simulate_ensemble
-from retrolab.core import angle_diff, angles_equal, malus, pol_angle
+from retrolab.core import angle_diff, angles_equal, malus, normalize_angle, pol_angle
 from retrolab.optics import pbs_combine
 from retrolab.photon import (
     OntologyMode,
@@ -85,6 +85,11 @@ def test_retrodict_pins():
     assert retrodict_channel(0.4 + PI / 6, 0.4, prior_1=0.99) == pytest.approx(
         0.9966442953020135, abs=1e-12
     )
+
+
+def test_retrodict_reduces_large_settings_first():
+    assert retrodict_channel(normalize_angle(1e17), 1e17) == pytest.approx(1.0, abs=1e-12)
+    assert retrodict_channel(1e17, normalize_angle(1e17)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_retrodict_undefined():
