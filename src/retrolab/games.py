@@ -26,7 +26,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Union
 
-from .core import HALF_PI, ZERO_INTENSITY, angles_equal, normalize_angle, on_axes, pol_angle
+from .core import (HALF_PI, ZERO_INTENSITY, angles_equal, checked_make, normalize_angle, on_axes,
+                   pol_angle)
 from .hvmodels import ModelSpec, settings_dependence
 from .optics import ModePair, demon_inputs_classical, pbs_combine
 from .photon import OntologyMode, demon_inputs_superposition, emit_from_channel
@@ -54,6 +55,7 @@ class Demon(NamedTuple("Demon", [("kind", str),
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, kind: str, inputs: Callable[[float], int | ModePair | None]):
         _check_kind(kind)
@@ -98,6 +100,7 @@ class DiscretePair(NamedTuple("DiscretePair", [("first", float), ("second", floa
     """Achievable set of exactly two orthogonal directions."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, first: float, second: float):
         first, second = normalize_angle(first), normalize_angle(second)

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .core import HALF_PI, angles_equal, malus, normalize_angle
+from .core import HALF_PI, angles_equal, checked_make, malus, normalize_angle
 from .photon import OntologyMode, born_probability, emit_from_channel
 from .stats import tv_distance
 
@@ -50,6 +50,7 @@ class HVJoint(NamedTuple("HVJoint", [("p00", float), ("p01", float), ("p10", flo
     """Probability four-vector over (past channel, future channel)."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, p00: float, p01: float, p10: float, p11: float):
         joint = super().__new__(cls, p00, p01, p10, p11)
@@ -167,6 +168,7 @@ class ModelSpec(_ModelFields):
     """
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, *fields, **named):
         spec = super().__new__(cls, *fields, **named)

@@ -20,6 +20,7 @@ from .core import (
     JonesVector,
     NotLinearError,
     angles_equal,
+    checked_make,
     jones_from_angle,
     normalize_angle,
     pol_angle,
@@ -35,6 +36,7 @@ class ModePair(NamedTuple("ModePair", [("trans", JonesVector), ("refl", JonesVec
     """Transmitted and reflected field modes of a cube set at ``basis``."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, trans: JonesVector, refl: JonesVector, basis: float):
         return super().__new__(cls, trans, refl, normalize_angle(basis))

@@ -19,7 +19,8 @@ import enum
 import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .core import HALF_PI, JonesVector, angle_diff, jones_from_angle, malus, normalize_angle, pol_angle
+from .core import (HALF_PI, JonesVector, angle_diff, checked_make, jones_from_angle, malus,
+                   normalize_angle, pol_angle)
 
 if TYPE_CHECKING:
     from .optics import ModePair
@@ -58,6 +59,7 @@ class PhotonState(NamedTuple("PhotonState", [("jones", JonesVector)])):
     """Unit-intensity Jones vector: the polarization state of one photon."""
 
     __slots__ = ()
+    _make = classmethod(checked_make)
 
     def __new__(cls, jones: JonesVector):
         if abs(jones.intensity - 1.0) > 1e-12:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, hvmodels, stats
+from retrolab import audit, hvmodels, records
 from retrolab.audit import (
     MIN_AUDIT_N,
     _alignment_profile,
@@ -442,7 +442,7 @@ def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
     # both orientations, as the audit sees them, counted in blocks of 1-7
     # rows, so cells and outliers straddle block boundaries
     for oriented in (ensemble, _orient_forward(reverse_ensemble(ensemble))[0]):
-        with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(records, "COUNT_ROWS", chunk_rows):
             slot, free = _signature_counts(oriented)
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)

@@ -1,11 +1,12 @@
 """Block-wise sampling and counting.
 
 The samplers draw and compare ``stats.CHUNK_ROWS`` rows at a time, the
-audit counts signatures block by block, and the records writer writes
-``records.WRITE_ROWS`` lines at a time.  None may change a sample or a
-count: the references below are the full-vector samplers the block-wise ones
-replaced, and a count over many blocks must equal a count over one.  Nor may
-the blocks' memory grow with n.
+audit and the ``run`` tally count ``records.COUNT_ROWS`` rows at a time, and
+the records writer writes ``records.WRITE_ROWS`` lines at a time.  None may
+change a sample or a count: the references below are the full-vector
+samplers the block-wise ones replaced, and a count over many blocks must
+equal a count over one.  Nor may the blocks' memory grow with n, or exceed
+a fixed allowance above the codes.
 """
 
 import math
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, cli, stats
+from retrolab import audit, cli, records, stats
 from retrolab.audit import (
     _orient_forward,
     _signature_counts,
@@ -29,7 +30,7 @@ from retrolab.core import HALF_PI, normalize_angle
 from retrolab.hvmodels import REGISTRY, model_ids, twobit_dist
 from retrolab.photon import OntologyMode, PhotonState, born_probability
 from retrolab.records import write_records_jsonl
-from retrolab.stats import RandomStream
+from retrolab.stats import RandomStream, random_blocks
 
 PI = math.pi
 
@@ -106,7 +107,8 @@ def _settings(kind, base, offset):
 def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, base, offset, seed):
     sigma_l, sigma_r = _settings(kind, base, offset)
     stream = RandomStream(seed)
-    with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows), \
+            mock.patch.object(records, "COUNT_ROWS", chunk_rows):
         ens, ref = _sample(model, sigma_l, sigma_r, n, stream)
         blocked = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
     assert ens.codes.dtype == np.uint8 and ens.codes.nbytes == n
@@ -123,6 +125,22 @@ def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, 
         assert np.array_equal(slot, slot_1) and np.array_equal(free, free_1)
 
 
+@pytest.mark.parametrize("n", [1, stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS, stats.CHUNK_ROWS + 1,
+                               3 * stats.CHUNK_ROWS + 5])
+def test_random_blocks_are_one_draw_through_one_buffer(n):
+    want = RandomStream(7).generator().random(n)
+    first = None
+    covered = 0
+    for rows, draws in random_blocks(RandomStream(7).generator(), n):
+        # a block is valid until the next step, so it is read here
+        assert rows.start == covered and 0 < len(draws) == rows.stop - rows.start <= stats.CHUNK_ROWS
+        assert draws.tobytes() == want[rows].tobytes()
+        first = draws if first is None else first
+        assert np.shares_memory(draws, first)  # every block reuses the first one's buffer
+        covered = rows.stop
+    assert covered == n
+
+
 # ------------------------------------------------- memory
 
 
@@ -132,6 +150,11 @@ SMALL_N, LARGE_N = 1 << 18, 1 << 20
 # at full-vector sampling the smallest growth, qm-nocollapse generation, is
 # about 0.8 MB
 SLACK_BYTES = 1 << 18
+
+# the peak above the codes of generation, and of an audit above one side's
+# codes, at any n: a block's draws (128 KiB) and its comparisons, 138-198
+# KiB under tracemalloc
+GENERATION_EXTRA_BYTES = 256 << 10
 
 
 def _peak_bytes(call):
@@ -160,6 +183,7 @@ def test_generation_peak_above_the_columns_does_not_grow_with_n(model, traced):
         extra[n] = peak - ens.codes.nbytes
         del ens
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
+    assert max(extra.values()) <= GENERATION_EXTRA_BYTES, extra
 
 
 @pytest.mark.parametrize("model", model_ids(stochastic=True))
@@ -170,17 +194,18 @@ def test_audit_peak_above_one_ensemble_does_not_grow_with_n(model, traced):
         _, peak = _peak_bytes(lambda: audit_symmetry(model, 0.3, 1.2, n, RandomStream(3)))
         extra[n] = peak - n  # one ensemble's codes
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
+    assert max(extra.values()) <= GENERATION_EXTRA_BYTES, extra
 
 
 # the records writer's peak above what was live before it: one write block
-# of bytes and its list of line references, about 1.0 MB for qm-nocollapse's
-# 150-byte lines, whatever n is
-WRITER_PEAK_BYTES = 9 << 17
+# of bytes and its line references, 0.18–0.25 MB under tracemalloc, for
+# qm-nocollapse's 150-byte lines the most, whatever n is
+WRITER_PEAK_BYTES = 320 << 10
 
 
-@pytest.mark.parametrize("model", ("qm-discrete", "qm-nocollapse", "twobit"))
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_records_writer_peak_does_not_grow_with_n(model, traced):
-    # one model of each record shape; the writer holds a block of lines
+    # every sampled model; the writer holds a block of lines
     peak = {}
     for n in (SMALL_N, SMALL_N, LARGE_N):  # the first pass warms up
         ens = generate_ensemble(model, 0.3, 1.2, n, RandomStream(3))
@@ -203,3 +228,16 @@ def test_run_tally_peak_above_the_codes_does_not_grow_with_n(traced):
         assert rc == 0
         extra[n] = peak - n  # the codes
     assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
+
+
+# the channel tally's peak above the codes: a bincount's intp copy of one
+# count block, 33 KiB under tracemalloc, whatever n is
+COUNTS_EXTRA_BYTES = 128 << 10
+
+
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
+def test_channel_counts_peak_above_the_codes_is_bounded(model, traced):
+    generate_ensemble(model, 0.3, 1.2, SMALL_N, RandomStream(3)).channel_counts()  # warm-up
+    ens = generate_ensemble(model, 0.3, 1.2, LARGE_N, RandomStream(3))
+    _, peak = _peak_bytes(ens.channel_counts)  # the codes were live before
+    assert peak <= COUNTS_EXTRA_BYTES, peak

@@ -203,6 +203,15 @@ def test_jones_vector_rejects_nonfinite():
     assert type(v.ex) is complex and type(v.ey) is complex and v == (1 + 0j, 0j)
 
 
+def test_jones_vector_replace_runs_the_checks():
+    with pytest.raises(ValueError):
+        JonesVector(1, 0)._replace(ex="x")
+    with pytest.raises(ValueError):
+        JonesVector(1, 0)._replace(ey=complex("inf"))
+    v = JonesVector(1, 0)._replace(ey=2)
+    assert type(v) is JonesVector and type(v.ey) is complex and v == (1 + 0j, 2 + 0j)
+
+
 @given(angles, angles)
 def test_global_phase_invariance(t, phase):
     base = jones_from_angle(t, 1.0)

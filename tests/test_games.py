@@ -107,6 +107,13 @@ def test_demon_and_lena_control_reject_one_kind_alike():
         play_lena_round(0.4, object())
 
 
+def test_demon_replace_runs_the_checks():
+    demon = constant_channel_demon(1)
+    with pytest.raises(ValueError, match="'psychic'"):
+        demon._replace(kind="psychic")
+    assert demon._replace(kind=KIND_DISCRETE) == demon
+
+
 def test_control_mod_is_read_off_the_achievable_set():
     assert ControlReport("left", 0.4, DiscretePair(0.4, 0.4 + HALF_PI)).control_mod == HALF_PI
     assert ControlReport("left", 0.4, ALL_ANGLES).control_mod is None
@@ -188,6 +195,12 @@ def test_discrete_pair_validation():
     b = DiscretePair(0.3, 0.3 + HALF_PI)
     assert a.disjoint_from(b)
     assert not a.disjoint_from(DiscretePair(HALF_PI, PI))
+
+
+def test_discrete_pair_replace_runs_the_checks():
+    with pytest.raises(ValueError, match="orthogonal"):
+        DiscretePair(0.0, HALF_PI)._replace(second=0.3)
+    assert DiscretePair(0.0, HALF_PI)._replace(first=PI) == DiscretePair(0.0, HALF_PI)
 
 
 def test_ontology_modes_fix_two_commitments():

@@ -42,6 +42,14 @@ def test_hvjoint_validation():
         HVJoint(0.3, 0.3, 0.3, 0.3)
 
 
+def test_hvjoint_replace_runs_the_checks():
+    with pytest.raises(ValueError, match="out of range"):
+        HVJoint(0.25, 0.25, 0.25, 0.25)._replace(p00=5.0)
+    with pytest.raises(ValueError, match="sum to 1"):
+        HVJoint(0.25, 0.25, 0.25, 0.25)._replace(p00=0.5)
+    assert HVJoint(0.25, 0.25, 0.25, 0.25)._replace(p00=0.5, p11=0.0) == (0.5, 0.25, 0.25, 0.0)
+
+
 def test_twobit_dist_pins():
     j = twobit_dist(0.0, PI / 3)
     assert j == pytest.approx((0.125, 0.375, 0.375, 0.125), abs=1e-12)
@@ -194,6 +202,14 @@ def test_model_spec_needs_joint_and_sampler_together(missing):
         ModelSpec(**REGISTRY["twobit"]._asdict() | {missing: None})
     # a model without channel statistics has neither
     assert ModelSpec(**REGISTRY["twobit"]._asdict() | {"joint": None, "sampler": None}).sampler is None
+
+
+@pytest.mark.parametrize("missing", ["joint", "sampler"])
+def test_model_spec_replace_runs_the_checks(missing):
+    with pytest.raises(ValueError, match="both a joint and a sampler"):
+        REGISTRY["twobit"]._replace(**{missing: None})
+    spec = REGISTRY["twobit"]._replace(joint=None, sampler=None)
+    assert type(spec) is ModelSpec and spec.sampler is None
 
 
 def test_settings_dependence_twobit_pin():

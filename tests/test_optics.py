@@ -113,3 +113,10 @@ def test_mode_pair_basis_normalized():
     assert pair.basis == pytest.approx(0.25, abs=1e-12)
     pair = ModePair(JonesVector(0.0, 0.0), JonesVector(0.0, 0.0), -0.25)
     assert pair.basis == pytest.approx(PI - 0.25, abs=1e-12)
+
+
+def test_mode_pair_replace_runs_the_checks():
+    pair = ModePair(JonesVector(0.0, 0.0), JonesVector(0.0, 0.0), 0.25)
+    with pytest.raises(ValueError):
+        pair._replace(basis=math.inf)
+    assert pair._replace(basis=-0.25).basis == pytest.approx(PI - 0.25, abs=1e-12)

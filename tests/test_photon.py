@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retrolab.audit import simulate_ensemble
-from retrolab.core import angle_diff, angles_equal, malus, normalize_angle, pol_angle
+from retrolab.core import JonesVector, angle_diff, angles_equal, malus, normalize_angle, pol_angle
 from retrolab.optics import pbs_combine
 from retrolab.photon import (
     OntologyMode,
@@ -33,6 +33,13 @@ def test_photon_state_unit_intensity():
     assert s.angle == pytest.approx(0.3, abs=1e-12)
     with pytest.raises(ValueError):
         PhotonState(JonesVector(1.0, 1.0))  # intensity 2, not a single photon
+
+
+def test_photon_state_replace_runs_the_checks():
+    with pytest.raises(ValueError, match="unit intensity"):
+        PhotonState.linear(0.3)._replace(jones=JonesVector(1.0, 1.0))
+    state = PhotonState.linear(0.3)._replace(jones=JonesVector(0.0, 1.0))
+    assert type(state) is PhotonState and state.jones == (0j, 1 + 0j)
 
 
 def test_born_probability_pins():

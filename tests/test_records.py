@@ -164,10 +164,13 @@ def test_channel_counts_reject_tables_they_cannot_tally(table):
 
 
 # run counts either side of numpy's 8-way unrolled, 128-element pairwise
-# blocks, of its 8192-element buffer and of the sampler blocks, and one far
-# from all of them
-_TALLY_RUNS = (1, 7, 8, 9, 127, 128, 129, 1023, 8191, 8192, 8193,
-               stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS, stats.CHUNK_ROWS + 1, 1_000_003)
+# blocks, of its 8192-element buffer, of the count and sampler blocks and of
+# 2^16, and one far from all of them
+_TALLY_RUNS = (1, 7, 8, 9, 127, 128, 129, 1023,
+               records_module.COUNT_ROWS - 1, records_module.COUNT_ROWS, records_module.COUNT_ROWS + 1,
+               8191, 8192, 8193,
+               stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS, stats.CHUNK_ROWS + 1,
+               65535, 65536, 65537, 1_000_003)
 
 
 @pytest.mark.parametrize("k", _TALLY_RUNS)

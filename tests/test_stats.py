@@ -49,6 +49,14 @@ def test_stream_key_words_must_be_integers(key):
         RandomStream(*key)
 
 
+def test_stream_replace_runs_the_checks():
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        RandomStream(1)._replace(seed=-1)
+    with pytest.raises(ValueError, match="must be integers"):
+        RandomStream(1)._replace(stream_id=1.5)
+    assert RandomStream(1)._replace(stream_id=5) == RandomStream(1, 5)
+
+
 def test_largest_stream_key_is_accepted():
     top = 2**64 - 1
     a = RandomStream(top, top).generator().random(3)
