@@ -1,0 +1,132 @@
+#!/usr/bin/env python3
+"""Alternating pairs of benchmark runs: a base revision against a change.
+
+Example:
+    python scripts/bench_pairs.py --number N --base HEAD~1 --workload audit-grid \\
+        --seed 11 --seed 29 --pairs 10 --seconds 20
+
+``git archive`` extracts the base revision, and the change revision (by
+default the working tree this script runs from, as it stands), into a
+temporary directory.  ``retrobench/run.py`` then runs unchanged and untraced
+in each tree, the base first in odd pairs and the change first in even ones,
+for every workload and seed.  ``BENCH_<number>.json`` at the root of this
+checkout gets every final result line, the order of the runs and, per
+metric, each side's median and quartiles and the number of pairs the change
+wins; ``BENCHMARK.json`` says whether lower or higher is better, and a tie
+counts for neither side.
+"""
+
+import argparse
+import importlib.metadata
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def extract(rev: str, dest: str) -> str:
+    """The files of ``rev`` in a new directory under ``dest``; its commit id."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tree = os.path.join(dest, commit)
+    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(tree, filter="data")
+    return tree
+
+
+def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """The final result line of one untraced benchmark run in ``tree``, or
+    the exit status and error output of a run that printed none."""
+    argv = [sys.executable, "retrobench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
+    try:
+        return json.loads(done.stdout.splitlines()[-1])
+    except (IndexError, ValueError):
+        return {"error": f"exit {done.returncode}: {done.stderr[-500:]}"}
+
+
+def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """Per metric: each side's median and quartiles, and the pairs the change wins.
+
+    Pair k is ``base[k]`` against ``change[k]``; a pair in which either run
+    printed no result line is left out.  Quartiles are the exclusive method
+    of ``statistics.quantiles`` (the median of one run is its value).
+    """
+    pairs = [(b, c) for b, c in zip(base, change) if "metrics" in b and "metrics" in c]
+    out = {}
+    for name, direction in better.items():
+        values = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in pairs
+                  if name in b["metrics"] and name in c["metrics"]]
+        if not values:
+            continue
+        sides = {"base": [b for b, _ in values], "change": [c for _, c in values]}
+        wins = sum((c < b) if direction == "lower" else (c > b) for b, c in values)
+        out[name] = {"better": direction}
+        for side, xs in sides.items():
+            out[name][f"{side}_median"] = statistics.median(xs)
+            out[name][f"{side}_q1_q3"] = (statistics.quantiles(xs, n=4)[::2] if len(xs) > 1
+                                          else [xs[0], xs[0]])
+        out[name]["change_better_pairs"] = wins
+        out[name]["pairs"] = len(values)
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
+    ap.add_argument("--base", required=True, help="base revision, usually the parent commit")
+    ap.add_argument("--change", help="change revision (default: this working tree)")
+    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--seed", type=int, action="append", required=True)
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seconds", type=float, default=20.0)
+    args = ap.parse_args()
+    if args.pairs < 1:
+        ap.error(f"--pairs must be at least 1, got {args.pairs}")
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        trees = {"base": extract(args.base, tmp),
+                 "change": ROOT if args.change is None else extract(args.change, tmp)}
+        runs = {}
+        for workload in args.workload:
+            for seed in args.seed:
+                key = f"{workload} seed {seed}"
+                run = runs[key] = {"pairs": args.pairs, "order": [], "base": [], "change": []}
+                for k in range(1, args.pairs + 1):
+                    for side in ("base", "change") if k % 2 else ("change", "base"):
+                        print(f"{key}, pair {k}: {side}", file=sys.stderr, flush=True)
+                        run["order"].append(f"pair {k}: {side}")
+                        run[side].append(run_once(trees[side], workload, seed, args.seconds))
+                run["summary"] = summarize(run["base"], run["change"], better)
+
+    bench = {
+        "number": args.number,
+        "base": os.path.basename(trees["base"]),
+        "change": "working tree" if args.change is None else os.path.basename(trees["change"]),
+        "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
+                    "numpy": importlib.metadata.version("numpy")},
+        "command": f"python3 retrobench/run.py --workload W --seed S --seconds {args.seconds:g} "
+                   "--trace 0",
+        "runs": runs,
+    }
+    path = os.path.join(ROOT, f"BENCH_{args.number}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bench, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    main()

@@ -8,7 +8,7 @@ Example:
 import argparse
 import math
 
-from retrolab.audit import MIN_AUDIT_N, audit_symmetry, check_memory
+from retrolab.audit import MIN_AUDIT_N, audit_symmetry
 from retrolab.hvmodels import model_ids
 from retrolab.stats import RandomStream
 
@@ -30,11 +30,6 @@ def main() -> None:
     except ValueError as err:
         ap.error(f"--seed: {err}")
     models = model_ids(stochastic=True)  # the models with record ensembles to audit
-    for model in models:
-        try:
-            check_memory(model, 2 * args.n)
-        except ValueError as err:
-            ap.error(f"--n: {err}")
 
     grid = [k * (math.pi / 2) / (args.points - 1) for k in range(args.points)]
 

@@ -3,7 +3,8 @@
 Every sampled model's records are drawn here, block by block from the
 closed forms of :mod:`photon` and :mod:`hvmodels`: one uint8 code
 ``2*in + out`` per run over a table of at most four rows
-(:func:`channel_table`).
+(:func:`channel_table`).  An ensemble replays its stream at each pass
+instead of storing codes, so no path holds memory that grows with n.
 
 Reversal swaps the two ends of a record: settings, channels, and leg
 polarizations trade places.  A model family is time-symmetric when the
@@ -34,7 +35,6 @@ flagged ``convention_dependent``.
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -71,12 +71,12 @@ def reverse_ensemble(ensemble: Ensemble) -> Ensemble:
 
     Left and right settings swap, the entry channel trades places with the
     exit channel, and the two leg polarizations trade slots: the table's
-    fields are renamed and the codes are shared.  Absent fields swap into
+    fields are renamed and the draw is shared.  Absent fields swap into
     the mirrored slots unchanged, so a collapse run reversed has its one
     beable on the return leg and nothing on the preparation leg.
     """
     table = {_MIRRORED.get(field, field): values for field, values in ensemble.table.items()}
-    return Ensemble(ensemble.model, ensemble.sigma_r, ensemble.sigma_l, ensemble.codes, table)
+    return Ensemble(ensemble.model, ensemble.sigma_r, ensemble.sigma_l, table, ensemble.n, ensemble.draw)
 
 
 def _orient_forward(ensemble: Ensemble) -> tuple[Ensemble, bool]:
@@ -112,7 +112,7 @@ def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 
     Each table row is reduced once to its slot code below 225: its channel
     cell ``in*3 + out`` (2 for an absent channel) and the classes of its two
-    leg beables.  The runs of each row, counted block by block, add into the
+    leg beables.  The runs of each row, counted in one pass, add into the
     225 slot counts.  The slot-free counts fold the slot counts onto (cell,
     unordered pair of leg classes), pairs in row-major order.
     """
@@ -163,6 +163,29 @@ def _run_count(n) -> int:
     return int(n)
 
 
+def _entry(codes: np.ndarray, u: np.ndarray) -> None:
+    np.less(u, 0.5, out=codes)  # even input channels: 1 below one half
+
+
+def _sampled(model: str, sigma_l: float, sigma_r: float, table: dict, n, stream, *passes) -> Ensemble:
+    """Ensemble of ``n`` runs over ``table`` drawn one reused uint8 block at a
+    time: pass k reads draws k*n to (k+1)*n - 1 of ``stream`` into one shared
+    buffer and updates each block as ``step(codes, draws)``."""
+    n = _run_count(n)
+
+    def draw():
+        later = [stream.generator(k * n) for k in range(1, len(passes))]
+        for rows, u in random_blocks(stream.generator(), n):
+            if rows.start == 0:
+                codes = np.empty(len(u), dtype=np.uint8)  # the first block is the largest
+            passes[0](codes[: len(u)], u)
+            for rng, step in zip(later, passes[1:]):
+                step(codes[: len(u)], rng.random(out=u))
+            yield codes[: len(u)]
+
+    return Ensemble(model, normalize_angle(sigma_l), normalize_angle(sigma_r), table, n, draw)
+
+
 def simulate_ensemble(
     mode: OntologyMode, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
@@ -175,29 +198,19 @@ def simulate_ensemble(
     collapse runs keep no return-leg beable, and no-collapse runs keep the
     channel-1 branch weight in place of an outcome.
     The first n draws of the stream pick the input channels, the next n the
-    outcomes; both are drawn and compared block by block into one uint8 code
-    per run, ``2*in + out`` (``in`` for no-collapse runs), over a table of
-    the angles and weights each channel pins.
+    outcomes, into one uint8 code per run, ``2*in + out`` (``in`` for
+    no-collapse runs), over a table of the angles and weights each pins.
     """
     if not isinstance(mode, OntologyMode):
         raise ValueError(f"unknown ontology mode: {mode!r}")
-    n = _run_count(n)
-    rng = stream.generator()
     sl = normalize_angle(sigma_l)
     sr = normalize_angle(sigma_r)
     t1, t0 = sl, normalize_angle(sl + HALF_PI)
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
-    codes = np.empty(n, dtype=np.uint8)
-    for rows, u in random_blocks(rng, n):
-        np.less(u, 0.5, out=codes[rows])
-    del u  # frees the first pass's draw buffer before the second pass takes one
     joint = qm_reference_joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
     p1 = np.array([2.0 * joint.p01, 2.0 * joint.p11])
-    if not mode.discrete_outputs:
-        table = {"in_channel": np.array([0, 1], dtype=np.int8), "tau_l": np.array([t0, t1])}
-        return Ensemble(mode.model_id, sl, sr, codes, table | {"weight_1": p1})
-    for rows, u in random_blocks(rng, n):
-        block = codes[rows]
+
+    def outcome(block, u):
         entry_1 = block.view(np.bool_)  # the codes still hold the entry channel
         # u < p1[entry] without gathering a threshold per row
         out = u < p1[1]
@@ -205,10 +218,14 @@ def simulate_ensemble(
         out |= (u < p1[0]) & ~entry_1
         block *= 2
         block += out
-    if not mode.time_symmetric:
-        return Ensemble(mode.model_id, sl, sr, codes, channel_table(tau_l=[t0, t0, t1, t1]))
+
+    if not mode.discrete_outputs:
+        table = dict(in_channel=np.array([0, 1], dtype=np.int8), tau_l=np.array([t0, t1]), weight_1=p1)
+        return _sampled(mode.model_id, sl, sr, table, n, stream, _entry)
     table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
-    return Ensemble(mode.model_id, sl, sr, codes, table)
+    if not mode.time_symmetric:
+        del table["tau_r"]  # a collapse run keeps no return-leg beable
+    return _sampled(mode.model_id, sl, sr, table, n, stream, _entry, outcome)
 
 
 def simulate_twobit_ensemble(
@@ -220,17 +237,14 @@ def simulate_twobit_ensemble(
     code ``2*past + future`` counts the cumulative bounds c0 <= c1 <= c2 at
     or below u; it is written to one uint8 code per run, block by block.
     """
-    n = _run_count(n)
-    rng = stream.generator()
     c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r))[:3]
-    codes = np.empty(n, dtype=np.uint8)
-    for rows, u in random_blocks(rng, n):
-        block = codes[rows]
+
+    def pair(block, u):
         np.greater_equal(u, c0, out=block)
         block += u >= c1
         block += u >= c2
-    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
-    return Ensemble(MODEL_TWOBIT, sl, sr, codes, channel_table())
+
+    return _sampled(MODEL_TWOBIT, sigma_l, sigma_r, channel_table(), n, stream, pair)
 
 
 def simulate_onebit_ensemble(
@@ -241,48 +255,25 @@ def simulate_onebit_ensemble(
     The first n draws pick the input channels, the next n whether the exit
     channel repeats it; the exit channel flips the input where it does not.
     """
-    n = _run_count(n)
-    rng = stream.generator()
-    codes = np.empty(n, dtype=np.uint8)
-    for rows, u in random_blocks(rng, n):
-        np.less(u, 0.5, out=codes[rows])
-    del u  # frees the first pass's draw buffer before the second pass takes one
     p_repeat = twobit_dist(sigma_l, sigma_r).p_match
-    for rows, u in random_blocks(rng, n):
-        block = codes[rows]
+
+    def parity(block, u):
         block *= 3  # 2*in + in: the exit repeats the entry...
         block ^= u >= p_repeat  # ...unless this draw flips the low bit
-    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
-    return Ensemble(MODEL_ONEBIT, sl, sr, codes, channel_table())
 
-
-def check_memory(model: str, rows: int) -> None:
-    """Reject ``rows`` records of ``model`` whose codes alone exceed physical memory.
-
-    Every sampler above stores one uint8 code per row and works in blocks of
-    ``stats.CHUNK_ROWS`` rows, so generation holds the codes plus a block
-    allowance that does not grow with ``rows``: 138-194 KiB under
-    tracemalloc, and at most 256 KiB (``tests/test_blocks.py``).
-    """
-    sampled_spec(model)
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if rows > have:
-        raise ValueError(f"{rows} {model} records need {rows / 1e9:.1f} GB of ensemble "
-                         f"codes, more than the {have / 1e9:.1f} GB of physical memory")
+    return _sampled(MODEL_ONEBIT, sigma_l, sigma_r, channel_table(), n, stream, _entry, parity)
 
 
 def generate_ensemble(
     model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
     """Forward record ensemble for any auditable model, labelled with its
-    registry id; ValueError, before sampling, when ``n`` is no integer of at
-    least 1 or its codes alone would exceed physical memory.  The sampler is
-    looked up on this module at each call, so a patched one is what runs."""
-    n = _run_count(n)
-    check_memory(model, n)
+    registry id, not yet drawn; ValueError when ``n`` is no integer of at
+    least 1.  The sampler is looked up on this module at each call, so a
+    patched one is what runs."""
     spec = sampled_spec(model)
     ensemble = globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
-    return Ensemble(model, ensemble.sigma_l, ensemble.sigma_r, ensemble.codes, ensemble.table)
+    return Ensemble(model, ensemble.sigma_l, ensemble.sigma_r, ensemble.table, ensemble.n, ensemble.draw)
 
 
 class SymmetryReport(NamedTuple):
@@ -332,8 +323,9 @@ def audit_symmetry(
     ensemble B forward at (sigma_b, sigma_a).  Their slot and slot-free
     signatures are compared by total variation against a 5 sigma sampling
     threshold, and the alignment profiles feed the structural distinguisher.
-    Each side is generated, oriented and counted before the other is
-    generated, so only one ensemble is alive at a time.
+    Each side is counted by table row in one streamed pass over its draw,
+    and only the counts are kept, so an audit holds the same few hundred
+    KiB at any n and is limited only by time.
 
     Verdict logic: slot-free asymmetry is conclusive; asymmetry visible only
     in slot bookkeeping is not, and reports "inconclusive".  The score is
@@ -346,9 +338,6 @@ def audit_symmetry(
     ``degenerate_settings`` true, for d = 1e-10.  Within ulps of
     ``ANGLE_TOL`` rounding decides the flag: (0, 1.5707963257948967) is
     degenerate and its mirror about pi/2, (0, 1.5707963277948966), is not.
-    ValueError, before sampling, when the codes of two ensembles would
-    exceed physical memory: the bound stays at both sides' codes although
-    one side is held at a time.
 
     False positives: a non-symmetric verdict needs ``tv_distance`` > t =
     5·sqrt(2/n).  A side fills at most 4 slots, so under a symmetric model
@@ -360,7 +349,6 @@ def audit_symmetry(
     n = _run_count(n)
     if n < MIN_AUDIT_N:
         raise ValueError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
-    check_memory(model, 2 * n)
     slot_a, free_a, flipped_a = _side_counts(
         reverse_ensemble(generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0)))
     )

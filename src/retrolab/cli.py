@@ -147,6 +147,12 @@ def _cmd_run(args) -> int:
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
 
     ensemble = _sampler().generate_ensemble(args.model, sigma_l, sigma_r, n, stream)
+    if args.records is not None:
+        from . import records
+
+        # the writer counts every row it draws, so the tally below draws nothing
+        limit = None if args.records_limit == 0 else args.records_limit
+        records.write_records_jsonl(args.records, ensemble, limit)
     counts = ensemble.channel_counts()
     labels = ("00", "01", "10", "11")
     empirical = {k: counts[i] / n for i, k in enumerate(labels)}
@@ -171,12 +177,6 @@ def _cmd_run(args) -> int:
         "p_match_empirical": empirical["00"] + empirical["11"],
         "p_match_analytic": analytic["00"] + analytic["11"],
     }
-
-    if args.records is not None:
-        from . import records
-
-        limit = None if args.records_limit == 0 else args.records_limit
-        records.write_records_jsonl(args.records, ensemble, limit)
 
     if args.format == "csv":
         lines = ["# config: " + json.dumps(cfg, sort_keys=True)]

@@ -24,8 +24,6 @@ import os
 import stat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .stats import row_blocks
-
 if TYPE_CHECKING:
     import numpy as np
 
@@ -33,10 +31,6 @@ if TYPE_CHECKING:
 # 0.15 MB of 150-byte lines; 2^11 rows raise run --records' peak RSS by
 # 0.1-0.3 MB, and at this size the writer's time stays level
 WRITE_ROWS = 1 << 10
-
-# rows per bincount in Ensemble.row_counts: bincount copies its input to
-# intp, 8 B a row, so the copy stays at 32 KiB
-COUNT_ROWS = 1 << 12
 
 # fixed key order of the JSON-lines format
 RECORD_KEYS = (
@@ -196,19 +190,23 @@ def write_records_jsonl(path, ensemble: Ensemble, limit=None) -> int:
     """Write the first ``limit`` rows of ``ensemble`` (None = all) one JSON
     object per line, UTF-8 with line-feed ends; returns the number written.
 
-    The rows are never materialised: each table row's line is rendered and
-    encoded once, and the codes pick every row's line in blocks of
-    :data:`WRITE_ROWS` rows, so the writer's peak, one block of bytes
-    (0.18–0.25 MB under tracemalloc), does not grow with n.
+    Each table row's line is rendered and encoded once, and each drawn block
+    of codes picks its rows' lines :data:`WRITE_ROWS` at a time, so the peak
+    does not grow with n.  Every row is drawn once and counted, so a later
+    :meth:`Ensemble.row_counts` draws nothing.
     """
     import numpy as np
 
     count = ensemble._count(limit)
     lines = np.array([json.dumps(record_to_dict(record)).encode() + b"\n"
                       for record in ensemble._table_records()], dtype=object)
+    written = 0
     with atomic_open(path) as fh:
-        for rows in row_blocks(count, WRITE_ROWS):
-            fh.write(b"".join(lines[ensemble.codes[rows]].tolist()))
+        for codes in ensemble._counted_draw():
+            block = codes[: count - written]
+            for start in range(0, len(block), WRITE_ROWS):
+                fh.write(b"".join(lines[block[start:start + WRITE_ROWS]].tolist()))
+            written += len(block)
     return count
 
 
@@ -247,24 +245,23 @@ FIELDS = ("in_channel", "out_channel", "tau_l", "tau_r", "weight_1")
 
 
 def _decoded(field: str) -> property:
-    """Read-only column of ``field`` for every run; None when absent."""
+    """Read-only column of ``field`` for every run, replayed; None when absent."""
     return property(lambda self: self.table[field][self.codes] if field in self.table else None)
 
 
 class Ensemble:
-    """Batch of runs from one model at fixed settings, dictionary-encoded.
+    """Batch of ``n`` runs from one model at fixed settings, replayable.
 
     ``table`` maps each field present for the whole family (a subset of
-    :data:`FIELDS`) to one value per table row, and ``codes`` holds each
-    run's table row.  Rows need not be distinct: a sampler writes one uint8
-    code per run over a table of at most four rows, while ``codes =
-    arange(n)`` over a set of columns holds any ensemble.  A field absent
-    from the table is absent from every record, mirroring the per-record
-    convention.  Table columns of unequal length, codes that are no 1-d
-    integer array and codes outside the table are a ValueError.
+    :data:`FIELDS`) to one value per table row, and ``draw()`` yields each
+    run's table row as blocks of integer codes, in run order, the same at
+    every call; a sampler's blocks are views of one reused uint8 buffer.
+    :meth:`row_counts` counts one pass and keeps the counts; ``codes``, the
+    column properties and :meth:`records` replay the draw.  Table columns of
+    unequal length or outside :data:`FIELDS` are a ValueError.
     """
 
-    __slots__ = ("model", "sigma_l", "sigma_r", "codes", "table")
+    __slots__ = ("model", "sigma_l", "sigma_r", "table", "n", "draw", "_counts")
 
     in_channel = _decoded("in_channel")
     out_channel = _decoded("out_channel")
@@ -272,27 +269,40 @@ class Ensemble:
     tau_r = _decoded("tau_r")
     weight_1 = _decoded("weight_1")
 
-    def __init__(self, model: str, sigma_l: float, sigma_r: float, codes: np.ndarray,
-                 table: dict[str, np.ndarray]):
-        import numpy as np
-
-        self.model, self.sigma_l, self.sigma_r, self.codes, self.table = (
-            model, sigma_l, sigma_r, codes, table)
+    def __init__(self, model: str, sigma_l: float, sigma_r: float, table: dict[str, np.ndarray],
+                 n: int, draw):
+        self.model, self.sigma_l, self.sigma_r, self.table, self.n, self.draw = (
+            model, sigma_l, sigma_r, table, n, draw)
+        self._counts = None
         lengths = {field: len(values) for field, values in table.items()}
         if set(lengths) - set(FIELDS):
             raise ValueError(f"unknown table fields {sorted(set(lengths) - set(FIELDS))}")
         if len(set(lengths.values())) > 1:
             raise ValueError(f"table columns differ in length: {lengths}")
+
+    @classmethod
+    def of_codes(cls, model: str, sigma_l: float, sigma_r: float, codes: np.ndarray,
+                 table: dict[str, np.ndarray]) -> "Ensemble":
+        """Ensemble of the runs whose table rows ``codes`` holds, drawn as one
+        block (``arange(n)`` holds any ensemble); ValueError for codes that
+        are no 1-d integer array or lie outside the table."""
+        import numpy as np
+
         if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
             raise ValueError(f"codes must be a 1-d integer array, not {np.asarray(codes).dtype}"
                              f"{list(np.shape(codes))}")
-        rows = self._table_rows()
-        if codes.size and (codes.min() < 0 or codes.max() >= rows):
-            raise ValueError(f"codes must lie in [0, {rows}), got {codes.min()} to {codes.max()}")
+        ensemble = cls(model, sigma_l, sigma_r, table, len(codes), lambda: iter((codes,)))
+        if codes.size and not 0 <= codes.min() <= codes.max() < ensemble._table_rows():
+            raise ValueError(f"codes must lie in [0, {ensemble._table_rows()}), got {codes.min()} "
+                             f"to {codes.max()}")
+        return ensemble
 
     @property
-    def n(self) -> int:
-        return len(self.codes)
+    def codes(self) -> np.ndarray:
+        """Every run's table row, replayed into one array."""
+        import numpy as np
+
+        return np.concatenate([block.copy() for block in self.draw()])
 
     def _table_rows(self) -> int:
         return len(next(iter(self.table.values()), ()))
@@ -306,14 +316,25 @@ class Ensemble:
             raise ValueError(f"limit must be None or an integer of at least 0, got {limit!r}")
         return min(self.n, int(limit))
 
-    def row_counts(self) -> np.ndarray:
-        """Runs per table row, counted block by block."""
+    def _counted_draw(self):
+        """The draw's blocks, counted as they pass; a whole pass keeps the counts."""
         import numpy as np
 
         counts = np.zeros(self._table_rows(), dtype=np.intp)
-        for rows in row_blocks(self.n, COUNT_ROWS):
-            counts += np.bincount(self.codes[rows].astype(np.intp, copy=False), minlength=len(counts))
-        return counts
+        for codes in self.draw():
+            if len(codes) >= 1024 * len(counts) > 0:  # few rows, many runs: a bool a run
+                counts += [np.count_nonzero(codes == row) for row in range(len(counts))]
+            else:  # bincount's copy takes 8 bytes a run
+                counts += np.bincount(codes.astype(np.intp, copy=False), minlength=len(counts))
+            yield codes
+        self._counts = counts
+
+    def row_counts(self) -> np.ndarray:
+        """Runs per table row, from one streamed pass over the draw."""
+        if self._counts is None:
+            for _ in self._counted_draw():
+                pass
+        return self._counts
 
     def channel_counts(self) -> list[float]:
         """Runs per channel cell ``2*in + out``, as floats.
@@ -352,7 +373,8 @@ class Ensemble:
         return [ExperimentRecord(self.sigma_l, self.sigma_r, self.model, *row) for row in zip(*columns)]
 
     def records(self, limit: int | None = None) -> list[ExperimentRecord]:
-        """Materialize rows as records; ``limit`` caps the count (None = all).
+        """Materialize rows as records, replaying the draw; ``limit`` caps the
+        count (None = all).
 
         Each table row is built into a record once, and its runs share it.
         """

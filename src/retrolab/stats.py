@@ -22,12 +22,9 @@ _MASK64 = (1 << 64) - 1
 # how far an input distribution may drift from sum == 1 before it is rejected
 _NORM_TOL = 1e-6
 
-# rows per block wherever rows are sampled.  A block's draws take 128 KiB,
-# so a sampler holds its codes plus 138-194 KiB under tracemalloc, against
-# about 1 MiB at 2^16 rows: an audit's peak RSS falls by 0.7-0.8 MB while
-# its time stays level.  2^13 rows sample about 5% slower in process.
-# Counting and writing use their own, smaller blocks (records.COUNT_ROWS,
-# records.WRITE_ROWS).
+# rows per block wherever rows are drawn: a block's draws take 128 KiB, so
+# drawing and counting an ensemble of any size holds 165-218 KiB under
+# tracemalloc (2^16 rows took 1 MiB; 2^13 rows sample about 5% slower)
 CHUNK_ROWS = 1 << 14
 
 
@@ -64,12 +61,20 @@ class RandomStream(NamedTuple("RandomStream", [("seed", int), ("stream_id", int)
                 raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
         return super().__new__(cls, seed, stream_id)
 
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at draw index zero of this stream."""
+    def generator(self, position: int = 0) -> np.random.Generator:
+        """Fresh generator at draw ``position`` of this stream, placed in O(1):
+        the Philox counter skips ``position // 4`` blocks of four draws and
+        the rest are drawn and dropped.  ValueError unless ``position`` is
+        an integer of at least 0."""
         import numpy as np
 
-        key = (self.seed << 64) | self.stream_id
-        return np.random.Generator(np.random.Philox(key=key))
+        if not hasattr(position, "__index__") or position < 0:  # numpy integers pass
+            raise ValueError(f"position must be an integer of at least 0, got {position!r}")
+        bits = np.random.Philox(key=(self.seed << 64) | self.stream_id)
+        bits.advance(int(position) // 4)
+        rng = np.random.Generator(bits)
+        rng.random(int(position) % 4)
+        return rng
 
     def child(self, index: int) -> "RandomStream":
         """Derived stream number ``index``; same seed, hashed stream id."""
@@ -78,33 +83,18 @@ class RandomStream(NamedTuple("RandomStream", [("seed", int), ("stream_id", int)
         return RandomStream(self.seed, _mix64(self.stream_id, index))
 
 
-def row_blocks(n: int, size: int | None = None):
-    """Consecutive slices of at most ``size`` rows that cover range(n).
-
-    None reads CHUNK_ROWS at each call, so a patched block size takes effect.
-    """
-    size = CHUNK_ROWS if size is None else size
-    for start in range(0, n, size):
-        yield slice(start, min(start + size, n))
-
-
 def random_blocks(rng: np.random.Generator, n: int):
-    """``rng.random(n)`` as consecutive ``(rows, draws)`` blocks.
-
-    The blocks are exactly the draws of one ``rng.random(n)``: the generator
-    hands out doubles in stream order however the calls are cut, so sampling
-    by block changes no sample, only the memory it takes.  Each yielded block
-    is a view of one reused buffer, valid until the next step; a caller that
-    keeps draws copies them.
+    """``rng.random(n)`` as consecutive ``(rows, draws)`` blocks: the same
+    doubles, however the calls are cut.  Each block is a view of one reused
+    buffer, valid until the next step; a caller that keeps draws copies them.
     """
     import numpy as np
 
     size = CHUNK_ROWS
     buffer = np.empty(min(n, size))
-    for rows in row_blocks(n, size):
-        draws = buffer[: rows.stop - rows.start]
-        rng.random(out=draws)
-        yield rows, draws
+    for start in range(0, n, size):
+        draws = rng.random(out=buffer[: min(size, n - start)])
+        yield slice(start, start + len(draws)), draws
 
 
 def _check_normalized(total: float, label: str) -> None:

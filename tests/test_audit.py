@@ -1,13 +1,12 @@
 """Record reversal and the forward/backward distinguishability audit."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, hvmodels, records
+from retrolab import audit, hvmodels
 from retrolab.audit import (
     MIN_AUDIT_N,
     _alignment_profile,
@@ -31,8 +30,8 @@ PI = math.pi
 
 def _one_row(model, sigma_l, sigma_r, **fields):
     """Ensemble of a single run whose table holds ``fields``."""
-    return Ensemble(model, sigma_l, sigma_r, np.zeros(1, dtype=np.uint8),
-                    {field: np.array([value]) for field, value in fields.items()})
+    return Ensemble.of_codes(model, sigma_l, sigma_r, np.zeros(1, dtype=np.uint8),
+                             {field: np.array([value]) for field, value in fields.items()})
 
 
 def test_reverse_record_swaps_slots():
@@ -228,7 +227,7 @@ def test_symmetric_models_stay_within_the_stated_false_positive_rate(model, pair
         slots = []
         for small, p, reverse in sides:
             codes = np.repeat(np.arange(len(p), dtype=np.uint8), rng.multinomial(n, p))
-            ensemble = Ensemble(small.model, small.sigma_l, small.sigma_r, codes, small.table)
+            ensemble = Ensemble.of_codes(small.model, small.sigma_l, small.sigma_r, codes, small.table)
             slots.append(_side_counts(reverse_ensemble(ensemble) if reverse else ensemble)[0])
         fired += 0.5 * np.abs(slots[0] / n - slots[1] / n).sum() > t
     assert fired <= 0.05 * trials
@@ -433,7 +432,14 @@ def _ensembles(draw):
         "weight_1": rng.random(rows) if weights else None,
     }
     table = {field: values for field, values in columns.items() if values is not None}
-    return Ensemble("hand-built", sigma_l, sigma_r, codes, table)
+    return Ensemble.of_codes("hand-built", sigma_l, sigma_r, codes, table)
+
+
+def _in_blocks(ensemble, rows):
+    """``ensemble`` drawn as blocks of ``rows`` runs."""
+    codes = ensemble.codes
+    return Ensemble(ensemble.model, ensemble.sigma_l, ensemble.sigma_r, ensemble.table, ensemble.n,
+                    lambda: (codes[start:start + rows] for start in range(0, len(codes), rows)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -442,8 +448,7 @@ def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
     # both orientations, as the audit sees them, counted in blocks of 1-7
     # rows, so cells and outliers straddle block boundaries
     for oriented in (ensemble, _orient_forward(reverse_ensemble(ensemble))[0]):
-        with mock.patch.object(records, "COUNT_ROWS", chunk_rows):
-            slot, free = _signature_counts(oriented)
+        slot, free = _signature_counts(_in_blocks(oriented, chunk_rows))
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
@@ -467,31 +472,3 @@ def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
         assert _alignment_profile(slot, oriented.n) == _reference_profile(oriented)
-
-
-@pytest.mark.parametrize("model", model_ids(stochastic=True))
-def test_row_bytes_match_generated_columns(model, monkeypatch):
-    # the memory check counts one byte a row, what a generated ensemble's
-    # codes take: 10 bytes of memory hold 10 rows and not 11
-    pages = {"SC_PAGE_SIZE": 1, "SC_PHYS_PAGES": 10}
-    monkeypatch.setattr(audit.os, "sysconf", pages.__getitem__)
-    _assert_one_byte_codes(generate_ensemble(model, 0.3, 1.2, 10, RandomStream(0)), 10)
-    with pytest.raises(ValueError, match="physical memory"):
-        generate_ensemble(model, 0.3, 1.2, 11, RandomStream(0))
-
-
-def test_memory_bound_counts_both_audit_ensembles(monkeypatch):
-    # 1 MiB of physical memory: one 600,000-row ensemble (600 kB of codes)
-    # fits, the audit's two (1.2 MB) do not
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
-    monkeypatch.setattr(audit.os, "sysconf", pages.__getitem__)
-    assert generate_ensemble("twobit", 0.0, 0.5, 600_000, RandomStream(0)).n == 600_000
-
-    def sampled(self):
-        raise AssertionError("sampled before the memory check")
-
-    monkeypatch.setattr(RandomStream, "generator", sampled)
-    with pytest.raises(ValueError, match="physical memory"):
-        audit_symmetry("twobit", 0.0, 0.5, 600_000, RandomStream(0))
-    with pytest.raises(ValueError, match="physical memory"):
-        generate_ensemble("qm-discrete", 0.0, 0.5, 1_100_000, RandomStream(0))

@@ -1,14 +1,15 @@
-"""Block-wise sampling and counting.
+"""Block-wise sampling, counting and writing.
 
-The samplers draw and compare ``stats.CHUNK_ROWS`` rows at a time, the
-audit and the ``run`` tally count ``records.COUNT_ROWS`` rows at a time, and
-the records writer writes ``records.WRITE_ROWS`` lines at a time.  None may
-change a sample or a count: the references below are the full-vector
-samplers the block-wise ones replaced, and a count over many blocks must
-equal a count over one.  Nor may the blocks' memory grow with n, or exceed
-a fixed allowance above the codes.
+An ensemble is a replayable draw: its samplers draw and compare
+``stats.CHUNK_ROWS`` rows at a time through one reused buffer, the audit and
+the ``run`` tally count each block as it is drawn, and the records writer
+writes ``records.WRITE_ROWS`` lines at a time.  None may change a sample or
+a count: the references below are the full-vector samplers the block-wise
+ones replaced, and a count over many blocks must equal a count over one.
+Nor may any command's memory grow with n, or exceed a fixed block allowance.
 """
 
+import gc
 import math
 import os
 import tracemalloc
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, cli, records, stats
+from retrolab import audit, cli, stats
 from retrolab.audit import (
     _orient_forward,
     _signature_counts,
@@ -107,11 +108,13 @@ def _settings(kind, base, offset):
 def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, base, offset, seed):
     sigma_l, sigma_r = _settings(kind, base, offset)
     stream = RandomStream(seed)
-    with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows), \
-            mock.patch.object(records, "COUNT_ROWS", chunk_rows):
+    # every pass over the ensemble replays its draw, here in blocks of 1-7 rows
+    with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
         ens, ref = _sample(model, sigma_l, sigma_r, n, stream)
+        codes = ens.codes
         blocked = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
-    assert ens.codes.dtype == np.uint8 and ens.codes.nbytes == n
+    # n <= 500 rows fit in one block of the default size
+    assert codes.dtype == np.uint8 and codes.tobytes() == ens.codes.tobytes()
     assert all(len(values) <= 4 for values in ens.table.values())
     for name in COLUMNS:
         got, want = getattr(ens, name), ref.get(name)
@@ -119,7 +122,8 @@ def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, 
         if want is not None:
             assert got.dtype == want.dtype and got.shape == want.shape, name
             assert got.tobytes() == want.tobytes(), name
-    # n <= 500 rows fit in one block of the default size
+    # a fresh ensemble draws again, since a counted one keeps its counts
+    ens = _sample(model, sigma_l, sigma_r, n, stream)[0]
     single = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
     for (slot, free), (slot_1, free_1) in zip(blocked, single):
         assert np.array_equal(slot, slot_1) and np.array_equal(free, free_1)
@@ -141,28 +145,99 @@ def test_random_blocks_are_one_draw_through_one_buffer(n):
     assert covered == n
 
 
+# ------------------------------------------------- draws
+
+
+# passes over the stream per ensemble: a second pass draws the outcomes
+PASSES = {"twobit": 1, "qm-nocollapse": 1, "onebit": 2, "qm-discrete": 2, "qm-collapse": 2}
+
+# a run count past three sampling blocks, not a multiple of one or of four
+DRAW_N = 3 * stats.CHUNK_ROWS + 5
+
+# each op, with the ensembles it samples
+DRAW_OPS = {
+    "run": (["run", "--model", "{}", "--sigma-l", "0.3", "--sigma-r", "1.2"], 1),
+    "audit": (["audit", "{}", "0.3", "1.2"], 2),
+    "records": (["run", "--model", "{}", "--sigma-l", "0.3", "--sigma-r", "1.2",
+                 "--records", os.devnull, "--records-limit", "0"], 1),
+}
+
+
+class _Counting:
+    """A generator that counts the doubles drawn through it."""
+
+    def __init__(self, rng, drawn):
+        self.rng, self.drawn = rng, drawn
+
+    def random(self, *args, **kwargs):
+        draws = self.rng.random(*args, **kwargs)
+        self.drawn.append(draws.size)
+        return draws
+
+
+def test_passes_cover_every_sampled_model():
+    assert sorted(PASSES) == sorted(model_ids(stochastic=True))
+
+
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
+@pytest.mark.parametrize("op", sorted(DRAW_OPS))
+def test_each_op_draws_every_row_once(op, model, monkeypatch):
+    # n draws a pass per ensemble, whatever the op does with the rows:
+    # writing records and tallying them share one pass
+    drawn = []
+    real = RandomStream.generator
+    monkeypatch.setattr(RandomStream, "generator", lambda self, *args: _Counting(real(self, *args), drawn))
+    argv, ensembles = DRAW_OPS[op]
+    argv = [arg.format(model) for arg in argv] + ["--n", str(DRAW_N), "--seed", "3", "--out", os.devnull]
+    assert cli.main(argv) in (0, 1, 4)
+    assert sum(drawn) == ensembles * PASSES[model] * DRAW_N
+
+
 # ------------------------------------------------- memory
 
 
-SMALL_N, LARGE_N = 1 << 18, 1 << 20
+SIZES = SMALL_N, LARGE_N, HUGE_N = 1 << 18, 1 << 20, 1 << 22
 
-# allowed growth of the peak above the columns from SMALL_N to LARGE_N rows;
-# at full-vector sampling the smallest growth, qm-nocollapse generation, is
-# about 0.8 MB
-SLACK_BYTES = 1 << 18
+# how far one op's peaks at SMALL_N, LARGE_N and HUGE_N rows may differ
+SAME_PEAK_BYTES = 8 << 10
 
-# the peak above the codes of generation, and of an audit above one side's
-# codes, at any n: a block's draws (128 KiB) and its comparisons, 138-198
-# KiB under tracemalloc
+# the peak of drawing and counting an ensemble, and of an audit, at any n:
+# a block's draws (128 KiB), its codes and its comparisons, 165-218 KiB
+# under tracemalloc
 GENERATION_EXTRA_BYTES = 256 << 10
+
+# the records writer's peak above drawing and counting: one write block of
+# bytes and its line references, 144-230 KiB under tracemalloc, for
+# qm-nocollapse's 150-byte lines the most
+WRITER_PEAK_BYTES = 320 << 10
 
 
 def _peak_bytes(call):
-    """Traced allocation peak of ``call()`` above what was live before it."""
-    tracemalloc.reset_peak()
-    before = tracemalloc.get_traced_memory()[0]
-    result = call()
-    return result, tracemalloc.get_traced_memory()[1] - before
+    """Traced allocation peak of ``call()`` above what was live before it.
+
+    Cyclic garbage is collected first and kept during the call, so the
+    peak does not hang on when the collector happens to run.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        gc.enable()
+
+
+def _peaks(call, sizes=SIZES):
+    """Peak of ``call(n)`` at each n, after a warm-up at the first."""
+    call(sizes[0])
+    return {n: _peak_bytes(lambda: call(n))[1] for n in sizes}
+
+
+def _assert_constant(peaks, bound):
+    assert max(peaks.values()) - min(peaks.values()) <= SAME_PEAK_BYTES, peaks
+    assert max(peaks.values()) <= bound, peaks
 
 
 @pytest.fixture
@@ -174,70 +249,60 @@ def traced():
         tracemalloc.stop()
 
 
+def _run(n, *extra):
+    argv = ["run", "--model", "qm-nocollapse", "--sigma-l", "0.3", "--sigma-r", "1.2",
+            "--n", str(n), "--seed", "3", "--out", os.devnull, *extra]
+    assert cli.main(argv) == 0
+
+
+def _counted(model, n):
+    return generate_ensemble(model, 0.3, 1.2, n, RandomStream(3)).row_counts()
+
+
 @pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_generation_peak_above_the_columns_does_not_grow_with_n(model, traced):
-    generate_ensemble(model, 0.3, 1.2, SMALL_N, RandomStream(3))  # warm-up
-    extra = {}
-    for n in (SMALL_N, LARGE_N):
-        ens, peak = _peak_bytes(lambda: generate_ensemble(model, 0.3, 1.2, n, RandomStream(3)))
-        extra[n] = peak - ens.codes.nbytes
-        del ens
-    assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
-    assert max(extra.values()) <= GENERATION_EXTRA_BYTES, extra
+    # generating draws nothing; counting draws every row once
+    _assert_constant(_peaks(lambda n: _counted(model, n), (SMALL_N, LARGE_N)), GENERATION_EXTRA_BYTES)
 
 
 @pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_audit_peak_above_one_ensemble_does_not_grow_with_n(model, traced):
-    audit_symmetry(model, 0.3, 1.2, SMALL_N, RandomStream(3))  # warm-up
-    extra = {}
-    for n in (SMALL_N, LARGE_N):
-        _, peak = _peak_bytes(lambda: audit_symmetry(model, 0.3, 1.2, n, RandomStream(3)))
-        extra[n] = peak - n  # one ensemble's codes
-    assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
-    assert max(extra.values()) <= GENERATION_EXTRA_BYTES, extra
-
-
-# the records writer's peak above what was live before it: one write block
-# of bytes and its line references, 0.18–0.25 MB under tracemalloc, for
-# qm-nocollapse's 150-byte lines the most, whatever n is
-WRITER_PEAK_BYTES = 320 << 10
+    # HUGE_N for a one-pass and the heaviest two-pass sampler, to spare time
+    sizes = SIZES if model in ("twobit", "qm-discrete") else (SMALL_N, LARGE_N)
+    _assert_constant(_peaks(lambda n: audit_symmetry(model, 0.3, 1.2, n, RandomStream(3)), sizes),
+                     GENERATION_EXTRA_BYTES)
 
 
 @pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_records_writer_peak_does_not_grow_with_n(model, traced):
-    # every sampled model; the writer holds a block of lines
-    peak = {}
-    for n in (SMALL_N, SMALL_N, LARGE_N):  # the first pass warms up
-        ens = generate_ensemble(model, 0.3, 1.2, n, RandomStream(3))
-        _, peak[n] = _peak_bytes(lambda: write_records_jsonl(os.devnull, ens))
-    assert peak[LARGE_N] <= peak[SMALL_N] + SLACK_BYTES, peak
-    assert max(peak.values()) <= WRITER_PEAK_BYTES, peak
+    def write(n):
+        write_records_jsonl(os.devnull, generate_ensemble(model, 0.3, 1.2, n, RandomStream(3)))
+
+    counting = _peak_bytes(lambda: _counted(model, SMALL_N))[1]
+    _assert_constant(_peaks(write, (SMALL_N, LARGE_N)), counting + WRITER_PEAK_BYTES)
 
 
 def test_run_tally_peak_above_the_codes_does_not_grow_with_n(traced):
-    # the branch-weight tally sums each table row's equal weights
+    # the branch-weight tally sums each table row's equal weights; the
+    # command itself (its parser, its payload) costs what it costs at n = 1
+    _run(1)
+    command = _peak_bytes(lambda: _run(1))[1]
+    _assert_constant(_peaks(_run), command + GENERATION_EXTRA_BYTES)
+
+
+def test_run_records_peak_is_the_same_at_any_n(traced):
+    # every row drawn, written and tallied in one pass
     def run(n):
-        argv = ["run", "--model", "qm-nocollapse", "--sigma-l", "0.3", "--sigma-r", "1.2",
-                "--n", str(n), "--seed", "3", "--out", os.devnull]
-        return cli.main(argv)
+        _run(n, "--records", os.devnull, "--records-limit", "0")
 
-    run(SMALL_N)  # warm-up
-    extra = {}
-    for n in (SMALL_N, LARGE_N):
-        rc, peak = _peak_bytes(lambda: run(n))
-        assert rc == 0
-        extra[n] = peak - n  # the codes
-    assert extra[LARGE_N] <= extra[SMALL_N] + SLACK_BYTES, extra
-
-
-# the channel tally's peak above the codes: a bincount's intp copy of one
-# count block, 33 KiB under tracemalloc, whatever n is
-COUNTS_EXTRA_BYTES = 128 << 10
+    run(1)
+    command = _peak_bytes(lambda: run(1))[1]
+    _assert_constant(_peaks(run), command + GENERATION_EXTRA_BYTES + WRITER_PEAK_BYTES)
 
 
 @pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_channel_counts_peak_above_the_codes_is_bounded(model, traced):
-    generate_ensemble(model, 0.3, 1.2, SMALL_N, RandomStream(3)).channel_counts()  # warm-up
-    ens = generate_ensemble(model, 0.3, 1.2, LARGE_N, RandomStream(3))
-    _, peak = _peak_bytes(ens.channel_counts)  # the codes were live before
-    assert peak <= COUNTS_EXTRA_BYTES, peak
+    generate_ensemble(model, 0.3, 1.2, 1 << 10, RandomStream(3)).channel_counts()  # warm-up
+    ens = generate_ensemble(model, 0.3, 1.2, SMALL_N, RandomStream(3))
+    _, peak = _peak_bytes(ens.channel_counts)  # draws and counts every row
+    assert peak <= GENERATION_EXTRA_BYTES, peak

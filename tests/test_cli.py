@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from retrolab import __version__, cli
+from retrolab import __version__, audit, cli
 from retrolab.core import normalize_angle
 from retrolab.records import read_records_jsonl
 from test_golden import GOLDEN, render
@@ -553,15 +553,33 @@ def test_only_game_imports_the_games_module(name):
     assert ("retrolab.games" in imported(*args)) == (args[0] == "game")
 
 
+@pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
+def test_sampling_commands_import_exactly_the_sampling_modules(name):
+    # a module added to run or audit costs each of them its import and its memory
+    loaded = {m for m in imported(*SAMPLING_COMMANDS[name]) if m.split(".")[0] == "retrolab"}
+    assert loaded == {"retrolab", "retrolab.cli", "retrolab.core", "retrolab.hvmodels", "retrolab.photon",
+                      "retrolab.stats", "retrolab.records", "retrolab.audit"}
+
+
+class _Sampled(Exception):
+    """Raised by the first block a command draws."""
+
+
 @pytest.mark.parametrize("args", [
     ("run", "--model", "qm-discrete", "--sigma-l", "0", "--sigma-r", "0.5"),
+    ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--records", os.devnull,
+     "--records-limit", "0"),
     ("audit", "twobit", "0", "0.5"),
 ])
-def test_ensemble_beyond_physical_memory_exits_2(args):
-    proc = run_cli(*args, "--n", "1000000000000")
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and "physical memory" in proc.stderr
+def test_ensemble_beyond_physical_memory_is_sampled(args, monkeypatch):
+    # no command holds a row's worth of memory, so none refuses an n for it:
+    # 10^15 rows get as far as drawing their first block
+    def first_block(rng, n):
+        raise _Sampled(n)
+
+    monkeypatch.setattr(audit, "random_blocks", first_block)
+    with pytest.raises(_Sampled, match=str(10**15)):
+        cli.main([*args, "--n", str(10**15), "--out", os.devnull])
 
 
 # runs a small ``run`` in process, then reports its own thread count and

@@ -34,8 +34,9 @@ SETTINGS = ("--sigma-l", "0.3", "--sigma-r", "1.2")
 AUDIT_PAIRS = {"": ("0", "0.5236"), "-equal": ("0", "0"), "-orthogonal": ("0", repr(math.pi / 2))}
 AUDIT_N = "10000"  # the audit's floor
 RUN_N = "200"  # every row also goes to the records file
-# more rows than three sampling blocks of 2**16, and not a multiple of one,
-# so a slip at a block boundary shows in the counts
+# twelve full sampling blocks of 2**14 and 3,395 rows of a thirteenth, so a
+# slip at a block boundary shows in the counts; 200,003 is 3 mod 4, so a
+# two-pass sampler's outcome generator starts 3 draws into a Philox block
 MULTIBLOCK_N = "200003"
 # settings within a few ulps of ANGLE_TOL of equal and of orthogonal, and a
 # quarter-turn alternative setting whose labels round differently at 9 decimals
@@ -55,8 +56,8 @@ RHO_CASES = {
     "game-right-nocollapse-rho": ("game", "right", "0.7", "--mode", "nocollapse", "--rho", "0.2"),
 }
 # sha256 of the records file of ``run --n 10000 --seed 11``, one model of each
-# record shape: 10,000 lines span two full write blocks of 4,096 and part of
-# a third, which the 200-line golden files never reach
+# record shape: 10,000 lines span nine full write blocks of 2**10 and 784
+# lines of a tenth, which the 200-line golden files never reach
 RECORDS_SHA256 = {
     "qm-discrete": "3cc5ebf6490b3f93c70f319506a3be4cfa90985e5f9a160d2935922fcb9af34d",
     "qm-nocollapse": "e558acad393f6a1d918a73a53b527a9c5ee16705cbc0ff9ac0afe4febfe94201",

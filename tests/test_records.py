@@ -47,7 +47,7 @@ def full_ensemble(k=1):
     rec = full_record()
     table = {field: np.array([getattr(rec, field)] * k)
              for field in ("in_channel", "out_channel", "tau_l", "tau_r")}
-    return Ensemble(rec.model, rec.sigma_l, rec.sigma_r, np.arange(k), table)
+    return Ensemble.of_codes(rec.model, rec.sigma_l, rec.sigma_r, np.arange(k), table)
 
 
 def test_dict_roundtrip_full():
@@ -102,7 +102,7 @@ def test_dict_roundtrip_property(in_ch, out_ch, sl, sr):
 
 
 def test_ensemble_views():
-    ens = Ensemble("qm-discrete", 0.0, 0.5, np.arange(3), {
+    ens = Ensemble.of_codes("qm-discrete", 0.0, 0.5, np.arange(3), {
         "in_channel": np.array([1, 0, 1]),
         "out_channel": np.array([1, 1, 0]),
         "tau_l": np.array([0.0, 1.5707963267948966, 0.0]),
@@ -116,7 +116,7 @@ def test_ensemble_views():
 
 
 def test_shared_table_rows_decode_per_run():
-    ens = Ensemble("qm-collapse", 0.0, 0.5, np.array([1, 1, 0, 1], dtype=np.uint8), {
+    ens = Ensemble.of_codes("qm-collapse", 0.0, 0.5, np.array([1, 1, 0, 1], dtype=np.uint8), {
         "in_channel": np.array([0, 1], dtype=np.int8),
         "tau_l": np.array([1.5707963267948966, 0.0]),
     })
@@ -128,7 +128,7 @@ def test_shared_table_rows_decode_per_run():
 
 
 def test_weighted_ensemble_records():
-    ens = Ensemble("qm-nocollapse", 0.0, 0.5, np.arange(2), {
+    ens = Ensemble.of_codes("qm-nocollapse", 0.0, 0.5, np.arange(2), {
         "in_channel": np.array([1, 0]),
         "tau_l": np.array([0.0, 1.5707963267948966]),
         "weight_1": np.array([0.25, 0.75]),
@@ -141,7 +141,7 @@ def test_weighted_ensemble_records():
 
 def test_channel_counts_by_table_row():
     # duplicate rows add into one cell
-    ens = Ensemble("twobit", 0.0, 0.5, np.array([0, 2, 2, 1, 3, 2], dtype=np.uint8), {
+    ens = Ensemble.of_codes("twobit", 0.0, 0.5, np.array([0, 2, 2, 1, 3, 2], dtype=np.uint8), {
         "in_channel": np.array([1, 0, 1, 0], dtype=np.int8),
         "out_channel": np.array([0, 1, 0, 0], dtype=np.int8),
     })
@@ -158,17 +158,15 @@ def test_channel_counts_by_table_row():
 ], ids=["no-in-channel", "in-channel-2", "in-channel-minus-1", "out-channel-3", "float-channel",
         "no-out-channel-or-weight"])
 def test_channel_counts_reject_tables_they_cannot_tally(table):
-    ens = Ensemble("twobit", 0.0, 0.5, np.array([0, 1, 1], dtype=np.uint8), table)
+    ens = Ensemble.of_codes("twobit", 0.0, 0.5, np.array([0, 1, 1], dtype=np.uint8), table)
     with pytest.raises(ValueError, match="channel"):
         ens.channel_counts()
 
 
 # run counts either side of numpy's 8-way unrolled, 128-element pairwise
-# blocks, of its 8192-element buffer, of the count and sampler blocks and of
+# blocks, of its 8192-element buffer, of 2^12, of the sampler blocks and of
 # 2^16, and one far from all of them
-_TALLY_RUNS = (1, 7, 8, 9, 127, 128, 129, 1023,
-               records_module.COUNT_ROWS - 1, records_module.COUNT_ROWS, records_module.COUNT_ROWS + 1,
-               8191, 8192, 8193,
+_TALLY_RUNS = (1, 7, 8, 9, 127, 128, 129, 1023, 4095, 4096, 4097, 8191, 8192, 8193,
                stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS, stats.CHUNK_ROWS + 1,
                65535, 65536, 65537, 1_000_003)
 
@@ -178,7 +176,7 @@ def test_weighted_channel_counts_sum_as_numpy_sums_equal_values(k):
     weights = [0.1, 1.0 / 3.0, math.cos(0.7) ** 2, 0.9999999, 5e-324]
     codes = np.zeros(k, dtype=np.uint8)
     for w in weights:
-        ens = Ensemble("qm-nocollapse", 0.0, 0.5, codes, {
+        ens = Ensemble.of_codes("qm-nocollapse", 0.0, 0.5, codes, {
             "in_channel": np.array([1, 0], dtype=np.int8),
             "weight_1": np.array([w, 1.0 - w]),
         })
@@ -201,7 +199,7 @@ def test_weighted_channel_counts_sum_as_numpy_sums_equal_values(k):
         "code-past-table", "negative-code", "code-without-table", "unknown-field"])
 def test_bad_encodings_are_rejected(codes, table, match):
     with pytest.raises(ValueError, match=match):
-        Ensemble("twobit", 0.0, 0.5, codes, table)
+        Ensemble.of_codes("twobit", 0.0, 0.5, codes, table)
 
 
 # ------------------------------------------------- ensemble writer
@@ -267,7 +265,7 @@ def ensembles(draw):
         codes = np.array(draw(st.lists(st.integers(0, rows - 1), min_size=n, max_size=n)), dtype=code_dtype)
     else:
         codes = np.arange(rows if table else 0, dtype=code_dtype)
-    return Ensemble(
+    return Ensemble.of_codes(
         model=draw(st.sampled_from(["qm-discrete", "qm-nocollapse", "twobit"])),
         sigma_l=draw(st.sampled_from([0.3, -0.0, 0.0])),
         sigma_r=1.2,
@@ -288,7 +286,7 @@ def test_ensemble_writer_matches_record_writer(ens, limit_kind, chunk_rows):
 
 
 def test_ensemble_writer_keeps_signed_zeros_apart():
-    ens = Ensemble("qm-discrete", 0.0, 0.5, np.array([0, 1, 1, 0], dtype=np.uint8), {
+    ens = Ensemble.of_codes("qm-discrete", 0.0, 0.5, np.array([0, 1, 1, 0], dtype=np.uint8), {
         "in_channel": np.array([1, 1], dtype=np.int8),
         "tau_l": np.array([0.0, -0.0]),
     })
@@ -306,7 +304,7 @@ def test_ensemble_writer_on_a_sampled_ensemble():
 
 
 def test_negative_limit_is_rejected(tmp_path):
-    ens = Ensemble("twobit", 0.0, 0.5, np.arange(2), {"in_channel": np.array([0, 1])})
+    ens = Ensemble.of_codes("twobit", 0.0, 0.5, np.arange(2), {"in_channel": np.array([0, 1])})
     with pytest.raises(ValueError, match="limit"):
         ens.records(-1)
     with pytest.raises(ValueError, match="limit"):
@@ -316,7 +314,7 @@ def test_negative_limit_is_rejected(tmp_path):
 
 @pytest.mark.parametrize("limit", [2.5, 2.0, "2", np.float64(1.0)])
 def test_non_integral_limit_is_rejected(tmp_path, limit):
-    ens = Ensemble("twobit", 0.0, 0.5, np.arange(3), {"in_channel": np.array([0, 1, 0])})
+    ens = Ensemble.of_codes("twobit", 0.0, 0.5, np.arange(3), {"in_channel": np.array([0, 1, 0])})
     with pytest.raises(ValueError, match="limit"):
         ens.records(limit)
     with pytest.raises(ValueError, match="limit"):

@@ -73,7 +73,7 @@ def test_patching_a_sampler_name_intercepts_generate_ensemble(name, monkeypatch)
     for model in model_ids(stochastic=True):
         generated = generate_ensemble(model, 0.3, 1.2, 10, stream)
         if model in SAMPLED_BY[name]:
-            assert generated.codes is sampled[-1].codes  # relabelled, not copied
+            assert generated.draw is sampled[-1].draw  # relabelled, not redrawn
             assert calls[-1][-4:] == (0.3, 1.2, 10, stream)
         assert generated.model == model
     assert len(calls) == len(SAMPLED_BY[name])

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from retrolab import audit
 from retrolab.core import angle_diff
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -65,10 +66,41 @@ def test_symmetry_grid_rejects_bad_input(capsys, args, message):
     assert [line for line in err if "error" in line] == [f"symmetry_grid.py: error: {message}"]
 
 
-def test_symmetry_grid_rejects_n_beyond_memory(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        run_script("symmetry_grid.py", "--points", "2", "--n", "100000000000000")
-    assert exit_info.value.code == 2
-    err = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
-    assert len(err) == 1
-    assert err[0].startswith("symmetry_grid.py: error: --n: 200000000000000 twobit records need")
+class _Sampled(Exception):
+    """Raised by the first block an audit draws."""
+
+
+def test_symmetry_grid_samples_n_beyond_memory(monkeypatch):
+    # an audit holds no row's worth of memory, so the grid refuses no n for
+    # it: 10^14 rows a side get as far as drawing their first block
+    def first_block(rng, n):
+        raise _Sampled(n)
+
+    monkeypatch.setattr(audit, "random_blocks", first_block)
+    with pytest.raises(_Sampled, match=str(10**14)):
+        run_script("symmetry_grid.py", "--points", "2", "--n", str(10**14))
+
+
+def _result(**metrics):
+    """A final retrobench result line with the given metric values."""
+    return {"correct": True, "attempted": 3, "failed": 0,
+            "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()}}
+
+
+def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
+    summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
+    base = [_result(wall_s=w, rows_per_s=r) for w, r in zip((1.0, 2.0, 3.0, 4.0, 5.0), (10, 20, 30, 40, 50))]
+    change = [_result(wall_s=w, rows_per_s=r) for w, r in zip((0.5, 2.0, 3.5, 3.0, 4.0), (11, 20, 29, 41, 50))]
+    # a pair in which one run printed no result line counts for neither side
+    base.append({"error": "exit 1: boom"})
+    change.append(_result(wall_s=0.1, rows_per_s=1000))
+    summary = summarize(base, change, {"wall_s": "lower", "rows_per_s": "higher", "setup_s": "lower"})
+    assert summary == {
+        # wins: 0.5 < 1 and 3 < 4 and 4 < 5; 2 = 2 is a tie
+        "wall_s": {"better": "lower", "base_median": 3.0, "base_q1_q3": [1.5, 4.5],
+                   "change_median": 3.0, "change_q1_q3": [1.25, 3.75],
+                   "change_better_pairs": 3, "pairs": 5},
+        "rows_per_s": {"better": "higher", "base_median": 30, "base_q1_q3": [15.0, 45.0],
+                       "change_median": 29, "change_q1_q3": [15.5, 45.5],
+                       "change_better_pairs": 2, "pairs": 5},
+    }

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from retrolab import stats
 from retrolab.stats import RandomStream, mutual_information_bits, tv_distance
 
 
@@ -62,6 +64,27 @@ def test_largest_stream_key_is_accepted():
     a = RandomStream(top, top).generator().random(3)
     assert (a == RandomStream(top, top).generator().random(3)).all()
     assert not (a == RandomStream(top, top - 1).generator().random(3)).all()
+
+
+# the first draws, either side of a sampling block, the golden multiblock
+# run count (3 mod 4, so an outcome pass starts mid-way through a Philox
+# block) and past 2^20
+_POSITIONS = [*range(9), stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS + 1, 200_003, 2**20 + 3]
+
+
+@pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**64 - 1, 0), (0, 2**64 - 2)])
+@pytest.mark.parametrize("position", _POSITIONS)
+def test_a_placed_generator_continues_one_draw(seed, stream_id, position):
+    stream = RandomStream(seed, stream_id)
+    want = stream.generator().random(position + 9)[position:]
+    assert stream.generator(position).random(9).tobytes() == want.tobytes()
+    assert stream.generator(np.int64(position)).random(9).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("position", [-1, -(2**70), 2.5, 2.0, "2", None, np.float64(1.0)])
+def test_a_generator_position_is_an_integer_of_at_least_0(position):
+    with pytest.raises(ValueError, match="position"):
+        RandomStream(1).generator(position)
 
 
 def test_tv_distance_pins():
