@@ -10,10 +10,11 @@ default the working tree this script runs from, as it stands), into a
 temporary directory.  ``retrobench/run.py`` then runs unchanged and untraced
 in each tree, the base first in odd pairs and the change first in even ones,
 for every workload and seed.  ``BENCH_<number>.json`` at the root of this
-checkout gets every final result line, the order of the runs and, per
-metric, each side's median and quartiles and the number of pairs the change
-wins; ``BENCHMARK.json`` says whether lower or higher is better, and a tie
-counts for neither side.
+checkout gets every final result line, the order of the runs, each side's
+summed ``failed`` and ``attempted`` operations and, per metric, each side's
+median and quartiles, the number of pairs the change wins and whether the
+runs spread too widely to tell; ``BENCHMARK.json`` says whether lower or
+higher is better and bounds each metric, and a tie counts for neither side.
 """
 
 import argparse
@@ -55,16 +56,25 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
         return {"error": f"exit {done.returncode}: {done.stderr[-500:]}"}
 
 
-def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: each side's median and quartiles, and the pairs the change wins.
+def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) -> dict:
+    """Each side's summed ``failed`` and ``attempted`` operations; per metric
+    of ``metrics`` (``BENCHMARK.json``'s end-to-end entries by name), each
+    side's median and quartiles, the pairs the change wins and whether the
+    metric is unresolved.
 
     Pair k is ``base[k]`` against ``change[k]``; a pair in which either run
-    printed no result line is left out.  Quartiles are the exclusive method
-    of ``statistics.quantiles`` (the median of one run is its value).
+    printed no result line is left out of the metrics.  Quartiles are the
+    exclusive method of ``statistics.quantiles`` (the median of one run is
+    its value).  A metric is unresolved when either side's interquartile
+    range exceeds the metric's ``bound`` times that side's median, unless
+    every run of the change reads better than every run of the base.
     """
+    out = {key: {side: sum(run[key] for run in runs if key in run)
+                 for side, runs in (("base", base), ("change", change))}
+           for key in ("failed", "attempted")}
     pairs = [(b, c) for b, c in zip(base, change) if "metrics" in b and "metrics" in c]
-    out = {}
-    for name, direction in better.items():
+    for name, metric in metrics.items():
+        direction = metric["better"]
         values = [(b["metrics"][name]["value"], c["metrics"][name]["value"]) for b, c in pairs
                   if name in b["metrics"] and name in c["metrics"]]
         if not values:
@@ -72,12 +82,20 @@ def summarize(base: list[dict], change: list[dict], better: dict[str, str]) -> d
         sides = {"base": [b for b, _ in values], "change": [c for _, c in values]}
         wins = sum((c < b) if direction == "lower" else (c > b) for b, c in values)
         out[name] = {"better": direction}
+        wide = False
         for side, xs in sides.items():
-            out[name][f"{side}_median"] = statistics.median(xs)
-            out[name][f"{side}_q1_q3"] = (statistics.quantiles(xs, n=4)[::2] if len(xs) > 1
-                                          else [xs[0], xs[0]])
+            median = statistics.median(xs)
+            q1, q3 = statistics.quantiles(xs, n=4)[::2] if len(xs) > 1 else (xs[0], xs[0])
+            out[name][f"{side}_median"] = median
+            out[name][f"{side}_q1_q3"] = [q1, q3]
+            wide |= q3 - q1 > metric["bound"] * abs(median)
+        if direction == "lower":
+            apart = max(sides["change"]) < min(sides["base"])
+        else:
+            apart = min(sides["change"]) > max(sides["base"])
         out[name]["change_better_pairs"] = wins
         out[name]["pairs"] = len(values)
+        out[name]["unresolved"] = wide and not apart
     return out
 
 
@@ -94,7 +112,7 @@ def main() -> None:
     if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"base": extract(args.base, tmp),
@@ -109,7 +127,7 @@ def main() -> None:
                         print(f"{key}, pair {k}: {side}", file=sys.stderr, flush=True)
                         run["order"].append(f"pair {k}: {side}")
                         run[side].append(run_once(trees[side], workload, seed, args.seconds))
-                run["summary"] = summarize(run["base"], run["change"], better)
+                run["summary"] = summarize(run["base"], run["change"], metrics)
 
     bench = {
         "number": args.number,

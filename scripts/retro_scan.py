@@ -24,6 +24,11 @@ def main() -> None:
     ap.add_argument("--sigma-r", type=float, default=0.2)
     ap.add_argument("--steps", type=int, default=12, help="shift steps across (0, pi)")
     args = ap.parse_args()
+    if args.steps < 2:
+        ap.error(f"--steps must be at least 2, got {args.steps}")
+    for flag, value in (("--sigma-l", args.sigma_l), ("--sigma-r", args.sigma_r)):
+        if not math.isfinite(value):
+            ap.error(f"{flag} must be finite, got {value}")
 
     shifts = [k * math.pi / args.steps for k in range(1, args.steps)]
     header = "shift/pi " + " ".join(f"{m:>13s}" for m in REGISTRY)

@@ -40,8 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import HALF_PI, normalize_angle, on_axes
-from .hvmodels import MODEL_ONEBIT, MODEL_TWOBIT, qm_reference_joint, sampled_spec, twobit_dist
-from .photon import OntologyMode
+from .hvmodels import ModelSpec, sampled_spec
 from .records import Ensemble
 from .stats import RandomStream, random_blocks
 
@@ -187,27 +186,26 @@ def _sampled(model: str, sigma_l: float, sigma_r: float, table: dict, n, stream,
 
 
 def simulate_ensemble(
-    mode: OntologyMode, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
+    spec: ModelSpec, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """n independent source-to-detector runs under ``mode``, dictionary-encoded.
+    """n independent source-to-detector runs of ``spec.model``, dictionary-encoded.
 
     Input channels are even: each run enters on channel 1 with probability
     1/2, the prior under which :func:`photon.retrodict_channel` reads cos^2
-    back as the channel posterior.  What the ensemble keeps depends on the
-    mode: discrete-symmetric runs keep channels and both leg polarizations,
-    collapse runs keep no return-leg beable, and no-collapse runs keep the
-    channel-1 branch weight in place of an outcome.
+    back as the channel posterior; exits follow ``spec.joint``.  What the
+    ensemble keeps depends on ``spec.ontology``: discrete-symmetric runs
+    keep channels and both leg polarizations, collapse runs keep no
+    return-leg beable, and no-collapse runs keep the channel-1 branch weight
+    in place of an outcome.
     The first n draws of the stream pick the input channels, the next n the
     outcomes, into one uint8 code per run, ``2*in + out`` (``in`` for
     no-collapse runs), over a table of the angles and weights each pins.
     """
-    if not isinstance(mode, OntologyMode):
-        raise ValueError(f"unknown ontology mode: {mode!r}")
     sl = normalize_angle(sigma_l)
     sr = normalize_angle(sigma_r)
     t1, t0 = sl, normalize_angle(sl + HALF_PI)
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
-    joint = qm_reference_joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
+    joint = spec.joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
     p1 = np.array([2.0 * joint.p01, 2.0 * joint.p11])
 
     def outcome(block, u):
@@ -219,61 +217,60 @@ def simulate_ensemble(
         block *= 2
         block += out
 
-    if not mode.discrete_outputs:
+    if not spec.ontology.discrete_outputs:
         table = dict(in_channel=np.array([0, 1], dtype=np.int8), tau_l=np.array([t0, t1]), weight_1=p1)
-        return _sampled(mode.model_id, sl, sr, table, n, stream, _entry)
+        return _sampled(spec.model, sl, sr, table, n, stream, _entry)
     table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
-    if not mode.time_symmetric:
+    if not spec.ontology.time_symmetric:
         del table["tau_r"]  # a collapse run keeps no return-leg beable
-    return _sampled(mode.model_id, sl, sr, table, n, stream, _entry, outcome)
+    return _sampled(spec.model, sl, sr, table, n, stream, _entry, outcome)
 
 
 def simulate_twobit_ensemble(
-    sigma_l: float, sigma_r: float, n: int, stream: RandomStream
+    spec: ModelSpec, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """n independent two-bit draws as channel records.
+    """n independent draws of ``spec.joint``'s bit pair as records of ``spec.model``.
 
     Draw u picks the pair whose cumulative interval holds it.  The pair's
     code ``2*past + future`` counts the cumulative bounds c0 <= c1 <= c2 at
     or below u; it is written to one uint8 code per run, block by block.
     """
-    c0, c1, c2 = np.cumsum(twobit_dist(sigma_l, sigma_r))[:3]
+    c0, c1, c2 = np.cumsum(spec.joint(sigma_l, sigma_r))[:3]
 
     def pair(block, u):
         np.greater_equal(u, c0, out=block)
         block += u >= c1
         block += u >= c2
 
-    return _sampled(MODEL_TWOBIT, sigma_l, sigma_r, channel_table(), n, stream, pair)
+    return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, pair)
 
 
 def simulate_onebit_ensemble(
-    sigma_l: float, sigma_r: float, n: int, stream: RandomStream
+    spec: ModelSpec, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """Even input channel plus an independent parity draw per run.
+    """Even input channel plus an independent parity draw per run of ``spec.model``.
 
     The first n draws pick the input channels, the next n whether the exit
-    channel repeats it; the exit channel flips the input where it does not.
+    channel repeats it, as often as ``spec.joint`` matches; the exit channel
+    flips the input where it does not.
     """
-    p_repeat = twobit_dist(sigma_l, sigma_r).p_match
+    p_repeat = spec.joint(sigma_l, sigma_r).p_match
 
     def parity(block, u):
         block *= 3  # 2*in + in: the exit repeats the entry...
         block ^= u >= p_repeat  # ...unless this draw flips the low bit
 
-    return _sampled(MODEL_ONEBIT, sigma_l, sigma_r, channel_table(), n, stream, _entry, parity)
+    return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, _entry, parity)
 
 
 def generate_ensemble(
     model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
 ) -> Ensemble:
-    """Forward record ensemble for any auditable model, labelled with its
-    registry id, not yet drawn; ValueError when ``n`` is no integer of at
-    least 1.  The sampler is looked up on this module at each call, so a
-    patched one is what runs."""
+    """Its sampler's forward ensemble for ``model``'s registry entry, not yet
+    drawn; ValueError when ``n`` is no integer of at least 1.  The sampler is
+    looked up on this module at each call, so a patched one is what runs."""
     spec = sampled_spec(model)
-    ensemble = globals()[spec.sampler](*spec.sampler_args, sigma_l, sigma_r, n, stream)
-    return Ensemble(model, ensemble.sigma_l, ensemble.sigma_r, ensemble.table, ensemble.n, ensemble.draw)
+    return globals()[spec.sampler](spec, sigma_l, sigma_r, n, stream)
 
 
 class SymmetryReport(NamedTuple):

@@ -9,12 +9,12 @@ Two models trade the continuous polarization beable for bookkeeping bits:
   repeats the past one, with the two-bit joint's match probability cos^2.
 
 Both reproduce the quantum channel statistics exactly.  Every sampler in
-:mod:`retrolab.audit` and every beable table reads those statistics from
-the joints registered here, and nowhere else.  The detector here,
-:func:`settings_dependence`, asks the question those statistics hide: does
-the distribution of whatever exists before the right cube depend on the
-right-cube setting?  A yes is what "retrocausal" means operationally in
-this package.
+:mod:`retrolab.audit` reads those statistics from its model's registry
+entry and every beable table from the joints here, and nowhere else.  The
+detector here, :func:`settings_dependence`, asks the question those
+statistics hide: does the distribution of whatever exists before the right
+cube depend on the right-cube setting?  A yes is what "retrocausal" means
+operationally in this package.
 
 :data:`REGISTRY` holds one :class:`ModelSpec` per model, the photon
 ontologies and the classical field included: its structural commitments,
@@ -141,7 +141,6 @@ class _ModelFields(NamedTuple):
     ontology: OntologyMode
     joint: Callable[[float, float], HVJoint] | None = None
     sampler: str | None = None
-    sampler_args: tuple = ()
 
 
 class ModelSpec(_ModelFields):
@@ -158,13 +157,13 @@ class ModelSpec(_ModelFields):
     hashable outcome labels, angles in them normalised, and values exact
     probabilities.  ``joint`` maps (sigma_l, sigma_r) to the analytic
     (entry, exit) channel joint; the sampler, and a beable table that holds
-    channel statistics, take them from it.  ``sampler`` names the function defined in
-    :mod:`retrolab.audit` that generates the model's record ensembles,
-    called with ``sampler_args`` before (sigma_l, sigma_r, n, stream); it is
+    channel statistics, take them from it.  ``sampler`` names the function
+    defined in :mod:`retrolab.audit` that generates the model's record
+    ensembles, called as ``sampler(spec, sigma_l, sigma_r, n, stream)`` and
     looked up by name at each call, so a wrapped or patched sampler is the
-    one that runs; the ensemble it returns is labelled with ``model``.  A
-    model with channel statistics has both a joint and a sampler, one
-    without has neither; either of the two alone is a ValueError.
+    one that runs.  A model with channel statistics has both a joint and a
+    sampler, one without has neither; either alone is a ValueError, and so
+    is an ``ontology`` that is no OntologyMode.
     """
 
     __slots__ = ()
@@ -172,6 +171,8 @@ class ModelSpec(_ModelFields):
 
     def __new__(cls, *fields, **named):
         spec = super().__new__(cls, *fields, **named)
+        if not isinstance(spec.ontology, OntologyMode):
+            raise ValueError(f"unknown ontology mode: {spec.ontology!r}")
         if (spec.joint is None) != (spec.sampler is None):
             raise ValueError(f"model {spec.model!r} needs both a joint and a sampler, or neither")
         return spec
@@ -203,19 +204,16 @@ REGISTRY: dict[str, ModelSpec] = {
         ModelSpec(
             MODEL_QM_DISCRETE, _qm_discrete_beables,
             "input channel, emitted polarization, return-leg polarization",
-            OntologyMode.DISCRETE_SYMMETRIC, joint=qm_reference_joint,
-            sampler="simulate_ensemble", sampler_args=(OntologyMode.DISCRETE_SYMMETRIC,),
+            OntologyMode.DISCRETE_SYMMETRIC, joint=qm_reference_joint, sampler="simulate_ensemble",
         ),
         ModelSpec(
             MODEL_QM_COLLAPSE, _prepared_beables, "input channel and prepared polarization",
-            OntologyMode.COLLAPSE, joint=qm_reference_joint,
-            sampler="simulate_ensemble", sampler_args=(OntologyMode.COLLAPSE,),
+            OntologyMode.COLLAPSE, joint=qm_reference_joint, sampler="simulate_ensemble",
         ),
         ModelSpec(
             MODEL_QM_NOCOLLAPSE, _prepared_beables,
             "input channel and uncollapsed polarization state",
-            OntologyMode.NO_COLLAPSE, joint=qm_reference_joint,
-            sampler="simulate_ensemble", sampler_args=(OntologyMode.NO_COLLAPSE,),
+            OntologyMode.NO_COLLAPSE, joint=qm_reference_joint, sampler="simulate_ensemble",
         ),
         ModelSpec(
             MODEL_CLASSICAL, _classical_beables,

@@ -43,10 +43,6 @@ class OntologyMode(enum.Enum):
     NO_COLLAPSE = "nocollapse"
 
     @property
-    def model_id(self) -> str:
-        return "qm-" + self.value
-
-    @property
     def time_symmetric(self) -> bool:
         return self is not OntologyMode.COLLAPSE
 

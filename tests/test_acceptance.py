@@ -14,12 +14,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from retrolab.audit import (
-    audit_symmetry,
-    simulate_ensemble,
-    simulate_onebit_ensemble,
-    simulate_twobit_ensemble,
-)
+from retrolab.audit import audit_symmetry, generate_ensemble
 from retrolab.core import angle_diff, jones_from_angle, malus, pol_angle
 from retrolab.games import (
     KIND_DISCRETE,
@@ -41,7 +36,6 @@ from retrolab.optics import (
     pbs_split,
 )
 from retrolab.photon import (
-    OntologyMode,
     PhotonState,
     born_probability,
     demon_inputs_superposition,
@@ -95,18 +89,16 @@ def test_criterion_02_twobit_reproduces_channel_statistics():
                 q = qm_reference_joint(sl, sr)
                 assert max(abs(a - b) for a, b in zip(t, q)) <= 1e-12, (sl, sr)
         analytic = twobit_dist(0.0, PI / 6).as_dict()
-        ens = simulate_twobit_ensemble(0.0, PI / 6, N, STREAM.child(200))
+        ens = generate_ensemble("twobit", 0.0, PI / 6, N, STREAM.child(200))
         assert tv_distance(empirical_joint(ens), analytic) <= 0.003
-        ens = simulate_ensemble(
-            OntologyMode.DISCRETE_SYMMETRIC, 0.0, PI / 6, N, STREAM.child(201)
-        )
+        ens = generate_ensemble("qm-discrete", 0.0, PI / 6, N, STREAM.child(201))
         assert tv_distance(empirical_joint(ens), analytic) <= 0.003
 
 
 def test_criterion_03_onebit_parity_and_information():
     with criterion(3, "one-bit parity rate and information split"):
         sl, sr = 0.0, PI / 6
-        ens = simulate_onebit_ensemble(sl, sr, N, STREAM.child(300))
+        ens = generate_ensemble("onebit", sl, sr, N, STREAM.child(300))
         flip = float((ens.in_channel != ens.out_channel).mean())
         assert abs(flip - math.sin(sl - sr) ** 2) <= 0.002
         for settings in ((0.0, PI / 6), (0.3, 1.2)):

@@ -1,12 +1,15 @@
 """Record reversal and the forward/backward distinguishability audit."""
 
+import contextlib
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, hvmodels
+from retrolab import audit, cli, hvmodels
 from retrolab.audit import (
     MIN_AUDIT_N,
     _alignment_profile,
@@ -82,16 +85,25 @@ def test_generate_ensemble_dispatch():
 
 @pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_samplers_draw_from_the_registered_joint(model, monkeypatch):
-    # a joint whose exit always repeats the entry: a sampler that reads it,
-    # and no copy of the channel statistics, never lets the exit differ
+    # a registry copy whose joint always repeats the entry: a sampler that
+    # reads its entry's joint, and no joint of its own, never lets the exit
+    # differ from the entry
     repeat = HVJoint(0.5, 0.0, 0.0, 0.5)
-    for name in ("qm_reference_joint", "twobit_dist"):
-        monkeypatch.setattr(audit, name, lambda sl, sr: repeat, raising=False)
-    ens = generate_ensemble(model, 0.3, 1.2, 5000, RandomStream(3))
+    copy = hvmodels.REGISTRY[model]._replace(model="copy", joint=lambda sigma_l, sigma_r: repeat)
+    monkeypatch.setitem(hvmodels.REGISTRY, "copy", copy)
+    ens = generate_ensemble("copy", 0.3, 1.2, 5000, RandomStream(3))
     if ens.out_channel is None:
         assert (ens.weight_1 == ens.in_channel).all()
     else:
         assert (ens.out_channel == ens.in_channel).all()
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(["run", "--model", "copy", "--sigma-l", "0.3", "--sigma-r", "1.2",
+                         "--n", "2000"]) == 0
+    result = json.loads(stdout.getvalue())["result"]
+    assert result["counts"]["01"] == result["counts"]["10"] == 0.0
+    # the only distance left is the sampling noise of the even entry split
+    assert result["tv_to_analytic"] == pytest.approx(abs(result["empirical"]["00"] - 0.5), abs=1e-12)
 
 
 def test_audit_rejects_small_samples():
@@ -105,13 +117,13 @@ def test_non_integral_run_count_is_rejected(n):
     for model in model_ids(stochastic=True):
         spec = model_spec(model)
         with pytest.raises(ValueError, match="integer count"):
-            getattr(audit, spec.sampler)(*spec.sampler_args, 0.0, 0.5, n, stream)
+            getattr(audit, spec.sampler)(spec, 0.0, 0.5, n, stream)
         with pytest.raises(ValueError, match="integer count"):
             generate_ensemble(model, 0.0, 0.5, n, stream)
         with pytest.raises(ValueError, match="integer count"):
             audit_symmetry(model, 0.0, 0.5, MIN_AUDIT_N + 0.5, stream)
         # numpy integers are integers
-        assert getattr(audit, spec.sampler)(*spec.sampler_args, 0.0, 0.5, np.int64(2), stream).n == 2
+        assert getattr(audit, spec.sampler)(spec, 0.0, 0.5, np.int64(2), stream).n == 2
         assert generate_ensemble(model, 0.0, 0.5, np.int64(2), stream).n == 2
     assert audit_symmetry("twobit", 0.0, 0.5, np.int64(MIN_AUDIT_N), stream).n == MIN_AUDIT_N
 

@@ -41,7 +41,8 @@ COLUMNS = ("in_channel", "out_channel", "tau_l", "tau_r", "weight_1")
 # ------------------------------------------------- full-vector references
 
 
-def _reference_photon(mode, sigma_l, sigma_r, n, stream):
+def _reference_photon(spec, sigma_l, sigma_r, n, stream):
+    mode = spec.ontology
     rng = stream.generator()
     sl = normalize_angle(sigma_l)
     sr = normalize_angle(sigma_r)
@@ -61,14 +62,14 @@ def _reference_photon(mode, sigma_l, sigma_r, n, stream):
     return {"in_channel": in_channel, "out_channel": out, "tau_l": tau_l, "tau_r": tau_r}
 
 
-def _reference_twobit(sigma_l, sigma_r, n, stream):
+def _reference_twobit(spec, sigma_l, sigma_r, n, stream):
     rng = stream.generator()
     cum = np.cumsum(twobit_dist(sigma_l, sigma_r))
     idx = np.searchsorted(cum[:3], rng.random(n), side="right")
     return {"in_channel": (idx >> 1).astype(np.int8), "out_channel": (idx & 1).astype(np.int8)}
 
 
-def _reference_onebit(sigma_l, sigma_r, n, stream):
+def _reference_onebit(spec, sigma_l, sigma_r, n, stream):
     rng = stream.generator()
     in_channel = (rng.random(n) < 0.5).astype(np.int8)
     repeat = rng.random(n) < twobit_dist(sigma_l, sigma_r).p_match
@@ -87,7 +88,7 @@ REFERENCES = {
 def _sample(model, sigma_l, sigma_r, n, stream):
     """The block-wise ensemble and its full-vector reference columns."""
     spec = REGISTRY[model]
-    args = (*spec.sampler_args, sigma_l, sigma_r, n, stream)
+    args = (spec, sigma_l, sigma_r, n, stream)
     return getattr(audit, spec.sampler)(*args), REFERENCES[spec.sampler](*args)
 
 

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab.audit import (
-    audit_symmetry,
-    generate_ensemble,
-    simulate_onebit_ensemble,
-    simulate_twobit_ensemble,
-)
+from retrolab.audit import audit_symmetry, generate_ensemble
 from retrolab.core import malus, normalize_angle
 from retrolab.hvmodels import (
     REGISTRY,
@@ -118,34 +113,34 @@ def test_channel_joint_dispatch():
 
 
 def test_sample_twobit_statistics():
-    ens = simulate_twobit_ensemble(0.0, PI / 6, 20_000, RandomStream(31))
+    ens = generate_ensemble("twobit", 0.0, PI / 6, 20_000, RandomStream(31))
     hits = int((ens.in_channel == ens.out_channel).sum())
     assert abs(hits / 20_000 - 0.75) < 0.01
 
 
 def test_twobit_ensemble_matches_analytic():
-    ens = simulate_twobit_ensemble(0.0, PI / 6, 1_000_000, RandomStream(32))
+    ens = generate_ensemble("twobit", 0.0, PI / 6, 1_000_000, RandomStream(32))
     counts = np.bincount(ens.in_channel.astype(np.int64) * 2 + ens.out_channel, minlength=4)
     emp = {f"{a}{b}": counts[2 * a + b] / 1_000_000 for a in (0, 1) for b in (0, 1)}
     assert tv_distance(emp, twobit_dist(0.0, PI / 6).as_dict()) <= 0.003
 
 
 def test_twobit_ensemble_degenerate():
-    ens = simulate_twobit_ensemble(0.4, 0.4, 10_000, RandomStream(33))
+    ens = generate_ensemble("twobit", 0.4, 0.4, 10_000, RandomStream(33))
     assert (ens.in_channel == ens.out_channel).all()
-    ens = simulate_twobit_ensemble(0.0, PI / 2, 10_000, RandomStream(34))
+    ens = generate_ensemble("twobit", 0.0, PI / 2, 10_000, RandomStream(34))
     assert (ens.in_channel != ens.out_channel).all()
 
 
 def test_onebit_parity_statistics():
-    ens = simulate_onebit_ensemble(0.0, PI / 6, 20_000, RandomStream(35))
+    ens = generate_ensemble("onebit", 0.0, PI / 6, 20_000, RandomStream(35))
     repeats = int((ens.in_channel == ens.out_channel).sum())
     assert abs(repeats / 20_000 - 0.75) < 0.01
 
 
 def test_onebit_ensemble_flip_rate():
     sl, sr = 0.0, 0.9
-    ens = simulate_onebit_ensemble(sl, sr, 1_000_000, RandomStream(36))
+    ens = generate_ensemble("onebit", sl, sr, 1_000_000, RandomStream(36))
     flip = float((ens.in_channel != ens.out_channel).mean())
     assert abs(flip - math.sin(sl - sr) ** 2) < 0.002
 
@@ -193,7 +188,7 @@ def test_sampled_entry_points_give_one_unknown_model_message(model):
 def test_model_spec_fields():
     # the ontology mode carries time symmetry and discrete outputs
     assert ModelSpec._fields == ("model", "beable_distribution", "beable", "ontology", "joint",
-                                 "sampler", "sampler_args")
+                                 "sampler")
 
 
 @pytest.mark.parametrize("missing", ["joint", "sampler"])

@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab.audit import simulate_ensemble
+from retrolab.audit import generate_ensemble
 from retrolab.core import JonesVector, angle_diff, angles_equal, malus, normalize_angle, pol_angle
 from retrolab.optics import pbs_combine
 from retrolab.photon import (
-    OntologyMode,
     PhotonState,
     UndefinedPosteriorError,
     born_probability,
@@ -55,7 +54,7 @@ def test_aligned_and_orthogonal_exits_are_deterministic():
     # orthogonal to it on channel 0, and the return leg takes that axis: at
     # aligned and at orthogonal settings, each input channel has one exit
     for sigma_r in (0.7, 0.7 + HALF_PI):
-        ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.7, sigma_r, 1000, RandomStream(0))
+        ens = generate_ensemble("qm-discrete", 0.7, sigma_r, 1000, RandomStream(0))
         for channel in (0, 1):
             exit_1 = angles_equal(emit_from_channel(channel, 0.7).angle, sigma_r)
             runs = ens.in_channel == channel
@@ -68,12 +67,12 @@ def test_aligned_and_orthogonal_exits_are_deterministic():
 def test_ensemble_exit_rate_is_malus():
     # tau - sigma = pi/6 for channel-1 inputs: their channel-1 exit frequency
     # must sit at cos^2 within MC noise, and channel-0 inputs' at sin^2
-    for mode in (OntologyMode.DISCRETE_SYMMETRIC, OntologyMode.COLLAPSE):
-        ens = simulate_ensemble(mode, PI / 6, 0.0, 40_000, RandomStream(21))
+    for model in ("qm-discrete", "qm-collapse"):
+        ens = generate_ensemble(model, PI / 6, 0.0, 40_000, RandomStream(21))
         for channel, rate in ((1, 0.75), (0, 0.25)):
             runs = ens.in_channel == channel
-            assert runs.sum() >= 19_000, mode
-            assert abs(float(ens.out_channel[runs].mean()) - rate) < 0.01, (mode, channel)
+            assert runs.sum() >= 19_000, model
+            assert abs(float(ens.out_channel[runs].mean()) - rate) < 0.01, (model, channel)
 
 
 def test_emit_from_channel():
@@ -137,7 +136,7 @@ def test_superposition_demon_complete(setting, target):
 @given(angles, angles)
 def test_no_collapse_branch_weights_are_probabilities(sigma_l, sigma_r):
     # both branches of every run are kept, weighted 0..1 and summing to 1
-    ens = simulate_ensemble(OntologyMode.NO_COLLAPSE, sigma_l, sigma_r, 2, RandomStream(0))
+    ens = generate_ensemble("qm-nocollapse", sigma_l, sigma_r, 2, RandomStream(0))
     for record in ens._table_records():
         w1, w0 = record.weights
         assert 0.0 <= w1 <= 1.0 and 0.0 <= w0 <= 1.0
@@ -146,7 +145,7 @@ def test_no_collapse_branch_weights_are_probabilities(sigma_l, sigma_r):
 
 def test_no_collapse_weights_are_born_probabilities():
     # a photon prepared at 0.9 meets the right cube at 0: branch weight cos^2
-    ens = simulate_ensemble(OntologyMode.NO_COLLAPSE, 0.9, 0.0, 2, RandomStream(0))
+    ens = generate_ensemble("qm-nocollapse", 0.9, 0.0, 2, RandomStream(0))
     weights = {int(c): float(w) for c, w in zip(ens.table["in_channel"], ens.table["weight_1"])}
     assert weights[1] == pytest.approx(malus(0.9), abs=1e-12)
     assert weights[0] == pytest.approx(1.0 - malus(0.9), abs=1e-12)
@@ -157,15 +156,15 @@ def test_no_collapse_weights_are_born_probabilities():
 def test_trajectory_field_signatures():
     # which columns a mode keeps is its record signature
     signatures = {
-        OntologyMode.DISCRETE_SYMMETRIC: ("qm-discrete", {"in_channel", "out_channel", "tau_l", "tau_r"}),
-        OntologyMode.COLLAPSE: ("qm-collapse", {"in_channel", "out_channel", "tau_l"}),
-        OntologyMode.NO_COLLAPSE: ("qm-nocollapse", {"in_channel", "tau_l", "weight_1"}),
+        "qm-discrete": {"in_channel", "out_channel", "tau_l", "tau_r"},
+        "qm-collapse": {"in_channel", "out_channel", "tau_l"},
+        "qm-nocollapse": {"in_channel", "tau_l", "weight_1"},
     }
-    for mode, (model, columns) in signatures.items():
-        ens = simulate_ensemble(mode, 0.1, 0.9, 100, RandomStream(5))
+    for model, columns in signatures.items():
+        ens = generate_ensemble(model, 0.1, 0.9, 100, RandomStream(5))
         assert ens.model == model
         for name in ("in_channel", "out_channel", "tau_l", "tau_r", "weight_1"):
-            assert (getattr(ens, name) is not None) == (name in columns), (mode, name)
+            assert (getattr(ens, name) is not None) == (name in columns), (model, name)
         if ens.weight_1 is not None:
             assert ((ens.weight_1 >= 0.0) & (ens.weight_1 <= 1.0)).all()
 
@@ -173,7 +172,7 @@ def test_trajectory_field_signatures():
 @settings(max_examples=30)
 @given(angles, angles, st.integers(0, 2**32 - 1))
 def test_trajectory_beables_pinned_to_settings(sl, sr, seed):
-    ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, sl, sr, 32, RandomStream(seed))
+    ens = generate_ensemble("qm-discrete", sl, sr, 32, RandomStream(seed))
     for in_channel, out_channel, tau_l, tau_r in zip(
         ens.in_channel, ens.out_channel, ens.tau_l, ens.tau_r
     ):
@@ -185,36 +184,27 @@ def test_trajectory_beables_pinned_to_settings(sl, sr, seed):
 
 
 def test_equal_settings_repeat_channel():
-    ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.6, 0.6, 10_000, RandomStream(8))
+    ens = generate_ensemble("qm-discrete", 0.6, 0.6, 10_000, RandomStream(8))
     assert (ens.in_channel == ens.out_channel).all()
 
 
 def test_ensemble_statistics_match_malus():
     sl, sr = 0.0, PI / 4
-    ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, sl, sr, 1_000_000, RandomStream(9))
+    ens = generate_ensemble("qm-discrete", sl, sr, 1_000_000, RandomStream(9))
     p_repeat = float((ens.in_channel == ens.out_channel).mean())
     assert abs(p_repeat - 0.5) < 0.002
     assert abs(float(ens.in_channel.mean()) - 0.5) < 0.002
 
 
 def test_collapse_ensemble_has_no_return_beable():
-    ens = simulate_ensemble(OntologyMode.COLLAPSE, 0.0, 1.0, 1000, RandomStream(2))
+    ens = generate_ensemble("qm-collapse", 0.0, 1.0, 1000, RandomStream(2))
     assert ens.tau_r is None
     assert ens.out_channel is not None
 
 
-def test_unknown_mode_rejected_before_sampling(monkeypatch):
-    def sampled(self):
-        raise AssertionError("sampled before the mode check")
-
-    monkeypatch.setattr(RandomStream, "generator", sampled)
-    with pytest.raises(ValueError, match="unknown ontology mode: 'discrete'"):
-        simulate_ensemble("discrete", 0.3, 1.2, 10**7, RandomStream(1))
-
-
 def test_nocollapse_ensemble_weights():
     sl, sr = 0.2, 1.1
-    ens = simulate_ensemble(OntologyMode.NO_COLLAPSE, sl, sr, 1000, RandomStream(3))
+    ens = generate_ensemble("qm-nocollapse", sl, sr, 1000, RandomStream(3))
     assert ens.out_channel is None
     w = np.asarray(ens.weight_1)
     expected_in1 = malus(sl - sr)

@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from retrolab import cli, stats
-from retrolab.audit import reverse_ensemble, simulate_ensemble
+from retrolab.audit import generate_ensemble, reverse_ensemble
 from retrolab import records as records_module
-from retrolab.photon import OntologyMode
 from retrolab.records import (
     RECORD_KEYS,
     Ensemble,
@@ -299,7 +298,7 @@ def test_ensemble_writer_keeps_signed_zeros_apart():
 def test_ensemble_writer_on_a_sampled_ensemble():
     # many rows, few distinct lines, more than one write block
     n = 3 * records_module.WRITE_ROWS // 2
-    ens = simulate_ensemble(OntologyMode.DISCRETE_SYMMETRIC, 0.3, 1.2, n, RandomStream(5))
+    ens = generate_ensemble("qm-discrete", 0.3, 1.2, n, RandomStream(5))
     assert _written(ens) == _reference_write(ens.records())
 
 
@@ -384,8 +383,8 @@ def test_reader_shares_one_record_per_distinct_line(tmp_path):
 
 def test_reader_round_trips_a_sampled_ensemble(tmp_path):
     path = tmp_path / "recs.jsonl"
-    for mode in OntologyMode:
-        ens = simulate_ensemble(mode, 0.3, 1.2, 1000, RandomStream(5))
+    for model in ("qm-discrete", "qm-collapse", "qm-nocollapse"):
+        ens = generate_ensemble(model, 0.3, 1.2, 1000, RandomStream(5))
         write_records_jsonl(path, ens)
         got = read_records_jsonl(path)
         assert got == ens.records() == _reference_read(path.read_bytes())

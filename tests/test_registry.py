@@ -9,15 +9,17 @@ from pathlib import Path
 
 import pytest
 
-from retrolab import audit, cli, hvmodels
+from retrolab import audit, cli
 from retrolab.audit import generate_ensemble
-from retrolab.hvmodels import model_ids
+from retrolab.hvmodels import REGISTRY, ModelSpec, model_ids
+from retrolab.photon import OntologyMode
 from retrolab.stats import RandomStream
 
 COMMANDS = {
     "run": ("run", "--model", "{}", "--sigma-l", "0.3", "--sigma-r", "1.2", "--n", "2000",
             "--seed", "7"),
     "retro": ("retro", "{}", "0", "0.2", "0.9"),
+    "table": ("table", "--model", "{}", "--sigma-l", "0.3", "--sigma-r", "1.2"),
     "audit": ("audit", "{}", "0", "0.5236", "--n", "10000", "--seed", "7"),
 }
 
@@ -32,10 +34,16 @@ def run_main(argv, model):
     return rc, payload
 
 
+def register_copy(monkeypatch, model, **fields):
+    """Register a copy of ``model``'s entry, ``fields`` changed, as ``<model>-copy``."""
+    copy = REGISTRY[model]._replace(model=f"{model}-copy", **fields)
+    monkeypatch.setitem(REGISTRY, copy.model, copy)
+    return copy.model
+
+
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_one_registry_entry_adds_a_model(command, monkeypatch):
-    copy = hvmodels.ModelSpec(**hvmodels.REGISTRY["twobit"]._asdict() | {"model": "twobit-copy"})
-    monkeypatch.setitem(hvmodels.REGISTRY, "twobit-copy", copy)
+    register_copy(monkeypatch, "twobit")
     rc_copy, payload_copy = run_main(COMMANDS[command], "twobit-copy")
     rc, payload = run_main(COMMANDS[command], "twobit")
     assert rc_copy == rc
@@ -73,18 +81,38 @@ def test_patching_a_sampler_name_intercepts_generate_ensemble(name, monkeypatch)
     for model in model_ids(stochastic=True):
         generated = generate_ensemble(model, 0.3, 1.2, 10, stream)
         if model in SAMPLED_BY[name]:
-            assert generated.draw is sampled[-1].draw  # relabelled, not redrawn
-            assert calls[-1][-4:] == (0.3, 1.2, 10, stream)
+            assert generated is sampled[-1]  # the sampler's own ensemble
+            assert calls[-1][0] is REGISTRY[model] and calls[-1][1:] == (0.3, 1.2, 10, stream)
         assert generated.model == model
-    assert len(calls) == len(SAMPLED_BY[name])
-    if name == "simulate_ensemble":
-        assert [args[0].model_id for args in calls] == list(SAMPLED_BY[name])
+    assert [args[0].model for args in calls] == list(SAMPLED_BY[name])
+
+
+def test_a_registry_copy_samples_its_own_ontology(monkeypatch):
+    collapse = register_copy(monkeypatch, "qm-discrete", ontology=OntologyMode.COLLAPSE)
+    ens = generate_ensemble(collapse, 0.3, 1.2, 10, RandomStream(1))
+    assert ens.tau_r is None and ens.out_channel is not None
+    rc_copy, payload_copy = run_main(COMMANDS["audit"], collapse)
+    rc, payload = run_main(COMMANDS["audit"], "qm-collapse")
+    assert payload_copy["config"].pop("model") == collapse
+    assert payload["config"].pop("model") == "qm-collapse"
+    assert (rc_copy, payload_copy) == (rc, payload)
+    assert payload["result"]["verdict"] == "asymmetric"
+    nocollapse = register_copy(monkeypatch, "qm-discrete", ontology=OntologyMode.NO_COLLAPSE)
+    ens = generate_ensemble(nocollapse, 0.3, 1.2, 10, RandomStream(1))
+    assert ens.weight_1 is not None and ens.out_channel is None
+
+
+def test_an_entry_with_an_unknown_ontology_mode_is_rejected():
+    # no entry exists to sample with, so nothing is drawn under a bad mode
+    with pytest.raises(ValueError, match="unknown ontology mode: 'discrete'"):
+        ModelSpec(**REGISTRY["qm-discrete"]._asdict() | {"ontology": "discrete"})
+    with pytest.raises(ValueError, match="unknown ontology mode: 'discrete'"):
+        REGISTRY["qm-discrete"]._replace(ontology="discrete")
 
 
 def test_records_carry_the_registry_id(tmp_path, monkeypatch):
     # a model that reuses another's sampler still labels its records with its own id
-    copy = hvmodels.ModelSpec(**hvmodels.REGISTRY["twobit"]._asdict() | {"model": "twobit-copy"})
-    monkeypatch.setitem(hvmodels.REGISTRY, "twobit-copy", copy)
+    register_copy(monkeypatch, "twobit")
     path = tmp_path / "copy.jsonl"
     argv = [arg.format("twobit-copy") for arg in COMMANDS["run"]]
     with contextlib.redirect_stdout(io.StringIO()):

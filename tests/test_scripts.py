@@ -66,6 +66,22 @@ def test_symmetry_grid_rejects_bad_input(capsys, args, message):
     assert [line for line in err if "error" in line] == [f"symmetry_grid.py: error: {message}"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--steps", "1"), "--steps must be at least 2, got 1"),
+    (("--steps", "-3"), "--steps must be at least 2, got -3"),
+    (("--sigma-l", "nan"), "--sigma-l must be finite, got nan"),
+    (("--sigma-r=-inf",), "--sigma-r must be finite, got -inf"),
+])
+def test_retro_scan_rejects_bad_input(capsys, args, message):
+    with pytest.raises(SystemExit) as exit_info:
+        run_script("retro_scan.py", *args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"retro_scan.py: error: {message}"]
+
+
 class _Sampled(Exception):
     """Raised by the first block an audit draws."""
 
@@ -81,26 +97,44 @@ def test_symmetry_grid_samples_n_beyond_memory(monkeypatch):
         run_script("symmetry_grid.py", "--points", "2", "--n", str(10**14))
 
 
-def _result(**metrics):
+def _result(failed=0, **metrics):
     """A final retrobench result line with the given metric values."""
-    return {"correct": True, "attempted": 3, "failed": 0,
+    return {"correct": True, "attempted": 3, "failed": failed,
             "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()}}
 
 
 def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
     summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
-    base = [_result(wall_s=w, rows_per_s=r) for w, r in zip((1.0, 2.0, 3.0, 4.0, 5.0), (10, 20, 30, 40, 50))]
-    change = [_result(wall_s=w, rows_per_s=r) for w, r in zip((0.5, 2.0, 3.5, 3.0, 4.0), (11, 20, 29, 41, 50))]
-    # a pair in which one run printed no result line counts for neither side
+    base = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m) for w, r, c, m in zip(
+        (1.0, 2.0, 3.0, 4.0, 5.0), (10, 20, 30, 40, 50), (40, 41, 42, 43, 44), (10, 20, 30, 40, 50))]
+    change = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m) for w, r, c, m in zip(
+        (0.5, 2.0, 3.5, 3.0, 4.0), (11, 20, 29, 41, 50), (38, 39, 40, 41, 42), (1, 2, 3, 4, 5))]
+    # a pair in which one run printed no result line counts for neither side's
+    # metrics, but its other run's operations still count
     base.append({"error": "exit 1: boom"})
-    change.append(_result(wall_s=0.1, rows_per_s=1000))
-    summary = summarize(base, change, {"wall_s": "lower", "rows_per_s": "higher", "setup_s": "lower"})
+    change.append(_result(failed=2, wall_s=0.1, rows_per_s=1000, cpu_s=1, peak_rss_mb=1))
+    bounds = {"wall_s": ("lower", 0.25), "rows_per_s": ("higher", 0.25), "cpu_s": ("lower", 0.25),
+              "peak_rss_mb": ("lower", 0.05), "setup_s": ("lower", 0.25)}
+    metrics = {name: {"name": name, "better": better, "bound": bound}
+               for name, (better, bound) in bounds.items()}
+    summary = summarize(base, change, metrics)
     assert summary == {
-        # wins: 0.5 < 1 and 3 < 4 and 4 < 5; 2 = 2 is a tie
+        "failed": {"base": 0, "change": 2},
+        "attempted": {"base": 15, "change": 18},
+        # wins: 0.5 < 1 and 3 < 4 and 4 < 5; 2 = 2 is a tie.  Both sides'
+        # quartiles lie further apart than a quarter of their medians
         "wall_s": {"better": "lower", "base_median": 3.0, "base_q1_q3": [1.5, 4.5],
                    "change_median": 3.0, "change_q1_q3": [1.25, 3.75],
-                   "change_better_pairs": 3, "pairs": 5},
+                   "change_better_pairs": 3, "pairs": 5, "unresolved": True},
         "rows_per_s": {"better": "higher", "base_median": 30, "base_q1_q3": [15.0, 45.0],
                        "change_median": 29, "change_q1_q3": [15.5, 45.5],
-                       "change_better_pairs": 2, "pairs": 5},
+                       "change_better_pairs": 2, "pairs": 5, "unresolved": True},
+        # 3 and 3 within a quarter of 42 and 40
+        "cpu_s": {"better": "lower", "base_median": 42, "base_q1_q3": [40.5, 43.5],
+                  "change_median": 40, "change_q1_q3": [38.5, 41.5],
+                  "change_better_pairs": 5, "pairs": 5, "unresolved": False},
+        # as wide as wall_s, but every change run reads better than every base run
+        "peak_rss_mb": {"better": "lower", "base_median": 30, "base_q1_q3": [15.0, 45.0],
+                        "change_median": 3, "change_q1_q3": [1.5, 4.5],
+                        "change_better_pairs": 5, "pairs": 5, "unresolved": False},
     }
