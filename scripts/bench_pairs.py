@@ -15,6 +15,9 @@ summed ``failed`` and ``attempted`` operations and, per metric, each side's
 median and quartiles, the number of pairs the change wins and whether the
 runs spread too widely to tell; ``BENCHMARK.json`` says whether lower or
 higher is better and bounds each metric, and a tie counts for neither side.
+Each result line also keeps every op's peak RSS from the run's details
+line (the largest of its fresh children over all passes), and the summary
+gives each side's median of it per op.
 """
 
 import argparse
@@ -45,14 +48,18 @@ def extract(rev: str, dest: str) -> str:
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
-    """The final result line of one untraced benchmark run in ``tree``, or
-    the exit status and error output of a run that printed none."""
+    """The final result line of one untraced benchmark run in ``tree``, with
+    each op's ``argv`` and peak RSS (``rss_mb``) from the details line before
+    it under ``ops``; or the exit status and error output of a run that
+    printed no such lines."""
     argv = [sys.executable, "retrobench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=tree, capture_output=True, text=True)
     try:
-        return json.loads(done.stdout.splitlines()[-1])
-    except (IndexError, ValueError):
+        details, result = map(json.loads, done.stdout.splitlines()[-2:])
+        result["ops"] = [{"argv": op["argv"], "rss_mb": op["rss_mb"]} for op in details["ops"]]
+        return result
+    except (ValueError, KeyError, TypeError):
         return {"error": f"exit {done.returncode}: {done.stderr[-500:]}"}
 
 
@@ -60,7 +67,11 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
     """Each side's summed ``failed`` and ``attempted`` operations; per metric
     of ``metrics`` (``BENCHMARK.json``'s end-to-end entries by name), each
     side's median and quartiles, the pairs the change wins and whether the
-    metric is unresolved.
+    metric is unresolved; and per op, under ``op_rss_mb`` in op order, its
+    ``argv`` and each side's median of its peak RSS over that side's runs.
+    Ops are matched by position, since every run of a workload runs the same
+    ops in the same order but an ``argv`` may name the run's temporary files;
+    the first run's ``argv`` names the op.
 
     Pair k is ``base[k]`` against ``change[k]``; a pair in which either run
     printed no result line is left out of the metrics.  Quartiles are the
@@ -96,6 +107,16 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
         out[name]["change_better_pairs"] = wins
         out[name]["pairs"] = len(values)
         out[name]["unresolved"] = wide and not apart
+    ops = []
+    for side, runs in (("base", base), ("change", change)):
+        for run in runs:
+            for k, op in enumerate(run.get("ops", ())):
+                if k == len(ops):
+                    ops.append({"argv": op["argv"], "base": [], "change": []})
+                ops[k][side].append(op["rss_mb"])
+    out["op_rss_mb"] = [{"argv": op["argv"], **{f"{side}_median": statistics.median(op[side])
+                                                for side in ("base", "change") if op[side]}}
+                        for op in ops]
     return out
 
 

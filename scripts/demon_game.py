@@ -28,6 +28,10 @@ def main() -> None:
                     default=[k * math.pi / 6 for k in range(6)])
     ap.add_argument("--targets", type=float, nargs="+", default=[0.3, 1.0, 2.2])
     args = ap.parse_args()
+    for flag, values in (("--settings", args.settings), ("--targets", args.targets)):
+        for value in values:
+            if not math.isfinite(value):
+                ap.error(f"{flag} must be finite, got {value}")
 
     print("single-channel play (channel -> emerging polarization):")
     for sigma in args.settings:

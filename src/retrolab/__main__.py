@@ -6,12 +6,14 @@ from .cli import main
 
 def run() -> None:
     """Run the CLI, as ``python -m retrolab`` and the ``retrolab`` script do,
-    and end the process without interpreter teardown.
+    without OpenSSL (an in-process ``cli.main`` keeps it) and without
+    interpreter teardown.
 
-    argparse's ``SystemExit`` (``--version``, usage errors) gives its integer
-    code.  stdout and stderr are flushed first; a failed stdout flush exits 3
-    with ``write failed: ...``, as any failed write does.
+    A ``SystemExit`` gives its integer code.  stdout and stderr are flushed
+    first; a failed stdout flush exits 3 with ``write failed: ...``.
     """
+    # numpy.random's hashlib would map libcrypto (3.3 MB); no command hashes
+    sys.modules.setdefault("_hashlib", None)
     try:
         rc = main()
     except SystemExit as stop:

@@ -125,7 +125,7 @@ def _sampler():
     """
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # records first: audit imports it after numpy, and compiling it there,
-    # with no cached bytecode, raises run --records' peak RSS by about 0.2 MB
+    # with no cached bytecode, raises run --records' peak RSS by about 0.17 MB
     from . import records  # noqa: F401
     from . import audit
 

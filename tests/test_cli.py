@@ -561,6 +561,61 @@ def test_sampling_commands_import_exactly_the_sampling_modules(name):
                       "retrolab.stats", "retrolab.records", "retrolab.audit"}
 
 
+# runs retrolab.__main__.run on the child's arguments and, as it ends the
+# process, prints what sys.modules holds for _hashlib
+_HASHLIB_AT_EXIT = """
+import os, sys
+from retrolab import __main__ as entry
+end = os._exit
+def report(rc):
+    print(repr(sys.modules.get("_hashlib")), flush=True)
+    end(rc)
+os._exit = report
+entry.run()
+"""
+
+
+def hashlib_at_exit(args, before=""):
+    """What a fresh child that runs ``before`` and then ``retrolab *args``
+    (payload to ``os.devnull``) holds for ``_hashlib`` as it exits."""
+    proc = subprocess.run([sys.executable, "-c", before + _HASHLIB_AT_EXIT, *args,
+                           "--out", os.devnull], capture_output=True, text=True)
+    assert proc.returncode in (0, 1), proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
+def test_sampling_commands_never_load_openssl(name):
+    # -X importtime cannot show this: it lists the halted _hashlib import too
+    assert hashlib_at_exit(SAMPLING_COMMANDS[name]) == "None"
+
+
+def test_the_entry_keeps_an_openssl_already_loaded():
+    pytest.importorskip("_hashlib")
+    loaded = hashlib_at_exit(SAMPLING_COMMANDS["audit"], before="import hashlib\n")
+    assert loaded.startswith("<module '_hashlib' from ")
+
+
+# runs an audit through cli.main in process, then imports hashlib and prints
+# the module of its sha256 type and what sys.modules holds for _hashlib
+_HASHLIB_AFTER_MAIN = """
+import os, sys
+from retrolab import cli
+cli.main([*sys.argv[1:], "--out", os.devnull])
+import hashlib
+print(type(hashlib.sha256()).__module__, sys.modules["_hashlib"].__name__)
+"""
+
+
+def test_in_process_main_leaves_openssl_to_later_imports():
+    # library callers, tests and the benchmark's traced passes call cli.main
+    pytest.importorskip("_hashlib")
+    proc = subprocess.run([sys.executable, "-c", _HASHLIB_AFTER_MAIN, *SAMPLING_COMMANDS["audit"]],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["_hashlib", "_hashlib"]
+
+
 class _Sampled(Exception):
     """Raised by the first block a command draws."""
 

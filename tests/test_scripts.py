@@ -82,6 +82,23 @@ def test_retro_scan_rejects_bad_input(capsys, args, message):
         f"retro_scan.py: error: {message}"]
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--targets", "nan"), "--targets must be finite, got nan"),
+    (("--targets=-inf",), "--targets must be finite, got -inf"),
+    (("--targets", "0.3", "1e999"), "--targets must be finite, got inf"),
+    (("--settings", "inf"), "--settings must be finite, got inf"),
+    (("--settings", "0.5", "nan", "--targets", "1"), "--settings must be finite, got nan"),
+])
+def test_demon_game_rejects_bad_input(capsys, args, message):
+    with pytest.raises(SystemExit) as exit_info:
+        run_script("demon_game.py", *args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"demon_game.py: error: {message}"]
+
+
 class _Sampled(Exception):
     """Raised by the first block an audit draws."""
 
@@ -113,6 +130,14 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
     # metrics, but its other run's operations still count
     base.append({"error": "exit 1: boom"})
     change.append(_result(failed=2, wall_s=0.1, rows_per_s=1000, cpu_s=1, peak_rss_mb=1))
+    # each op's peak RSS, as run_once keeps it from the details line; an op
+    # that writes a file names each run's own temporary directory
+    for k, (run, run_mb, table_mb) in enumerate(zip(
+            base + change, (35.3, 35.5, 35.1, 35.6, 35.2, None, 32.0, 31.9, 32.2, 31.8, 32.1, 32.4),
+            (14.9, 14.8, 14.9, 14.9, 15.0, None) + (14.9,) * 6)):
+        if "metrics" in run:
+            run["ops"] = [{"argv": f"run --records tmp{k}/m.jsonl", "rss_mb": run_mb},
+                          {"argv": "table", "rss_mb": table_mb}]
     bounds = {"wall_s": ("lower", 0.25), "rows_per_s": ("higher", 0.25), "cpu_s": ("lower", 0.25),
               "peak_rss_mb": ("lower", 0.05), "setup_s": ("lower", 0.25)}
     metrics = {name: {"name": name, "better": better, "bound": bound}
@@ -137,4 +162,10 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
         "peak_rss_mb": {"better": "lower", "base_median": 30, "base_q1_q3": [15.0, 45.0],
                         "change_median": 3, "change_q1_q3": [1.5, 4.5],
                         "change_better_pairs": 5, "pairs": 5, "unresolved": False},
+        # per op by position, each side's median over all its runs: the
+        # change's sixth run counts here too, as its operations do
+        "op_rss_mb": [
+            {"argv": "run --records tmp0/m.jsonl", "base_median": 35.3, "change_median": 32.05},
+            {"argv": "table", "base_median": 14.9, "change_median": 14.9},
+        ],
     }
