@@ -5,11 +5,12 @@ Example:
     python scripts/bench_pairs.py --number N --base HEAD~1 --workload audit-grid \\
         --seed 11 --seed 29 --pairs 10 --seconds 20
 
-``git archive`` extracts the base revision, and the change revision (by
-default the working tree this script runs from, as it stands), into a
-temporary directory.  ``retrobench/run.py`` then runs unchanged and untraced
-in each tree, the base first in odd pairs and the change first in even ones,
-for every workload and seed.  ``BENCH_<number>.json`` at the root of this
+``git archive`` extracts the base revision and a snapshot of this checkout's
+working tree as it stands (unstaged edits and untracked files included,
+ignored files left out) into fresh directories, so both sides start alike.
+``retrobench/run.py`` then runs unchanged and untraced in each tree, the
+base first in odd pairs and the change first in even ones, for every
+workload and seed.  ``BENCH_<number>.json`` at the root of this
 checkout gets every final result line, the order of the runs, each side's
 summed ``failed`` and ``attempted`` operations and, per metric, each side's
 median and quartiles, the number of pairs the change wins and whether the
@@ -35,12 +36,25 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def extract(rev: str, dest: str) -> str:
-    """The files of ``rev`` in a new directory under ``dest``; its commit id."""
-    commit = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{commit}}"], cwd=ROOT,
-                            capture_output=True, text=True, check=True).stdout.strip()
-    tree = os.path.join(dest, commit)
-    archive = subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+def snapshot(root: str, tmp: str) -> str:
+    """The id of a git tree of ``root``'s working tree as it stands, with
+    unstaged edits and untracked files and without ignored files; it is built
+    in a temporary index under ``tmp``, so the checkout's own index and
+    ``git status`` stay as they were."""
+    env = dict(os.environ, GIT_INDEX_FILE=os.path.join(tmp, "index"))
+    for args in (["read-tree", "HEAD"], ["add", "-A"], ["write-tree"]):
+        done = subprocess.run(["git", *args], cwd=root, env=env, capture_output=True, text=True,
+                              check=True)
+    return done.stdout.strip()
+
+
+def extract(root: str, rev: str, dest: str) -> str:
+    """The files of ``rev`` (a commit or a tree of ``root``'s repository) in a
+    new directory under ``dest``, named by the object's id."""
+    name = subprocess.run(["git", "rev-parse", "--verify", f"{rev}^{{}}"], cwd=root,
+                          capture_output=True, text=True, check=True).stdout.strip()
+    tree = os.path.join(dest, name)
+    archive = subprocess.run(["git", "archive", "--format=tar", name], cwd=root,
                              capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tree, filter="data")
@@ -124,7 +138,6 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--number", type=int, required=True, help="writes BENCH_<number>.json")
     ap.add_argument("--base", required=True, help="base revision, usually the parent commit")
-    ap.add_argument("--change", help="change revision (default: this working tree)")
     ap.add_argument("--workload", action="append", required=True)
     ap.add_argument("--seed", type=int, action="append", required=True)
     ap.add_argument("--pairs", type=int, default=10)
@@ -136,8 +149,8 @@ def main() -> None:
         metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        trees = {"base": extract(args.base, tmp),
-                 "change": ROOT if args.change is None else extract(args.change, tmp)}
+        trees = {"base": extract(ROOT, args.base, tmp),
+                 "change": extract(ROOT, snapshot(ROOT, tmp), tmp)}
         runs = {}
         for workload in args.workload:
             for seed in args.seed:
@@ -153,7 +166,7 @@ def main() -> None:
     bench = {
         "number": args.number,
         "base": os.path.basename(trees["base"]),
-        "change": "working tree" if args.change is None else os.path.basename(trees["change"]),
+        "change": f"working tree, git tree {os.path.basename(trees['change'])}",
         "machine": {"nproc": len(os.sched_getaffinity(0)), "python": platform.python_version(),
                     "numpy": importlib.metadata.version("numpy")},
         "command": f"python3 retrobench/run.py --workload W --seed S --seconds {args.seconds:g} "

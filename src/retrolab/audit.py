@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import HALF_PI, normalize_angle, on_axes
+from .core import HALF_PI, UsageError, normalize_angle, on_axes
 from .hvmodels import ModelSpec, sampled_spec
 from .records import Ensemble
 from .stats import RandomStream, random_blocks
@@ -158,7 +158,7 @@ def channel_table(**columns) -> dict[str, np.ndarray]:
 def _run_count(n) -> int:
     """``n`` as an int; ValueError unless it is an integer of at least 1."""
     if not hasattr(n, "__index__") or n < 1:  # numpy integers pass
-        raise ValueError(f"need an integer count of at least one run, got {n!r}")
+        raise UsageError(f"need an integer count of at least one run, got {n!r}")
     return int(n)
 
 
@@ -345,7 +345,7 @@ def audit_symmetry(
     """
     n = _run_count(n)
     if n < MIN_AUDIT_N:
-        raise ValueError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
+        raise UsageError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
     slot_a, free_a, flipped_a = _side_counts(
         reverse_ensemble(generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0)))
     )

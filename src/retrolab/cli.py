@@ -8,8 +8,8 @@ configuration; timestamps live only under the ``meta`` key so that repeated
 identical invocations produce byte-identical payloads elsewhere.
 
 Exit codes: 0 clean / symmetric / settings-independent, 1 asymmetric or
-settings-dependent, 2 unusable configuration, 3 write failure,
-4 inconclusive audit.
+settings-dependent, 2 unusable input (a ``core.UsageError``), 3 write
+failure, 4 inconclusive audit; any other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ import sys
 import time
 
 from . import __version__, hvmodels
+from .core import UsageError
 from .photon import OntologyMode
 from .stats import RandomStream, tv_distance
 
 
-class ConfigError(Exception):
+class ConfigError(UsageError):
     """Unusable combination of flags or config-file values."""
 
 
@@ -47,10 +48,8 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
-    except OSError as err:
+    except (OSError, ValueError) as err:  # ValueError: no UTF-8 or no JSON
         raise ConfigError(f"cannot read config file: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config file is not valid JSON: {err}") from err
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = sorted(set(config) - set(actions))
@@ -63,6 +62,8 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
         if on_off != isinstance(value, bool) or not isinstance(value, (bool, int, float, str)):
             wanted = "true or false" if on_off else "a string or a number"
             raise ConfigError(f"config key {key!r} ({flag}) takes {wanted}, got {json.dumps(value)}")
+        if "\0" in str(value):  # no command-line argument can hold one
+            raise ConfigError(f"config key {key!r} ({flag}) holds a NUL character")
         if not on_off:
             argv.append(f"{flag}={value}")
         elif value:
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     try:
         args = _parse(argv)
         return args.func(args)
-    except (ConfigError, ValueError) as err:  # UnknownModelError included
+    except UsageError as err:  # ConfigError and UnknownModelError included
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

@@ -32,6 +32,10 @@ def checked_make(cls, fields):
     return cls(*fields)
 
 
+class UsageError(ValueError):
+    """Input a caller can correct; the command line reports it and exits 2."""
+
+
 class ZeroBeamError(ValueError):
     """Raised when an operation needs light and the field carries none."""
 
@@ -43,7 +47,7 @@ class NotLinearError(ValueError):
 def normalize_angle(x: float) -> float:
     """Reduce an angle in radians to its direction representative in [0, pi)."""
     if not math.isfinite(x):
-        raise ValueError(f"angle must be finite, got {x!r}")
+        raise UsageError(f"angle must be finite, got {x!r}")
     a = math.fmod(x, PI)
     if a < 0.0:
         a += PI

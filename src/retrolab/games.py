@@ -26,8 +26,8 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Union
 
-from .core import (HALF_PI, ZERO_INTENSITY, angles_equal, checked_make, normalize_angle, on_axes,
-                   pol_angle)
+from .core import (HALF_PI, ZERO_INTENSITY, UsageError, angles_equal, checked_make, normalize_angle,
+                   on_axes, pol_angle)
 from .hvmodels import ModelSpec, settings_dependence
 from .optics import ModePair, demon_inputs_classical, pbs_combine
 from .photon import OntologyMode, demon_inputs_superposition, emit_from_channel
@@ -180,7 +180,7 @@ def verify_rena_control(sigma_r: float, rho: float, mode: OntologyMode) -> Contr
     is free of the setting and the player controls nothing.
     """
     if not math.isfinite(rho):
-        raise ValueError(f"shift must be finite, got {rho!r}")
+        raise UsageError(f"shift must be finite, got {rho!r}")
     sr = normalize_angle(sigma_r)
     if mode is OntologyMode.DISCRETE_SYMMETRIC:
         base, shifted = _channel_pair(sr), _channel_pair(sr + normalize_angle(rho))

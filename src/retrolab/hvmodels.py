@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-from .core import HALF_PI, angles_equal, checked_make, malus, normalize_angle
+from .core import HALF_PI, UsageError, angles_equal, checked_make, malus, normalize_angle
 from .photon import OntologyMode, born_probability, emit_from_channel
 from .stats import tv_distance
 
@@ -42,7 +42,7 @@ MODEL_CLASSICAL = "classical"
 ANALYTIC_TV_TOL = 1e-9
 
 
-class UnknownModelError(ValueError):
+class UnknownModelError(UsageError):
     """Model identifier missing from the registry, or unsupported here."""
 
 
@@ -284,7 +284,7 @@ def settings_dependence(
     spec = model_spec(model)
     sr, sr_alt = normalize_angle(sigma_r), normalize_angle(sigma_r_alt)
     if angles_equal(sr, sr_alt):
-        raise ValueError("alternative right setting must differ from sigma_r (mod pi)")
+        raise UsageError("alternative right setting must differ from sigma_r (mod pi)")
     p = spec.beable_distribution(sigma_l, sigma_r)
 
     def same(base, alt):  # entry by entry, angles by angles_equal

@@ -193,13 +193,19 @@ def write_records_jsonl(path, ensemble: Ensemble, limit=None) -> int:
     Each table row's line is rendered and encoded once, and each drawn block
     of codes picks its rows' lines :data:`WRITE_ROWS` at a time, so the peak
     does not grow with n.  Every row is drawn once and counted, so a later
-    :meth:`Ensemble.row_counts` draws nothing.
+    :meth:`Ensemble.row_counts` draws nothing.  ValueError, before the file
+    is opened, for a ``limit`` that is no integer of at least 0 or a table
+    row whose line :func:`read_records_jsonl` would refuse.
     """
     import numpy as np
 
-    count = ensemble._count(limit)
+    if limit is not None and (not hasattr(limit, "__index__") or limit < 0):  # numpy integers pass
+        raise ValueError(f"limit must be None or an integer of at least 0, got {limit!r}")
+    count = ensemble.n if limit is None else min(ensemble.n, int(limit))
     lines = np.array([json.dumps(record_to_dict(record)).encode() + b"\n"
                       for record in ensemble._table_records()], dtype=object)
+    for line in lines.tolist():
+        record_from_dict(json.loads(line))  # the reader's checks
     written = 0
     with atomic_open(path) as fh:
         for codes in ensemble._counted_draw():
@@ -280,23 +286,6 @@ class Ensemble:
         if len(set(lengths.values())) > 1:
             raise ValueError(f"table columns differ in length: {lengths}")
 
-    @classmethod
-    def of_codes(cls, model: str, sigma_l: float, sigma_r: float, codes: np.ndarray,
-                 table: dict[str, np.ndarray]) -> "Ensemble":
-        """Ensemble of the runs whose table rows ``codes`` holds, drawn as one
-        block (``arange(n)`` holds any ensemble); ValueError for codes that
-        are no 1-d integer array or lie outside the table."""
-        import numpy as np
-
-        if not isinstance(codes, np.ndarray) or codes.ndim != 1 or codes.dtype.kind not in "iu":
-            raise ValueError(f"codes must be a 1-d integer array, not {np.asarray(codes).dtype}"
-                             f"{list(np.shape(codes))}")
-        ensemble = cls(model, sigma_l, sigma_r, table, len(codes), lambda: iter((codes,)))
-        if codes.size and not 0 <= codes.min() <= codes.max() < ensemble._table_rows():
-            raise ValueError(f"codes must lie in [0, {ensemble._table_rows()}), got {codes.min()} "
-                             f"to {codes.max()}")
-        return ensemble
-
     @property
     def codes(self) -> np.ndarray:
         """Every run's table row, replayed into one array."""
@@ -306,15 +295,6 @@ class Ensemble:
 
     def _table_rows(self) -> int:
         return len(next(iter(self.table.values()), ()))
-
-    def _count(self, limit: int | None = None) -> int:
-        """Rows kept under ``limit`` (None = all); ValueError unless it is an
-        integer of at least 0."""
-        if limit is None:
-            return self.n
-        if not hasattr(limit, "__index__") or limit < 0:  # numpy integers pass
-            raise ValueError(f"limit must be None or an integer of at least 0, got {limit!r}")
-        return min(self.n, int(limit))
 
     def _counted_draw(self):
         """The draw's blocks, counted as they pass; a whole pass keeps the counts."""
@@ -372,12 +352,8 @@ class Ensemble:
         columns[-1] = [None if w1 is None else (w1, 1.0 - w1) for w1 in columns[-1]]
         return [ExperimentRecord(self.sigma_l, self.sigma_r, self.model, *row) for row in zip(*columns)]
 
-    def records(self, limit: int | None = None) -> list[ExperimentRecord]:
-        """Materialize rows as records, replaying the draw; ``limit`` caps the
-        count (None = all).
-
-        Each table row is built into a record once, and its runs share it.
-        """
-        count = self._count(limit)
+    def records(self) -> list[ExperimentRecord]:
+        """Every run as a record, in run order, replaying the draw; each table
+        row is built into a record once, and its runs share it."""
         table = self._table_records()
-        return [table[c] for c in self.codes[:count].tolist()]
+        return [table[c] for c in self.codes.tolist()]

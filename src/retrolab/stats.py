@@ -12,7 +12,7 @@ import math
 from collections.abc import Mapping
 from typing import TYPE_CHECKING, Hashable, NamedTuple
 
-from .core import checked_make
+from .core import UsageError, checked_make
 
 if TYPE_CHECKING:
     import numpy as np
@@ -53,12 +53,12 @@ class RandomStream(NamedTuple("RandomStream", [("seed", int), ("stream_id", int)
 
     def __new__(cls, seed: int, stream_id: int = 0):
         if not isinstance(seed, int) or not isinstance(stream_id, int):
-            raise ValueError("seed and stream_id must be integers")
+            raise UsageError("seed and stream_id must be integers")
         # both are 64-bit words of the Philox key; reducing a value outside
         # the range would give two seeds one stream
         for name, value in (("seed", seed), ("stream_id", stream_id)):
             if not 0 <= value <= _MASK64:
-                raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+                raise UsageError(f"{name} must lie in [0, 2**64), got {value}")
         return super().__new__(cls, seed, stream_id)
 
     def generator(self, position: int = 0) -> np.random.Generator:

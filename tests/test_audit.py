@@ -27,14 +27,15 @@ from retrolab.photon import OntologyMode
 from retrolab.hvmodels import HVJoint, UnknownModelError, channel_joint, model_ids, model_spec
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
+from test_records import hand_built
 
 PI = math.pi
 
 
 def _one_row(model, sigma_l, sigma_r, **fields):
     """Ensemble of a single run whose table holds ``fields``."""
-    return Ensemble.of_codes(model, sigma_l, sigma_r, np.zeros(1, dtype=np.uint8),
-                             {field: np.array([value]) for field, value in fields.items()})
+    return hand_built(model, sigma_l, sigma_r, np.zeros(1, dtype=np.uint8),
+                       {field: np.array([value]) for field, value in fields.items()})
 
 
 def test_reverse_record_swaps_slots():
@@ -239,7 +240,7 @@ def test_symmetric_models_stay_within_the_stated_false_positive_rate(model, pair
         slots = []
         for small, p, reverse in sides:
             codes = np.repeat(np.arange(len(p), dtype=np.uint8), rng.multinomial(n, p))
-            ensemble = Ensemble.of_codes(small.model, small.sigma_l, small.sigma_r, codes, small.table)
+            ensemble = hand_built(small.model, small.sigma_l, small.sigma_r, codes, small.table)
             slots.append(_side_counts(reverse_ensemble(ensemble) if reverse else ensemble)[0])
         fired += 0.5 * np.abs(slots[0] / n - slots[1] / n).sum() > t
     assert fired <= 0.05 * trials
@@ -444,7 +445,7 @@ def _ensembles(draw):
         "weight_1": rng.random(rows) if weights else None,
     }
     table = {field: values for field, values in columns.items() if values is not None}
-    return Ensemble.of_codes("hand-built", sigma_l, sigma_r, codes, table)
+    return hand_built("hand-built", sigma_l, sigma_r, codes, table)
 
 
 def _in_blocks(ensemble, rows):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from retrolab import __version__, audit, cli
+from retrolab import __version__, audit, cli, hvmodels
 from retrolab.core import normalize_angle
 from retrolab.records import read_records_jsonl
 from test_golden import GOLDEN, render
@@ -417,6 +417,64 @@ def test_version_and_usage_errors_keep_their_output_and_exit_codes():
     assert bogus.stderr.startswith("usage: retrolab table")
     assert bogus.stderr.splitlines()[-1].startswith("retrolab table: error: argument --model: "
                                                     "invalid choice: 'bogus'")
+
+
+USAGE_ERRORS = {
+    "table-infinite-setting": (("table", "--model", "twobit", "--sigma-l", "inf", "--sigma-r", "1"), None),
+    "run-nan-setting": (("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "nan", "--n", "10"),
+                        None),
+    "retro-nan-setting": (("retro", "twobit", "0", "nan", "0.9"), None),
+    "game-left-nan-setting": (("game", "left", "nan", "--discrete"), None),
+    "game-right-infinite-shift": (("game", "right", "0.7", "--mode", "discrete", "--rho", "inf"), None),
+    "audit-no-runs": (("audit", "twobit", "0", "0.5", "--n", "0"), None),
+    "audit-too-few-runs": (("audit", "twobit", "0", "0.5", "--n", "100"), None),
+    "config-not-utf8": (("table",), b'{"model": "\xff"}'),
+    "config-nul-in-path": (("table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "1"),
+                           b'{"out": "a\\u0000b"}'),
+}
+
+
+@pytest.mark.parametrize("argv, config", USAGE_ERRORS.values(), ids=list(USAGE_ERRORS))
+def test_usage_errors_exit_2_with_one_line(tmp_path, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_bytes(config)
+        argv += ("--config", str(path))
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    assert list(tmp_path.iterdir()) == ([] if config is None else [path])
+
+
+def _broken_joint(*args):
+    raise ValueError("an internal fault")
+
+
+def test_an_internal_value_error_is_not_a_usage_error(monkeypatch):
+    monkeypatch.setattr(hvmodels, "channel_joint", _broken_joint)
+    with pytest.raises(ValueError, match="an internal fault"):
+        cli.main(["table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "1"])
+
+
+# python -m retrolab table ..., with channel_joint broken before the entry runs
+BROKEN_ENTRY = """
+import runpy, sys
+from retrolab import hvmodels
+
+def broken(*args):
+    raise ValueError("an internal fault")
+
+hvmodels.channel_joint = broken
+sys.argv[1:] = ["table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "1"]
+runpy.run_module("retrolab", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_an_internal_value_error_exits_1_with_a_traceback():
+    proc = subprocess.run([sys.executable, "-c", BROKEN_ENTRY], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.splitlines()[-1] == "ValueError: an internal fault"
 
 
 def test_console_script_runs_what_python_m_runs():

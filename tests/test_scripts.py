@@ -1,7 +1,9 @@
 """The example scripts, run in process at small sizes."""
 
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -169,3 +171,31 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
             {"argv": "table", "base_median": 14.9, "change_median": 14.9},
         ],
     }
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args], cwd=root,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_bench_pairs_snapshots_the_working_tree_as_it_stands(tmp_path):
+    functions = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    root, tmp = tmp_path / "repo", tmp_path / "tmp"
+    root.mkdir()
+    tmp.mkdir()
+    _git(root, "init", "-q")
+    (root / ".gitignore").write_text("ignored.txt\n")
+    (root / "kept.txt").write_text("committed\n")
+    _git(root, "add", "-A")
+    _git(root, "commit", "-q", "-m", "base")
+    (root / "kept.txt").write_text("edited, not staged\n")
+    (root / "new.txt").write_text("untracked\n")
+    (root / "ignored.txt").write_text("ignored\n")
+    status = _git(root, "status", "--porcelain")
+    tree = functions["extract"](str(root), functions["snapshot"](str(root), str(tmp)), str(tmp))
+    assert sorted(os.listdir(tree)) == [".gitignore", "kept.txt", "new.txt"]
+    assert (Path(tree) / "kept.txt").read_text() == "edited, not staged\n"
+    assert (Path(tree) / "new.txt").read_text() == "untracked\n"
+    assert _git(root, "status", "--porcelain") == status
+    base = functions["extract"](str(root), "HEAD", str(tmp))
+    assert (Path(base) / "kept.txt").read_text() == "committed\n"
