@@ -25,6 +25,7 @@ import argparse
 import importlib.metadata
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -145,6 +146,8 @@ def main() -> None:
     args = ap.parse_args()
     if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
+    if not 0 < args.seconds < math.inf:  # run.py's pass loops would never end
+        ap.error(f"--seconds must be a finite number above 0, got {args.seconds}")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
         metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
 

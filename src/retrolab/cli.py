@@ -381,9 +381,25 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _check_targets(args) -> None:
+    """ConfigError, before any command runs, for an ``--out`` or
+    ``--records`` path that no write could take."""
+    for flag in ("out", "records"):
+        path = getattr(args, flag, None)
+        if path is None:
+            continue
+        problem = ("is no file path" if not path or "\0" in path  # os.stat raises ValueError on a NUL
+                   else "is a directory" if os.path.isdir(path)
+                   else "is in no directory" if not os.path.isdir(os.path.dirname(path) or os.curdir)
+                   else None)
+        if problem:
+            raise ConfigError(f"--{flag} {path!r} {problem}")
+
+
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
+        _check_targets(args)
         return args.func(args)
     except UsageError as err:  # ConfigError and UnknownModelError included
         print(f"error: {err}", file=sys.stderr)

@@ -152,7 +152,8 @@ def atomic_open(path):
 
     The handle writes to a temporary file beside ``path``, so the final
     ``os.replace`` is a rename within one file system; on any error the
-    temporary file is removed and ``path`` is left as it was.  A replaced
+    temporary file is removed and ``path`` is left as it was; an OSError of
+    creating or renaming the temporary file names ``path``.  A replaced
     file keeps its permission bits; as with any rename, hard links to it keep
     the old content.  A symlink is followed, as by ``open(path, "wb")``.
     ``path`` is written in place, as by ``open(path, "wb")``, when it names a
@@ -168,9 +169,9 @@ def atomic_open(path):
     tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
         fh = open(tmp, "xb")
-    except PermissionError:
-        if not os.path.isfile(target):
-            raise
+    except OSError as err:
+        if not (isinstance(err, PermissionError) and os.path.isfile(target)):
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from err  # the caller's name
         with open(target, "wb") as fh:
             yield fh
         return
@@ -179,7 +180,10 @@ def atomic_open(path):
             with contextlib.suppress(FileNotFoundError):
                 os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
             yield fh
-        os.replace(tmp, target)
+        try:
+            os.replace(tmp, target)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, os.fspath(path)) from err
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
@@ -297,16 +301,17 @@ class Ensemble:
         return len(next(iter(self.table.values()), ()))
 
     def _counted_draw(self):
-        """The draw's blocks, counted as they pass; a whole pass keeps the counts."""
+        """The draw's blocks, counted by table row as they pass; a whole pass
+        keeps the counts, or is a ValueError when they do not add up to ``n``
+        (a code outside the table, or a draw of another length)."""
         import numpy as np
 
         counts = np.zeros(self._table_rows(), dtype=np.intp)
         for codes in self.draw():
-            if len(codes) >= 1024 * len(counts) > 0:  # few rows, many runs: a bool a run
-                counts += [np.count_nonzero(codes == row) for row in range(len(counts))]
-            else:  # bincount's copy takes 8 bytes a run
-                counts += np.bincount(codes.astype(np.intp, copy=False), minlength=len(counts))
+            counts += np.array([np.count_nonzero(codes == row) for row in range(len(counts))], np.intp)
             yield codes
+        if counts.sum() != self.n:
+            raise ValueError(f"the draw of n = {self.n} runs gave {counts.sum()} in table rows")
         self._counts = counts
 
     def row_counts(self) -> np.ndarray:

@@ -22,11 +22,6 @@ _MASK64 = (1 << 64) - 1
 # how far an input distribution may drift from sum == 1 before it is rejected
 _NORM_TOL = 1e-6
 
-# rows per block wherever rows are drawn: a block's draws take 128 KiB, so
-# drawing and counting an ensemble of any size holds 165-218 KiB under
-# tracemalloc (2^16 rows took 1 MiB; 2^13 rows sample about 5% slower)
-CHUNK_ROWS = 1 << 14
-
 
 def _mix64(a: int, b: int) -> int:
     # splitmix64-style avalanche of two 64-bit words; used to derive child
@@ -81,20 +76,6 @@ class RandomStream(NamedTuple("RandomStream", [("seed", int), ("stream_id", int)
         if index < 0:
             raise ValueError("child index must be nonnegative")
         return RandomStream(self.seed, _mix64(self.stream_id, index))
-
-
-def random_blocks(rng: np.random.Generator, n: int):
-    """``rng.random(n)`` as consecutive ``(rows, draws)`` blocks: the same
-    doubles, however the calls are cut.  Each block is a view of one reused
-    buffer, valid until the next step; a caller that keeps draws copies them.
-    """
-    import numpy as np
-
-    size = CHUNK_ROWS
-    buffer = np.empty(min(n, size))
-    for start in range(0, n, size):
-        draws = rng.random(out=buffer[: min(size, n - start)])
-        yield slice(start, start + len(draws)), draws
 
 
 def _check_normalized(total: float, label: str) -> None:

@@ -1,7 +1,7 @@
 """Block-wise sampling, counting and writing.
 
 An ensemble is a replayable draw: its samplers draw and compare
-``stats.CHUNK_ROWS`` rows at a time through one reused buffer, the audit and
+``audit.CHUNK_ROWS`` rows at a time through one reused buffer, the audit and
 the ``run`` tally count each block as it is drawn, and the records writer
 writes ``records.WRITE_ROWS`` lines at a time.  None may change a sample or
 a count: the references below are the full-vector samplers the block-wise
@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import audit, cli, stats
+from retrolab import audit, cli
 from retrolab.audit import (
     _orient_forward,
     _signature_counts,
@@ -31,7 +31,7 @@ from retrolab.core import HALF_PI, normalize_angle
 from retrolab.hvmodels import REGISTRY, model_ids, twobit_dist
 from retrolab.photon import OntologyMode, PhotonState, born_probability
 from retrolab.records import write_records_jsonl
-from retrolab.stats import RandomStream, random_blocks
+from retrolab.stats import RandomStream
 
 PI = math.pi
 
@@ -110,7 +110,7 @@ def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, 
     sigma_l, sigma_r = _settings(kind, base, offset)
     stream = RandomStream(seed)
     # every pass over the ensemble replays its draw, here in blocks of 1-7 rows
-    with mock.patch.object(stats, "CHUNK_ROWS", chunk_rows):
+    with mock.patch.object(audit, "CHUNK_ROWS", chunk_rows):
         ens, ref = _sample(model, sigma_l, sigma_r, n, stream)
         codes = ens.codes
         blocked = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
@@ -130,20 +130,24 @@ def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, 
         assert np.array_equal(slot, slot_1) and np.array_equal(free, free_1)
 
 
-@pytest.mark.parametrize("n", [1, stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS, stats.CHUNK_ROWS + 1,
-                               3 * stats.CHUNK_ROWS + 5])
+@pytest.mark.parametrize("n", [1, audit.CHUNK_ROWS - 1, audit.CHUNK_ROWS, audit.CHUNK_ROWS + 1,
+                               3 * audit.CHUNK_ROWS + 5])
 def test_random_blocks_are_one_draw_through_one_buffer(n):
-    want = RandomStream(7).generator().random(n)
-    first = None
-    covered = 0
-    for rows, draws in random_blocks(RandomStream(7).generator(), n):
-        # a block is valid until the next step, so it is read here
-        assert rows.start == covered and 0 < len(draws) == rows.stop - rows.start <= stats.CHUNK_ROWS
-        assert draws.tobytes() == want[rows].tobytes()
-        first = draws if first is None else first
-        assert np.shares_memory(draws, first)  # every block reuses the first one's buffer
-        covered = rows.stop
-    assert covered == n
+    # whole blocks of CHUNK_ROWS runs, then the rest, all through one buffer
+    full, rest = divmod(n, audit.CHUNK_ROWS)
+    for model in model_ids(stochastic=True):
+        ens, ref = _sample(model, 0.3, 1.2, n, RandomStream(7))
+        first, blocks = None, []
+        for codes in ens.draw():
+            first = codes if first is None else first
+            assert codes.dtype == np.uint8 and np.shares_memory(codes, first), model
+            blocks.append(codes.copy())  # a block is valid until the next step
+        assert [len(block) for block in blocks] == [audit.CHUNK_ROWS] * full + [rest] * (rest > 0)
+        codes = np.concatenate(blocks)
+        assert sorted(ens.table) == sorted(ref), model
+        for name, values in ens.table.items():
+            got = values[codes]
+            assert got.dtype == ref[name].dtype and got.tobytes() == ref[name].tobytes(), (model, name)
 
 
 # ------------------------------------------------- draws
@@ -153,7 +157,7 @@ def test_random_blocks_are_one_draw_through_one_buffer(n):
 PASSES = {"twobit": 1, "qm-nocollapse": 1, "onebit": 2, "qm-discrete": 2, "qm-collapse": 2}
 
 # a run count past three sampling blocks, not a multiple of one or of four
-DRAW_N = 3 * stats.CHUNK_ROWS + 5
+DRAW_N = 3 * audit.CHUNK_ROWS + 5
 
 # each op, with the ensembles it samples
 DRAW_OPS = {

@@ -10,14 +10,17 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from retrolab import __version__, audit, cli, hvmodels
+from retrolab import __version__, cli, hvmodels
 from retrolab.core import normalize_angle
 from retrolab.records import read_records_jsonl
+from retrolab.stats import RandomStream
 from test_golden import GOLDEN, render
 
 
@@ -389,9 +392,149 @@ def test_out_file(tmp_path):
 
 
 def test_unwritable_out_exits_3(tmp_path):
-    proc = run_cli("table", "--model", "onebit", "--sigma-l", "0",
-                   "--sigma-r", "0.5", "--out", str(tmp_path / "no" / "dir" / "x.json"))
-    assert proc.returncode == 3
+    # the target checks pass, and the OS refuses the name
+    path = str(tmp_path / ("x" * 300))
+    proc = run_cli("table", "--model", "onebit", "--sigma-l", "0", "--sigma-r", "0.5", "--out", path)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("write failed: ") and proc.stderr.endswith(f": {path!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+# output targets no write could take, each checked before anything is drawn
+BAD_TARGETS = {
+    "empty": "",
+    "working-directory": ".",
+    "root": "/",
+    "directory": "{tmp}",
+    "nul": "{tmp}/a\0b",
+    "missing-directory": "{tmp}/nodir/x.json",
+    "file-as-directory": "{tmp}/file/x.json",
+}
+
+TARGET_COMMANDS = {
+    "audit-out": ("audit", "qm-discrete", "0.3", "1.2", "--n", "4000000", "--out"),
+    "run-out": ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--out"),
+    "run-records": ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--records"),
+    "table-out": ("table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--out"),
+}
+
+
+@pytest.mark.parametrize("target", BAD_TARGETS.values(), ids=list(BAD_TARGETS))
+@pytest.mark.parametrize("argv", TARGET_COMMANDS.values(), ids=list(TARGET_COMMANDS))
+def test_bad_output_targets_exit_2_before_any_draw(tmp_path, monkeypatch, argv, target):
+    (tmp_path / "file").write_text("")
+    path = target.format(tmp=tmp_path)
+    generators = []
+    monkeypatch.setattr(RandomStream, "generator", lambda *args: generators.append(args))
+    rc, out, err = main_in_process(*argv, path)
+    assert (rc, out, generators) == (2, "", [])
+    assert err.startswith(f"error: {argv[-1]} {path!r} ") and len(err.splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+# ------------------------------------------------- the exit-code contract
+
+
+# values of each kind of argument, usable ones and then odd ones; a path
+# holds {tmp} for a fresh directory
+_ANGLES = ("0", "0.3", "-1.2", "1.5707963267948966", "100", "-0.0", "1e308", "5e-324"), \
+    ("nan", "inf", "-1e999", "x", "")
+_SEEDS = ("0", "3", str(2**64 - 1)), (str(2**64), "-1", "1.5")
+_COUNTS = ("1", "7", "9999", "10000", "20000"), ("0", "-3", "1e4")
+_MODELS = hvmodels.model_ids(), ("bogus", "")
+# a path the checks pass and the OS refuses: its name is too long
+_REFUSED = "{tmp}/" + "x" * 300
+_PATHS = ("{tmp}/out", "{tmp}/file"), (*BAD_TARGETS.values(), _REFUSED)
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv of any command, mostly of usable values, each odd one time in
+    sixteen: an odd value, a required option left out or a stray flag.  An
+    output path is odd one time in two."""
+    def odd(one_in=16):
+        return draw(st.sampled_from((False,) * (one_in - 1) + (True,)))
+
+    def one(values, one_in=16):
+        return draw(st.sampled_from(values[odd(one_in)]))
+
+    def flag(name, values, given=True):
+        return [name, one(values, 2 if values is _PATHS else 16)] if given != odd() else []
+
+    def switch(name, given=True):
+        return [name] if given != odd() else []
+
+    command = one((("run", "audit", "table", "retro", "game"), ("bogus",)))
+    if command in ("run", "table"):
+        argv = [command, *flag("--model", _MODELS), *flag("--sigma-l", _ANGLES),
+                *flag("--sigma-r", _ANGLES)]
+    elif command == "game":
+        side = one((("left", "right"), ("up",)))
+        strategy = draw(st.sampled_from(("--discrete", "--classical", "--superposition")))
+        argv = [command, side, one(_ANGLES), *switch(strategy, side == "left"),
+                *flag("--mode", (("discrete", "collapse", "nocollapse"), ("up",)), side == "right"),
+                *flag("--rho", _ANGLES, side == "right" and draw(st.booleans()))]
+    else:
+        argv = [command, one(_MODELS), *(one(_ANGLES) for _ in range(2 if command == "audit" else 3))]
+    if command in ("run", "audit"):
+        argv += [*flag("--n", _COUNTS), *flag("--seed", _SEEDS, draw(st.booleans()))]
+        if "--n" not in argv:
+            argv = argv[:1]  # not the default 10^6 runs: no model, no draw
+    if command == "run":
+        argv += [*flag("--format", (("json", "csv"), ("xml",)), draw(st.booleans())),
+                 *flag("--records", _PATHS, draw(st.booleans())),
+                 *flag("--records-limit", (("0", "5"), ("-1",)), draw(st.booleans()))]
+    argv += [*switch("--degrees", draw(st.booleans())), *flag("--out", _PATHS, draw(st.booleans()))]
+    return argv + switch("--config={tmp}/none", False)
+
+
+def _files(root):
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+_AUDIT = ["audit", "qm-collapse", "0", "0.5236", "--n", "10000"]
+_TABLE = ["table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(cli_argvs())
+# each outcome at least once, whatever the draws reach
+@example(_AUDIT[:3] + ["0"] + _AUDIT[4:])  # exit 4
+@example(_AUDIT)  # exit 1
+@example(_TABLE + ["--out", _REFUSED])
+@example(["run", *_TABLE[1:], "--n", "5", "--records", _REFUSED, "--out", "{tmp}/out"])
+@example(["run", *_TABLE[1:], "--n", "5", "--records", "{tmp}/out", "--out", "{tmp}/nodir/x"])
+@example(_AUDIT + ["--out", ""])
+@example(_AUDIT + ["--out", "{tmp}/file/x"])
+def test_every_argv_keeps_the_exit_code_contract(argv):
+    # exit 0, 1 or 4 with one payload; 2 with one error line and nothing
+    # written; 3 only for a write the OS refused after the checks passed
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "file").write_text("kept\n")
+        argv = [arg.format(tmp=tmp) for arg in argv]
+        before = _files(root)
+        rc, out, err = main_in_process(*argv)
+        written = {path for path, data in _files(root).items() if before.get(path) != data}
+        targets = {argv[k + 1] for k, arg in enumerate(argv[:-1]) if arg in ("--out", "--records")}
+        if rc in (0, 1, 4):
+            assert err == ""
+            payload = Path(argv[argv.index("--out") + 1]).read_text() if "--out" in argv else out
+            assert payload and not (out and "--out" in argv)
+            if "csv" not in argv:
+                json.loads(payload)
+            assert {str(path) for path in written} <= targets
+        elif rc == 2:
+            assert out == "" and not written
+            assert [line for line in err.splitlines() if "error: " in line] == err.splitlines()[-1:]
+            if err.startswith("error: "):  # a UsageError, not argparse's own
+                assert len(err.splitlines()) == 1
+        else:
+            assert rc == 3, (rc, err)
+            refused = _REFUSED.format(tmp=tmp)
+            assert refused in targets and len(err.splitlines()) == 1
+            assert err.startswith("write failed: ") and err.endswith(f": {refused!r}\n")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -678,6 +821,14 @@ class _Sampled(Exception):
     """Raised by the first block a command draws."""
 
 
+class _FirstDraw:
+    """A generator whose first draw raises :class:`_Sampled` with the run
+    count of the sampler's draw that asked for it."""
+
+    def random(self, out):
+        raise _Sampled(sys._getframe(1).f_locals["n"])
+
+
 @pytest.mark.parametrize("args", [
     ("run", "--model", "qm-discrete", "--sigma-l", "0", "--sigma-r", "0.5"),
     ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--records", os.devnull,
@@ -687,10 +838,7 @@ class _Sampled(Exception):
 def test_ensemble_beyond_physical_memory_is_sampled(args, monkeypatch):
     # no command holds a row's worth of memory, so none refuses an n for it:
     # 10^15 rows get as far as drawing their first block
-    def first_block(rng, n):
-        raise _Sampled(n)
-
-    monkeypatch.setattr(audit, "random_blocks", first_block)
+    monkeypatch.setattr(RandomStream, "generator", lambda self, position=0: _FirstDraw())
     with pytest.raises(_Sampled, match=str(10**15)):
         cli.main([*args, "--n", str(10**15), "--out", os.devnull])
 

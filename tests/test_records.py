@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from retrolab import cli, stats
-from retrolab.audit import generate_ensemble, reverse_ensemble
+from retrolab import cli
+from retrolab.audit import CHUNK_ROWS, generate_ensemble, reverse_ensemble
 from retrolab import records as records_module
 from retrolab.records import (
     RECORD_KEYS,
@@ -170,7 +170,7 @@ def test_channel_counts_reject_tables_they_cannot_tally(table):
 # blocks, of its 8192-element buffer, of 2^12, of the sampler blocks and of
 # 2^16, and one far from all of them
 _TALLY_RUNS = (1, 7, 8, 9, 127, 128, 129, 1023, 4095, 4096, 4097, 8191, 8192, 8193,
-               stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS, stats.CHUNK_ROWS + 1,
+               CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1,
                65535, 65536, 65537, 1_000_003)
 
 
@@ -195,6 +195,36 @@ def test_weighted_channel_counts_sum_as_numpy_sums_equal_values(k):
 def test_bad_encodings_are_rejected(codes, table, match):
     with pytest.raises(ValueError, match=match):
         hand_built("twobit", 0.0, 0.5, codes, table)
+
+
+# a block far shorter and one far longer than 1,024 codes per table row
+_BLOCK_RUNS = (10, 5_000)
+
+
+@pytest.mark.parametrize("runs", _BLOCK_RUNS)
+@pytest.mark.parametrize("rows", [1, 4, 6, 300])
+def test_row_counts_are_one_count_per_table_row(rows, runs):
+    # the samplers' tables of up to four rows, and hand-built larger ones
+    codes = (np.arange(runs) * 7 % rows).astype(np.uint16)
+    ens = hand_built("twobit", 0.0, 0.5, codes, {"tau_l": np.linspace(0.0, 1.0, rows)})
+    counts = ens.row_counts()
+    assert counts.dtype == np.intp and counts.tolist() == np.bincount(codes, minlength=rows).tolist()
+
+
+@pytest.mark.parametrize("table", [{}, {"tau_l": np.zeros(0)}], ids=["no-columns", "empty-column"])
+def test_a_table_of_no_rows_counts_no_runs(table):
+    counts = hand_built("twobit", 0.0, 0.5, np.zeros(0, dtype=np.uint8), table).row_counts()
+    assert counts.dtype == np.intp and counts.tolist() == []
+
+
+@pytest.mark.parametrize("runs", _BLOCK_RUNS)
+@pytest.mark.parametrize("rows", [0, 2])
+def test_row_counts_that_miss_runs_are_an_error(rows, runs):
+    # codes past the end of the table, in a short block and a long one
+    ens = hand_built("twobit", 0.0, 0.5, np.full(runs, 3, dtype=np.uint8),
+                     {"in_channel": np.arange(rows, dtype=np.int8)})
+    with pytest.raises(ValueError, match=f"n = {runs} runs gave 0 in table rows"):
+        ens.row_counts()
 
 
 # ------------------------------------------------- ensemble writer
@@ -600,6 +630,20 @@ def test_descriptor_path_is_written_in_place(tmp_path):
         assert os.stat(path).st_ino == inode
     assert read_records_jsonl(path) == [full_record()]
     assert [p.name for p in tmp_path.iterdir()] == ["held.jsonl"]
+
+
+@pytest.mark.parametrize("path, error", [
+    ("nodir/recs.jsonl", FileNotFoundError),  # the temporary file cannot be made
+    ("", IsADirectoryError),  # the working directory cannot be replaced
+], ids=["missing-directory", "empty"])
+def test_a_failed_write_names_the_path_given(tmp_path, monkeypatch, path, error):
+    (tmp_path / "cwd").mkdir()
+    monkeypatch.chdir(tmp_path / "cwd")
+    with pytest.raises(error) as failed:
+        write_records_jsonl(path, full_ensemble())
+    assert failed.value.filename == path and failed.value.filename2 is None
+    assert str(failed.value).endswith(f": {path!r}")
+    assert [p.name for p in tmp_path.rglob("*")] == ["cwd"]  # no temporary file left
 
 
 def test_directory_without_room_for_a_temporary_file(tmp_path, monkeypatch):

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from retrolab import audit
 from retrolab.core import angle_diff
+from retrolab.stats import RandomStream
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -105,13 +105,18 @@ class _Sampled(Exception):
     """Raised by the first block an audit draws."""
 
 
+class _FirstDraw:
+    """A generator whose first draw raises :class:`_Sampled` with the run
+    count of the sampler's draw that asked for it."""
+
+    def random(self, out):
+        raise _Sampled(sys._getframe(1).f_locals["n"])
+
+
 def test_symmetry_grid_samples_n_beyond_memory(monkeypatch):
     # an audit holds no row's worth of memory, so the grid refuses no n for
     # it: 10^14 rows a side get as far as drawing their first block
-    def first_block(rng, n):
-        raise _Sampled(n)
-
-    monkeypatch.setattr(audit, "random_blocks", first_block)
+    monkeypatch.setattr(RandomStream, "generator", lambda self, position=0: _FirstDraw())
     with pytest.raises(_Sampled, match=str(10**14)):
         run_script("symmetry_grid.py", "--points", "2", "--n", str(10**14))
 
@@ -199,3 +204,27 @@ def test_bench_pairs_snapshots_the_working_tree_as_it_stands(tmp_path):
     assert _git(root, "status", "--porcelain") == status
     base = functions["extract"](str(root), "HEAD", str(tmp))
     assert (Path(base) / "kept.txt").read_text() == "committed\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--seconds", "nan"), "--seconds must be a finite number above 0, got nan"),
+    (("--seconds", "inf"), "--seconds must be a finite number above 0, got inf"),
+    (("--seconds=-inf",), "--seconds must be a finite number above 0, got -inf"),
+    (("--seconds", "0"), "--seconds must be a finite number above 0, got 0.0"),
+    (("--seconds", "-2"), "--seconds must be a finite number above 0, got -2.0"),
+    (("--pairs", "0"), "--pairs must be at least 1, got 0"),
+])
+def test_bench_pairs_rejects_bad_input(capsys, monkeypatch, args, message):
+    # a run that got past the checks would extract both trees first
+    def no_runs(*args, **kwargs):
+        raise AssertionError("the runs started")
+
+    monkeypatch.setattr("tempfile.TemporaryDirectory", no_runs)
+    with pytest.raises(SystemExit) as exit_info:
+        run_script("bench_pairs.py", "--number", "0", "--base", "HEAD", "--workload", "run-scan",
+                   "--seed", "11", *args)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error" in line] == [
+        f"bench_pairs.py: error: {message}"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from retrolab import stats
+from retrolab.audit import CHUNK_ROWS
 from retrolab.stats import RandomStream, mutual_information_bits, tv_distance
 
 
@@ -69,7 +69,7 @@ def test_largest_stream_key_is_accepted():
 # the first draws, either side of a sampling block, the golden multiblock
 # run count (3 mod 4, so an outcome pass starts mid-way through a Philox
 # block) and past 2^20
-_POSITIONS = [*range(9), stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS + 1, 200_003, 2**20 + 3]
+_POSITIONS = [*range(9), CHUNK_ROWS - 1, CHUNK_ROWS + 1, 200_003, 2**20 + 3]
 
 
 @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**64 - 1, 0), (0, 2**64 - 2)])
