@@ -13,9 +13,10 @@ base first in odd pairs and the change first in even ones, for every
 workload and seed.  ``BENCH_<number>.json`` at the root of this
 checkout gets every final result line, the order of the runs, each side's
 summed ``failed`` and ``attempted`` operations and, per metric, each side's
-median and quartiles, the number of pairs the change wins and whether the
-runs spread too widely to tell; ``BENCHMARK.json`` says whether lower or
-higher is better and bounds each metric, and a tie counts for neither side.
+median and quartiles, the number of pairs the change wins, whether the
+runs spread too widely to tell and whether the change shows a gain;
+``BENCHMARK.json`` says whether lower or higher is better and bounds each
+metric, and a tie counts for neither side.
 Each result line also keeps every op's peak RSS from the run's details
 line (the largest of its fresh children over all passes), and the summary
 gives each side's median of it per op.
@@ -93,7 +94,10 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
     exclusive method of ``statistics.quantiles`` (the median of one run is
     its value).  A metric is unresolved when either side's interquartile
     range exceeds the metric's ``bound`` times that side's median, unless
-    every run of the change reads better than every run of the base.
+    every run of the change reads better than every run of the base.  A
+    metric shows a ``gain`` when the change wins at least nine tenths of its
+    pairs and its median is better than the base's by more than the base's
+    interquartile range.
     """
     out = {key: {side: sum(run[key] for run in runs if key in run)
                  for side, runs in (("base", base), ("change", change))}
@@ -119,9 +123,13 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
             apart = max(sides["change"]) < min(sides["base"])
         else:
             apart = min(sides["change"]) > max(sides["base"])
+        gained = (out[name]["base_median"] - out[name]["change_median"]) * (
+            1 if direction == "lower" else -1)
+        base_q1, base_q3 = out[name]["base_q1_q3"]
         out[name]["change_better_pairs"] = wins
         out[name]["pairs"] = len(values)
         out[name]["unresolved"] = wide and not apart
+        out[name]["gain"] = 10 * wins >= 9 * len(values) and gained > base_q3 - base_q1
     ops = []
     for side, runs in (("base", base), ("change", change)):
         for run in runs:

@@ -96,19 +96,29 @@ def _orient_forward(ensemble: Ensemble) -> tuple[Ensemble, bool]:
 
 # class of a leg beable by 2*left_aligned + right_aligned: 0 left-aligned
 # only, 1 right only, 2 both, 3 neither; 4 stands for an absent leg
-_CLASS_OF = np.array([3, 1, 0, 2], dtype=np.uint8)
+_CLASS_OF = (3, 1, 0, 2)
 
 # alignment bits of each class, 1 on the left setting's axes and 2 on the
 # right's; a record's profile class (an index into PROFILE_CLASSES) by the
-# classes of its two legs is named by the OR of their bits, or is
-# no_beables when both legs are absent
-_BITS_OF = np.array([1, 2, 3, 0, 0])
-_PROFILE_OF = np.array([4, 1, 2, 3])[_BITS_OF[:, None] | _BITS_OF[None, :]]
-_PROFILE_OF[4, 4] = 0
+# classes l, r of its two legs, at 5*l + r, is named by the OR of their bits,
+# or is no_beables when both legs are absent
+_BITS_OF = (1, 2, 3, 0, 0)
+_PROFILE_OF = tuple(0 if l == r == 4 else (4, 1, 2, 3)[_BITS_OF[l] | _BITS_OF[r]]
+                    for l in range(5) for r in range(5))
+
+# slot-free index of the leg classes l, r, at 5*l + r: the unordered pair's
+# place among the 15 pairs a <= b in row-major order
+_PAIR_OF = tuple(5 * a + b - a * (a + 1) // 2 for l in range(5) for r in range(5)
+                 for a, b in [sorted((l, r))])
 
 
-def _classify(ensemble: Ensemble, angles: np.ndarray) -> np.ndarray:
-    return _CLASS_OF[2 * on_axes(angles, ensemble.sigma_l) + on_axes(angles, ensemble.sigma_r)]
+def _leg_classes(ensemble: Ensemble, field: str, rows: int) -> list[int]:
+    """The class of each table row's beable in ``field``; 4 when absent."""
+    if field not in ensemble.table:
+        return [4] * rows
+    sl, sr = ensemble.sigma_l, ensemble.sigma_r
+    return [_CLASS_OF[2 * on_axes(angle, sl) + on_axes(angle, sr)]
+            for angle in ensemble.table[field].tolist()]
 
 
 def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
@@ -116,26 +126,25 @@ def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
 
     Each table row is reduced once to its slot code below 225: its channel
     cell ``in*3 + out`` (2 for an absent channel) and the classes of its two
-    leg beables.  The runs of each row, counted in one pass, add into the
-    225 slot counts.  The slot-free counts fold the slot counts onto (cell,
-    unordered pair of leg classes), pairs in row-major order.
+    leg beables, and to its slot-free code below 135: its cell and the
+    unordered pair of its leg classes, pairs in row-major order.  The runs of
+    each row, counted in one pass, add into both, in Python integers.
     """
-    table = ensemble.table
-    row_counts = ensemble.row_counts()
+    row_counts = ensemble.row_counts().tolist()
+    rows = len(row_counts)
 
     def channel(field):
-        return table[field].astype(np.intp) if field in table else np.intp(2)
+        return ensemble.table[field].tolist() if field in ensemble.table else [2] * rows
 
-    def leg(field):
-        return _classify(ensemble, table[field]) if field in table else 4
-
-    slot = (channel("in_channel") * 3 + channel("out_channel")) * 25 + leg("tau_l") * 5 + leg("tau_r")
-    slot_counts = np.zeros(225, dtype=np.intp)
-    np.add.at(slot_counts, np.broadcast_to(slot, row_counts.shape), row_counts)
-    slots = slot_counts.reshape(9, 5, 5)
-    folded = np.triu(slots) + np.tril(slots, -1).transpose(0, 2, 1)
-    upper_rows, upper_cols = np.triu_indices(5)
-    return slot_counts, folded[:, upper_rows, upper_cols].ravel()
+    slot_counts = [0] * 225
+    free_counts = [0] * 135
+    for count, c_in, c_out, left, right in zip(
+            row_counts, channel("in_channel"), channel("out_channel"),
+            _leg_classes(ensemble, "tau_l", rows), _leg_classes(ensemble, "tau_r", rows)):
+        cell, legs = c_in * 3 + c_out, left * 5 + right
+        slot_counts[cell * 25 + legs] += count
+        free_counts[cell * 15 + _PAIR_OF[legs]] += count
+    return np.array(slot_counts, dtype=np.intp), np.array(free_counts, dtype=np.intp)
 
 
 def _alignment_profile(slot_counts: np.ndarray, n: int) -> dict[str, float]:
@@ -145,9 +154,10 @@ def _alignment_profile(slot_counts: np.ndarray, n: int) -> dict[str, float]:
     setting's axis pair, right-aligned likewise; records with no leg beables
     get their own class.  Read off the slot counts of n records.
     """
-    profile = np.zeros(len(PROFILE_CLASSES), dtype=np.intp)
-    np.add.at(profile, _PROFILE_OF, slot_counts.reshape(9, 5, 5).sum(axis=0))
-    return {name: int(count) / n for name, count in zip(PROFILE_CLASSES, profile)}
+    profile = [0] * len(PROFILE_CLASSES)
+    for slot, count in enumerate(slot_counts.tolist()):
+        profile[_PROFILE_OF[slot % 25]] += count
+    return {name: count / n for name, count in zip(PROFILE_CLASSES, profile)}
 
 
 def channel_table(**columns) -> dict[str, np.ndarray]:

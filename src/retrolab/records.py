@@ -199,7 +199,8 @@ def write_records_jsonl(path, ensemble: Ensemble, limit=None) -> int:
     does not grow with n.  Every row is drawn once and counted, so a later
     :meth:`Ensemble.row_counts` draws nothing.  ValueError, before the file
     is opened, for a ``limit`` that is no integer of at least 0 or a table
-    row whose line :func:`read_records_jsonl` would refuse.
+    row whose line :func:`read_records_jsonl` would refuse; ValueError, and
+    no file, for a block that holds a code outside the table.
     """
     import numpy as np
 
@@ -301,14 +302,20 @@ class Ensemble:
         return len(next(iter(self.table.values()), ()))
 
     def _counted_draw(self):
-        """The draw's blocks, counted by table row as they pass; a whole pass
-        keeps the counts, or is a ValueError when they do not add up to ``n``
-        (a code outside the table, or a draw of another length)."""
+        """The draw's blocks, counted by table row as they pass.  A block
+        whose counts do not add up to its length (a code outside the table)
+        is a ValueError before it is yielded; a whole pass keeps the counts,
+        or is a ValueError when they do not add up to ``n`` (a draw of
+        another length)."""
         import numpy as np
 
         counts = np.zeros(self._table_rows(), dtype=np.intp)
         for codes in self.draw():
-            counts += np.array([np.count_nonzero(codes == row) for row in range(len(counts))], np.intp)
+            block = np.array([np.count_nonzero(codes == row) for row in range(len(counts))], np.intp)
+            if block.sum() != len(codes):
+                raise ValueError(f"a block of {len(codes)} codes of the draw of n = {self.n} runs "
+                                 f"gave {block.sum()} in table rows")
+            counts += block
             yield codes
         if counts.sum() != self.n:
             raise ValueError(f"the draw of n = {self.n} runs gave {counts.sum()} in table rows")

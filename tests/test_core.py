@@ -111,6 +111,27 @@ def test_on_axes_matches_the_array_rule_bit_for_bit(data):
     assert [on_axes(float(x), setting) for x in values] == got.tolist()
 
 
+def _ulps(x, k):
+    """``x`` moved ``k`` ulps up, or down for a negative ``k``."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@pytest.mark.parametrize("setting", [0.0, 0.3, 1.2, PI / 2, math.nextafter(PI, 0.0)])
+def test_on_axes_decides_a_float_as_its_array_entry(setting):
+    # within 3 ulps of each ANGLE_TOL edge around the axis and its orthogonal,
+    # where rounding decides, plus NaN, signed zeros, pi - 1 ulp and 1e17
+    edges = [_ulps(axis + side * ANGLE_TOL, k) for axis in (setting, setting + PI / 2)
+             for side in (-1, 1) for k in range(-3, 4)]
+    decided = set()
+    for x in edges + [math.nan, 0.0, -0.0, math.nextafter(PI, 0.0), 1e17]:
+        got = on_axes(x, setting)
+        assert got is bool(on_axes(np.array([x]), setting)[0])
+        decided.add(got)
+    assert decided == {True, False}
+
+
 def test_on_axes_pins():
     assert on_axes(0.3, 0.3) and on_axes(0.3 + PI / 2, 0.3) and on_axes(0.3 - PI, 0.3)
     assert on_axes(0.3 + ANGLE_TOL / 2, 0.3) and not on_axes(0.3 + 2 * ANGLE_TOL, 0.3)

@@ -230,6 +230,20 @@ def test_row_counts_that_miss_runs_are_an_error(rows, runs):
 # ------------------------------------------------- ensemble writer
 
 
+@pytest.mark.parametrize("block, match", [
+    (np.array([0, 3], np.uint8), "a block of 2 codes of the draw of n = 2 runs gave 1 in table rows"),
+    (np.array([1], np.uint8), "the draw of n = 2 runs gave 1 in table rows"),
+], ids=["code-past-table", "short-draw"])
+def test_a_draw_that_misses_the_table_writes_no_file(tmp_path, block, match):
+    # a code past the table is caught before its block is written, a draw of
+    # the wrong length at the end of the pass; neither leaves a file
+    ens = Ensemble("twobit", 0.0, 0.5, {"in_channel": np.array([0, 1], np.int8)}, 2,
+                   lambda: iter((block,)))
+    with pytest.raises(ValueError, match=match):
+        write_records_jsonl(tmp_path / "out.jsonl", ens)
+    assert os.listdir(tmp_path) == []
+
+
 def _written(ensemble, limit=None):
     """Count and bytes that write_records_jsonl returns and leaves on disk."""
     with tempfile.TemporaryDirectory() as tmp:

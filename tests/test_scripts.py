@@ -129,10 +129,14 @@ def _result(failed=0, **metrics):
 
 def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
     summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
-    base = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m) for w, r, c, m in zip(
-        (1.0, 2.0, 3.0, 4.0, 5.0), (10, 20, 30, 40, 50), (40, 41, 42, 43, 44), (10, 20, 30, 40, 50))]
-    change = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m) for w, r, c, m in zip(
-        (0.5, 2.0, 3.5, 3.0, 4.0), (11, 20, 29, 41, 50), (38, 39, 40, 41, 42), (1, 2, 3, 4, 5))]
+    base = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m, setup_s=s, op_ms_p50=p)
+            for w, r, c, m, s, p in zip(
+                (1.0, 2.0, 3.0, 4.0, 5.0), (10, 20, 30, 40, 50), (40, 41, 42, 43, 44),
+                (10, 20, 30, 40, 50), (10, 11, 12, 13, 14), (10, 11, 12, 13, 14))]
+    change = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m, setup_s=s, op_ms_p50=p)
+              for w, r, c, m, s, p in zip(
+                  (0.5, 2.0, 3.5, 3.0, 4.0), (11, 20, 29, 41, 50), (38, 39, 40, 41, 42),
+                  (1, 2, 3, 4, 5), (5, 6, 7, 8, 9), (5, 6, 7, 8, 15))]
     # a pair in which one run printed no result line counts for neither side's
     # metrics, but its other run's operations still count
     base.append({"error": "exit 1: boom"})
@@ -146,7 +150,8 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
             run["ops"] = [{"argv": f"run --records tmp{k}/m.jsonl", "rss_mb": run_mb},
                           {"argv": "table", "rss_mb": table_mb}]
     bounds = {"wall_s": ("lower", 0.25), "rows_per_s": ("higher", 0.25), "cpu_s": ("lower", 0.25),
-              "peak_rss_mb": ("lower", 0.05), "setup_s": ("lower", 0.25)}
+              "peak_rss_mb": ("lower", 0.05), "setup_s": ("lower", 0.25),
+              "op_ms_p50": ("lower", 0.25), "op_ms_tail": ("lower", 0.25)}
     metrics = {name: {"name": name, "better": better, "bound": bound}
                for name, (better, bound) in bounds.items()}
     summary = summarize(base, change, metrics)
@@ -157,18 +162,29 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
         # quartiles lie further apart than a quarter of their medians
         "wall_s": {"better": "lower", "base_median": 3.0, "base_q1_q3": [1.5, 4.5],
                    "change_median": 3.0, "change_q1_q3": [1.25, 3.75],
-                   "change_better_pairs": 3, "pairs": 5, "unresolved": True},
+                   "change_better_pairs": 3, "pairs": 5, "unresolved": True, "gain": False},
         "rows_per_s": {"better": "higher", "base_median": 30, "base_q1_q3": [15.0, 45.0],
                        "change_median": 29, "change_q1_q3": [15.5, 45.5],
-                       "change_better_pairs": 2, "pairs": 5, "unresolved": True},
-        # 3 and 3 within a quarter of 42 and 40
+                       "change_better_pairs": 2, "pairs": 5, "unresolved": True, "gain": False},
+        # 3 and 3 within a quarter of 42 and 40; every pair won, but the
+        # medians lie 2 apart, within the base's quartiles 3 apart: no gain
         "cpu_s": {"better": "lower", "base_median": 42, "base_q1_q3": [40.5, 43.5],
                   "change_median": 40, "change_q1_q3": [38.5, 41.5],
-                  "change_better_pairs": 5, "pairs": 5, "unresolved": False},
-        # as wide as wall_s, but every change run reads better than every base run
+                  "change_better_pairs": 5, "pairs": 5, "unresolved": False, "gain": False},
+        # as wide as wall_s, but every change run reads better than every
+        # base run; 27 apart is within the base's quartiles 30 apart
         "peak_rss_mb": {"better": "lower", "base_median": 30, "base_q1_q3": [15.0, 45.0],
                         "change_median": 3, "change_q1_q3": [1.5, 4.5],
-                        "change_better_pairs": 5, "pairs": 5, "unresolved": False},
+                        "change_better_pairs": 5, "pairs": 5, "unresolved": False,
+                        "gain": False},
+        # every pair won and the medians 5 apart, beyond the base's 3: a gain
+        "setup_s": {"better": "lower", "base_median": 12, "base_q1_q3": [10.5, 13.5],
+                    "change_median": 7, "change_q1_q3": [5.5, 8.5],
+                    "change_better_pairs": 5, "pairs": 5, "unresolved": False, "gain": True},
+        # as far apart, but 4 of 5 pairs won is below nine tenths: no gain
+        "op_ms_p50": {"better": "lower", "base_median": 12, "base_q1_q3": [10.5, 13.5],
+                      "change_median": 7, "change_q1_q3": [5.5, 11.5],
+                      "change_better_pairs": 4, "pairs": 5, "unresolved": True, "gain": False},
         # per op by position, each side's median over all its runs: the
         # change's sixth run counts here too, as its operations do
         "op_rss_mb": [
