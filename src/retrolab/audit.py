@@ -129,17 +129,17 @@ def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     leg beables, and to its slot-free code below 135: its cell and the
     unordered pair of its leg classes, pairs in row-major order.  The runs of
     each row, counted in one pass, add into both, in Python integers.
+    A channel column of anything but 0 and 1 is a ValueError, before the
+    rows are counted (:meth:`Ensemble.channel_column`).
     """
+    entry = ensemble.channel_column("in_channel", absent=2)
+    outcome = ensemble.channel_column("out_channel", absent=2)
     row_counts = ensemble.row_counts().tolist()
     rows = len(row_counts)
-
-    def channel(field):
-        return ensemble.table[field].tolist() if field in ensemble.table else [2] * rows
-
     slot_counts = [0] * 225
     free_counts = [0] * 135
     for count, c_in, c_out, left, right in zip(
-            row_counts, channel("in_channel"), channel("out_channel"),
+            row_counts, entry, outcome,
             _leg_classes(ensemble, "tau_l", rows), _leg_classes(ensemble, "tau_r", rows)):
         cell, legs = c_in * 3 + c_out, left * 5 + right
         slot_counts[cell * 25 + legs] += count

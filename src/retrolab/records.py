@@ -328,6 +328,16 @@ class Ensemble:
                 pass
         return self._counts
 
+    def channel_column(self, field: str, absent: int | None = None) -> list[int]:
+        """Channel column ``field`` as Python ints, or ``absent`` per table row
+        if it is missing; ValueError if it is missing with no ``absent``, or not all 0 and 1."""
+        column = self.table.get(field)
+        if column is None and absent is not None:
+            return [absent] * self._table_rows()
+        if column is None or column.dtype.kind not in "biu" or not set(column.tolist()) <= {0, 1}:
+            raise ValueError(f"channel counts need an {field} column of 0s and 1s")
+        return column.tolist()
+
     def channel_counts(self) -> list[float]:
         """Runs per channel cell ``2*in + out``, as floats.
 
@@ -339,20 +349,18 @@ class Ensemble:
         """
         import numpy as np
 
-        table = {field: values.tolist() for field, values in self.table.items()}
-        for field in ("in_channel",) + (() if "weight_1" in table else ("out_channel",)):
-            column = self.table.get(field)
-            if column is None or column.dtype.kind not in "biu" or not set(table[field]) <= {0, 1}:
-                raise ValueError(f"channel counts need an {field} column of 0s and 1s")
+        weights = self.table["weight_1"].tolist() if "weight_1" in self.table else None
+        entry = self.channel_column("in_channel")
+        outcome = self.channel_column("out_channel") if weights is None else None
         counts = [0.0, 0.0, 0.0, 0.0]
         for row, k in enumerate(self.row_counts().tolist()):
-            c = table["in_channel"][row]
-            if "weight_1" in table:
-                w1 = float(np.broadcast_to(table["weight_1"][row], k).sum())
+            c = entry[row]
+            if weights is not None:
+                w1 = float(np.broadcast_to(weights[row], k).sum())
                 counts[2 * c + 1] += w1
                 counts[2 * c] += k - w1
             else:
-                counts[2 * c + table["out_channel"][row]] += k
+                counts[2 * c + outcome[row]] += k
         return counts
 
     def _table_records(self) -> list[ExperimentRecord]:

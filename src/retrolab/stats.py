@@ -60,14 +60,17 @@ class RandomStream(NamedTuple("RandomStream", [("seed", int), ("stream_id", int)
         """Fresh generator at draw ``position`` of this stream, placed in O(1):
         the Philox counter skips ``position // 4`` blocks of four draws and
         the rest are drawn and dropped.  ValueError unless ``position`` is
-        an integer of at least 0."""
-        import numpy as np
+        an integer of at least 0.  ``Philox`` and ``Generator`` come from their
+        own modules, so the bare ``numpy.random`` of ``retrolab.__main__.run``
+        serves as the full package does."""
+        from numpy.random._generator import Generator
+        from numpy.random._philox import Philox
 
         if not hasattr(position, "__index__") or position < 0:  # numpy integers pass
             raise ValueError(f"position must be an integer of at least 0, got {position!r}")
-        bits = np.random.Philox(key=(self.seed << 64) | self.stream_id)
+        bits = Philox(key=(self.seed << 64) | self.stream_id)
         bits.advance(int(position) // 4)
-        rng = np.random.Generator(bits)
+        rng = Generator(bits)
         rng.random(int(position) % 4)
         return rng
 

@@ -485,3 +485,18 @@ def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
         assert _alignment_profile(slot, oriented.n) == _reference_profile(oriented)
+
+
+@pytest.mark.parametrize("field, values", [
+    ("in_channel", np.array([-1, 1], dtype=np.int8)),
+    ("in_channel", np.array([0, 3], dtype=np.int8)),
+    ("out_channel", np.array([2, 0], dtype=np.int8)),
+    ("out_channel", np.array([0.0, 1.0])),
+], ids=["in-channel-minus-1", "in-channel-3", "out-channel-2", "float-out-channel"])
+def test_signature_counts_refuse_a_channel_column_of_other_values(field, values):
+    # -1 would wrap into the slots of an absent channel, 3 past the last slot
+    table = {"in_channel": np.array([0, 1], dtype=np.int8),
+             "out_channel": np.array([0, 0], dtype=np.int8)} | {field: values}
+    ens = hand_built("twobit", 0.0, 0.5, np.array([0, 0, 1], dtype=np.uint8), table)
+    with pytest.raises(ValueError, match=f"an {field} column of 0s and 1s"):
+        _signature_counts(ens)

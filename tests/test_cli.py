@@ -763,38 +763,61 @@ def test_sampling_commands_import_exactly_the_sampling_modules(name):
 
 
 # runs retrolab.__main__.run on the child's arguments and, as it ends the
-# process, prints what sys.modules holds for _hashlib
-_HASHLIB_AT_EXIT = """
+# process, prints what sys.modules holds for _hashlib, then the numpy.random
+# submodules it holds
+_AT_EXIT = """
 import os, sys
 from retrolab import __main__ as entry
 end = os._exit
 def report(rc):
     print(repr(sys.modules.get("_hashlib")), flush=True)
+    print(*sorted(m for m in sys.modules if m.startswith("numpy.random.")), flush=True)
     end(rc)
 os._exit = report
 entry.run()
 """
 
 
-def hashlib_at_exit(args, before=""):
+def at_exit(args, before=""):
     """What a fresh child that runs ``before`` and then ``retrolab *args``
-    (payload to ``os.devnull``) holds for ``_hashlib`` as it exits."""
-    proc = subprocess.run([sys.executable, "-c", before + _HASHLIB_AT_EXIT, *args,
+    (payload to ``os.devnull``) holds for ``_hashlib`` as it exits, and the
+    names of the ``numpy.random`` submodules it holds then."""
+    proc = subprocess.run([sys.executable, "-c", before + _AT_EXIT, *args,
                            "--out", os.devnull], capture_output=True, text=True)
     assert proc.returncode in (0, 1), proc.stderr
-    return proc.stdout.splitlines()[-1]
+    hashlib, random = proc.stdout.splitlines()[-2:]
+    return hashlib, set(random.split())
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
 def test_sampling_commands_never_load_openssl(name):
     # -X importtime cannot show this: it lists the halted _hashlib import too
-    assert hashlib_at_exit(SAMPLING_COMMANDS[name]) == "None"
+    assert at_exit(SAMPLING_COMMANDS[name])[0] == "None"
 
 
 def test_the_entry_keeps_an_openssl_already_loaded():
     pytest.importorskip("_hashlib")
-    loaded = hashlib_at_exit(SAMPLING_COMMANDS["audit"], before="import hashlib\n")
+    loaded = at_exit(SAMPLING_COMMANDS["audit"], before="import hashlib\n")[0]
     assert loaded.startswith("<module '_hashlib' from ")
+
+
+# what a draw needs of numpy.random 2.4: Philox and Generator, and the modules
+# they import; numpy.random's __init__ would add the legacy RandomState's
+# mtrand, the MT19937 and SFC64 bit generators and _pickle
+DRAW_RANDOM_MODULES = {f"numpy.random.{m}" for m in (
+    "_bounded_integers", "_common", "_generator", "_pcg64", "_philox", "bit_generator")}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
+def test_sampling_commands_load_only_the_numpy_random_modules_of_the_draw(name):
+    # a numpy upgrade that changes this set fails here
+    assert at_exit(SAMPLING_COMMANDS[name])[1] == DRAW_RANDOM_MODULES
+
+
+def test_the_entry_keeps_a_numpy_random_already_imported():
+    loaded = at_exit(SAMPLING_COMMANDS["audit"], before="import numpy.random\n")[1]
+    assert DRAW_RANDOM_MODULES | {"numpy.random.mtrand", "numpy.random._mt19937",
+                                  "numpy.random._sfc64", "numpy.random._pickle"} <= loaded
 
 
 # runs an audit through cli.main in process, then imports hashlib and prints
@@ -815,6 +838,26 @@ def test_in_process_main_leaves_openssl_to_later_imports():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["_hashlib", "_hashlib"]
+
+
+# runs an audit through cli.main in process, then draws through the full
+# numpy.random's default_rng and legacy RandomState
+_RANDOM_AFTER_MAIN = """
+import os, sys
+from retrolab import cli
+cli.main([*sys.argv[1:], "--out", os.devnull])
+import numpy.random
+print(numpy.random.default_rng(1).random(), numpy.random.RandomState(1).random_sample())
+"""
+
+
+def test_in_process_main_leaves_the_full_numpy_random_to_later_callers():
+    proc = subprocess.run([sys.executable, "-c", _RANDOM_AFTER_MAIN, *SAMPLING_COMMANDS["audit"]],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    import numpy as np
+    assert proc.stdout.split() == [repr(np.random.default_rng(1).random()),
+                                   repr(np.random.RandomState(1).random_sample())]
 
 
 class _Sampled(Exception):

@@ -1,6 +1,9 @@
 """Golden payloads: a fixed matrix of CLI calls must reproduce committed bytes.
 
-Each case runs ``retrolab.cli.main`` in process.  A JSON payload is compared
+Each case runs ``retrolab.cli.main`` in process, where numpy and the full
+``numpy.random`` load as a library caller gets them.  A few cases also run
+in a fresh ``python -m retrolab`` child, whose entry imports ``numpy.random``
+as a bare package; they must give the same bytes.  A JSON payload is compared
 with its ``meta`` block removed (it holds the timestamp); CSV output and
 records files are compared whole, and every exit code must match too.  The
 files under ``tests/golden/`` change only through
@@ -103,17 +106,23 @@ def strip_meta(text: str) -> str:
     return "".join(lines[:start] + lines[end + 1 :])
 
 
-def render(name: str, argv: tuple[str, ...], tmp: Path) -> tuple[int, dict[str, bytes]]:
-    """Exit code and output files of one case, keyed by golden file name."""
+def render(name: str, argv: tuple[str, ...], tmp: Path,
+           child: bool = False) -> tuple[int, dict[str, bytes]]:
+    """Exit code and output files of one case, keyed by golden file name;
+    with ``child``, from a fresh ``python -m retrolab`` process."""
     argv = list(argv)
     records = None
     if argv[0] == "run" and "--records-limit" in argv:
         records = tmp / f"{name}.jsonl"
         argv += ["--records", str(records)]
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        rc = cli.main(argv)
-    text = stdout.getvalue()
+    if child:
+        proc = subprocess.run([sys.executable, "-m", "retrolab", *argv], capture_output=True, text=True)
+        rc, text = proc.returncode, proc.stdout
+    else:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            rc = cli.main(argv)
+        text = stdout.getvalue()
     files = {}
     if "--format" in argv:
         files[f"{name}.csv"] = text.encode()
@@ -144,23 +153,43 @@ def test_golden_files_match():
     assert not changed, f"output differs from tests/golden/ in {changed}"
 
 
+def assert_golden_in_a_fresh_interpreter(name, tmp):
+    rc, files = render(name, cases()[name], tmp, child=True)
+    assert rc == json.loads((GOLDEN / EXIT_CODES).read_text())[name]
+    assert files == {file: (GOLDEN / file).read_bytes() for file in files}
+
+
 @pytest.mark.parametrize(
     "name", ["table-twobit", "retro-qm-discrete", "game-left-discrete", "game-right-collapse"]
 )
-def test_numpy_free_commands_match_golden_in_a_fresh_interpreter(name):
+def test_numpy_free_commands_match_golden_in_a_fresh_interpreter(name, tmp_path):
     # in process numpy is already loaded; a child interpreter runs these
     # commands without it
-    proc = subprocess.run(
-        [sys.executable, "-m", "retrolab", *cases()[name]], capture_output=True, text=True
-    )
-    assert proc.returncode == json.loads((GOLDEN / EXIT_CODES).read_text())[name], proc.stderr
-    assert strip_meta(proc.stdout).encode() == (GOLDEN / f"{name}.json").read_bytes()
+    assert_golden_in_a_fresh_interpreter(name, tmp_path)
+
+
+@pytest.mark.parametrize("name", ["run-qm-nocollapse", "run-twobit", "audit-qm-collapse",
+                                  "audit-twobit-multiblock", "run-qm-discrete-multiblock"])
+def test_sampling_commands_match_golden_in_a_fresh_interpreter(name, tmp_path):
+    # a child draws through the bare numpy.random of retrolab.__main__.run,
+    # the in-process cases through the full package
+    assert_golden_in_a_fresh_interpreter(name, tmp_path)
+
+
+def records_sha256(model, tmp_path, child=False):
+    """sha256 of the records file of ``run --n 10000 --seed 11`` for ``model``."""
+    path = tmp_path / "recs.jsonl"
+    argv = ["run", "--model", model, *SETTINGS, "--n", "10000", "--seed", "11",
+            "--records", str(path), "--records-limit", "0", "--out", os.devnull]
+    rc = subprocess.run([sys.executable, "-m", "retrolab", *argv]).returncode if child else cli.main(argv)
+    assert rc == 0
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("model", sorted(RECORDS_SHA256))
 def test_multiblock_records_files_match_pinned_hashes(model, tmp_path):
-    path = tmp_path / "recs.jsonl"
-    argv = ["run", "--model", model, *SETTINGS, "--n", "10000", "--seed", "11",
-            "--records", str(path), "--records-limit", "0", "--out", os.devnull]
-    assert cli.main(argv) == 0
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == RECORDS_SHA256[model]
+    assert records_sha256(model, tmp_path) == RECORDS_SHA256[model]
+
+
+def test_a_fresh_interpreter_writes_the_pinned_records_file(tmp_path):
+    assert records_sha256("qm-discrete", tmp_path, child=True) == RECORDS_SHA256["qm-discrete"]
