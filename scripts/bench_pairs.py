@@ -12,7 +12,8 @@ ignored files left out) into fresh directories, so both sides start alike.
 base first in odd pairs and the change first in even ones, for every
 workload and seed.  ``BENCH_<number>.json`` at the root of this
 checkout gets every final result line, the order of the runs, each side's
-summed ``failed`` and ``attempted`` operations and, per metric, each side's
+summed ``failed`` and ``attempted`` operations, its number of runs that
+printed no result line and, per metric, each side's
 median and quartiles, the number of pairs the change wins, whether the
 runs spread too widely to tell and whether the change shows a gain;
 ``BENCHMARK.json`` says whether lower or higher is better and bounds each
@@ -20,6 +21,9 @@ metric, and a tie counts for neither side.
 Each result line also keeps every op's peak RSS from the run's details
 line (the largest of its fresh children over all passes), and the summary
 gives each side's median of it per op.
+A workload that ``BENCHMARK.json`` does not name is refused before anything
+is extracted; the script exits 1, once the file is written, when any run
+printed no result line.
 """
 
 import argparse
@@ -80,7 +84,8 @@ def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) -> dict:
-    """Each side's summed ``failed`` and ``attempted`` operations; per metric
+    """Each side's summed ``failed`` and ``attempted`` operations and its
+    number of runs that printed no result line (``no_result``); per metric
     of ``metrics`` (``BENCHMARK.json``'s end-to-end entries by name), each
     side's median and quartiles, the pairs the change wins and whether the
     metric is unresolved; and per op, under ``op_rss_mb`` in op order, its
@@ -102,6 +107,8 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
     out = {key: {side: sum(run[key] for run in runs if key in run)
                  for side, runs in (("base", base), ("change", change))}
            for key in ("failed", "attempted")}
+    out["no_result"] = {"base": sum("error" in run for run in base),
+                        "change": sum("error" in run for run in change)}
     pairs = [(b, c) for b, c in zip(base, change) if "metrics" in b and "metrics" in c]
     for name, metric in metrics.items():
         direction = metric["better"]
@@ -157,7 +164,12 @@ def main() -> None:
     if not 0 < args.seconds < math.inf:  # run.py's pass loops would never end
         ap.error(f"--seconds must be a finite number above 0, got {args.seconds}")
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = {m["name"]: m for m in json.load(fh)["end_to_end"]}
+        declared = json.load(fh)
+    metrics = {m["name"]: m for m in declared["end_to_end"]}
+    workloads = [w["name"] for w in declared["workloads"]]
+    for workload in args.workload:
+        if workload not in workloads:
+            ap.error(f"--workload {workload!r} is none of BENCHMARK.json's {workloads}")
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {"base": extract(ROOT, args.base, tmp),
@@ -189,6 +201,9 @@ def main() -> None:
         json.dump(bench, fh, indent=1)
         fh.write("\n")
     print(f"wrote {path}", file=sys.stderr)
+    silent = sum(sum(run["summary"]["no_result"].values()) for run in runs.values())
+    if silent:
+        sys.exit(f"{silent} runs printed no result line")
 
 
 if __name__ == "__main__":

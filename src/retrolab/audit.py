@@ -83,15 +83,13 @@ def reverse_ensemble(ensemble: Ensemble) -> Ensemble:
     return Ensemble(ensemble.model, ensemble.sigma_r, ensemble.sigma_l, table, ensemble.n, ensemble.draw)
 
 
-def _orient_forward(ensemble: Ensemble) -> tuple[Ensemble, bool]:
-    # Branch-weight families are closed under reversal only by convention:
-    # the definite-channel end swaps roles with the branch end, the even
-    # input prior mirroring into the branch bookkeeping.  Operationally:
-    # a reversed branch record is re-oriented so its definite channel sits
-    # on the entry leg again.
-    if {"weight_1", "out_channel"} <= ensemble.table.keys() and "in_channel" not in ensemble.table:
-        return reverse_ensemble(ensemble), True
-    return ensemble, False
+def _side_a(forward: Ensemble) -> tuple[Ensemble, bool]:
+    """Side A of an audit from its forward ensemble, and whether the
+    branch-weight convention decided it: branch-weight records are compared
+    as drawn, every other ensemble reversed."""
+    if {"weight_1", "in_channel"} <= forward.table.keys() and "out_channel" not in forward.table:
+        return forward, True
+    return reverse_ensemble(forward), False
 
 
 # class of a leg beable by 2*left_aligned + right_aligned: 0 left-aligned
@@ -319,19 +317,13 @@ class SymmetryReport(NamedTuple):
         return self.verdict == "symmetric"
 
 
-def _side_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Slot and slot-free counts of one audit side, oriented forward, and
-    whether orientation flipped it."""
-    oriented, flipped = _orient_forward(ensemble)
-    return (*_signature_counts(oriented), flipped)
-
-
 def audit_symmetry(
     model: str, sigma_a: float, sigma_b: float, n: int, stream: RandomStream
 ) -> SymmetryReport:
     """Generate, reverse, and compare record ensembles at swapped settings.
 
-    Ensemble A is generated forward at (sigma_a, sigma_b) and reversed;
+    Ensemble A is generated forward at (sigma_a, sigma_b) and reversed, or
+    compared as drawn under the branch-weight convention (:func:`_side_a`);
     ensemble B forward at (sigma_b, sigma_a).  Their slot and slot-free
     signatures are compared by total variation against a 5 sigma sampling
     threshold, and the alignment profiles feed the structural distinguisher.
@@ -361,12 +353,9 @@ def audit_symmetry(
     n = _run_count(n)
     if n < MIN_AUDIT_N:
         raise UsageError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
-    slot_a, free_a, flipped_a = _side_counts(
-        reverse_ensemble(generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0)))
-    )
-    slot_b, free_b, flipped_b = _side_counts(
-        generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1))
-    )
+    side_a, by_convention = _side_a(generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0)))
+    slot_a, free_a = _signature_counts(side_a)
+    slot_b, free_b = _signature_counts(generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1)))
     settings = (normalize_angle(sigma_a), normalize_angle(sigma_b))
     tv_slot = 0.5 * float(np.abs(slot_a / n - slot_b / n).sum())
     tv_free = 0.5 * float(np.abs(free_a / n - free_b / n).sum())
@@ -403,5 +392,5 @@ def audit_symmetry(
         forward_alignment=profile_fwd,
         reversed_alignment=profile_rev,
         degenerate_settings=degenerate,
-        convention_dependent=flipped_a or flipped_b,
+        convention_dependent=by_convention,
     )

@@ -27,10 +27,6 @@ from .photon import OntologyMode
 from .stats import RandomStream, tv_distance
 
 
-class ConfigError(UsageError):
-    """Unusable combination of flags or config-file values."""
-
-
 def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
     """The ``--config`` file's entries as ``--flag=value`` arguments of ``command``.
 
@@ -49,21 +45,21 @@ def _config_flags(path: str, command: argparse.ArgumentParser) -> list[str]:
         with open(path, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, ValueError) as err:  # ValueError: no UTF-8 or no JSON
-        raise ConfigError(f"cannot read config file: {err}") from err
+        raise UsageError(f"cannot read config file: {err}") from err
     if not isinstance(config, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise UsageError("config file must hold a JSON object")
     unknown = sorted(set(config) - set(actions))
     if unknown:
-        raise ConfigError(f"unknown config keys: {unknown}")
+        raise UsageError(f"unknown config keys: {unknown}")
     argv = []
     for key, value in config.items():
         flag = "--" + key.replace("_", "-")
         on_off = actions[key].nargs == 0
         if on_off != isinstance(value, bool) or not isinstance(value, (bool, int, float, str)):
             wanted = "true or false" if on_off else "a string or a number"
-            raise ConfigError(f"config key {key!r} ({flag}) takes {wanted}, got {json.dumps(value)}")
+            raise UsageError(f"config key {key!r} ({flag}) takes {wanted}, got {json.dumps(value)}")
         if "\0" in str(value):  # no command-line argument can hold one
-            raise ConfigError(f"config key {key!r} ({flag}) holds a NUL character")
+            raise UsageError(f"config key {key!r} ({flag}) holds a NUL character")
         if not on_off:
             argv.append(f"{flag}={value}")
         elif value:
@@ -76,7 +72,7 @@ def _require(args, *keys: str) -> None:
     ``--config`` may supply them."""
     for key in keys:
         if getattr(args, key) is None:
-            raise ConfigError(f"missing required option: {key.replace('_', '-')}")
+            raise UsageError(f"missing required option: {key.replace('_', '-')}")
 
 
 def _angle(value: float, degrees: bool) -> float:
@@ -138,16 +134,13 @@ def _sampler():
 
 def _cmd_run(args) -> int:
     _require(args, "model", "sigma_l", "sigma_r")
-    n = args.n
-    if n < 1:
-        raise ConfigError("n must be at least 1")
     if args.records_limit < 0:
-        raise ConfigError(f"records-limit must be at least 0 (0 = all), got {args.records_limit}")
+        raise UsageError(f"records-limit must be at least 0 (0 = all), got {args.records_limit}")
     sigma_l = _angle(args.sigma_l, args.degrees)
     sigma_r = _angle(args.sigma_r, args.degrees)
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
 
-    ensemble = _sampler().generate_ensemble(args.model, sigma_l, sigma_r, n, stream)
+    ensemble = _sampler().generate_ensemble(args.model, sigma_l, sigma_r, args.n, stream)
     if args.records is not None:
         from . import records
 
@@ -156,7 +149,7 @@ def _cmd_run(args) -> int:
         records.write_records_jsonl(args.records, ensemble, limit)
     counts = ensemble.channel_counts()
     labels = ("00", "01", "10", "11")
-    empirical = {k: counts[i] / n for i, k in enumerate(labels)}
+    empirical = {k: counts[i] / ensemble.n for i, k in enumerate(labels)}
     analytic = hvmodels.channel_joint(args.model, sigma_l, sigma_r).as_dict()
     tv = tv_distance(empirical, analytic)
 
@@ -165,7 +158,7 @@ def _cmd_run(args) -> int:
         model=args.model,
         sigma_l=ensemble.sigma_l,
         sigma_r=ensemble.sigma_r,
-        n=n,
+        n=ensemble.n,
         seed=args.seed,
         format=args.format,
     )
@@ -203,20 +196,20 @@ def _cmd_game(args) -> int:
     if args.side == "left":
         for flag in ("mode", "rho"):
             if getattr(args, flag) is not None:
-                raise ConfigError(f"--{flag} applies to the right side only")
+                raise UsageError(f"--{flag} applies to the right side only")
         if len(chosen) != 1:
-            raise ConfigError(
+            raise UsageError(
                 "left side needs exactly one of --discrete / --classical / --superposition"
             )
         report = games.verify_lena_control(setting, chosen[0])
         extra = {"strategy": chosen[0]}
     else:
         if chosen:
-            raise ConfigError(
+            raise UsageError(
                 "strategy flags apply to the left side only; use --mode for the right side"
             )
         if args.mode is None:
-            raise ConfigError("right side needs --mode (discrete, collapse or nocollapse)")
+            raise UsageError("right side needs --mode (discrete, collapse or nocollapse)")
         # the default is in radians whatever --degrees says; only a given
         # --rho is read as an angle, and the left side must see it unset
         rho = math.pi / 6.0 if args.rho is None else _angle(args.rho, args.degrees)
@@ -381,9 +374,22 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def _one_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one file, unless both are written in place."""
+    from .records import _written_in_place
+
+    try:
+        same = os.path.samefile(a, b)
+    except OSError:  # one is yet to be made
+        same = os.path.realpath(a) == os.path.realpath(b)
+    return same and not (_written_in_place(a) and _written_in_place(b))
+
+
 def _check_targets(args) -> None:
-    """ConfigError, before any command runs, for an ``--out`` or
-    ``--records`` path that no write could take."""
+    """UsageError, before any command runs, for an ``--out`` or ``--records``
+    path that no write could take, or that is the other's file or the
+    ``--config`` file, unless both are written in place (``/dev/stdout``)."""
+    taken = {} if args.config is None else {"config": args.config}
     for flag in ("out", "records"):
         path = getattr(args, flag, None)
         if path is None:
@@ -393,7 +399,11 @@ def _check_targets(args) -> None:
                    else "is in no directory" if not os.path.isdir(os.path.dirname(path) or os.curdir)
                    else None)
         if problem:
-            raise ConfigError(f"--{flag} {path!r} {problem}")
+            raise UsageError(f"--{flag} {path!r} {problem}")
+        for other, other_path in taken.items():
+            if _one_file(path, other_path):
+                raise UsageError(f"--{flag} {path!r} and --{other} {other_path!r} are one file")
+        taken[flag] = path
 
 
 def main(argv=None) -> int:
@@ -401,7 +411,7 @@ def main(argv=None) -> int:
         args = _parse(argv)
         _check_targets(args)
         return args.func(args)
-    except UsageError as err:  # ConfigError and UnknownModelError included
+    except UsageError as err:  # UnknownModelError included
         print(f"error: {err}", file=sys.stderr)
         return 2
     except OSError as err:

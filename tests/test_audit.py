@@ -13,8 +13,7 @@ from retrolab import audit, cli, hvmodels
 from retrolab.audit import (
     MIN_AUDIT_N,
     _alignment_profile,
-    _orient_forward,
-    _side_counts,
+    _side_a,
     _signature_counts,
     audit_symmetry,
     generate_ensemble,
@@ -152,7 +151,7 @@ def test_symmetric_even_at_degenerate_settings():
 def test_nocollapse_symmetric_by_convention():
     report = audit_symmetry("qm-nocollapse", 0.2, 1.1, 50_000, RandomStream(61))
     assert report.verdict == "symmetric"
-    assert report.convention_dependent  # reversed branch records were re-oriented
+    assert report.convention_dependent  # side A compared as drawn
 
 
 def test_collapse_fails_generic_settings():
@@ -213,11 +212,13 @@ _SWEEP_PAIRS = ((0.0, PI / 6), (0.3, 1.2), (0.4, 0.4), (0.0, 1e-10), (0.0, 1e-8)
 @pytest.mark.parametrize("model", model_ids(stochastic=True))
 def test_score_and_alignment_tv_are_bounded_by_the_finer_signatures(model):
     # the profile coarsens the slot-free signature, which coarsens the slot
-    # signature, so each TV bounds the next at every pair, near ANGLE_TOL too
+    # signature, so each TV bounds the next at every pair, near ANGLE_TOL too;
+    # only the branch-weight records of qm-nocollapse lean on a convention
     for i, pair in enumerate(_SWEEP_PAIRS):
         report = audit_symmetry(model, *pair, MIN_AUDIT_N, RandomStream(90 + i))
         assert 2 * abs(report.distinguisher_score - 0.5) <= report.tv_alignment + 1e-15, pair
         assert report.tv_alignment <= report.tv_distance + 1e-15, pair
+        assert report.convention_dependent == (model == "qm-nocollapse"), pair
 
 
 @pytest.mark.parametrize("model", ("twobit", "onebit", "qm-discrete", "qm-nocollapse"))
@@ -230,18 +231,18 @@ def test_symmetric_models_stay_within_the_stated_false_positive_rate(model, pair
     t = math.sqrt(2 * math.log(560) / n)
     rng = np.random.default_rng(12)
     sides = []
-    for (sigma_l, sigma_r), reverse in ((pair, True), (pair[::-1], False)):
+    for (sigma_l, sigma_r), first in ((pair, True), (pair[::-1], False)):
         small = generate_ensemble(model, sigma_l, sigma_r, 16, RandomStream(0))
         rows = len(small.table["in_channel"])
         p = channel_joint(model, sigma_l, sigma_r) if rows == 4 else (0.5, 0.5)
-        sides.append((small, p, reverse))
+        sides.append((small, p, first))
     fired = 0
     for _ in range(trials):
         slots = []
-        for small, p, reverse in sides:
+        for small, p, first in sides:
             codes = np.repeat(np.arange(len(p), dtype=np.uint8), rng.multinomial(n, p))
             ensemble = hand_built(small.model, small.sigma_l, small.sigma_r, codes, small.table)
-            slots.append(_side_counts(reverse_ensemble(ensemble) if reverse else ensemble)[0])
+            slots.append(_signature_counts(_side_a(ensemble)[0] if first else ensemble)[0])
         fired += 0.5 * np.abs(slots[0] / n - slots[1] / n).sum() > t
     assert fired <= 0.05 * trials
 
@@ -460,7 +461,7 @@ def _in_blocks(ensemble, rows):
 def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
     # both orientations, as the audit sees them, counted in blocks of 1-7
     # rows, so cells and outliers straddle block boundaries
-    for oriented in (ensemble, _orient_forward(reverse_ensemble(ensemble))[0]):
+    for oriented in (ensemble, _side_a(ensemble)[0]):
         slot, free = _signature_counts(_in_blocks(oriented, chunk_rows))
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)
@@ -479,7 +480,7 @@ def _assert_one_byte_codes(ens, n):
 def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
     ens = generate_ensemble(model, *pair, 20_000, RandomStream(5))
     _assert_one_byte_codes(ens, 20_000)
-    for oriented in (_orient_forward(ens)[0], _orient_forward(reverse_ensemble(ens))[0]):
+    for oriented in (ens, _side_a(ens)[0]):
         slot, free = _signature_counts(oriented)
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)

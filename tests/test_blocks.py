@@ -21,11 +21,10 @@ from hypothesis import given, settings, strategies as st
 
 from retrolab import audit, cli
 from retrolab.audit import (
-    _orient_forward,
+    _side_a,
     _signature_counts,
     audit_symmetry,
     generate_ensemble,
-    reverse_ensemble,
 )
 from retrolab.core import HALF_PI, normalize_angle
 from retrolab.hvmodels import REGISTRY, model_ids, twobit_dist
@@ -113,7 +112,7 @@ def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, 
     with mock.patch.object(audit, "CHUNK_ROWS", chunk_rows):
         ens, ref = _sample(model, sigma_l, sigma_r, n, stream)
         codes = ens.codes
-        blocked = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
+        blocked = [_signature_counts(o) for o in (ens, _side_a(ens)[0])]
     # n <= 500 rows fit in one block of the default size
     assert codes.dtype == np.uint8 and codes.tobytes() == ens.codes.tobytes()
     assert all(len(values) <= 4 for values in ens.table.values())
@@ -125,7 +124,7 @@ def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, 
             assert got.tobytes() == want.tobytes(), name
     # a fresh ensemble draws again, since a counted one keeps its counts
     ens = _sample(model, sigma_l, sigma_r, n, stream)[0]
-    single = [_signature_counts(o) for o in (ens, _orient_forward(reverse_ensemble(ens))[0])]
+    single = [_signature_counts(o) for o in (ens, _side_a(ens)[0])]
     for (slot, free), (slot_1, free_1) in zip(blocked, single):
         assert np.array_equal(slot, slot_1) and np.array_equal(free, free_1)
 

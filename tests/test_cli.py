@@ -433,6 +433,38 @@ def test_bad_output_targets_exit_2_before_any_draw(tmp_path, monkeypatch, argv, 
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
+# two targets that are one file, or a target that is the --config file,
+# each refused before anything is drawn or written; F holds a usable config
+# and L links to it
+_RUN_100 = ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "100")
+ONE_FILE = {
+    "records-is-out": ((*_RUN_100, "--records", "{tmp}/F", "--out", "{tmp}/F"),
+                       "--records '{tmp}/F' and --out '{tmp}/F'"),
+    "records-is-new-out": ((*_RUN_100, "--records", "{tmp}/new", "--out", "{tmp}/new"),
+                           "--records '{tmp}/new' and --out '{tmp}/new'"),
+    "out-links-to-records": ((*_RUN_100, "--records", "{tmp}/F", "--out", "{tmp}/L"),
+                             "--records '{tmp}/F' and --out '{tmp}/L'"),
+    "records-is-config": (("run", "--records", "{tmp}/F", "--config", "{tmp}/F"),
+                          "--records '{tmp}/F' and --config '{tmp}/F'"),
+    "out-is-config": (("table", "--out", "{tmp}/L", "--config", "{tmp}/F"),
+                      "--out '{tmp}/L' and --config '{tmp}/F'"),
+}
+
+
+@pytest.mark.parametrize("argv, named", ONE_FILE.values(), ids=list(ONE_FILE))
+def test_targets_that_are_one_file_exit_2_before_any_draw(tmp_path, monkeypatch, argv, named):
+    config = json.dumps({"model": "twobit", "sigma_l": 0, "sigma_r": 0.5})
+    (tmp_path / "F").write_text(config)
+    (tmp_path / "L").symlink_to(tmp_path / "F")
+    generators = []
+    monkeypatch.setattr(RandomStream, "generator", lambda *args: generators.append(args))
+    rc, out, err = main_in_process(*(arg.format(tmp=tmp_path) for arg in argv))
+    assert (rc, out, generators) == (2, "", [])
+    assert err == f"error: {named.format(tmp=tmp_path)} are one file\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["F", "L"]
+    assert (tmp_path / "F").read_text() == config
+
+
 # ------------------------------------------------- the exit-code contract
 
 
@@ -569,6 +601,7 @@ USAGE_ERRORS = {
     "retro-nan-setting": (("retro", "twobit", "0", "nan", "0.9"), None),
     "game-left-nan-setting": (("game", "left", "nan", "--discrete"), None),
     "game-right-infinite-shift": (("game", "right", "0.7", "--mode", "discrete", "--rho", "inf"), None),
+    "run-no-runs": (("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "0"), None),
     "audit-no-runs": (("audit", "twobit", "0", "0.5", "--n", "0"), None),
     "audit-too-few-runs": (("audit", "twobit", "0", "0.5", "--n", "100"), None),
     "config-not-utf8": (("table",), b'{"model": "\xff"}'),
@@ -652,6 +685,12 @@ def test_records_and_out_to_piped_stdout(tmp_path):
     assert len(records_text.splitlines()) == 50
     assert piped.stdout.startswith(records_text)
     assert strip_meta(json.loads(piped.stdout[len(records_text):])) == \
+        strip_meta(payload_of(to_file))
+    # both targets on the one pipe: the records, then the payload
+    both = run_cli(*args, "--records", "/dev/stdout", "--out", "/dev/stdout")
+    assert both.returncode == 0, both.stderr
+    assert both.stdout.startswith(records_text)
+    assert strip_meta(json.loads(both.stdout[len(records_text):])) == \
         strip_meta(payload_of(to_file))
 
     table = ("table", "--model", "onebit", "--sigma-l", "0", "--sigma-r", "0.5")

@@ -97,9 +97,16 @@ def test_a_registry_copy_samples_its_own_ontology(monkeypatch):
     assert payload["config"].pop("model") == "qm-collapse"
     assert (rc_copy, payload_copy) == (rc, payload)
     assert payload["result"]["verdict"] == "asymmetric"
+    assert payload["result"]["convention_dependent"] is False
     nocollapse = register_copy(monkeypatch, "qm-discrete", ontology=OntologyMode.NO_COLLAPSE)
     ens = generate_ensemble(nocollapse, 0.3, 1.2, 10, RandomStream(1))
     assert ens.weight_1 is not None and ens.out_channel is None
+    rc_copy, payload_copy = run_main(COMMANDS["audit"], nocollapse)
+    rc, payload = run_main(COMMANDS["audit"], "qm-nocollapse")
+    assert payload_copy["config"].pop("model") == nocollapse
+    assert payload["config"].pop("model") == "qm-nocollapse"
+    assert (rc_copy, payload_copy) == (rc, payload)
+    assert payload["result"]["convention_dependent"] is True
 
 
 def test_an_entry_with_an_unknown_ontology_mode_is_rejected():

@@ -158,6 +158,7 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
     assert summary == {
         "failed": {"base": 0, "change": 2},
         "attempted": {"base": 15, "change": 18},
+        "no_result": {"base": 1, "change": 0},
         # wins: 0.5 < 1 and 3 < 4 and 4 < 5; 2 = 2 is a tie.  Both sides'
         # quartiles lie further apart than a quarter of their medians
         "wall_s": {"better": "lower", "base_median": 3.0, "base_q1_q3": [1.5, 4.5],
@@ -229,6 +230,8 @@ def test_bench_pairs_snapshots_the_working_tree_as_it_stands(tmp_path):
     (("--seconds", "0"), "--seconds must be a finite number above 0, got 0.0"),
     (("--seconds", "-2"), "--seconds must be a finite number above 0, got -2.0"),
     (("--pairs", "0"), "--pairs must be at least 1, got 0"),
+    (("--workload", "bogus"), "--workload 'bogus' is none of BENCHMARK.json's "
+                              "['audit-grid', 'records-dump', 'run-scan']"),
 ])
 def test_bench_pairs_rejects_bad_input(capsys, monkeypatch, args, message):
     # a run that got past the checks would extract both trees first
