@@ -175,24 +175,33 @@ def _run_count(n) -> int:
     return int(n)
 
 
-def _entry(codes: np.ndarray, u: np.ndarray) -> None:
-    np.less(u, 0.5, out=codes)  # even input channels: 1 below one half
+def _threshold(p: float) -> int:
+    """The K with ``k < K`` exactly when ``k * 2.0**-53 < p``, for every 53-bit
+    word k: ``p * 2^53`` is exact for any p in [0, 1], subnormals included,
+    and an integer is below it exactly when it is below its ceiling."""
+    return min(max(math.ceil(p * 2.0**53), 0), 1 << 53)
+
+
+def _entry(codes: np.ndarray, words: np.ndarray) -> None:
+    np.less(words, 1 << 52, out=codes)  # even input channels: 1 below one half
 
 
 def _sampled(model: str, sigma_l: float, sigma_r: float, table: dict, n, stream, *passes) -> Ensemble:
     """Ensemble of ``n`` runs over ``table``, drawn :data:`CHUNK_ROWS` runs at
-    a time: pass k reads draws k*n to (k+1)*n - 1 of ``stream`` into one reused
-    buffer and updates one reused uint8 block as ``step(codes, draws)``."""
+    a time: pass k reads words k*n to (k+1)*n - 1 of ``stream``, shifted to
+    53 bits, and updates one reused uint8 block as ``step(codes, words)``."""
     n = _run_count(n)
 
     def draw():
-        rngs = [stream.generator(k * n) for k in range(len(passes))]
-        u = np.empty(min(n, CHUNK_ROWS))
-        codes = np.empty(len(u), dtype=np.uint8)
-        for start in range(0, n, len(u)):
-            size = min(len(u), n - start)
-            for rng, step in zip(rngs, passes):
-                step(codes[:size], rng.random(out=u[:size]))
+        streams = [stream.bits(k * n) for k in range(len(passes))]
+        codes = np.empty(min(n, CHUNK_ROWS), dtype=np.uint8)
+        for start in range(0, n, len(codes)):
+            size = min(len(codes), n - start)
+            for bits, step in zip(streams, passes):
+                words = bits.random_raw(size)
+                words >>= 11  # the word k that Generator.random() gives as k * 2^-53
+                step(codes[:size], words)
+                del words  # released before the next pass draws its own
             yield codes[:size]
 
     return Ensemble(model, normalize_angle(sigma_l), normalize_angle(sigma_r), table, n, draw)
@@ -220,13 +229,14 @@ def simulate_ensemble(
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
     joint = spec.joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
     p1 = np.array([2.0 * joint.p01, 2.0 * joint.p11])
+    k0, k1 = (_threshold(p) for p in p1.tolist())
 
-    def outcome(block, u):
+    def outcome(block, words):
         entry_1 = block.view(np.bool_)  # the codes still hold the entry channel
-        # u < p1[entry] without gathering a threshold per row
-        out = u < p1[1]
+        # a draw below p1[entry] without gathering a threshold per row
+        out = words < k1
         out &= entry_1
-        out |= (u < p1[0]) & ~entry_1
+        out |= (words < k0) & ~entry_1
         block *= 2
         block += out
 
@@ -248,12 +258,12 @@ def simulate_twobit_ensemble(
     code ``2*past + future`` counts the cumulative bounds c0 <= c1 <= c2 at
     or below u; it is written to one uint8 code per run, block by block.
     """
-    c0, c1, c2 = np.cumsum(spec.joint(sigma_l, sigma_r))[:3]
+    k0, k1, k2 = (_threshold(c) for c in np.cumsum(spec.joint(sigma_l, sigma_r))[:3].tolist())
 
-    def pair(block, u):
-        np.greater_equal(u, c0, out=block)
-        block += u >= c1
-        block += u >= c2
+    def pair(block, words):
+        np.greater_equal(words, k0, out=block)
+        block += words >= k1
+        block += words >= k2
 
     return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, pair)
 
@@ -267,11 +277,11 @@ def simulate_onebit_ensemble(
     channel repeats it, as often as ``spec.joint`` matches; the exit channel
     flips the input where it does not.
     """
-    p_repeat = spec.joint(sigma_l, sigma_r).p_match
+    k_repeat = _threshold(spec.joint(sigma_l, sigma_r).p_match)
 
-    def parity(block, u):
+    def parity(block, words):
         block *= 3  # 2*in + in: the exit repeats the entry...
-        block ^= u >= p_repeat  # ...unless this draw flips the low bit
+        block ^= words >= k_repeat  # ...unless this draw flips the low bit
 
     return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, _entry, parity)
 

@@ -12,7 +12,9 @@ feed on every platform: the lines are encoded once and written through a binary
 handle.  Files are written atomically: the bytes go to a temporary file in the
 target directory, which replaces the target only once it is complete, so a
 failed write leaves no partial file.  A pipe, a terminal or a descriptor path
-such as ``/dev/stdout`` is written in place.  A negative row limit is rejected.
+such as ``/dev/stdout`` is written in place, one of this process's own
+descriptors through a duplicate, at its offset.  A negative row limit is
+rejected.
 """
 
 from __future__ import annotations
@@ -121,6 +123,22 @@ def record_from_dict(data: dict) -> ExperimentRecord:
     )
 
 
+def _proc_hop(path) -> str | None:
+    """The first hop of ``path``'s symlink chain whose directory is under
+    ``/proc``, as ``/proc/<pid>/fd/N`` is for ``/dev/stdout`` and
+    ``/dev/fd/N``, with that directory resolved; None when no hop is."""
+    hop = os.path.abspath(path)
+    for _ in range(40):  # symlink hops, as the kernel allows
+        head = os.path.realpath(os.path.dirname(hop))
+        hop = os.path.join(head, os.path.basename(hop))
+        if os.path.commonpath([head, "/proc"]) == "/proc":
+            return hop
+        if not os.path.islink(hop):
+            return None
+        hop = os.path.join(head, os.readlink(hop))
+    return None
+
+
 def _written_in_place(path) -> bool:
     """Whether ``path`` must be opened in place rather than replaced.
 
@@ -134,16 +152,17 @@ def _written_in_place(path) -> bool:
             return True
     except OSError:
         return False  # absent: created by the replace
-    hop = os.path.abspath(path)
-    for _ in range(40):  # symlink hops, as the kernel allows
-        head = os.path.realpath(os.path.dirname(hop))
-        if os.path.commonpath([head, "/proc"]) == "/proc":
-            return True
-        hop = os.path.join(head, os.path.basename(hop))
-        if not os.path.islink(hop):
-            return False
-        hop = os.path.join(head, os.readlink(hop))
-    return False
+    return _proc_hop(path) is not None
+
+
+def _own_descriptor(path) -> int | None:
+    """The descriptor of this process that ``path`` reaches through
+    ``/proc`` (``/dev/stdout``, ``/dev/fd/N``, ``/proc/self/fd/N``), or None."""
+    hop = _proc_hop(path)
+    if hop is None:
+        return None
+    head, name = os.path.split(hop)
+    return int(name) if head == os.path.realpath("/proc/self/fd") and name.isdigit() else None
 
 
 @contextlib.contextmanager
@@ -158,10 +177,13 @@ def atomic_open(path):
     the old content.  A symlink is followed, as by ``open(path, "wb")``.
     ``path`` is written in place, as by ``open(path, "wb")``, when it names a
     descriptor (see :func:`_written_in_place`) or when its directory takes
-    no new file but the file itself exists.
+    no new file but the file itself exists; a path that reaches one of this
+    process's own descriptors (:func:`_own_descriptor`) is written through a
+    duplicate of it instead, at its offset and with its ``O_APPEND``.
     """
     if _written_in_place(path):
-        with open(path, "wb") as fh:
+        fd = _own_descriptor(path)
+        with open(path, "wb") if fd is None else os.fdopen(os.dup(fd), "wb") as fh:
             yield fh
         return
     target = os.path.realpath(path)

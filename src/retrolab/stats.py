@@ -56,23 +56,30 @@ class RandomStream(NamedTuple("RandomStream", [("seed", int), ("stream_id", int)
                 raise UsageError(f"{name} must lie in [0, 2**64), got {value}")
         return super().__new__(cls, seed, stream_id)
 
-    def generator(self, position: int = 0) -> np.random.Generator:
-        """Fresh generator at draw ``position`` of this stream, placed in O(1):
-        the Philox counter skips ``position // 4`` blocks of four draws and
-        the rest are drawn and dropped.  ValueError unless ``position`` is
-        an integer of at least 0.  ``Philox`` and ``Generator`` come from their
-        own modules, so the bare ``numpy.random`` of ``retrolab.__main__.run``
-        serves as the full package does."""
-        from numpy.random._generator import Generator
+    def bits(self, position: int = 0) -> np.random.Philox:
+        """Fresh Philox bit generator at word ``position`` of this stream,
+        placed in O(1): the counter skips ``position // 4`` blocks of four
+        64-bit words and the rest are drawn and dropped.  ValueError unless
+        ``position`` is an integer of at least 0.  ``Philox`` comes from its
+        own module, so the bare ``numpy.random`` of ``retrolab.__main__.run``
+        serves as the full package does, and loads only ``_philox``,
+        ``_common`` and ``bit_generator``."""
         from numpy.random._philox import Philox
 
         if not hasattr(position, "__index__") or position < 0:  # numpy integers pass
             raise ValueError(f"position must be an integer of at least 0, got {position!r}")
         bits = Philox(key=(self.seed << 64) | self.stream_id)
         bits.advance(int(position) // 4)
-        rng = Generator(bits)
-        rng.random(int(position) % 4)
-        return rng
+        bits.random_raw(int(position) % 4)
+        return bits
+
+    def generator(self, position: int = 0) -> np.random.Generator:
+        """Fresh generator over :meth:`bits` at ``position``: its ``random()``
+        draw number j is word ``position + j`` shifted right by 11, times
+        2^-53.  ValueError for a position :meth:`bits` refuses."""
+        from numpy.random._generator import Generator
+
+        return Generator(self.bits(position))
 
     def child(self, index: int) -> "RandomStream":
         """Derived stream number ``index``; same seed, hashed stream id."""

@@ -1,7 +1,7 @@
 """Block-wise sampling, counting and writing.
 
 An ensemble is a replayable draw: its samplers draw and compare
-``audit.CHUNK_ROWS`` rows at a time through one reused buffer, the audit and
+``audit.CHUNK_ROWS`` rows at a time into one reused code buffer, the audit and
 the ``run`` tally count each block as it is drawn, and the records writer
 writes ``records.WRITE_ROWS`` lines at a time.  None may change a sample or
 a count: the references below are the full-vector samplers the block-wise
@@ -152,6 +152,31 @@ def test_random_blocks_are_one_draw_through_one_buffer(n):
 # ------------------------------------------------- draws
 
 
+_WORDS = 1 << 53
+
+# probabilities where the threshold is decided: the ends and one half, every
+# multiple of 2^-53 and its neighbours either side, subnormals, and any p
+_PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0)]),
+    st.builds(lambda k, toward: math.nextafter(k / _WORDS, toward) if toward is not None else k / _WORDS,
+              st.integers(0, _WORDS), st.sampled_from([None, 0.0, 1.0])),
+    st.floats(0.0, 2.2250738585072014e-308, allow_subnormal=True),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_PROBABILITIES, st.sampled_from([-1, 0, 1, None]), st.integers(0, _WORDS - 1))
+def test_a_word_threshold_decides_as_the_draw_does(p, offset, word):
+    # a word k is below K(p) exactly when the draw k * 2^-53 is below p
+    threshold = audit._threshold(p)
+    assert type(threshold) is int and 0 <= threshold <= _WORDS
+    k = word if offset is None else min(max(threshold + offset, 0), _WORDS - 1)
+    assert (k < threshold) == (k * 2.0**-53 < p)
+    # as the samplers compare: a uint64 array against the Python int
+    assert bool((np.array([k], dtype=np.uint64) < threshold)[0]) == (k * 2.0**-53 < p)
+
+
 # passes over the stream per ensemble: a second pass draws the outcomes
 PASSES = {"twobit": 1, "qm-nocollapse": 1, "onebit": 2, "qm-discrete": 2, "qm-collapse": 2}
 
@@ -168,15 +193,15 @@ DRAW_OPS = {
 
 
 class _Counting:
-    """A generator that counts the doubles drawn through it."""
+    """A bit generator that counts the words drawn through it."""
 
-    def __init__(self, rng, drawn):
-        self.rng, self.drawn = rng, drawn
+    def __init__(self, bits, drawn):
+        self.bits, self.drawn = bits, drawn
 
-    def random(self, *args, **kwargs):
-        draws = self.rng.random(*args, **kwargs)
-        self.drawn.append(draws.size)
-        return draws
+    def random_raw(self, *args, **kwargs):
+        words = self.bits.random_raw(*args, **kwargs)
+        self.drawn.append(words.size)
+        return words
 
 
 def test_passes_cover_every_sampled_model():
@@ -189,8 +214,8 @@ def test_each_op_draws_every_row_once(op, model, monkeypatch):
     # n draws a pass per ensemble, whatever the op does with the rows:
     # writing records and tallying them share one pass
     drawn = []
-    real = RandomStream.generator
-    monkeypatch.setattr(RandomStream, "generator", lambda self, *args: _Counting(real(self, *args), drawn))
+    real = RandomStream.bits
+    monkeypatch.setattr(RandomStream, "bits", lambda self, *args: _Counting(real(self, *args), drawn))
     argv, ensembles = DRAW_OPS[op]
     argv = [arg.format(model) for arg in argv] + ["--n", str(DRAW_N), "--seed", "3", "--out", os.devnull]
     assert cli.main(argv) in (0, 1, 4)

@@ -426,7 +426,7 @@ def test_bad_output_targets_exit_2_before_any_draw(tmp_path, monkeypatch, argv, 
     (tmp_path / "file").write_text("")
     path = target.format(tmp=tmp_path)
     generators = []
-    monkeypatch.setattr(RandomStream, "generator", lambda *args: generators.append(args))
+    monkeypatch.setattr(RandomStream, "bits", lambda *args: generators.append(args))
     rc, out, err = main_in_process(*argv, path)
     assert (rc, out, generators) == (2, "", [])
     assert err.startswith(f"error: {argv[-1]} {path!r} ") and len(err.splitlines()) == 1
@@ -457,7 +457,7 @@ def test_targets_that_are_one_file_exit_2_before_any_draw(tmp_path, monkeypatch,
     (tmp_path / "F").write_text(config)
     (tmp_path / "L").symlink_to(tmp_path / "F")
     generators = []
-    monkeypatch.setattr(RandomStream, "generator", lambda *args: generators.append(args))
+    monkeypatch.setattr(RandomStream, "bits", lambda *args: generators.append(args))
     rc, out, err = main_in_process(*(arg.format(tmp=tmp_path) for arg in argv))
     assert (rc, out, generators) == (2, "", [])
     assert err == f"error: {named.format(tmp=tmp_path)} are one file\n"
@@ -699,6 +699,27 @@ def test_records_and_out_to_piped_stdout(tmp_path):
     assert strip_meta(json.loads(out.stdout)) == strip_meta(payload_of(run_cli(*table)))
 
 
+@pytest.mark.parametrize("mode", ["wb", "ab"], ids=["truncated", "appended"])
+@pytest.mark.parametrize("out", [(), ("--out", "/dev/stdout")], ids=["stdout", "out-stdout"])
+def test_records_to_stdout_on_a_regular_file(tmp_path, out, mode):
+    # /dev/stdout on a file the shell opened (> F, >> F) is written at the
+    # shell's offset, so the payload follows the records instead of overwriting them
+    args = ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "100",
+            "--records-limit", "0")
+    path = tmp_path / "recs.jsonl"
+    to_file = run_cli(*args, "--records", str(path))
+    head = "kept\n" if mode == "ab" else ""
+    (tmp_path / "F").write_text(head)
+    with open(tmp_path / "F", mode) as stdout:
+        proc = subprocess.run([sys.executable, "-m", "retrolab", *args, "--records", "/dev/stdout", *out],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    records_text, text = path.read_text(), (tmp_path / "F").read_text()
+    assert len(records_text.splitlines()) == 100
+    assert text.startswith(head + records_text)
+    assert strip_meta(json.loads(text[len(head + records_text):])) == strip_meta(payload_of(to_file))
+
+
 # commands that compute closed forms only, and commands that sample rows
 ANALYTIC_COMMANDS = {
     "table": ("table", "--model", "twobit", "--sigma-l", "0.3", "--sigma-r", "1.2"),
@@ -710,6 +731,8 @@ ANALYTIC_COMMANDS = {
 SAMPLING_COMMANDS = {
     "run": ("run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "1000"),
     "audit": ("audit", "twobit", "0", "0.5", "--n", "10000"),
+    "records": ("run", "--model", "qm-discrete", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "1000",
+                "--records", os.devnull, "--records-limit", "0"),
 }
 
 
@@ -840,11 +863,11 @@ def test_the_entry_keeps_an_openssl_already_loaded():
     assert loaded.startswith("<module '_hashlib' from ")
 
 
-# what a draw needs of numpy.random 2.4: Philox and Generator, and the modules
-# they import; numpy.random's __init__ would add the legacy RandomState's
-# mtrand, the MT19937 and SFC64 bit generators and _pickle
-DRAW_RANDOM_MODULES = {f"numpy.random.{m}" for m in (
-    "_bounded_integers", "_common", "_generator", "_pcg64", "_philox", "bit_generator")}
+# what a draw needs of numpy.random 2.4: Philox and the modules it imports;
+# Generator would add _generator, _bounded_integers and _pcg64, and
+# numpy.random's __init__ the legacy RandomState's mtrand, the MT19937 and
+# SFC64 bit generators and _pickle
+DRAW_RANDOM_MODULES = {f"numpy.random.{m}" for m in ("_common", "_philox", "bit_generator")}
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
@@ -855,8 +878,8 @@ def test_sampling_commands_load_only_the_numpy_random_modules_of_the_draw(name):
 
 def test_the_entry_keeps_a_numpy_random_already_imported():
     loaded = at_exit(SAMPLING_COMMANDS["audit"], before="import numpy.random\n")[1]
-    assert DRAW_RANDOM_MODULES | {"numpy.random.mtrand", "numpy.random._mt19937",
-                                  "numpy.random._sfc64", "numpy.random._pickle"} <= loaded
+    assert DRAW_RANDOM_MODULES | {f"numpy.random.{m}" for m in (
+        "_generator", "_bounded_integers", "_pcg64", "mtrand", "_mt19937", "_sfc64", "_pickle")} <= loaded
 
 
 # runs an audit through cli.main in process, then imports hashlib and prints
@@ -904,10 +927,10 @@ class _Sampled(Exception):
 
 
 class _FirstDraw:
-    """A generator whose first draw raises :class:`_Sampled` with the run
+    """A bit generator whose first draw raises :class:`_Sampled` with the run
     count of the sampler's draw that asked for it."""
 
-    def random(self, out):
+    def random_raw(self, size):
         raise _Sampled(sys._getframe(1).f_locals["n"])
 
 
@@ -920,7 +943,7 @@ class _FirstDraw:
 def test_ensemble_beyond_physical_memory_is_sampled(args, monkeypatch):
     # no command holds a row's worth of memory, so none refuses an n for it:
     # 10^15 rows get as far as drawing their first block
-    monkeypatch.setattr(RandomStream, "generator", lambda self, position=0: _FirstDraw())
+    monkeypatch.setattr(RandomStream, "bits", lambda self, position=0: _FirstDraw())
     with pytest.raises(_Sampled, match=str(10**15)):
         cli.main([*args, "--n", str(10**15), "--out", os.devnull])
 

@@ -39,7 +39,7 @@ AUDIT_N = "10000"  # the audit's floor
 RUN_N = "200"  # every row also goes to the records file
 # twelve full sampling blocks of 2**14 and 3,395 rows of a thirteenth, so a
 # slip at a block boundary shows in the counts; 200,003 is 3 mod 4, so a
-# two-pass sampler's outcome generator starts 3 draws into a Philox block
+# two-pass sampler's outcome pass starts 3 words into a Philox block
 MULTIBLOCK_N = "200003"
 # settings within a few ulps of ANGLE_TOL of equal and of orthogonal, and a
 # quarter-turn alternative setting whose labels round differently at 9 decimals

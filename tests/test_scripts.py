@@ -106,17 +106,17 @@ class _Sampled(Exception):
 
 
 class _FirstDraw:
-    """A generator whose first draw raises :class:`_Sampled` with the run
+    """A bit generator whose first draw raises :class:`_Sampled` with the run
     count of the sampler's draw that asked for it."""
 
-    def random(self, out):
+    def random_raw(self, size):
         raise _Sampled(sys._getframe(1).f_locals["n"])
 
 
 def test_symmetry_grid_samples_n_beyond_memory(monkeypatch):
     # an audit holds no row's worth of memory, so the grid refuses no n for
     # it: 10^14 rows a side get as far as drawing their first block
-    monkeypatch.setattr(RandomStream, "generator", lambda self, position=0: _FirstDraw())
+    monkeypatch.setattr(RandomStream, "bits", lambda self, position=0: _FirstDraw())
     with pytest.raises(_Sampled, match=str(10**14)):
         run_script("symmetry_grid.py", "--points", "2", "--n", str(10**14))
 

@@ -69,7 +69,7 @@ def test_largest_stream_key_is_accepted():
 # the first draws, either side of a sampling block, the golden multiblock
 # run count (3 mod 4, so an outcome pass starts mid-way through a Philox
 # block) and past 2^20
-_POSITIONS = [*range(9), CHUNK_ROWS - 1, CHUNK_ROWS + 1, 200_003, 2**20 + 3]
+_POSITIONS = [*range(10), CHUNK_ROWS - 1, CHUNK_ROWS + 1, 200_003, 2**20 + 3]
 
 
 @pytest.mark.parametrize("seed, stream_id", [(0, 0), (2**64 - 1, 0), (0, 2**64 - 2)])
@@ -79,12 +79,18 @@ def test_a_placed_generator_continues_one_draw(seed, stream_id, position):
     want = stream.generator().random(position + 9)[position:]
     assert stream.generator(position).random(9).tobytes() == want.tobytes()
     assert stream.generator(np.int64(position)).random(9).tobytes() == want.tobytes()
+    # the placed bit generator's words are the generator's draws, times 2^53
+    for placed in (position, np.int64(position)):
+        words = stream.bits(placed).random_raw(9) >> np.uint64(11)
+        assert (words * 2.0**-53).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("position", [-1, -(2**70), 2.5, 2.0, "2", None, np.float64(1.0)])
 def test_a_generator_position_is_an_integer_of_at_least_0(position):
     with pytest.raises(ValueError, match="position"):
         RandomStream(1).generator(position)
+    with pytest.raises(ValueError, match="position"):
+        RandomStream(1).bits(position)
 
 
 def test_tv_distance_pins():
