@@ -3,8 +3,11 @@
 Every sampled model's records are drawn here, block by block from the
 closed forms of :mod:`photon` and :mod:`hvmodels`: one uint8 code
 ``2*in + out`` per run over a table of at most four rows
-(:func:`channel_table`).  An ensemble replays its stream at each pass
-instead of storing codes, so no path holds memory that grows with n.
+(:func:`channel_table`).  Each sampler states a plan, one pass over the
+stream per draw of a run, and one step runs every pass (:func:`_step`):
+for each code so far, integer cuts on the 53-bit word and a label per
+interval.  An ensemble replays its stream at each pass instead of storing
+codes, so no path holds memory that grows with n.
 
 Reversal swaps the two ends of a record: settings, channels, and leg
 polarizations trade places.  A model family is time-symmetric when the
@@ -34,6 +37,7 @@ flagged ``convention_dependent``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple
 
@@ -161,10 +165,8 @@ def _alignment_profile(slot_counts: np.ndarray, n: int) -> dict[str, float]:
 def channel_table(**columns) -> dict[str, np.ndarray]:
     """Table over the four codes ``2*in + out`` that the samplers write: both
     channel columns, plus ``columns`` given as one value per code."""
-    table = {
-        "in_channel": np.array([0, 0, 1, 1], dtype=np.int8),
-        "out_channel": np.array([0, 1, 0, 1], dtype=np.int8),
-    }
+    table = dict(in_channel=np.array([0, 0, 1, 1], dtype=np.int8),
+                 out_channel=np.array([0, 1, 0, 1], dtype=np.int8))
     return table | {field: np.array(values) for field, values in columns.items()}
 
 
@@ -182,34 +184,62 @@ def _threshold(p: float) -> int:
     return min(max(math.ceil(p * 2.0**53), 0), 1 << 53)
 
 
-def _entry(codes: np.ndarray, words: np.ndarray) -> None:
-    np.less(words, 1 << 52, out=codes)  # even input channels: 1 below one half
+def _layout(pass_) -> tuple[list[int], list[int], bytes | None]:
+    """A pass as :func:`_step` runs it.  ``pass_[c]`` is code c's integer cuts
+    in ascending order and one label per interval; the layout is the union
+    of the cuts, sorted, the label of code c with its word in the union's
+    interval j, at ``c * (len(union) + 1) + j``, and those labels as a
+    ``bytes.translate`` table, None for a pass of one code."""
+    union = sorted({k for cuts, _ in pass_ for k in cuts})
+    labels = [row[bisect.bisect_right(cuts, k)] for cuts, row in pass_ for k in (-1, *union)]
+    return union, labels, None if len(pass_) == 1 else bytes(labels).ljust(256, b"\xff")
 
 
-def _sampled(model: str, sigma_l: float, sigma_r: float, table: dict, n, stream, *passes) -> Ensemble:
-    """Ensemble of ``n`` runs over ``table``, drawn :data:`CHUNK_ROWS` runs at
-    a time: pass k reads words k*n to (k+1)*n - 1 of ``stream``, shifted to
-    53 bits, and updates one reused uint8 block as ``step(codes, words)``."""
+def _step(codes: np.ndarray, words: np.ndarray, layout: tuple) -> None:
+    """Replace each code c by the label of the interval of its 53-bit word
+    among its cuts, in place, for a pass laid out by :func:`_layout`.  A
+    pass of one code reads no codes."""
+    union, labels, table = layout
+    if table is None:  # the first interval's label, plus each cut's change of label
+        codes.fill(labels[0])
+        for k, below, above in zip(union, labels, labels[1:]):
+            codes += (words >= k).view(np.uint8) * ((above - below) % 256)
+        return
+    codes *= len(union) + 1
+    for k in union:
+        codes += words >= k
+    codes[:] = np.frombuffer(codes.tobytes().translate(table), np.uint8)
+
+
+def _sampled(model: str, sigma_l: float, sigma_r: float, table: dict, n, stream, plan) -> Ensemble:
+    """Ensemble of ``n`` runs over ``table``, drawn :data:`CHUNK_ROWS` runs at a
+    time: pass k of ``plan`` gives each code so far its cuts, probabilities in
+    ascending order made :func:`_threshold` once, and a label per interval,
+    and steps one uint8 block (:func:`_step`) by words k*n to (k+1)*n - 1 of ``stream``."""
     n = _run_count(n)
+    passes = [_layout([(list(map(_threshold, cuts)), labels) for cuts, labels in pass_]) for pass_ in plan]
 
     def draw():
         streams = [stream.bits(k * n) for k in range(len(passes))]
         codes = np.empty(min(n, CHUNK_ROWS), dtype=np.uint8)
         for start in range(0, n, len(codes)):
             size = min(len(codes), n - start)
-            for bits, step in zip(streams, passes):
+            for bits, layout in zip(streams, passes):
                 words = bits.random_raw(size)
                 words >>= 11  # the word k that Generator.random() gives as k * 2^-53
-                step(codes[:size], words)
+                _step(codes[:size], words, layout)
                 del words  # released before the next pass draws its own
             yield codes[:size]
 
     return Ensemble(model, normalize_angle(sigma_l), normalize_angle(sigma_r), table, n, draw)
 
 
-def simulate_ensemble(
-    spec: ModelSpec, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
-) -> Ensemble:
+# the first pass of a two-pass plan: even input channels, 1 below one half
+_ENTRY = (((0.5,), (1, 0)),)
+
+
+def simulate_ensemble(spec: ModelSpec, sigma_l: float, sigma_r: float, n: int,
+                      stream: RandomStream) -> Ensemble:
     """n independent source-to-detector runs of ``spec.model``, dictionary-encoded.
 
     Input channels are even: each run enters on channel 1 with probability
@@ -218,77 +248,46 @@ def simulate_ensemble(
     ensemble keeps depends on ``spec.ontology``: discrete-symmetric runs
     keep channels and both leg polarizations, collapse runs keep no
     return-leg beable, and no-collapse runs keep the channel-1 branch weight
-    in place of an outcome.
-    The first n draws of the stream pick the input channels, the next n the
-    outcomes, into one uint8 code per run, ``2*in + out`` (``in`` for
-    no-collapse runs), over a table of the angles and weights each pins.
+    in place of an outcome, and draw only the entry pass.
     """
-    sl = normalize_angle(sigma_l)
-    sr = normalize_angle(sigma_r)
+    sl, sr = normalize_angle(sigma_l), normalize_angle(sigma_r)
     t1, t0 = sl, normalize_angle(sl + HALF_PI)
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
     joint = spec.joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
-    p1 = np.array([2.0 * joint.p01, 2.0 * joint.p11])
-    k0, k1 = (_threshold(p) for p in p1.tolist())
-
-    def outcome(block, words):
-        entry_1 = block.view(np.bool_)  # the codes still hold the entry channel
-        # a draw below p1[entry] without gathering a threshold per row
-        out = words < k1
-        out &= entry_1
-        out |= (words < k0) & ~entry_1
-        block *= 2
-        block += out
-
+    p1 = [2.0 * joint.p01, 2.0 * joint.p11]
     if not spec.ontology.discrete_outputs:
-        table = dict(in_channel=np.array([0, 1], dtype=np.int8), tau_l=np.array([t0, t1]), weight_1=p1)
-        return _sampled(spec.model, sl, sr, table, n, stream, _entry)
+        table = dict(in_channel=np.array([0, 1], dtype=np.int8), tau_l=np.array([t0, t1]),
+                     weight_1=np.array(p1))
+        return _sampled(spec.model, sl, sr, table, n, stream, (_ENTRY,))
     table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
     if not spec.ontology.time_symmetric:
         del table["tau_r"]  # a collapse run keeps no return-leg beable
-    return _sampled(spec.model, sl, sr, table, n, stream, _entry, outcome)
+    exits = tuple(((p,), (2 * c + 1, 2 * c)) for c, p in enumerate(p1))  # code 2*in + out
+    return _sampled(spec.model, sl, sr, table, n, stream, (_ENTRY, exits))
 
 
-def simulate_twobit_ensemble(
-    spec: ModelSpec, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
-) -> Ensemble:
-    """n independent draws of ``spec.joint``'s bit pair as records of ``spec.model``.
-
-    Draw u picks the pair whose cumulative interval holds it.  The pair's
-    code ``2*past + future`` counts the cumulative bounds c0 <= c1 <= c2 at
-    or below u; it is written to one uint8 code per run, block by block.
-    """
-    k0, k1, k2 = (_threshold(c) for c in np.cumsum(spec.joint(sigma_l, sigma_r))[:3].tolist())
-
-    def pair(block, words):
-        np.greater_equal(words, k0, out=block)
-        block += words >= k1
-        block += words >= k2
-
-    return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, pair)
+def simulate_twobit_ensemble(spec: ModelSpec, sigma_l: float, sigma_r: float, n: int,
+                             stream: RandomStream) -> Ensemble:
+    """n independent draws of ``spec.joint``'s bit pair as records of
+    ``spec.model``: one pass, the pair ``2*past + future`` whose cumulative
+    interval holds the word."""
+    p00, p01, p10, _ = spec.joint(sigma_l, sigma_r)
+    plan = ((((p00, p00 + p01, p00 + p01 + p10), (0, 1, 2, 3)),),)
+    return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, plan)
 
 
-def simulate_onebit_ensemble(
-    spec: ModelSpec, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
-) -> Ensemble:
-    """Even input channel plus an independent parity draw per run of ``spec.model``.
-
-    The first n draws pick the input channels, the next n whether the exit
-    channel repeats it, as often as ``spec.joint`` matches; the exit channel
-    flips the input where it does not.
-    """
-    k_repeat = _threshold(spec.joint(sigma_l, sigma_r).p_match)
-
-    def parity(block, words):
-        block *= 3  # 2*in + in: the exit repeats the entry...
-        block ^= words >= k_repeat  # ...unless this draw flips the low bit
-
-    return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, _entry, parity)
+def simulate_onebit_ensemble(spec: ModelSpec, sigma_l: float, sigma_r: float, n: int,
+                             stream: RandomStream) -> Ensemble:
+    """Even input channel c plus an independent parity draw per run of
+    ``spec.model``: the exit repeats c, code ``3*c``, as often as
+    ``spec.joint`` matches, and flips it, ``3*c ^ 1``, otherwise."""
+    p_match = spec.joint(sigma_l, sigma_r).p_match
+    plan = _ENTRY, tuple(((p_match,), (3 * c, 3 * c ^ 1)) for c in (0, 1))
+    return _sampled(spec.model, sigma_l, sigma_r, channel_table(), n, stream, plan)
 
 
-def generate_ensemble(
-    model: str, sigma_l: float, sigma_r: float, n: int, stream: RandomStream
-) -> Ensemble:
+def generate_ensemble(model: str, sigma_l: float, sigma_r: float, n: int,
+                      stream: RandomStream) -> Ensemble:
     """Its sampler's forward ensemble for ``model``'s registry entry, not yet
     drawn; ValueError when ``n`` is no integer of at least 1.  The sampler is
     looked up on this module at each call, so a patched one is what runs."""

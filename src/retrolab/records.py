@@ -171,45 +171,45 @@ def atomic_open(path):
 
     The handle writes to a temporary file beside ``path``, so the final
     ``os.replace`` is a rename within one file system; on any error the
-    temporary file is removed and ``path`` is left as it was; an OSError of
-    creating or renaming the temporary file names ``path``.  A replaced
-    file keeps its permission bits; as with any rename, hard links to it keep
-    the old content.  A symlink is followed, as by ``open(path, "wb")``.
+    temporary file is removed and ``path`` is left as it was.  Any OSError
+    of opening, writing, flushing, closing or renaming names ``path``.  A
+    replaced file keeps its permission bits; as with any rename, hard links
+    to it keep the old content.  A symlink is followed, as by ``open(path, "wb")``.
     ``path`` is written in place, as by ``open(path, "wb")``, when it names a
     descriptor (see :func:`_written_in_place`) or when its directory takes
     no new file but the file itself exists; a path that reaches one of this
     process's own descriptors (:func:`_own_descriptor`) is written through a
     duplicate of it instead, at its offset and with its ``O_APPEND``.
     """
-    if _written_in_place(path):
-        fd = _own_descriptor(path)
-        with open(path, "wb") if fd is None else os.fdopen(os.dup(fd), "wb") as fh:
-            yield fh
-        return
-    target = os.path.realpath(path)
-    head, tail = os.path.split(target)
-    tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
     try:
-        fh = open(tmp, "xb")
-    except OSError as err:
-        if not (isinstance(err, PermissionError) and os.path.isfile(target)):
-            raise OSError(err.errno, err.strerror, os.fspath(path)) from err  # the caller's name
-        with open(target, "wb") as fh:
-            yield fh
-        return
-    try:
-        with fh:
-            with contextlib.suppress(FileNotFoundError):
-                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
-            yield fh
+        if _written_in_place(path):
+            fd = _own_descriptor(path)
+            with open(path, "wb") if fd is None else os.fdopen(os.dup(fd), "wb") as fh:
+                yield fh
+            return
+        target = os.path.realpath(path)
+        head, tail = os.path.split(target)
+        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
         try:
+            fh = open(tmp, "xb")
+        except PermissionError:
+            if not os.path.isfile(target):
+                raise
+            with open(target, "wb") as fh:
+                yield fh
+            return
+        try:
+            with fh:
+                with contextlib.suppress(FileNotFoundError):
+                    os.chmod(fh.fileno(), stat.S_IMODE(os.stat(target).st_mode))
+                yield fh
             os.replace(tmp, target)
-        except OSError as err:
-            raise OSError(err.errno, err.strerror, os.fspath(path)) from err
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+            raise
+    except OSError as err:  # a write's error names no file, a temporary file's the wrong one
+        raise OSError(err.errno, err.strerror, os.fspath(path)) from err
 
 
 def write_records_jsonl(path, ensemble: Ensemble, limit=None) -> int:

@@ -9,10 +9,12 @@ ones replaced, and a count over many blocks must equal a count over one.
 Nor may any command's memory grow with n, or exceed a fixed block allowance.
 """
 
+import collections
 import gc
 import math
 import os
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -175,6 +177,75 @@ def test_a_word_threshold_decides_as_the_draw_does(p, offset, word):
     assert (k < threshold) == (k * 2.0**-53 < p)
     # as the samplers compare: a uint64 array against the Python int
     assert bool((np.array([k], dtype=np.uint64) < threshold)[0]) == (k * 2.0**-53 < p)
+
+
+# cuts where a label is decided: the ends, one half, the last word and any
+_CUTS = st.one_of(st.sampled_from([0, 1, 1 << 52, _WORDS - 1, _WORDS]), st.integers(0, _WORDS))
+
+
+@st.composite
+def _passes(draw):
+    """A pass of 1-3 codes so far, each with 0-3 sorted cuts and a label below 4 per interval."""
+    entries = []
+    for _ in range(draw(st.integers(1, 3))):
+        cuts = tuple(sorted(draw(st.lists(_CUTS, max_size=3))))
+        entries.append((cuts, tuple(draw(st.lists(st.integers(0, 3), min_size=len(cuts) + 1,
+                                                   max_size=len(cuts) + 1)))))
+    return tuple(entries)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_passes(), st.lists(st.integers(0, _WORDS - 1), max_size=8), st.data())
+def test_one_step_labels_every_word_as_a_per_run_loop_does(pass_, extra, data):
+    # each cut's K - 1, K and K + 1, the last word and random words
+    words = [min(max(k + d, 0), _WORDS - 1) for cuts, _ in pass_ for k in cuts for d in (-1, 0, 1)]
+    words += [_WORDS - 1, *extra]
+    so_far = data.draw(st.lists(st.integers(0, len(pass_) - 1), min_size=len(words), max_size=len(words)))
+    codes = np.array(so_far, dtype=np.uint8)
+    audit._step(codes, np.array(words, dtype=np.uint64), audit._layout(pass_))
+    want = []
+    for c, word in zip(so_far, words):
+        cuts, labels = pass_[c]
+        want.append(labels[sum(word >= k for k in cuts)])
+    assert codes.tolist() == want
+
+
+def _plan_and_table(model, sigma_l, sigma_r):
+    """The plan and the table that ``model``'s sampler hands to ``audit._sampled``."""
+    spec = REGISTRY[model]
+    with mock.patch.object(audit, "_sampled", lambda *args: args):
+        args = getattr(audit, spec.sampler)(spec, sigma_l, sigma_r, 10, RandomStream(0))
+    return args[6], args[3]
+
+
+# generic pairs, equal and orthogonal settings, and the two pairs either
+# side of the degeneracy edge at ANGLE_TOL from orthogonal
+_PLAN_PAIRS = [(0.0, PI / 6), (0.3, 1.2), (0.0, 0.0), (0.0, PI / 2),
+               (0.0, 1.5707963257948967), (0.0, 1.5707963277948966)]
+
+
+@pytest.mark.parametrize("sigma_l, sigma_r", _PLAN_PAIRS)
+@pytest.mark.parametrize("model", model_ids(stochastic=True))
+def test_each_plan_draws_its_joint_exactly(model, sigma_l, sigma_r):
+    # a row's probability is the product over passes of its words' interval
+    # widths at the thresholds the draw compares, over 2^53
+    plan, table = _plan_and_table(model, sigma_l, sigma_r)
+    rows = {0: Fraction(1)}
+    for pass_ in plan:
+        after = collections.defaultdict(Fraction)
+        for code, p in rows.items():
+            cuts, labels = pass_[code if len(pass_) > 1 else 0]
+            bounds = [0, *map(audit._threshold, cuts), _WORDS]
+            for label, low, high in zip(labels, bounds, bounds[1:]):
+                after[label] += p * Fraction(high - low, _WORDS)
+        rows = after
+    entry, exit_ = table["in_channel"].tolist(), table.get("out_channel")
+    assert sum(rows.values()) == 1 and set(rows) <= set(range(len(entry)))
+    joint = REGISTRY[model].joint(sigma_l, sigma_r)
+    for row, p in rows.items():
+        # even entries for branch weights, which draw no exit
+        want = Fraction(1, 2) if exit_ is None else Fraction(joint[2 * entry[row] + int(exit_[row])])
+        assert abs(p - want) <= Fraction(1, 2**52), (row, float(p - want))
 
 
 # passes over the stream per ensemble: a second pass draws the outcomes

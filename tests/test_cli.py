@@ -1,6 +1,7 @@
 """End-to-end command-line checks, exit codes included."""
 
 import contextlib
+import errno
 import functools
 import importlib
 import io
@@ -584,6 +585,34 @@ def test_failed_stdout_exits_3():
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("write failed: ")
 
 
+# writes that fail after the target opened: a full device takes no byte
+FULL_TARGETS = {
+    "out": [*_TABLE, "--out", "/dev/full"],
+    "records": ["run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "100",
+                "--records", "/dev/full"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", FULL_TARGETS.values(), ids=list(FULL_TARGETS))
+def test_a_failed_write_names_its_target(argv):
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"write failed: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: '/dev/full'\n"
+
+
+def test_a_write_to_stdin_names_it_and_leaves_its_file(tmp_path):
+    # /dev/stdin reaches this process's descriptor 0, open for reading only
+    path = tmp_path / "F"
+    path.write_text("kept\n")
+    with open(path, "rb") as stdin:
+        proc = subprocess.run([sys.executable, "-m", "retrolab", *_TABLE, "--out", "/dev/stdin"],
+                              stdin=stdin, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"write failed: [Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '/dev/stdin'\n"
+    assert path.read_text() == "kept\n"
+
+
 def test_version_and_usage_errors_keep_their_output_and_exit_codes():
     version = run_cli("--version")
     assert (version.returncode, version.stdout, version.stderr) == (0, f"retrolab {__version__}\n", "")
@@ -795,14 +824,19 @@ def imported_by_argparse_and_json() -> frozenset[str]:
 START_UP_EXTRAS = {"__future__", "cmath", "runpy", "importlib.machinery", "locale", "_locale"}
 
 
-@pytest.mark.parametrize("name", ["table", "retro", "version"])
+# what a command loads beyond the start-up modules: the control games need
+# their module and the optics it checks them against
+START_UP_EXTRAS_OF = {"version": {"textwrap"}, "game-left": {"retrolab.games", "retrolab.optics"},
+                      "game-right": {"retrolab.games", "retrolab.optics"}}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYTIC_COMMANDS))
 def test_closed_form_commands_import_exactly_the_start_up_modules(name):
     # any module added to the start-up path, a standard one included, costs
     # every short command its import
     loaded = imported(*ANALYTIC_COMMANDS[name]) - imported_by_argparse_and_json()
-    assert loaded == {"retrolab", "retrolab.cli", "retrolab.core", "retrolab.hvmodels",
-                      "retrolab.photon", "retrolab.stats"} | START_UP_EXTRAS | (
-                          {"textwrap"} if name == "version" else set())
+    assert loaded == {"retrolab", "retrolab.cli", "retrolab.core", "retrolab.hvmodels", "retrolab.photon",
+                      "retrolab.stats"} | START_UP_EXTRAS | START_UP_EXTRAS_OF.get(name, set())
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLING_COMMANDS))
