@@ -15,7 +15,9 @@ checkout gets every final result line, the order of the runs, each side's
 summed ``failed`` and ``attempted`` operations, its number of runs that
 printed no result line and, per metric, each side's
 median and quartiles, the number of pairs the change wins, whether the
-runs spread too widely to tell and whether the change shows a gain;
+runs spread too widely to tell, whether the change shows a gain and whether
+its median is worse than the base's by more than the metric's bound (each
+such metric also gets a line on stderr);
 ``BENCHMARK.json`` says whether lower or higher is better and bounds each
 metric, and a tie counts for neither side.
 Each result line also keeps every op's peak RSS from the run's details
@@ -102,7 +104,9 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
     every run of the change reads better than every run of the base.  A
     metric shows a ``gain`` when the change wins at least nine tenths of its
     pairs and its median is better than the base's by more than the base's
-    interquartile range.
+    interquartile range.  A metric is ``worse_than_bound`` when the change's
+    median is worse than the base's by more than ``bound`` times the base's
+    median, the rule by which a change is refused.
     """
     out = {key: {side: sum(run[key] for run in runs if key in run)
                  for side, runs in (("base", base), ("change", change))}
@@ -137,6 +141,7 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
         out[name]["pairs"] = len(values)
         out[name]["unresolved"] = wide and not apart
         out[name]["gain"] = 10 * wins >= 9 * len(values) and gained > base_q3 - base_q1
+        out[name]["worse_than_bound"] = -gained > metric["bound"] * abs(out[name]["base_median"])
     ops = []
     for side, runs in (("base", base), ("change", change)):
         for run in runs:
@@ -185,6 +190,11 @@ def main() -> None:
                         run["order"].append(f"pair {k}: {side}")
                         run[side].append(run_once(trees[side], workload, seed, args.seconds))
                 run["summary"] = summarize(run["base"], run["change"], metrics)
+                for name, metric in run["summary"].items():
+                    if name in metrics and metric["worse_than_bound"]:
+                        print(f"{key}: {name} median {metric['base_median']:g} -> "
+                              f"{metric['change_median']:g}, worse by more than its bound "
+                              f"{metrics[name]['bound']:g}", file=sys.stderr, flush=True)
 
     bench = {
         "number": args.number,

@@ -2,7 +2,7 @@ import os
 import sys
 from importlib.machinery import PathFinder
 
-from .cli import main
+from .cli import _say, main
 
 
 class _BareRandom:
@@ -23,27 +23,31 @@ class _BareRandom:
 
 def run() -> None:
     """Run the CLI, as ``python -m retrolab`` and the ``retrolab`` script do,
-    without OpenSSL, with a bare ``numpy.random`` (an in-process
-    ``cli.main`` keeps both) and without interpreter teardown.
+    without OpenSSL, with a bare ``numpy.random``, with one OpenBLAS thread
+    unless the user set a count (an in-process ``cli.main`` makes none of
+    these process-wide settings) and without interpreter teardown.
 
     A ``SystemExit`` gives its integer code.  stdout and stderr are flushed
-    first; a failed stdout flush exits 3 with ``write failed: ...``.
+    first, unless closed; a failed stdout flush exits 3 with ``write failed: ...``.
     """
     # numpy.random's hashlib would map libcrypto (3.3 MB); no command hashes
     sys.modules.setdefault("_hashlib", None)
     if "numpy.random" not in sys.modules:
         sys.meta_path.insert(0, _BareRandom)
+    # no retrolab path calls BLAS, so its thread pool would only add start-up time
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         rc = main()
     except SystemExit as stop:
         rc = stop.code or 0
     try:
-        sys.stdout.flush()
+        if sys.stdout is not None:  # None when started with descriptor 1 closed
+            sys.stdout.flush()
     except OSError as err:
-        print(f"write failed: {err}", file=sys.stderr)
-        rc = 3
+        rc = _say(f"write failed: {err}", 3)
     try:
-        sys.stderr.flush()
+        if sys.stderr is not None:
+            sys.stderr.flush()
     finally:
         os._exit(rc)
 

@@ -75,10 +75,6 @@ def _require(args, *keys: str) -> None:
             raise UsageError(f"missing required option: {key.replace('_', '-')}")
 
 
-def _angle(value: float, degrees: bool) -> float:
-    return math.radians(value) if degrees else value
-
-
 def _resolved(args, **fields) -> dict:
     """The resolved configuration a payload embeds."""
     return {"tool": "retrolab", "version": __version__, "command": args.cmd, **fields}
@@ -86,6 +82,8 @@ def _resolved(args, **fields) -> dict:
 
 def _emit(text: str, out: str | None) -> None:
     if out is None:
+        if sys.stdout is None:  # started with descriptor 1 closed
+            raise OSError("standard output is closed")
         sys.stdout.write(text)
     else:
         from .records import atomic_open
@@ -114,13 +112,11 @@ def _control_mod_json(value):
 
 
 def _sampler():
-    """The ``audit`` module, loading numpy with one OpenBLAS thread.
+    """The ``audit`` module, loading numpy on first use.
 
-    Only the commands that sample rows need numpy, and no retrolab path
-    calls BLAS, so its thread pool would only add start-up time; a thread
-    count the user has set is kept.
+    Only the commands that sample rows need numpy; the process entry
+    (:func:`retrolab.__main__.run`) decides the settings it loads under.
     """
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # records first: audit imports it after numpy, and compiling it there,
     # with no cached bytecode, raises run --records' peak RSS by about 0.17 MB
     from . import records  # noqa: F401
@@ -136,11 +132,9 @@ def _cmd_run(args) -> int:
     _require(args, "model", "sigma_l", "sigma_r")
     if args.records_limit < 0:
         raise UsageError(f"records-limit must be at least 0 (0 = all), got {args.records_limit}")
-    sigma_l = _angle(args.sigma_l, args.degrees)
-    sigma_r = _angle(args.sigma_r, args.degrees)
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
 
-    ensemble = _sampler().generate_ensemble(args.model, sigma_l, sigma_r, args.n, stream)
+    ensemble = _sampler().generate_ensemble(args.model, args.sigma_l, args.sigma_r, args.n, stream)
     if args.records is not None:
         from . import records
 
@@ -150,7 +144,7 @@ def _cmd_run(args) -> int:
     counts = ensemble.channel_counts()
     labels = ("00", "01", "10", "11")
     empirical = {k: counts[i] / ensemble.n for i, k in enumerate(labels)}
-    analytic = hvmodels.channel_joint(args.model, sigma_l, sigma_r).as_dict()
+    analytic = hvmodels.channel_joint(args.model, args.sigma_l, args.sigma_r).as_dict()
     tv = tv_distance(empirical, analytic)
 
     cfg = _resolved(
@@ -191,7 +185,6 @@ def _cmd_run(args) -> int:
 def _cmd_game(args) -> int:
     from . import games  # loaded by this command alone
 
-    setting = _angle(args.setting, args.degrees)
     chosen = [k for k in games.STRATEGY_KINDS if getattr(args, k)]
     if args.side == "left":
         for flag in ("mode", "rho"):
@@ -201,7 +194,7 @@ def _cmd_game(args) -> int:
             raise UsageError(
                 "left side needs exactly one of --discrete / --classical / --superposition"
             )
-        report = games.verify_lena_control(setting, chosen[0])
+        report = games.verify_lena_control(args.setting, chosen[0])
         extra = {"strategy": chosen[0]}
     else:
         if chosen:
@@ -210,10 +203,9 @@ def _cmd_game(args) -> int:
             )
         if args.mode is None:
             raise UsageError("right side needs --mode (discrete, collapse or nocollapse)")
-        # the default is in radians whatever --degrees says; only a given
-        # --rho is read as an angle, and the left side must see it unset
-        rho = math.pi / 6.0 if args.rho is None else _angle(args.rho, args.degrees)
-        report = games.verify_rena_control(setting, rho, OntologyMode(args.mode))
+        # no parser default: the left side must see --rho unset, and π/6 is in radians
+        rho = math.pi / 6.0 if args.rho is None else args.rho
+        report = games.verify_rena_control(args.setting, rho, OntologyMode(args.mode))
         extra = {"mode": args.mode}
 
     cfg = _resolved(args, side=args.side, setting=report.setting, **extra)
@@ -236,10 +228,8 @@ def _cmd_game(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    sigma_a = _angle(args.sigma_a, args.degrees)
-    sigma_b = _angle(args.sigma_b, args.degrees)
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
-    report = _sampler().audit_symmetry(args.model, sigma_a, sigma_b, args.n, stream)
+    report = _sampler().audit_symmetry(args.model, args.sigma_a, args.sigma_b, args.n, stream)
     result = report._asdict() | {"symmetric": report.symmetric}
     config = {key: result.pop(key) for key in ("model", "sigma_a", "sigma_b", "n")}
     cfg = _resolved(args, **config, seed=args.seed)
@@ -251,12 +241,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_retro(args) -> int:
-    report = hvmodels.settings_dependence(
-        args.model,
-        _angle(args.sigma_l, args.degrees),
-        _angle(args.sigma_r, args.degrees),
-        _angle(args.sigma_r_alt, args.degrees),
-    )
+    report = hvmodels.settings_dependence(args.model, args.sigma_l, args.sigma_r, args.sigma_r_alt)
     result = report._asdict()
     config = {key: result.pop(key) for key in ("model", "sigma_l", "sigma_r", "sigma_r_alt")}
     cfg = _resolved(args, **config)
@@ -269,10 +254,8 @@ def _cmd_retro(args) -> int:
 
 def _cmd_table(args) -> int:
     _require(args, "model", "sigma_l", "sigma_r")
-    sigma_l = _angle(args.sigma_l, args.degrees)
-    sigma_r = _angle(args.sigma_r, args.degrees)
-    joint = hvmodels.channel_joint(args.model, sigma_l, sigma_r)
-    cfg = _resolved(args, model=args.model, sigma_l=sigma_l, sigma_r=sigma_r)
+    joint = hvmodels.channel_joint(args.model, args.sigma_l, args.sigma_r)
+    cfg = _resolved(args, model=args.model, sigma_l=args.sigma_l, sigma_r=args.sigma_r)
     result = {"joint": joint.as_dict(), "p_match": joint.p_match}
     _emit_json(args, cfg, result)
     return 0
@@ -409,11 +392,22 @@ def _check_targets(args) -> None:
 def main(argv=None) -> int:
     try:
         args = _parse(argv)
+        if args.degrees:  # every float-typed option is an angle, and none has a float default
+            vars(args).update({k: math.radians(v) for k, v in vars(args).items() if isinstance(v, float)})
         _check_targets(args)
         return args.func(args)
     except UsageError as err:  # UnknownModelError included
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _say(f"error: {err}", 2)
     except OSError as err:
-        print(f"write failed: {err}", file=sys.stderr)
-        return 3
+        return _say(f"write failed: {err}", 3)
+
+
+def _say(line: str, rc: int) -> int:
+    """``rc``, once ``line`` is on stderr if stderr takes it: a message that
+    cannot be printed leaves the exit code as it is."""
+    try:
+        if sys.stderr is not None:  # None when started with descriptor 2 closed
+            sys.stderr.write(line + "\n")
+    except OSError:  # descriptor 2 reused by a file not open for writing
+        pass
+    return rc

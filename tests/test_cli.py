@@ -1,5 +1,6 @@
 """End-to-end command-line checks, exit codes included."""
 
+import argparse
 import contextlib
 import errno
 import functools
@@ -9,6 +10,9 @@ import json
 import math
 import os
 import re
+import shlex
+import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -275,6 +279,49 @@ def test_degrees_flag():
     deg = run_cli("table", "--model", "twobit", "--sigma-l", "30",
                   "--sigma-r", "90", "--degrees")
     assert payload_of(rad)["result"] == payload_of(deg)["result"]
+
+
+# each command with angles in degrees (the floats) and its other arguments
+DEGREE_ARGVS = {
+    "run": ("run", "--model", "qm-discrete", "--sigma-l", 30.0, "--sigma-r", -75.0, "--n", "1000"),
+    "audit": ("audit", "qm-collapse", 10.0, 40.0, "--n", "10000"),
+    "retro": ("retro", "qm-discrete", 0.0, 20.0, 95.0),
+    "table": ("table", "--model", "twobit", "--sigma-l", 30.0, "--sigma-r", 400.0),
+    "game-left": ("game", "left", 40.0, "--discrete"),
+    "game-right-rho": ("game", "right", 40.0, "--mode", "discrete", "--rho", 45.0),
+    "game-right": ("game", "right", 40.0, "--mode", "collapse"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEGREE_ARGVS))
+def test_degrees_give_the_payload_of_their_radians(name):
+    argv = DEGREE_ARGVS[name]
+    rc, out, err = main_in_process(*map(str, argv), "--degrees")
+    radians = main_in_process(*(repr(math.radians(a)) if isinstance(a, float) else a for a in argv))
+    assert (rc, err) == radians[0::2] and rc in (0, 1)
+    assert strip_meta(json.loads(out)) == strip_meta(json.loads(radians[1]))
+    if name == "game-right":  # the default shift is π/6 radians, whatever --degrees says
+        assert json.loads(out)["config"]["rho"] == math.pi / 6
+
+
+def test_degrees_convert_the_config_file_angles(tmp_path):
+    rc, out, _ = with_config(tmp_path, {"sigma_l": 30, "sigma_r": 400.0, "degrees": True},
+                             "table", "--model", "twobit")
+    assert rc == 0
+    radians = main_in_process("table", "--model", "twobit", "--sigma-l", repr(math.radians(30)),
+                              "--sigma-r", repr(math.radians(400)))
+    assert strip_meta(json.loads(out)) == strip_meta(json.loads(radians[1]))
+
+
+def test_every_float_typed_option_is_an_angle_without_a_default():
+    # --degrees converts every float-typed option, so a float that is no
+    # angle, or a float default, would be converted too
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = [a for command in commands.choices.values() for a in command._actions]
+    assert {a.dest for a in actions if a.type is float} == {
+        "sigma_l", "sigma_r", "sigma_a", "sigma_b", "sigma_r_alt", "setting", "rho"}
+    assert not [a.dest for a in actions if isinstance(a.default, float)]
 
 
 def test_table_pin():
@@ -583,6 +630,44 @@ def test_failed_stdout_exits_3():
         )
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("write failed: ")
+
+
+def in_shell(redirect, *args):
+    """``retrolab *args`` run by ``sh`` with ``redirect``: ``>&-`` starts it
+    with stdout closed, ``2>&-`` with stderr closed."""
+    command = shlex.join([sys.executable, "-m", "retrolab", *args])
+    return subprocess.run(["sh", "-c", f"{command} {redirect}"], capture_output=True, text=True)
+
+
+needs_sh = pytest.mark.skipif(shutil.which("sh") is None, reason="needs a POSIX shell")
+
+
+@needs_sh
+@pytest.mark.parametrize("argv", [_TABLE, ["run", *_TABLE[1:], "--n", "10", "--format", "csv"]],
+                         ids=["table", "run-csv"])
+def test_a_payload_for_a_closed_stdout_exits_3(argv):
+    proc = in_shell(">&-", *argv)
+    assert (proc.returncode, proc.stderr) == (3, "write failed: standard output is closed\n")
+
+
+@needs_sh
+def test_a_closed_stdout_that_takes_no_payload_exits_0(tmp_path):
+    proc = in_shell(">&-", *_TABLE, "--out", str(tmp_path / "F"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads((tmp_path / "F").read_text())["result"]["joint"]
+    version = in_shell(">&-", "--version")
+    assert version.returncode == 0, version.stderr
+
+
+@needs_sh
+@pytest.mark.parametrize("argv, rc", [
+    (["run", *_TABLE[1:], "--n", "0"], 2),
+    pytest.param(["audit", "twobit", "0", "0.5", "--n", "10000", "--out", "/dev/full"], 3,
+                 marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
+], ids=["usage-error", "write-failure"])
+def test_a_message_for_a_closed_stderr_keeps_the_exit_code(argv, rc):
+    proc = in_shell("2>&-", *argv)
+    assert (proc.returncode, proc.stdout) == (rc, "")
 
 
 # writes that fail after the target opened: a full device takes no byte
@@ -982,16 +1067,30 @@ def test_ensemble_beyond_physical_memory_is_sampled(args, monkeypatch):
         cli.main([*args, "--n", str(10**15), "--out", os.devnull])
 
 
-# runs a small ``run`` in process, then reports its own thread count and
-# the OpenBLAS thread setting it ended with
+def test_in_process_main_leaves_the_environment_as_it_found_it(monkeypatch):
+    # process-wide settings are the process entry's to make, not a library call's
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    rc, _, err = main_in_process(*SAMPLING_COMMANDS["run"], "--out", os.devnull)
+    assert rc == 0, err
+    assert dict(os.environ) == before
+
+
+# runs retrolab.__main__.run on a small ``run``, with main wrapped to report,
+# once the command is done, its own thread count and the OpenBLAS thread
+# setting it ended with
 _THREADS_AFTER_RUN = """
 import os
-from retrolab import cli
-cli.main(["run", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5", "--n", "10",
-          "--out", os.devnull])
-status = open("/proc/self/status").read().splitlines()
-print(next(line.split()[1] for line in status if line.startswith("Threads:")),
-      os.environ["OPENBLAS_NUM_THREADS"])
+from retrolab import __main__ as entry
+main = entry.main
+def reported():
+    rc = main()
+    status = open("/proc/self/status").read().splitlines()
+    print(next(line.split()[1] for line in status if line.startswith("Threads:")),
+          os.environ["OPENBLAS_NUM_THREADS"])
+    return rc
+entry.main = reported
+entry.run()
 """
 
 
@@ -999,8 +1098,8 @@ def threads_after_run(openblas_threads):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     if openblas_threads is not None:
         env["OPENBLAS_NUM_THREADS"] = openblas_threads
-    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_RUN], env=env,
-                          capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", _THREADS_AFTER_RUN, *SAMPLING_COMMANDS["run"],
+                           "--out", os.devnull], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     threads, setting = proc.stdout.split()
     return int(threads), setting
@@ -1021,3 +1120,65 @@ def test_sampling_commands_keep_a_preset_blas_thread_count():
     threads, setting = threads_after_run("2")
     assert setting == "2"
     assert threads == min(2, os.cpu_count() or 1)
+
+
+# a python -S child that starts each command given (argv lists split at
+# "::") once a round, its stdout on os.devnull, and prints a line per command
+# of its peaks in KiB; os.wait4's ru_maxrss is then the command's own peak,
+# since a started child inherits its starter's high-water mark, and this
+# starter's lies below every command's
+_SPAWNER = """
+import os, sys
+rounds, commands = int(sys.argv[1]), [[]]
+for arg in sys.argv[2:]:
+    if arg == "::":
+        commands.append([])
+    else:
+        commands[-1].append(arg)
+null = [(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)]
+peaks = [[] for _ in commands]
+for _ in range(rounds):
+    for argv, kib in zip(commands, peaks):
+        _, status, usage = os.wait4(os.posix_spawn(argv[0], argv, os.environ, file_actions=null), 0)
+        kib.append(usage.ru_maxrss if os.waitstatus_to_exitcode(status) in (0, 1) else -1)
+for kib in peaks:
+    print(*kib)
+"""
+
+# the references: a bare interpreter for the numpy-free commands, and numpy
+# loaded as the process entry loads it for the sampling ones
+_RSS_REFERENCES = {
+    "pass": ("-c", "pass"),
+    "numpy": ("-c", "import os, sys; os.environ.setdefault('OPENBLAS_NUM_THREADS', '1'); "
+                    "sys.modules['_hashlib'] = None; import numpy"),
+}
+# each command's peak RSS over its reference's, in MB: the median of 11 on
+# CPython 3.11 and numpy 2.4, with retrolab compiled from source (a cached
+# bytecode reads lower), and the reference it is measured against
+PEAK_RSS_EXCESS_MB = {"version": (1.77, "pass"), "table": (1.91, "pass"), "game-left": (2.04, "pass"),
+                      "run": (2.54, "numpy"), "audit": (2.81, "numpy"), "records": (2.96, "numpy")}
+HEAP_LAYOUT_SPREAD_MB = 0.13  # how far one command's peak moves with heap layout alone
+
+
+@functools.lru_cache(maxsize=None)
+def peak_rss_mb() -> dict[str, float]:
+    """The median over 3 rounds of each reference's and each command's peak
+    RSS, in MB."""
+    commands = {**_RSS_REFERENCES, **{name: ("-m", "retrolab", *(ANALYTIC_COMMANDS | SAMPLING_COMMANDS)[name])
+                                      for name in PEAK_RSS_EXCESS_MB}}
+    argv = [arg for command in commands.values() for arg in ("::", sys.executable, *command)][1:]
+    proc = subprocess.run([sys.executable, "-S", "-c", _SPAWNER, "3", *argv],
+                          capture_output=True, text=True, check=True)
+    peaks = [list(map(int, line.split())) for line in proc.stdout.splitlines()]
+    assert all(kib > 0 for line in peaks for kib in line), peaks
+    return {name: statistics.median(kib) / 1024 for name, kib in zip(commands, peaks)}
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB, posix_spawn")
+@pytest.mark.parametrize("name", sorted(PEAK_RSS_EXCESS_MB))
+def test_each_command_holds_its_measured_peak_rss(name):
+    # the bench's 5% bound on peak RSS is about 1.5 MB; this one is a few
+    # tenths, so an import or a buffer that creeps in shows here first
+    excess, reference = PEAK_RSS_EXCESS_MB[name]
+    peaks = peak_rss_mb()
+    assert peaks[name] - peaks[reference] < excess + 3 * HEAP_LAYOUT_SPREAD_MB, peaks

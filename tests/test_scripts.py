@@ -129,14 +129,18 @@ def _result(failed=0, **metrics):
 
 def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
     summarize = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["summarize"]
-    base = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m, setup_s=s, op_ms_p50=p)
-            for w, r, c, m, s, p in zip(
+    base = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m, setup_s=s, op_ms_p50=p,
+                    op_ms_tail=t, slower_s=u)
+            for w, r, c, m, s, p, t, u in zip(
                 (1.0, 2.0, 3.0, 4.0, 5.0), (10, 20, 30, 40, 50), (40, 41, 42, 43, 44),
-                (10, 20, 30, 40, 50), (10, 11, 12, 13, 14), (10, 11, 12, 13, 14))]
-    change = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m, setup_s=s, op_ms_p50=p)
-              for w, r, c, m, s, p in zip(
+                (10, 20, 30, 40, 50), (10, 11, 12, 13, 14), (10, 11, 12, 13, 14),
+                (9, 10, 10, 10, 11), (9, 10, 10, 10, 11))]
+    change = [_result(wall_s=w, rows_per_s=r, cpu_s=c, peak_rss_mb=m, setup_s=s, op_ms_p50=p,
+                      op_ms_tail=t, slower_s=u)
+              for w, r, c, m, s, p, t, u in zip(
                   (0.5, 2.0, 3.5, 3.0, 4.0), (11, 20, 29, 41, 50), (38, 39, 40, 41, 42),
-                  (1, 2, 3, 4, 5), (5, 6, 7, 8, 9), (5, 6, 7, 8, 15))]
+                  (1, 2, 3, 4, 5), (5, 6, 7, 8, 9), (5, 6, 7, 8, 15),
+                  (12, 13, 13, 13, 14), (11, 12, 12, 12, 13))]
     # a pair in which one run printed no result line counts for neither side's
     # metrics, but its other run's operations still count
     base.append({"error": "exit 1: boom"})
@@ -151,7 +155,8 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
                           {"argv": "table", "rss_mb": table_mb}]
     bounds = {"wall_s": ("lower", 0.25), "rows_per_s": ("higher", 0.25), "cpu_s": ("lower", 0.25),
               "peak_rss_mb": ("lower", 0.05), "setup_s": ("lower", 0.25),
-              "op_ms_p50": ("lower", 0.25), "op_ms_tail": ("lower", 0.25)}
+              "op_ms_p50": ("lower", 0.25), "op_ms_tail": ("lower", 0.25),
+              "slower_s": ("lower", 0.25)}
     metrics = {name: {"name": name, "better": better, "bound": bound}
                for name, (better, bound) in bounds.items()}
     summary = summarize(base, change, metrics)
@@ -163,29 +168,44 @@ def test_bench_pairs_summary_takes_medians_quartiles_and_wins():
         # quartiles lie further apart than a quarter of their medians
         "wall_s": {"better": "lower", "base_median": 3.0, "base_q1_q3": [1.5, 4.5],
                    "change_median": 3.0, "change_q1_q3": [1.25, 3.75],
-                   "change_better_pairs": 3, "pairs": 5, "unresolved": True, "gain": False},
+                   "change_better_pairs": 3, "pairs": 5, "unresolved": True, "gain": False,
+                   "worse_than_bound": False},
         "rows_per_s": {"better": "higher", "base_median": 30, "base_q1_q3": [15.0, 45.0],
                        "change_median": 29, "change_q1_q3": [15.5, 45.5],
-                       "change_better_pairs": 2, "pairs": 5, "unresolved": True, "gain": False},
+                       "change_better_pairs": 2, "pairs": 5, "unresolved": True, "gain": False,
+                       "worse_than_bound": False},
         # 3 and 3 within a quarter of 42 and 40; every pair won, but the
         # medians lie 2 apart, within the base's quartiles 3 apart: no gain
         "cpu_s": {"better": "lower", "base_median": 42, "base_q1_q3": [40.5, 43.5],
                   "change_median": 40, "change_q1_q3": [38.5, 41.5],
-                  "change_better_pairs": 5, "pairs": 5, "unresolved": False, "gain": False},
+                  "change_better_pairs": 5, "pairs": 5, "unresolved": False, "gain": False,
+                  "worse_than_bound": False},
         # as wide as wall_s, but every change run reads better than every
         # base run; 27 apart is within the base's quartiles 30 apart
         "peak_rss_mb": {"better": "lower", "base_median": 30, "base_q1_q3": [15.0, 45.0],
                         "change_median": 3, "change_q1_q3": [1.5, 4.5],
                         "change_better_pairs": 5, "pairs": 5, "unresolved": False,
-                        "gain": False},
+                        "gain": False, "worse_than_bound": False},
         # every pair won and the medians 5 apart, beyond the base's 3: a gain
         "setup_s": {"better": "lower", "base_median": 12, "base_q1_q3": [10.5, 13.5],
                     "change_median": 7, "change_q1_q3": [5.5, 8.5],
-                    "change_better_pairs": 5, "pairs": 5, "unresolved": False, "gain": True},
+                    "change_better_pairs": 5, "pairs": 5, "unresolved": False, "gain": True,
+                    "worse_than_bound": False},
         # as far apart, but 4 of 5 pairs won is below nine tenths: no gain
         "op_ms_p50": {"better": "lower", "base_median": 12, "base_q1_q3": [10.5, 13.5],
                       "change_median": 7, "change_q1_q3": [5.5, 11.5],
-                      "change_better_pairs": 4, "pairs": 5, "unresolved": True, "gain": False},
+                      "change_better_pairs": 4, "pairs": 5, "unresolved": True, "gain": False,
+                      "worse_than_bound": False},
+        # a median 30% worse on a 0.25 bound is worse than the bound; one
+        # 20% worse is not
+        "op_ms_tail": {"better": "lower", "base_median": 10, "base_q1_q3": [9.5, 10.5],
+                       "change_median": 13, "change_q1_q3": [12.5, 13.5],
+                       "change_better_pairs": 0, "pairs": 5, "unresolved": False, "gain": False,
+                       "worse_than_bound": True},
+        "slower_s": {"better": "lower", "base_median": 10, "base_q1_q3": [9.5, 10.5],
+                     "change_median": 12, "change_q1_q3": [11.5, 12.5],
+                     "change_better_pairs": 0, "pairs": 5, "unresolved": False, "gain": False,
+                     "worse_than_bound": False},
         # per op by position, each side's median over all its runs: the
         # change's sixth run counts here too, as its operations do
         "op_rss_mb": [
