@@ -1,3 +1,4 @@
+import io
 import os
 import sys
 from importlib.machinery import PathFinder
@@ -27,8 +28,9 @@ def run() -> None:
     unless the user set a count (an in-process ``cli.main`` makes none of
     these process-wide settings) and without interpreter teardown.
 
-    A ``SystemExit`` gives its integer code.  stdout and stderr are flushed
-    first, unless closed; a failed stdout flush exits 3 with ``write failed: ...``.
+    A ``SystemExit`` gives its integer code.  stdout (unless closed) and stderr
+    (a discarding stand-in if closed at start) are flushed first; a failed
+    stdout flush exits 3 with ``write failed: ...``.
     """
     # numpy.random's hashlib would map libcrypto (3.3 MB); no command hashes
     sys.modules.setdefault("_hashlib", None)
@@ -36,6 +38,8 @@ def run() -> None:
         sys.meta_path.insert(0, _BareRandom)
     # no retrolab path calls BLAS, so its thread pool would only add start-up time
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    if sys.stderr is None:  # started with descriptor 2 closed: argparse would print to stdout
+        sys.stderr = io.StringIO()  # takes no descriptor, so /dev/stderr stays closed
     try:
         rc = main()
     except SystemExit as stop:
@@ -46,8 +50,7 @@ def run() -> None:
     except OSError as err:
         rc = _say(f"write failed: {err}", 3)
     try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
+        sys.stderr.flush()
     finally:
         os._exit(rc)
 

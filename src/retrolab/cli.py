@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -340,6 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_table)
     p_table.set_defaults(func=_cmd_table)
 
+    for p in (parser, *sub.choices.values()):  # argparse's own reads -1e-3 as a flag
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -358,20 +361,20 @@ def _parse(argv: list[str] | None) -> argparse.Namespace:
 
 
 def _one_file(a: str, b: str) -> bool:
-    """Whether ``a`` and ``b`` name one file, unless both are written in place."""
-    from .records import _written_in_place
+    """Whether ``a`` and ``b`` name one file, unless neither is replaced."""
+    from .records import resolve_target
 
     try:
         same = os.path.samefile(a, b)
     except OSError:  # one is yet to be made
         same = os.path.realpath(a) == os.path.realpath(b)
-    return same and not (_written_in_place(a) and _written_in_place(b))
+    return same and (resolve_target(a) is None or resolve_target(b) is None)
 
 
 def _check_targets(args) -> None:
     """UsageError, before any command runs, for an ``--out`` or ``--records``
     path that no write could take, or that is the other's file or the
-    ``--config`` file, unless both are written in place (``/dev/stdout``)."""
+    ``--config`` file, unless neither is replaced (``/dev/stdout``)."""
     taken = {} if args.config is None else {"config": args.config}
     for flag in ("out", "records"):
         path = getattr(args, flag, None)

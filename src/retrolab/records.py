@@ -9,12 +9,12 @@ fields stay None in memory and are omitted on disk; angles are radians.
 
 Records files are UTF-8, one record per line, and every line ends in a line
 feed on every platform: the lines are encoded once and written through a binary
-handle.  Files are written atomically: the bytes go to a temporary file in the
+handle.  Each target path is resolved once (:func:`resolve_target`): one of
+this process's own descriptors (``/dev/stdout``) is written through a
+duplicate, at its offset; a pipe, a terminal or another path through ``/proc``
+in place; any other file atomically: the bytes go to a temporary file in the
 target directory, which replaces the target only once it is complete, so a
-failed write leaves no partial file.  A pipe, a terminal or a descriptor path
-such as ``/dev/stdout`` is written in place, one of this process's own
-descriptors through a duplicate, at its offset.  A negative row limit is
-rejected.
+failed write leaves no partial file.  A negative row limit is rejected.
 """
 
 from __future__ import annotations
@@ -139,63 +139,55 @@ def _proc_hop(path) -> str | None:
     return None
 
 
-def _written_in_place(path) -> bool:
-    """Whether ``path`` must be opened in place rather than replaced.
-
-    True when it exists but is no regular file (a pipe, a terminal,
-    ``/dev/null``), or when it reaches its file through ``/proc``, as
-    ``/dev/stdout`` and ``/dev/fd/N`` do: such a path names a descriptor the
-    caller already holds, whose file must not be swapped for another.
+def resolve_target(path) -> int | str | None:
+    """How ``path`` is written, decided once: the descriptor of this process
+    that it reaches through ``/proc`` (``/dev/stdout``, ``/dev/fd/N``,
+    ``/proc/self/fd/N``), to write through a duplicate; ``path`` itself, to
+    open in place, for any other existing path through ``/proc`` and any
+    existing file that is no regular file (a pipe, a terminal, ``/dev/null``),
+    whose file must not be swapped for another; or None, to replace it through
+    a temporary file beside its real path.
     """
     try:
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return True
+        regular = stat.S_ISREG(os.stat(path).st_mode)
     except OSError:
-        return False  # absent: created by the replace
-    return _proc_hop(path) is not None
-
-
-def _own_descriptor(path) -> int | None:
-    """The descriptor of this process that ``path`` reaches through
-    ``/proc`` (``/dev/stdout``, ``/dev/fd/N``, ``/proc/self/fd/N``), or None."""
+        return None  # absent: created by the replace
     hop = _proc_hop(path)
     if hop is None:
-        return None
+        return None if regular else path
     head, name = os.path.split(hop)
-    return int(name) if head == os.path.realpath("/proc/self/fd") and name.isdigit() else None
+    return int(name) if head == os.path.realpath("/proc/self/fd") and name.isdigit() else path
 
 
 @contextlib.contextmanager
 def atomic_open(path):
     """Binary handle whose content replaces ``path`` only if the block succeeds.
 
-    The handle writes to a temporary file beside ``path``, so the final
-    ``os.replace`` is a rename within one file system; on any error the
-    temporary file is removed and ``path`` is left as it was.  Any OSError
-    of opening, writing, flushing, closing or renaming names ``path``.  A
-    replaced file keeps its permission bits; as with any rename, hard links
-    to it keep the old content.  A symlink is followed, as by ``open(path, "wb")``.
-    ``path`` is written in place, as by ``open(path, "wb")``, when it names a
-    descriptor (see :func:`_written_in_place`) or when its directory takes
-    no new file but the file itself exists; a path that reaches one of this
-    process's own descriptors (:func:`_own_descriptor`) is written through a
-    duplicate of it instead, at its offset and with its ``O_APPEND``.
+    ``path`` is written as :func:`resolve_target` decides: through a duplicate
+    of this process's descriptor, at its offset and with its ``O_APPEND``; in
+    place, as by ``open(path, "wb")``, as is an existing file whose directory
+    takes no new file; or replaced: the handle writes to a temporary file
+    beside ``path``'s real path, so the final ``os.replace`` is a rename within
+    one file system, and on any error the temporary file is removed and
+    ``path`` is left as it was.  A replaced file keeps its permission bits; as
+    with any rename, hard links to it keep the old content.  A symlink is
+    followed, as by ``open(path, "wb")``.  Any OSError of opening, writing,
+    flushing, closing or renaming names ``path``.
     """
     try:
-        if _written_in_place(path):
-            fd = _own_descriptor(path)
-            with open(path, "wb") if fd is None else os.fdopen(os.dup(fd), "wb") as fh:
-                yield fh
-            return
-        target = os.path.realpath(path)
-        head, tail = os.path.split(target)
-        tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-        try:
-            fh = open(tmp, "xb")
-        except PermissionError:
-            if not os.path.isfile(target):
-                raise
-            with open(target, "wb") as fh:
+        where = resolve_target(path)
+        if where is None:
+            target = os.path.realpath(path)
+            head, tail = os.path.split(target)
+            tmp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+            try:
+                fh = open(tmp, "xb")
+            except PermissionError:
+                if not os.path.isfile(target):
+                    raise
+                where = target  # the directory takes no new file
+        if where is not None:
+            with os.fdopen(os.dup(where), "wb") if isinstance(where, int) else open(where, "wb") as fh:
                 yield fh
             return
         try:

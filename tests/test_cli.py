@@ -313,6 +313,25 @@ def test_degrees_convert_the_config_file_angles(tmp_path):
     assert strip_meta(json.loads(out)) == strip_meta(json.loads(radians[1]))
 
 
+# each command with negative angles, as (exponent form, decimal) spellings
+EXPONENT_ARGVS = {
+    "audit": ("audit", "twobit", ("-1e-3", "-0.001"), "0.5", "--n", "10000"),
+    "table": ("table", "--model", "twobit", "--sigma-l", ("-1e-3", "-0.001"), "--sigma-r", "0.5"),
+    "retro": ("retro", "qm-discrete", ("-2E-1", "-0.2"), "0.2", ("-9e-1", "-0.9")),
+    "game-left": ("game", "left", ("-2e-1", "-0.2"), "--discrete"),
+    "game-right-rho": ("game", "right", "0.7", "--mode", "discrete", "--rho", ("-1e-1", "-0.1")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPONENT_ARGVS))
+def test_a_negative_angle_in_exponent_form_is_read_as_its_decimal(name):
+    exponent, decimal = (
+        main_in_process(*(a[form] if isinstance(a, tuple) else a for a in EXPONENT_ARGVS[name]))
+        for form in (0, 1))
+    assert (exponent[0], exponent[2]) == (decimal[0], "") and decimal[0] in (0, 1)
+    assert strip_meta(json.loads(exponent[1])) == strip_meta(json.loads(decimal[1]))
+
+
 def test_every_float_typed_option_is_an_angle_without_a_default():
     # --degrees converts every float-typed option, so a float that is no
     # angle, or a float default, would be converted too
@@ -664,7 +683,9 @@ def test_a_closed_stdout_that_takes_no_payload_exits_0(tmp_path):
     (["run", *_TABLE[1:], "--n", "0"], 2),
     pytest.param(["audit", "twobit", "0", "0.5", "--n", "10000", "--out", "/dev/full"], 3,
                  marks=pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")),
-], ids=["usage-error", "write-failure"])
+    (["table", "--model", "bogus"], 2),  # argparse's usage would fall back to stdout
+    ([*_TABLE, "--out", "/dev/stderr"], 3),  # the closed descriptor takes no payload
+], ids=["usage-error", "write-failure", "argparse-usage-error", "out-to-closed-stderr"])
 def test_a_message_for_a_closed_stderr_keeps_the_exit_code(argv, rc):
     proc = in_shell("2>&-", *argv)
     assert (proc.returncode, proc.stdout) == (rc, "")

@@ -646,6 +646,54 @@ def test_descriptor_path_is_written_in_place(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["held.jsonl"]
 
 
+_LINE = (json.dumps(record_to_dict(full_record())) + "\n").encode()
+
+
+@pytest.mark.parametrize("via", ["proc-self-fd", "symlink-to-dev-fd"])
+def test_a_held_descriptor_is_written_at_its_offset(tmp_path, via):
+    # the file behind the descriptor is written after what it already holds,
+    # and neither it nor a user's symlink to the descriptor is replaced
+    path = tmp_path / "held.jsonl"
+    with open(path, "wb") as held:
+        held.write(b"head\n")
+        held.flush()
+        inode = os.fstat(held.fileno()).st_ino
+        target = f"/proc/self/fd/{held.fileno()}"
+        if via == "symlink-to-dev-fd":
+            target = tmp_path / "link"
+            target.symlink_to(f"/dev/fd/{held.fileno()}")
+        assert write_records_jsonl(target, full_ensemble()) == 1
+        assert os.stat(path).st_ino == inode
+    assert path.read_bytes() == b"head\n" + _LINE
+    names = ["held.jsonl", "link"] if via == "symlink-to-dev-fd" else ["held.jsonl"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert os.path.islink(target) == (via == "symlink-to-dev-fd")
+
+
+def test_a_dangling_symlink_makes_its_target_and_stays(tmp_path):
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "made.jsonl")
+    assert write_records_jsonl(link, full_ensemble()) == 1
+    assert os.path.islink(link) and os.readlink(link) == str(tmp_path / "made.jsonl")
+    assert (tmp_path / "made.jsonl").read_bytes() == _LINE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "made.jsonl"]
+
+
+def test_a_fifo_through_a_symlink_is_written_in_place(tmp_path):
+    fifo, link = tmp_path / "fifo", tmp_path / "link"
+    os.mkfifo(fifo)
+    link.symlink_to(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert write_records_jsonl(link, full_ensemble()) == 1
+        data = os.read(reader, 1 << 16)
+    finally:
+        os.close(reader)
+    assert data == _LINE
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode) and os.path.islink(link)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "link"]
+
+
 @pytest.mark.parametrize("path, error", [
     ("nodir/recs.jsonl", FileNotFoundError),  # the temporary file cannot be made
     ("", IsADirectoryError),  # the working directory cannot be replaced

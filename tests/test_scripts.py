@@ -1,5 +1,6 @@
 """The example scripts, run in process at small sizes."""
 
+import json
 import os
 import re
 import runpy
@@ -267,3 +268,16 @@ def test_bench_pairs_rejects_bad_input(capsys, monkeypatch, args, message):
     assert captured.out == ""
     assert [line for line in captured.err.splitlines() if "error" in line] == [
         f"bench_pairs.py: error: {message}"]
+
+
+def test_payload_digests_prints_one_line_per_benchmark_op():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "payload_digests.py")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert len(lines) == 50
+    assert all(re.fullmatch("[0-9a-f]{64}", line["digest"]) for line in lines)
+    hashes = [line["records_sha256"] for line in lines if line["records_sha256"] is not None]
+    assert len(hashes) == 3 and all(re.fullmatch("[0-9a-f]{64}", h) for h in hashes)
+    assert [line["failure"] for line in lines] == [None] * 50
+    assert all("$TMP" in " ".join(line["argv"]) for line in lines if line["workload"] == "records-dump")
