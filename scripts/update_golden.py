@@ -4,7 +4,10 @@
 
 Run it only when a payload change is intended: the files it rewrites are the
 contract that tests/test_golden.py holds every later change to, so their
-diff is the change to review.  The case matrix lives in that test module.
+diff is the change to review.  The case matrix lives in that test module;
+the files include the output of scripts/payload_digests.py, the digests of
+every benchmark op's payload and records file, which tests/test_scripts.py
+compares.
 """
 
 from __future__ import annotations

@@ -173,7 +173,7 @@ def channel_table(**columns) -> dict[str, np.ndarray]:
 def _run_count(n) -> int:
     """``n`` as an int; ValueError unless it is an integer of at least 1."""
     if not hasattr(n, "__index__") or n < 1:  # numpy integers pass
-        raise UsageError(f"need an integer count of at least one run, got {n!r}")
+        raise UsageError(f"n must be an integer count of at least one run, got {n!r}")
     return int(n)
 
 
@@ -184,28 +184,25 @@ def _threshold(p: float) -> int:
     return min(max(math.ceil(p * 2.0**53), 0), 1 << 53)
 
 
-def _layout(pass_) -> tuple[list[int], list[int], bytes | None]:
+def _layout(pass_) -> tuple[list[int], int, bytes]:
     """A pass as :func:`_step` runs it.  ``pass_[c]`` is code c's integer cuts
     in ascending order and one label per interval; the layout is the union
-    of the cuts, sorted, the label of code c with its word in the union's
-    interval j, at ``c * (len(union) + 1) + j``, and those labels as a
-    ``bytes.translate`` table, None for a pass of one code."""
+    of the cuts, sorted, the stride ``len(union) + 1``, or 0 for a pass of
+    one code, which reads no codes, and a ``bytes.translate`` table that
+    holds the label of code c with its word in the union's interval j at
+    ``c * stride + j``."""
     union = sorted({k for cuts, _ in pass_ for k in cuts})
     labels = [row[bisect.bisect_right(cuts, k)] for cuts, row in pass_ for k in (-1, *union)]
-    return union, labels, None if len(pass_) == 1 else bytes(labels).ljust(256, b"\xff")
+    return union, (len(union) + 1) * (len(pass_) > 1), bytes(labels).ljust(256, b"\xff")
 
 
 def _step(codes: np.ndarray, words: np.ndarray, layout: tuple) -> None:
     """Replace each code c by the label of the interval of its 53-bit word
-    among its cuts, in place, for a pass laid out by :func:`_layout`.  A
-    pass of one code reads no codes."""
-    union, labels, table = layout
-    if table is None:  # the first interval's label, plus each cut's change of label
-        codes.fill(labels[0])
-        for k, below, above in zip(union, labels, labels[1:]):
-            codes += (words >= k).view(np.uint8) * ((above - below) % 256)
-        return
-    codes *= len(union) + 1
+    among its cuts, in place, for a pass laid out by :func:`_layout`: each
+    code becomes ``c * stride`` plus the number of cuts at or below its word,
+    and the table translates that to its label."""
+    union, stride, table = layout
+    codes *= stride
     for k in union:
         codes += words >= k
     codes[:] = np.frombuffer(codes.tobytes().translate(table), np.uint8)
@@ -361,7 +358,7 @@ def audit_symmetry(
     """
     n = _run_count(n)
     if n < MIN_AUDIT_N:
-        raise UsageError(f"audit needs at least {MIN_AUDIT_N} records per ensemble")
+        raise UsageError(f"audit needs n of at least {MIN_AUDIT_N} records per ensemble, got {n}")
     side_a, by_convention = _side_a(generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0)))
     slot_a, free_a = _signature_counts(side_a)
     slot_b, free_b = _signature_counts(generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1)))

@@ -346,18 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str] | None) -> argparse.Namespace:
-    """Parse ``argv``; a ``--config`` file's flags go in right after the
-    command name, so the flags typed after them win."""
+def _parse(argv: list[str] | None) -> tuple[argparse.Namespace, argparse.ArgumentParser]:
+    """Parse ``argv``, and the parser of its command; a ``--config`` file's
+    flags go in right after the command name, so the flags typed after them win."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.config is None:
-        return args
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    command = commands.choices[args.cmd]
+    if args.config is None:
+        return args, command
     argv = list(sys.argv[1:] if argv is None else argv)
     at = argv.index(args.cmd) + 1
-    argv[at:at] = _config_flags(args.config, commands.choices[args.cmd])
-    return parser.parse_args(argv)
+    argv[at:at] = _config_flags(args.config, command)
+    return parser.parse_args(argv), command
 
 
 def _one_file(a: str, b: str) -> bool:
@@ -394,9 +395,14 @@ def _check_targets(args) -> None:
 
 def main(argv=None) -> int:
     try:
-        args = _parse(argv)
-        if args.degrees:  # every float-typed option is an angle, and none has a float default
-            vars(args).update({k: math.radians(v) for k, v in vars(args).items() if isinstance(v, float)})
+        args, command = _parse(argv)
+        for action in command._actions:  # every float-typed option is an angle, with no float default
+            value = getattr(args, action.dest, None)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{'/'.join(action.option_strings) or action.dest} must be finite, "
+                                 f"got {value!r}")
+            if isinstance(value, float) and args.degrees:
+                setattr(args, action.dest, math.radians(value))
         _check_targets(args)
         return args.func(args)
     except UsageError as err:  # UnknownModelError included

@@ -316,19 +316,24 @@ class Ensemble:
         return len(next(iter(self.table.values()), ()))
 
     def _counted_draw(self):
-        """The draw's blocks, counted by table row as they pass.  A block
-        whose counts do not add up to its length (a code outside the table)
-        is a ValueError before it is yielded; a whole pass keeps the counts,
-        or is a ValueError when they do not add up to ``n`` (a draw of
-        another length)."""
+        """The draw's blocks, counted by table row as they pass, one
+        ``np.bincount`` per block.  A block that holds a negative or a
+        fractional code, or whose counts do not add up to its length (a code
+        past the table), is a ValueError before it is yielded; a whole pass
+        keeps the counts, or is a ValueError when they do not add up to
+        ``n`` (a draw of another length)."""
         import numpy as np
 
         counts = np.zeros(self._table_rows(), dtype=np.intp)
         for codes in self.draw():
-            block = np.array([np.count_nonzero(codes == row) for row in range(len(counts))], np.intp)
-            if block.sum() != len(codes):
-                raise ValueError(f"a block of {len(codes)} codes of the draw of n = {self.n} runs "
-                                 f"gave {block.sum()} in table rows")
+            try:  # numpy refuses a fractional code with a TypeError, a negative one with a ValueError
+                block = np.bincount(codes, minlength=len(counts))[:len(counts)]
+            except (TypeError, ValueError) as err:
+                problem = f"holds a code that is no table row: {err}"
+            else:
+                problem = None if block.sum() == len(codes) else f"gave {block.sum()} in table rows"
+            if problem:
+                raise ValueError(f"a block of {len(codes)} codes of the draw of n = {self.n} runs {problem}")
             counts += block
             yield codes
         if counts.sum() != self.n:

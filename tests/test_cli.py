@@ -551,31 +551,41 @@ _PATHS = ("{tmp}/out", "{tmp}/file"), (*BAD_TARGETS.values(), _REFUSED)
 def cli_argvs(draw):
     """An argv of any command, mostly of usable values, each odd one time in
     sixteen: an odd value, a required option left out or a stray flag.  An
-    output path is odd one time in two."""
-    def odd(one_in=16):
-        return draw(st.sampled_from((False,) * (one_in - 1) + (True,)))
+    output path is odd one time in two.  With the argv comes the name of the
+    option whose value is odd when that is the one odd draw, else None."""
+    oddities = []
 
-    def one(values, one_in=16):
-        return draw(st.sampled_from(values[odd(one_in)]))
+    def odd(one_in=16, name=None):
+        if draw(st.sampled_from((False,) * (one_in - 1) + (True,))):
+            oddities.append(name)
+            return True
+        return False
+
+    def one(values, name, one_in=16):
+        value = draw(st.sampled_from(values[odd(one_in, name)]))
+        if value == _REFUSED:  # odd to the OS alone, once every check passed
+            oddities[-1] = None
+        return value
 
     def flag(name, values, given=True):
-        return [name, one(values, 2 if values is _PATHS else 16)] if given != odd() else []
+        return [name, one(values, name, 2 if values is _PATHS else 16)] if given != odd() else []
 
     def switch(name, given=True):
         return [name] if given != odd() else []
 
-    command = one((("run", "audit", "table", "retro", "game"), ("bogus",)))
+    command = one((("run", "audit", "table", "retro", "game"), ("bogus",)), "cmd")
     if command in ("run", "table"):
         argv = [command, *flag("--model", _MODELS), *flag("--sigma-l", _ANGLES),
                 *flag("--sigma-r", _ANGLES)]
     elif command == "game":
-        side = one((("left", "right"), ("up",)))
+        side = one((("left", "right"), ("up",)), "side")
         strategy = draw(st.sampled_from(("--discrete", "--classical", "--superposition")))
-        argv = [command, side, one(_ANGLES), *switch(strategy, side == "left"),
+        argv = [command, side, one(_ANGLES, "setting"), *switch(strategy, side == "left"),
                 *flag("--mode", (("discrete", "collapse", "nocollapse"), ("up",)), side == "right"),
                 *flag("--rho", _ANGLES, side == "right" and draw(st.booleans()))]
     else:
-        argv = [command, one(_MODELS), *(one(_ANGLES) for _ in range(2 if command == "audit" else 3))]
+        names = ("sigma_a", "sigma_b") if command == "audit" else ("sigma_l", "sigma_r", "sigma_r_alt")
+        argv = [command, one(_MODELS, "model"), *(one(_ANGLES, name) for name in names)]
     if command in ("run", "audit"):
         argv += [*flag("--n", _COUNTS), *flag("--seed", _SEEDS, draw(st.booleans()))]
         if "--n" not in argv:
@@ -585,7 +595,13 @@ def cli_argvs(draw):
                  *flag("--records", _PATHS, draw(st.booleans())),
                  *flag("--records-limit", (("0", "5"), ("-1",)), draw(st.booleans()))]
     argv += [*switch("--degrees", draw(st.booleans())), *flag("--out", _PATHS, draw(st.booleans()))]
-    return argv + switch("--config={tmp}/none", False)
+    targets = [argv[k + 1] for k, arg in enumerate(argv) if arg in ("--records", "--out")]
+    if len(targets) == 2 and targets[0] == targets[1]:
+        oddities.append(None)  # two usable targets that are one file
+    if command != "retro" and set(argv) & (set(_MODELS[0]) - set(hvmodels.model_ids(stochastic=True))):
+        oddities.append(None)  # a model that only retro takes
+    argv += switch("--config={tmp}/none", False)
+    return argv, oddities[0] if len(oddities) == 1 else None
 
 
 def _files(root):
@@ -599,16 +615,25 @@ _TABLE = ["table", "--model", "twobit", "--sigma-l", "0", "--sigma-r", "0.5"]
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(cli_argvs())
 # each outcome at least once, whatever the draws reach
-@example(_AUDIT[:3] + ["0"] + _AUDIT[4:])  # exit 4
-@example(_AUDIT)  # exit 1
-@example(_TABLE + ["--out", _REFUSED])
-@example(["run", *_TABLE[1:], "--n", "5", "--records", _REFUSED, "--out", "{tmp}/out"])
-@example(["run", *_TABLE[1:], "--n", "5", "--records", "{tmp}/out", "--out", "{tmp}/nodir/x"])
-@example(_AUDIT + ["--out", ""])
-@example(_AUDIT + ["--out", "{tmp}/file/x"])
-def test_every_argv_keeps_the_exit_code_contract(argv):
-    # exit 0, 1 or 4 with one payload; 2 with one error line and nothing
-    # written; 3 only for a write the OS refused after the checks passed
+@example((_AUDIT[:3] + ["0"] + _AUDIT[4:], None))  # exit 4
+@example((_AUDIT, None))  # exit 1
+@example((_TABLE + ["--out", _REFUSED], None))
+@example((["run", *_TABLE[1:], "--n", "5", "--records", _REFUSED, "--out", "{tmp}/out"], None))
+@example((["run", *_TABLE[1:], "--n", "5", "--records", "{tmp}/out", "--out", "{tmp}/nodir/x"], "--out"))
+@example((_AUDIT + ["--out", ""], "--out"))
+@example((_AUDIT + ["--out", "{tmp}/file/x"], "--out"))
+# each refusal of a value that parses, named
+@example((["table", "--model", "twobit", "--sigma-l", "nan", "--sigma-r", "0.5"], "--sigma-l"))
+@example((["audit", "twobit", "0", "-1e999", "--n", "20000", "--degrees"], "sigma_b"))
+@example((["retro", "twobit", "0", "0.5", "inf"], "sigma_r_alt"))
+@example((["game", "right", "0.3", "--mode", "discrete", "--rho", "nan"], "--rho"))
+@example((["run", *_TABLE[1:], "--n", "0"], "--n"))
+@example((["audit", "twobit", "0", "0.5", "--n", "10", "--seed", "-1"], "--seed"))
+def test_every_argv_keeps_the_exit_code_contract(case):
+    # exit 0, 1 or 4 with one payload; 2 with one error line, naming the odd
+    # value when only one was drawn, and nothing written; 3 only for a write
+    # the OS refused after the checks passed
+    argv, odd = case
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "file").write_text("kept\n")
@@ -629,6 +654,9 @@ def test_every_argv_keeps_the_exit_code_contract(argv):
             assert [line for line in err.splitlines() if "error: " in line] == err.splitlines()[-1:]
             if err.startswith("error: "):  # a UsageError, not argparse's own
                 assert len(err.splitlines()) == 1
+            if odd is not None:  # as a flag or a positional, or as the library's parameter
+                assert re.search(rf"(?<![\w-])(--)?{re.escape(odd.lstrip('-'))}(?![\w-])",
+                                 err.splitlines()[-1]), (odd, err)
         else:
             assert rc == 3, (rc, err)
             refused = _REFUSED.format(tmp=tmp)

@@ -28,6 +28,9 @@ from retrolab import cli
 
 GOLDEN = Path(__file__).with_name("golden")
 EXIT_CODES = "exit_codes.json"
+# the output of scripts/payload_digests.py: every benchmark op's payload and
+# records file by sha256, checked in tests/test_scripts.py
+DIGESTS = "payload-digests.jsonl"
 
 STOCHASTIC = ("twobit", "onebit", "qm-discrete", "qm-collapse", "qm-nocollapse")
 ALL_MODELS = STOCHASTIC + ("classical",)
@@ -133,8 +136,18 @@ def render(name: str, argv: tuple[str, ...], tmp: Path,
     return rc, files
 
 
-def render_all() -> dict[str, bytes]:
-    """Every golden file, exit codes included, as the current code makes them."""
+def render_digests() -> bytes:
+    """The output of ``scripts/payload_digests.py`` in a child; AssertionError,
+    with its error output, when any op failed its check."""
+    proc = subprocess.run([sys.executable, str(GOLDEN.parents[1] / "scripts" / "payload_digests.py")],
+                          capture_output=True)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
+def render_all(digests: bool = True) -> dict[str, bytes]:
+    """Every golden file, exit codes included, as the current code makes them;
+    the payload digests only with ``digests``."""
     out = {}
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -142,12 +155,12 @@ def render_all() -> dict[str, bytes]:
             codes[name], files = render(name, argv, Path(tmp))
             out.update(files)
     out[EXIT_CODES] = (json.dumps(codes, indent=2, sort_keys=True) + "\n").encode()
-    return out
+    return out | ({DIGESTS: render_digests()} if digests else {})
 
 
 def test_golden_files_match():
-    fresh = render_all()
-    committed = {p.name: p.read_bytes() for p in GOLDEN.iterdir()}
+    fresh = render_all(digests=False)  # compared in tests/test_scripts.py
+    committed = {p.name: p.read_bytes() for p in GOLDEN.iterdir() if p.name != DIGESTS}
     assert sorted(committed) == sorted(fresh)
     changed = sorted(name for name, data in fresh.items() if committed[name] != data)
     assert not changed, f"output differs from tests/golden/ in {changed}"

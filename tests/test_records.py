@@ -244,6 +244,20 @@ def test_a_draw_that_misses_the_table_writes_no_file(tmp_path, block, match):
     assert os.listdir(tmp_path) == []
 
 
+@pytest.mark.parametrize("block", [np.array([0, -1, 1], np.int8), np.array([0, 1.0, 1])],
+                         ids=["negative-code", "fractional-dtype"])
+def test_a_code_that_is_no_table_row_is_the_named_error(tmp_path, block):
+    # numpy's own refusal of a negative or a float code becomes the count's
+    # named error, from the count and from the writer, which leaves no file
+    ens = hand_built("twobit", 0.0, 0.5, block, {"in_channel": np.array([0, 1], np.int8)})
+    match = "a block of 3 codes of the draw of n = 3 runs "
+    with pytest.raises(ValueError, match=match):
+        ens.row_counts()
+    with pytest.raises(ValueError, match=match):
+        write_records_jsonl(tmp_path / "out.jsonl", ens)
+    assert os.listdir(tmp_path) == []
+
+
 def _written(ensemble, limit=None):
     """Count and bytes that write_records_jsonl returns and leaves on disk."""
     with tempfile.TemporaryDirectory() as tmp:

@@ -12,6 +12,7 @@ import pytest
 
 from retrolab.core import angle_diff
 from retrolab.stats import RandomStream
+from test_golden import DIGESTS, GOLDEN, render_digests
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -270,11 +271,51 @@ def test_bench_pairs_rejects_bad_input(capsys, monkeypatch, args, message):
         f"bench_pairs.py: error: {message}"]
 
 
+_DURATIONS = """\
+============================= slowest durations ==============================
+11.52s call     tests/test_audit.py::test_cell_counts[a b]
+0.50s setup    tests/test_audit.py::test_cell_counts[a b]
+2.00s call     tests/test_cli.py::test_exit_codes
+0.01s teardown tests/test_cli.py::test_exit_codes
+
+(700 durations < 0.005s hidden.  Use -vv to show these durations.)
+738 passed in 35.12s
+"""
+
+
+def test_tier1_pairs_summary_takes_medians_wins_and_sums():
+    functions = runpy.run_path(str(SCRIPTS / "tier1_pairs.py"))
+    durations = functions["durations"](_DURATIONS)
+    assert durations == {"tests/test_audit.py::test_cell_counts[a b]": 12.02,
+                         "tests/test_cli.py::test_exit_codes": 2.01}
+
+    def run(wall, calibration, scale):
+        return {"wall_s": wall, "calibration_s": calibration,
+                "durations": {test: seconds * scale for test, seconds in durations.items()}}
+
+    # the change wins pairs 1 and 3, ties pair 2 and loses pair 4; its
+    # audit test got ten times faster, and a new test shows in its runs alone
+    base = [run(40, 0.06, 1), run(36, 0.05, 1), run(38, 0.07, 1), run(30, 0.06, 1)]
+    change = [run(33, 0.06, 0.1), run(36, 0.06, 0.1), run(34, 0.05, 0.1), run(31, 0.06, 0.1)]
+    change[0]["durations"]["tests/test_new.py::test_new"] = 0.4
+    summary = functions["summarize"](base, change, slowest=2)
+    assert summary["base"]["wall_s"] == {"median": 37.0, "q1_q3": [31.5, 39.5]}
+    assert summary["change"]["wall_s"] == {"median": 33.5, "q1_q3": [31.5, 35.5]}
+    assert summary["change"]["calibration_s"]["median"] == pytest.approx(0.06)
+    assert (summary["change_faster_pairs"], summary["pairs"]) == (2, 4)
+    files = {row["name"]: (round(row["base_median"], 9), round(row["change_median"], 9))
+             for row in summary["files_s"]}
+    assert files == {"tests/test_audit.py": (12.02, 1.202), "tests/test_cli.py": (2.01, 0.201),
+                     "tests/test_new.py": (0.0, 0.0)}  # in one run of four
+    assert [row["name"] for row in summary["tests_s"]] == [
+        "tests/test_audit.py::test_cell_counts[a b]", "tests/test_cli.py::test_exit_codes"]
+
+
 def test_payload_digests_prints_one_line_per_benchmark_op():
-    proc = subprocess.run([sys.executable, str(SCRIPTS / "payload_digests.py")],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    # every op passes its oracle, and the output is the committed contract
+    out = render_digests()
+    assert out == (GOLDEN / DIGESTS).read_bytes()
+    lines = [json.loads(line) for line in out.splitlines()]
     assert len(lines) == 50
     assert all(re.fullmatch("[0-9a-f]{64}", line["digest"]) for line in lines)
     hashes = [line["records_sha256"] for line in lines if line["records_sha256"] is not None]

@@ -85,6 +85,49 @@ def test_a_placed_generator_continues_one_draw(seed, stream_id, position):
         assert (words * 2.0**-53).tobytes() == want.tobytes()
 
 
+_MASK64 = 2**64 - 1
+
+
+def _philox4x64_10(counter: int, key: int) -> list[int]:
+    """Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1,
+    2, 3", SC 2011) of a 256-bit counter under a 128-bit key, in Python
+    integers: the four 64-bit output words, lowest counter word first."""
+    x = [(counter >> 64 * i) & _MASK64 for i in range(4)]
+    k0, k1 = key & _MASK64, key >> 64
+    for r in range(10):
+        if r:  # the Weyl key schedule
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+        p0, p1 = 0xD2E7470EE14C6C93 * x[0], 0xCA5A826395121157 * x[2]
+        x = [(p1 >> 64) ^ x[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ x[3] ^ k1, p0 & _MASK64]
+    return x
+
+
+def _philox_words(stream: RandomStream, position: int, count: int) -> list[int]:
+    """Words ``position`` to ``position + count - 1`` of ``stream``: the key
+    is ``seed << 64 | stream_id``, and the counter is incremented before each
+    block of four words is made, so word w comes from counter w // 4 + 1."""
+    key = stream.seed << 64 | stream.stream_id
+    blocks = range(position // 4, (position + count + 3) // 4)
+    words = [word for block in blocks for word in _philox4x64_10(block + 1, key)]
+    return words[position % 4:][:count]
+
+
+# the seeds and stream ids of the golden and benchmark runs, an audit's two
+# sides among them, and the largest key words
+_KEYS = [RandomStream(0), RandomStream(7), RandomStream(11), RandomStream(11).child(0),
+         RandomStream(11).child(1), RandomStream(2**64 - 1, 2**64 - 1)]
+
+
+@pytest.mark.parametrize("stream", _KEYS, ids=lambda s: f"{s.seed:x}-{s.stream_id:x}")
+def test_stream_words_are_philox4x64_10(stream):
+    # the only part numpy plays in the payload bytes: a pass k of an
+    # ensemble of 10^6 runs starts at word k * 10^6, and 3 mod 4 starts
+    # mid-way through a block
+    for position in (0, 3, 10**6, 2 * 10**6, 3 * 10**6, 200_003):
+        want = _philox_words(stream, position, 40)
+        assert stream.bits(position).random_raw(40).tolist() == want
+
+
 @pytest.mark.parametrize("position", [-1, -(2**70), 2.5, 2.0, "2", None, np.float64(1.0)])
 def test_a_generator_position_is_an_integer_of_at_least_0(position):
     with pytest.raises(ValueError, match="position"):
