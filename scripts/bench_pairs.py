@@ -11,7 +11,8 @@ ignored files left out) into fresh directories, so both sides start alike.
 ``retrobench/run.py`` then runs unchanged and untraced in each tree, the
 base first in odd pairs and the change first in even ones, for every
 workload and seed.  ``BENCH_<number>.json`` at the root of this
-checkout gets every final result line, the order of the runs, each side's
+checkout keeps any key this script does not write (``tier1_pairs.py``'s
+``tier1``) and gets every final result line, the order of the runs, each side's
 summed ``failed`` and ``attempted`` operations, its number of runs that
 printed no result line and, per metric, each side's
 median and quartiles, the number of pairs the change wins, whether the
@@ -67,6 +68,39 @@ def extract(root: str, rev: str, dest: str) -> str:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(tree, filter="data")
     return tree
+
+
+def alternate(pairs: int, run, label: str = "") -> dict:
+    """``run(side)`` for ``pairs`` pairs of sides, the base first in odd pairs
+    and the change first in even ones: each side's results in pair order, and
+    the order of the runs, each announced on stderr after ``label``."""
+    out = {"order": [], "base": [], "change": []}
+    for k in range(1, pairs + 1):
+        for side in ("base", "change") if k % 2 else ("change", "base"):
+            print(f"{label}pair {k}: {side}", file=sys.stderr, flush=True)
+            out["order"].append(f"pair {k}: {side}")
+            out[side].append(run(side))
+    return out
+
+
+def spread(xs: list[float]) -> dict:
+    """Median and quartiles, by the exclusive method of ``statistics.quantiles``;
+    the quartiles of one value are that value."""
+    q1, q3 = statistics.quantiles(xs, n=4)[::2] if len(xs) > 1 else (xs[0], xs[0])
+    return {"median": statistics.median(xs), "q1_q3": [q1, q3]}
+
+
+def write_bench(path: str, entries: dict) -> None:
+    """Set ``entries`` in the JSON object of ``path``, keeping every other key
+    it holds; a new file starts empty."""
+    bench = {}
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
+            bench = json.load(fh)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(bench | entries, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}", file=sys.stderr)
 
 
 def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
@@ -125,8 +159,8 @@ def summarize(base: list[dict], change: list[dict], metrics: dict[str, dict]) ->
         out[name] = {"better": direction}
         wide = False
         for side, xs in sides.items():
-            median = statistics.median(xs)
-            q1, q3 = statistics.quantiles(xs, n=4)[::2] if len(xs) > 1 else (xs[0], xs[0])
+            quartiles = spread(xs)
+            median, (q1, q3) = quartiles["median"], quartiles["q1_q3"]
             out[name][f"{side}_median"] = median
             out[name][f"{side}_q1_q3"] = [q1, q3]
             wide |= q3 - q1 > metric["bound"] * abs(median)
@@ -183,12 +217,9 @@ def main() -> None:
         for workload in args.workload:
             for seed in args.seed:
                 key = f"{workload} seed {seed}"
-                run = runs[key] = {"pairs": args.pairs, "order": [], "base": [], "change": []}
-                for k in range(1, args.pairs + 1):
-                    for side in ("base", "change") if k % 2 else ("change", "base"):
-                        print(f"{key}, pair {k}: {side}", file=sys.stderr, flush=True)
-                        run["order"].append(f"pair {k}: {side}")
-                        run[side].append(run_once(trees[side], workload, seed, args.seconds))
+                run = runs[key] = {"pairs": args.pairs, **alternate(
+                    args.pairs, lambda side: run_once(trees[side], workload, seed, args.seconds),
+                    f"{key}, ")}
                 run["summary"] = summarize(run["base"], run["change"], metrics)
                 for name, metric in run["summary"].items():
                     if name in metrics and metric["worse_than_bound"]:
@@ -206,11 +237,7 @@ def main() -> None:
                    "--trace 0",
         "runs": runs,
     }
-    path = os.path.join(ROOT, f"BENCH_{args.number}.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {path}", file=sys.stderr)
+    write_bench(os.path.join(ROOT, f"BENCH_{args.number}.json"), bench)
     silent = sum(sum(run["summary"]["no_result"].values()) for run in runs.values())
     if silent:
         sys.exit(f"{silent} runs printed no result line")

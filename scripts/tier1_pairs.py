@@ -13,15 +13,14 @@ the change first in even ones.  Every suite run follows a ``python -c pass``
 calibration run, whose wall time is kept beside the suite's, so a slow host
 shows in both.
 
-``BENCH_<number>.json`` at the root of this checkout gets a ``tier1`` key;
-whatever else the file holds, as ``bench_pairs.py`` wrote it, is kept.  It
+``BENCH_<number>.json`` at the root of this checkout gets a ``tier1`` key,
+through ``bench_pairs.py``'s writer: whatever else the file holds is kept.  It
 holds each run's wall time, calibration, exit status and pytest's tally
 line, and the summary of :func:`summarize`.  The script exits 1, once the
 file is written, when any suite run exited nonzero.
 """
 
 import argparse
-import json
 import os
 import re
 import statistics
@@ -31,7 +30,7 @@ import tempfile
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-from bench_pairs import ROOT, extract, snapshot  # noqa: E402
+from bench_pairs import ROOT, alternate, extract, snapshot, spread, write_bench  # noqa: E402
 
 COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors", "--durations=0"]
 
@@ -65,12 +64,6 @@ def run_once(tree: str) -> dict:
             "tally": (done.stdout.splitlines() or [""])[-1], "durations": durations(done.stdout)}
 
 
-def _spread(xs: list[float]) -> dict:
-    """Median and quartiles, by the exclusive method of ``statistics.quantiles``."""
-    q1, q3 = statistics.quantiles(xs, n=4)[::2] if len(xs) > 1 else (xs[0], xs[0])
-    return {"median": statistics.median(xs), "q1_q3": [q1, q3]}
-
-
 def _medians(runs: list[dict], key_of) -> dict[str, float]:
     """Each key's median over ``runs`` of the summed durations of the tests
     that ``key_of`` maps to it; 0 s in a run that has none of them."""
@@ -89,7 +82,7 @@ def summarize(base: list[dict], change: list[dict], slowest: int = 10) -> dict:
     test durations; and the ``slowest`` tests by the larger of their two
     medians, with each side's median."""
     sides = {"base": base, "change": change}
-    out = {side: {key: _spread([run[key] for run in runs]) for key in ("wall_s", "calibration_s")}
+    out = {side: {key: spread([run[key] for run in runs]) for key in ("wall_s", "calibration_s")}
            for side, runs in sides.items()}
     out["change_faster_pairs"] = sum(c["wall_s"] < b["wall_s"] for b, c in zip(base, change))
     out["pairs"] = min(len(base), len(change))
@@ -116,15 +109,10 @@ def main() -> None:
     if args.pairs < 1:
         ap.error(f"--pairs must be at least 1, got {args.pairs}")
 
-    runs = {"base": [], "change": [], "order": []}
     with tempfile.TemporaryDirectory(prefix="tier1-pairs-") as tmp:
         trees = {"base": extract(ROOT, args.base, tmp),
                  "change": extract(ROOT, snapshot(ROOT, tmp), tmp)}
-        for k in range(1, args.pairs + 1):
-            for side in ("base", "change") if k % 2 else ("change", "base"):
-                print(f"pair {k}: {side}", file=sys.stderr, flush=True)
-                runs["order"].append(f"pair {k}: {side}")
-                runs[side].append(run_once(trees[side]))
+        runs = alternate(args.pairs, lambda side: run_once(trees[side]))
 
     tier1 = {
         "base": os.path.basename(trees["base"]),
@@ -135,16 +123,8 @@ def main() -> None:
         **{side: [{key: value for key, value in run.items() if key != "durations"}
                   for run in runs[side]] for side in ("base", "change")},
     }
-    path = os.path.join(ROOT, f"BENCH_{args.number}.json")
-    bench = {"number": args.number}
-    if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            bench = json.load(fh)
-    bench["tier1"] = tier1
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1)
-        fh.write("\n")
-    print(f"wrote {path}", file=sys.stderr)
+    write_bench(os.path.join(ROOT, f"BENCH_{args.number}.json"),
+                {"number": args.number, "tier1": tier1})
     failed = sum(run["returncode"] != 0 for side in ("base", "change") for run in runs[side])
     if failed:
         sys.exit(f"{failed} suite runs exited nonzero")

@@ -1,13 +1,13 @@
 """Record sampling and the time-reversal audit of experiment records.
 
-Every sampled model's records are drawn here, block by block from the
-closed forms of :mod:`photon` and :mod:`hvmodels`: one uint8 code
-``2*in + out`` per run over a table of at most four rows
-(:func:`channel_table`).  Each sampler states a plan, one pass over the
-stream per draw of a run, and one step runs every pass (:func:`_step`):
-for each code so far, integer cuts on the 53-bit word and a label per
-interval.  An ensemble replays its stream at each pass instead of storing
-codes, so no path holds memory that grows with n.
+Every sampled model's records are drawn here, block by block from the closed
+forms of :mod:`photon` and :mod:`hvmodels`: one uint8 code ``2*in + out`` per
+run over a table of at most four rows (:func:`channel_table`).  Each sampler
+states a plan, one pass over the stream per draw of a run, and one step runs
+every pass (:func:`_step`): for each code so far, integer cuts on the 53-bit
+word and a label per interval.  An ensemble replays its stream at each pass
+instead of storing codes, so no path holds memory that grows with n.  Only
+the draw loads numpy (:func:`_sampled`); tables and decision are plain Python.
 
 Reversal swaps the two ends of a record: settings, channels, and leg
 polarizations trade places.  A model family is time-symmetric when the
@@ -27,7 +27,7 @@ differs, the audit refuses to call it and the verdict is "inconclusive".  At
 degenerate settings (equal or orthogonal) a beable aligned with one setting
 is aligned with both, so neither test is grounded in anything observable: a
 degenerate pair is at most "inconclusive".  The structural distinguisher is
-only reported.
+only reported.  Every float sum runs in numpy's order (:func:`_pairwise_sum`).
 
 Branch-weight records need one extra convention to be reversible at all:
 the definite channel end and the branch end swap roles, mirroring the even
@@ -39,9 +39,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from functools import reduce
+from operator import add
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import HALF_PI, UsageError, normalize_angle, on_axes
 from .hvmodels import ModelSpec, sampled_spec
@@ -123,14 +123,15 @@ def _leg_classes(ensemble: Ensemble, field: str, rows: int) -> list[int]:
             for angle in ensemble.table[field].tolist()]
 
 
-def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
-    """Count vectors of the slot signature and the slot-free signature.
+def _signature_counts(ensemble: Ensemble) -> tuple[list[int], list[int], list[int]]:
+    """Counts of the slot signature, the slot-free signature and the profile.
 
     Each table row is reduced once to its slot code below 225: its channel
     cell ``in*3 + out`` (2 for an absent channel) and the classes of its two
-    leg beables, and to its slot-free code below 135: its cell and the
-    unordered pair of its leg classes, pairs in row-major order.  The runs of
-    each row, counted in one pass, add into both, in Python integers.
+    leg beables; to its slot-free code below 135: its cell and the unordered
+    pair of its leg classes, pairs in row-major order; and to its index in
+    :data:`PROFILE_CLASSES`.  The runs of each row, counted in one pass, add
+    into all three, in Python integers.
     A channel column of anything but 0 and 1 is a ValueError, before the
     rows are counted (:meth:`Ensemble.channel_column`).
     """
@@ -140,34 +141,35 @@ def _signature_counts(ensemble: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     rows = len(row_counts)
     slot_counts = [0] * 225
     free_counts = [0] * 135
+    profile_counts = [0] * len(PROFILE_CLASSES)
     for count, c_in, c_out, left, right in zip(
             row_counts, entry, outcome,
             _leg_classes(ensemble, "tau_l", rows), _leg_classes(ensemble, "tau_r", rows)):
         cell, legs = c_in * 3 + c_out, left * 5 + right
         slot_counts[cell * 25 + legs] += count
         free_counts[cell * 15 + _PAIR_OF[legs]] += count
-    return np.array(slot_counts, dtype=np.intp), np.array(free_counts, dtype=np.intp)
+        profile_counts[_PROFILE_OF[legs]] += count
+    return slot_counts, free_counts, profile_counts
 
 
-def _alignment_profile(slot_counts: np.ndarray, n: int) -> dict[str, float]:
-    """Fractions of records by where their leg beables point.
+def _pairwise_sum(xs: list[float]) -> float:
+    """The sum of the non-negative floats ``xs`` in numpy's ``add.reduce`` order
+    for a contiguous float64 array, not the built-in ``sum``'s (compensated from
+    Python 3.12 on): one at a time below 8 values; up to 128, 8 interleaved sums
+    combined pairwise, then the rest; above that, halves split at a multiple of 8."""
+    n = len(xs)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+    m = n - n % 8  # 0 below 8 values
+    r = [reduce(add, xs[j:m:8], 0.0) for j in range(8)]
+    return reduce(add, xs[m:], ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
-    A record is left-aligned when any of its leg beables lies on the left
-    setting's axis pair, right-aligned likewise; records with no leg beables
-    get their own class.  Read off the slot counts of n records.
-    """
-    profile = [0] * len(PROFILE_CLASSES)
-    for slot, count in enumerate(slot_counts.tolist()):
-        profile[_PROFILE_OF[slot % 25]] += count
-    return {name: count / n for name, count in zip(PROFILE_CLASSES, profile)}
 
-
-def channel_table(**columns) -> dict[str, np.ndarray]:
+def channel_table(**columns) -> dict[str, tuple]:
     """Table over the four codes ``2*in + out`` that the samplers write: both
-    channel columns, plus ``columns`` given as one value per code."""
-    table = dict(in_channel=np.array([0, 0, 1, 1], dtype=np.int8),
-                 out_channel=np.array([0, 1, 0, 1], dtype=np.int8))
-    return table | {field: np.array(values) for field, values in columns.items()}
+    channel columns, plus ``columns``, each a tuple of one value per code."""
+    return dict(in_channel=(0, 0, 1, 1), out_channel=(0, 1, 0, 1)) | columns
 
 
 def _run_count(n) -> int:
@@ -196,24 +198,30 @@ def _layout(pass_) -> tuple[list[int], int, bytes]:
     return union, (len(union) + 1) * (len(pass_) > 1), bytes(labels).ljust(256, b"\xff")
 
 
-def _step(codes: np.ndarray, words: np.ndarray, layout: tuple) -> None:
-    """Replace each code c by the label of the interval of its 53-bit word
-    among its cuts, in place, for a pass laid out by :func:`_layout`: each
-    code becomes ``c * stride`` plus the number of cuts at or below its word,
-    and the table translates that to its label."""
+def _step(codes, words, layout: tuple) -> None:
+    """Replace each uint8 code c by the label of the interval of its 53-bit
+    word among its cuts, in place, for a pass laid out by :func:`_layout`:
+    each code becomes ``c * stride`` plus the number of cuts at or below its
+    word, and the table translates that to its label."""
     union, stride, table = layout
     codes *= stride
     for k in union:
         codes += words >= k
-    codes[:] = np.frombuffer(codes.tobytes().translate(table), np.uint8)
+    memoryview(codes)[:] = codes.tobytes().translate(table)
 
 
 def _sampled(model: str, sigma_l: float, sigma_r: float, table: dict, n, stream, plan) -> Ensemble:
     """Ensemble of ``n`` runs over ``table``, drawn :data:`CHUNK_ROWS` runs at a
     time: pass k of ``plan`` gives each code so far its cuts, probabilities in
     ascending order made :func:`_threshold` once, and a label per interval,
-    and steps one uint8 block (:func:`_step`) by words k*n to (k+1)*n - 1 of ``stream``."""
+    and steps one uint8 block (:func:`_step`) by words k*n to (k+1)*n - 1 of ``stream``.
+    Here alone this module loads numpy, and ``table``'s tuples become arrays:
+    channel columns int8, the others float64."""
     n = _run_count(n)
+    import numpy as np
+
+    table = {field: np.array(values, dtype=np.int8 if field.endswith("_channel") else np.float64)
+             for field, values in table.items()}
     passes = [_layout([(list(map(_threshold, cuts)), labels) for cuts, labels in pass_]) for pass_ in plan]
 
     def draw():
@@ -251,12 +259,11 @@ def simulate_ensemble(spec: ModelSpec, sigma_l: float, sigma_r: float, n: int,
     t1, t0 = sl, normalize_angle(sl + HALF_PI)
     r1, r0 = sr, normalize_angle(sr + HALF_PI)
     joint = spec.joint(sl, sr)  # even entries: P(exit 1 | entry c) is twice cell (c, 1)
-    p1 = [2.0 * joint.p01, 2.0 * joint.p11]
+    p1 = (2.0 * joint.p01, 2.0 * joint.p11)
     if not spec.ontology.discrete_outputs:
-        table = dict(in_channel=np.array([0, 1], dtype=np.int8), tau_l=np.array([t0, t1]),
-                     weight_1=np.array(p1))
+        table = dict(in_channel=(0, 1), tau_l=(t0, t1), weight_1=p1)
         return _sampled(spec.model, sl, sr, table, n, stream, (_ENTRY,))
-    table = channel_table(tau_l=[t0, t0, t1, t1], tau_r=[r0, r1, r0, r1])
+    table = channel_table(tau_l=(t0, t0, t1, t1), tau_r=(r0, r1, r0, r1))
     if not spec.ontology.time_symmetric:
         del table["tau_r"]  # a collapse run keeps no return-leg beable
     exits = tuple(((p,), (2 * c + 1, 2 * c)) for c, p in enumerate(p1))  # code 2*in + out
@@ -360,15 +367,16 @@ def audit_symmetry(
     if n < MIN_AUDIT_N:
         raise UsageError(f"audit needs n of at least {MIN_AUDIT_N} records per ensemble, got {n}")
     side_a, by_convention = _side_a(generate_ensemble(model, sigma_a, sigma_b, n, stream.child(0)))
-    slot_a, free_a = _signature_counts(side_a)
-    slot_b, free_b = _signature_counts(generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1)))
+    slot_a, free_a, profile_a = _signature_counts(side_a)
+    slot_b, free_b, profile_b = _signature_counts(
+        generate_ensemble(model, sigma_b, sigma_a, n, stream.child(1)))
     settings = (normalize_angle(sigma_a), normalize_angle(sigma_b))
-    tv_slot = 0.5 * float(np.abs(slot_a / n - slot_b / n).sum())
-    tv_free = 0.5 * float(np.abs(free_a / n - free_b / n).sum())
-    profile_rev = _alignment_profile(slot_a, n)
-    profile_fwd = _alignment_profile(slot_b, n)
-    separation = max(abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES)
-    score = 0.5 * (1.0 + 0.5 * sum(abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES))
+    tv_slot = 0.5 * _pairwise_sum([abs(a / n - b / n) for a, b in zip(slot_a, slot_b)])
+    tv_free = 0.5 * _pairwise_sum([abs(a / n - b / n) for a, b in zip(free_a, free_b)])
+    profile_rev, profile_fwd = ({name: count / n for name, count in zip(PROFILE_CLASSES, profile)}
+                                for profile in (profile_a, profile_b))
+    gaps = [abs(profile_fwd[k] - profile_rev[k]) for k in PROFILE_CLASSES]
+    separation, score = max(gaps), 0.5 * (1.0 + 0.5 * _pairwise_sum(gaps))
     # a beable the samplers pin to one setting's axes lies on the other's too
     degenerate = any(on_axes(pinned, other) for setting, other in (settings, settings[::-1])
                      for pinned in (setting, normalize_angle(setting + HALF_PI)))

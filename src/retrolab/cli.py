@@ -112,20 +112,6 @@ def _control_mod_json(value):
     return "pi/2" if value is not None else "none"
 
 
-def _sampler():
-    """The ``audit`` module, loading numpy on first use.
-
-    Only the commands that sample rows need numpy; the process entry
-    (:func:`retrolab.__main__.run`) decides the settings it loads under.
-    """
-    # records first: audit imports it after numpy, and compiling it there,
-    # with no cached bytecode, raises run --records' peak RSS by about 0.17 MB
-    from . import records  # noqa: F401
-    from . import audit
-
-    return audit
-
-
 # ---------------------------------------------------------------- run
 
 
@@ -134,11 +120,10 @@ def _cmd_run(args) -> int:
     if args.records_limit < 0:
         raise UsageError(f"records-limit must be at least 0 (0 = all), got {args.records_limit}")
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
+    from . import audit, records  # loaded by the sampling commands alone; the draw loads numpy
 
-    ensemble = _sampler().generate_ensemble(args.model, args.sigma_l, args.sigma_r, args.n, stream)
+    ensemble = audit.generate_ensemble(args.model, args.sigma_l, args.sigma_r, args.n, stream)
     if args.records is not None:
-        from . import records
-
         # the writer counts every row it draws, so the tally below draws nothing
         limit = None if args.records_limit == 0 else args.records_limit
         records.write_records_jsonl(args.records, ensemble, limit)
@@ -230,7 +215,9 @@ def _cmd_game(args) -> int:
 
 def _cmd_audit(args) -> int:
     stream = RandomStream(args.seed)  # checks the seed before numpy loads
-    report = _sampler().audit_symmetry(args.model, args.sigma_a, args.sigma_b, args.n, stream)
+    from . import audit
+
+    report = audit.audit_symmetry(args.model, args.sigma_a, args.sigma_b, args.n, stream)
     result = report._asdict() | {"symmetric": report.symmetric}
     config = {key: result.pop(key) for key in ("model", "sigma_a", "sigma_b", "n")}
     cfg = _resolved(args, **config, seed=args.seed)

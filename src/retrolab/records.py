@@ -279,11 +279,11 @@ class Ensemble:
 
     ``table`` maps each field present for the whole family (a subset of
     :data:`FIELDS`) to one value per table row, and ``draw()`` yields each
-    run's table row as blocks of integer codes, in run order, the same at
+    run's table row as blocks of integer codes (arrays), in run order, the same at
     every call; a sampler's blocks are views of one reused uint8 buffer.
-    :meth:`row_counts` counts one pass and keeps the counts; ``codes``, the
-    column properties and :meth:`records` replay the draw.  Table columns of
-    unequal length or outside :data:`FIELDS` are a ValueError.
+    :meth:`row_counts` keeps the counts of one checked pass (:meth:`_counted_draw`);
+    ``codes``, the columns and :meth:`records` replay one.  Table columns not
+    numpy arrays, of unequal length or outside :data:`FIELDS` are a ValueError.
     """
 
     __slots__ = ("model", "sigma_l", "sigma_r", "table", "n", "draw", "_counts")
@@ -300,6 +300,9 @@ class Ensemble:
             model, sigma_l, sigma_r, table, n, draw)
         self._counts = None
         lengths = {field: len(values) for field, values in table.items()}
+        for field, values in table.items():
+            if not hasattr(values, "dtype"):  # a sampler's tuples, say, before _sampled
+                raise ValueError(f"table column {field} is a {type(values).__name__}, not a numpy array")
         if set(lengths) - set(FIELDS):
             raise ValueError(f"unknown table fields {sorted(set(lengths) - set(FIELDS))}")
         if len(set(lengths.values())) > 1:
@@ -307,10 +310,10 @@ class Ensemble:
 
     @property
     def codes(self) -> np.ndarray:
-        """Every run's table row, replayed into one array."""
+        """Every run's table row, replayed into one array and counted."""
         import numpy as np
 
-        return np.concatenate([block.copy() for block in self.draw()])
+        return np.concatenate([block.copy() for block in self._counted_draw()])
 
     def _table_rows(self) -> int:
         return len(next(iter(self.table.values()), ()))
@@ -327,7 +330,9 @@ class Ensemble:
         counts = np.zeros(self._table_rows(), dtype=np.intp)
         for codes in self.draw():
             try:  # numpy refuses a fractional code with a TypeError, a negative one with a ValueError
-                block = np.bincount(codes, minlength=len(counts))[:len(counts)]
+                # bincount allocates a counter for every value up to the largest code
+                kept = codes if codes.dtype == np.uint8 else codes[codes < len(counts)]
+                block = np.bincount(kept, minlength=len(counts))[:len(counts)]
             except (TypeError, ValueError) as err:
                 problem = f"holds a code that is no table row: {err}"
             else:
@@ -372,8 +377,7 @@ class Ensemble:
         entry = self.channel_column("in_channel")
         outcome = self.channel_column("out_channel") if weights is None else None
         counts = [0.0, 0.0, 0.0, 0.0]
-        for row, k in enumerate(self.row_counts().tolist()):
-            c = entry[row]
+        for row, (k, c) in enumerate(zip(self.row_counts().tolist(), entry)):
             if weights is not None:
                 w1 = float(np.broadcast_to(weights[row], k).sum())
                 counts[2 * c + 1] += w1

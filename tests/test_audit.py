@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from hypothesis import given, settings, strategies as st
 from retrolab import audit, cli, hvmodels
 from retrolab.audit import (
     MIN_AUDIT_N,
-    _alignment_profile,
+    PROFILE_CLASSES,
+    _pairwise_sum,
     _side_a,
     _signature_counts,
     audit_symmetry,
@@ -26,6 +28,7 @@ from retrolab.photon import OntologyMode
 from retrolab.hvmodels import HVJoint, UnknownModelError, channel_joint, model_ids, model_spec
 from retrolab.records import Ensemble, ExperimentRecord
 from retrolab.stats import RandomStream
+from test_golden import compensated_sum
 from test_records import hand_built
 
 PI = math.pi
@@ -242,7 +245,7 @@ def test_symmetric_models_stay_within_the_stated_false_positive_rate(model, pair
         for small, p, first in sides:
             codes = np.repeat(np.arange(len(p), dtype=np.uint8), rng.multinomial(n, p))
             ensemble = hand_built(small.model, small.sigma_l, small.sigma_r, codes, small.table)
-            slots.append(_signature_counts(_side_a(ensemble)[0] if first else ensemble)[0])
+            slots.append(np.array(_signature_counts(_side_a(ensemble)[0] if first else ensemble)[0]))
         fired += 0.5 * np.abs(slots[0] / n - slots[1] / n).sum() > t
     assert fired <= 0.05 * trials
 
@@ -264,7 +267,7 @@ def _leg_aligned_with_both(model, sigma_a, sigma_b):
     # does either side of the audit hold a leg beable of class 2, "both"?
     for sl, sr in ((sigma_a, sigma_b), (sigma_b, sigma_a)):
         slots = _signature_counts(generate_ensemble(model, sl, sr, 1000, RandomStream(3)))[0]
-        legs = slots.reshape(9, 5, 5)  # cell, left leg class, right leg class
+        legs = np.array(slots).reshape(9, 5, 5)  # cell, left leg class, right leg class
         if legs[:, 2, :].any() or legs[:, :, 2].any():
             return True
     return False
@@ -391,6 +394,11 @@ def _reference_profile(ensemble):
     }
 
 
+def _fractions(profile, n):
+    """Profile counts of n runs as the report's fractions, by class name."""
+    return {name: count / n for name, count in zip(PROFILE_CLASSES, profile)}
+
+
 def _near(sigma):
     # on a setting's axes and orthogonals, within and beyond ANGLE_TOL of them
     base = [sigma, sigma + PI / 2, sigma - PI / 2, sigma + PI]
@@ -462,12 +470,12 @@ def test_cell_counts_match_per_row_reference(ensemble, chunk_rows):
     # both orientations, as the audit sees them, counted in blocks of 1-7
     # rows, so cells and outliers straddle block boundaries
     for oriented in (ensemble, _side_a(ensemble)[0]):
-        slot, free = _signature_counts(_in_blocks(oriented, chunk_rows))
+        slot, free, profile = _signature_counts(_in_blocks(oriented, chunk_rows))
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
-        assert slot.sum() == oriented.n
-        assert _alignment_profile(slot, oriented.n) == _reference_profile(oriented)
+        assert sum(slot) == oriented.n
+        assert _fractions(profile, oriented.n) == _reference_profile(oriented)
 
 
 def _assert_one_byte_codes(ens, n):
@@ -481,11 +489,11 @@ def test_cell_counts_match_reference_on_generated_ensembles(model, pair):
     ens = generate_ensemble(model, *pair, 20_000, RandomStream(5))
     _assert_one_byte_codes(ens, 20_000)
     for oriented in (ens, _side_a(ens)[0]):
-        slot, free = _signature_counts(oriented)
+        slot, free, profile = _signature_counts(oriented)
         ref_slot, ref_free = _reference_signature_counts(oriented)
         assert np.array_equal(slot, ref_slot)
         assert np.array_equal(free, ref_free)
-        assert _alignment_profile(slot, oriented.n) == _reference_profile(oriented)
+        assert _fractions(profile, oriented.n) == _reference_profile(oriented)
 
 
 @pytest.mark.parametrize("field, values", [
@@ -501,3 +509,33 @@ def test_signature_counts_refuse_a_channel_column_of_other_values(field, values)
     ens = hand_built("twobit", 0.0, 0.5, np.array([0, 0, 1], dtype=np.uint8), table)
     with pytest.raises(ValueError, match=f"an {field} column of 0s and 1s"):
         _signature_counts(ens)
+
+
+@st.composite
+def _sparse(draw):
+    """A signature-sized list of floats, at most 8 of them non-zero, as in the
+    difference of two sides that fill at most 4 slots each."""
+    xs = [0.0] * draw(st.sampled_from((135, 225)) | st.integers(0, 600))
+    if xs:
+        for i in draw(st.lists(st.integers(0, len(xs) - 1), max_size=8)):
+            xs[i] = draw(st.floats(0.0, 1.0))
+    return xs
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), max_size=600) | _sparse(), st.booleans())
+def test_pairwise_sum_adds_in_numpys_order(xs, compensated):
+    # a report's bytes rest on this order, not on numpy or the built-in sum,
+    # which compensates from Python 3.12 on: patching it changes nothing
+    with mock.patch.object(audit, "sum", compensated_sum, create=True) if compensated \
+            else contextlib.nullcontext():
+        got = _pairwise_sum(xs)
+    assert got.hex() == float(np.add.reduce(np.array(xs, dtype=np.float64))).hex()
+
+
+def test_a_compensated_sum_differs_from_numpys_order():
+    # the patch the byte-contract tests run under rounds as Python 3.12's sum
+    # does: three tenths add to 0.6 there, and to 0.6000000000000001 one at a
+    # time, as numpy adds fewer than 8 values
+    assert compensated_sum([0.1, 0.2, 0.3]) == 0.6 != _pairwise_sum([0.1, 0.2, 0.3])
+    assert compensated_sum([2, 3], 1) == 6

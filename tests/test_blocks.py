@@ -127,8 +127,8 @@ def test_block_samplers_match_full_vector_reference(model, chunk_rows, n, kind, 
     # a fresh ensemble draws again, since a counted one keeps its counts
     ens = _sample(model, sigma_l, sigma_r, n, stream)[0]
     single = [_signature_counts(o) for o in (ens, _side_a(ens)[0])]
-    for (slot, free), (slot_1, free_1) in zip(blocked, single):
-        assert np.array_equal(slot, slot_1) and np.array_equal(free, free_1)
+    for (slot, free, profile), (slot_1, free_1, profile_1) in zip(blocked, single):
+        assert slot == slot_1 and free == free_1 and profile == profile_1
 
 
 @pytest.mark.parametrize("n", [1, audit.CHUNK_ROWS - 1, audit.CHUNK_ROWS, audit.CHUNK_ROWS + 1,
@@ -239,7 +239,7 @@ def test_each_plan_draws_its_joint_exactly(model, sigma_l, sigma_r):
             for label, low, high in zip(labels, bounds, bounds[1:]):
                 after[label] += p * Fraction(high - low, _WORDS)
         rows = after
-    entry, exit_ = table["in_channel"].tolist(), table.get("out_channel")
+    entry, exit_ = list(table["in_channel"]), table.get("out_channel")
     assert sum(rows.values()) == 1 and set(rows) <= set(range(len(entry)))
     joint = REGISTRY[model].joint(sigma_l, sigma_r)
     for row, p in rows.items():

@@ -933,6 +933,13 @@ def test_sampling_commands_import_numpy(name):
     assert imports_numpy(*SAMPLING_COMMANDS[name])
 
 
+def test_importing_the_audit_loads_no_numpy():
+    # numpy loads with the first draw; the tables and the decision need none
+    code = "import sys, retrolab.audit; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
+
+
 @pytest.mark.parametrize("name", sorted(ANALYTIC_COMMANDS))
 def test_analytic_commands_do_not_import_dataclasses_or_inspect(name):
     assert not {"dataclasses", "inspect", "datetime"} & imported(*ANALYTIC_COMMANDS[name])

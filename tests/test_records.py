@@ -7,6 +7,7 @@ import os
 import re
 import stat
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -256,6 +257,52 @@ def test_a_code_that_is_no_table_row_is_the_named_error(tmp_path, block):
     with pytest.raises(ValueError, match=match):
         write_records_jsonl(tmp_path / "out.jsonl", ens)
     assert os.listdir(tmp_path) == []
+
+
+def test_a_code_far_past_the_table_is_refused_before_it_is_counted():
+    # np.bincount allocates one counter for every value up to the largest
+    # code: 80 MB for 10^7, were the code not left out before counting
+    ens = hand_built("twobit", 0.0, 0.5, np.array([0, 10**7], np.int32),
+                     {"in_channel": np.array([0, 1], np.int8)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="a block of 2 codes of the draw of n = 2 runs gave 1 "
+                                             "in table rows"):
+            ens.row_counts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("read", [lambda ens: ens.codes, lambda ens: ens.in_channel,
+                                  lambda ens: ens.tau_l, lambda ens: ens.records()],
+                         ids=["codes", "in_channel", "tau_l", "records"])
+def test_every_reader_of_a_draw_checks_its_blocks(read):
+    # a code past the table is the count's named error, not an IndexError
+    ens = hand_built("twobit", 0.0, 0.5, np.array([0, 3, 1], np.uint8),
+                     {"in_channel": np.array([0, 1], np.int8), "tau_l": np.array([0.0, 0.5])})
+    with pytest.raises(ValueError, match="a block of 3 codes of the draw of n = 3 runs gave 2 "
+                                         "in table rows"):
+        read(ens)
+
+
+def test_replaying_the_codes_keeps_the_counts():
+    draws = []
+    codes = np.array([0, 1, 1], np.uint8)
+    ens = Ensemble("twobit", 0.0, 0.5, {"in_channel": np.array([0, 1], np.int8)}, 3,
+                   lambda: draws.append(1) or iter((codes,)))
+    assert ens.codes.tolist() == [0, 1, 1] and len(draws) == 1
+    assert ens.row_counts().tolist() == [1, 2] and len(draws) == 1  # no second draw
+
+
+@pytest.mark.parametrize("column", [(0, 1), [0, 1]], ids=["tuple", "list"])
+def test_an_ensemble_refuses_a_column_that_is_no_array(column):
+    # a sampler's table of tuples, say, handed on before it became arrays
+    with pytest.raises(ValueError, match=f"table column tau_l is a {type(column).__name__}, "
+                                         "not a numpy array"):
+        hand_built("twobit", 0.0, 0.5, np.array([0, 1], np.uint8),
+                   {"in_channel": np.array([0, 1], np.int8), "tau_l": column})
 
 
 def _written(ensemble, limit=None):

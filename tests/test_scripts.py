@@ -271,6 +271,35 @@ def test_bench_pairs_rejects_bad_input(capsys, monkeypatch, args, message):
         f"bench_pairs.py: error: {message}"]
 
 
+def test_bench_writer_keeps_the_keys_it_does_not_write(tmp_path, capsys):
+    # bench_pairs.py after tier1_pairs.py keeps the tier1 key, and the other
+    # way round; each run's own keys replace the ones it wrote before
+    write_bench = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))["write_bench"]
+    path = str(tmp_path / "BENCH_7.json")
+    write_bench(path, {"number": 7, "tier1": {"pairs": 2}})
+    write_bench(path, {"number": 7, "base": "b", "runs": {"audit-grid seed 11": 1}})
+    write_bench(path, {"number": 7, "tier1": {"pairs": 4}})
+    write_bench(path, {"number": 7, "base": "c", "runs": {}})
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert text.endswith("}\n")
+    assert json.loads(text) == {"number": 7, "tier1": {"pairs": 4}, "base": "c", "runs": {}}
+    assert capsys.readouterr().err == f"wrote {path}\n" * 4
+
+
+def test_both_pairs_scripts_alternate_through_one_loop(capsys):
+    # the base first in odd pairs, the change first in even ones
+    functions = runpy.run_path(str(SCRIPTS / "bench_pairs.py"))
+    tier1 = runpy.run_path(str(SCRIPTS / "tier1_pairs.py"))
+    assert {tier1[name].__module__ for name in ("alternate", "spread", "write_bench")} == {"bench_pairs"}
+    runs = functions["alternate"](3, lambda side: side.upper(), "w, ")
+    assert runs == {"order": ["pair 1: base", "pair 1: change", "pair 2: change", "pair 2: base",
+                              "pair 3: base", "pair 3: change"],
+                    "base": ["BASE"] * 3, "change": ["CHANGE"] * 3}
+    assert capsys.readouterr().err.splitlines()[:2] == ["w, pair 1: base", "w, pair 1: change"]
+    assert functions["spread"]([4.0]) == {"median": 4.0, "q1_q3": [4.0, 4.0]}
+
+
 _DURATIONS = """\
 ============================= slowest durations ==============================
 11.52s call     tests/test_audit.py::test_cell_counts[a b]
